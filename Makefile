@@ -1,11 +1,19 @@
 PYTHON ?= python
 export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH))
 
-.PHONY: test bench-smoke bench-perf bench-consistency bench-storage bench-campaign bench-mempool bench-gossip bench-sync bench-scale bench-shard bench-auth bench-check bench-all docs-test campaign
+.PHONY: test bench-selfcheck bench-smoke bench-perf bench-consistency bench-storage bench-campaign bench-mempool bench-gossip bench-sync bench-scale bench-shard bench-auth bench-check bench-all docs-test campaign
 
 ## Tier-1: the full unit/property/differential suite (fast, no benches).
 test:
 	$(PYTHON) -m pytest -x -q
+
+## Self-check of the end-to-end benchmark harness (~10 s): one smoke
+## pass over the six BENCHMARK.json workloads, every bench/trace.py
+## boundary resolved against src/, every run attribute bench/cell.py
+## reads exercised — so a rename under src/ fails here, not at
+## benchmark time.
+bench-selfcheck:
+	$(PYTHON) -m pytest bench/tests -q
 
 ## One un-measured pass over every bench (what CI runs).  The storage
 ## bounded-hot-set gate runs at a reduced scale here; the full 1M run is

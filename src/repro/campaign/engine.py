@@ -34,10 +34,6 @@ def run_cell(cell: CampaignCell) -> CellResult:
         os.makedirs(scenario.store_dir, exist_ok=True)
     run = RUNNERS[cell.protocol](scenario)
     row = classify_run(cell.protocol, run)
-    # Sharded runs expose shard_stats (per-shard throughput + the
-    # composed cross-shard atomicity verdict); single-chain runs don't.
-    shard_stats = getattr(run, "shard_stats", None)
-    auth_stats = getattr(run, "auth_stats", None)
     return CellResult(
         protocol=cell.protocol,
         scenario=cell.scenario_name,
@@ -52,8 +48,8 @@ def run_cell(cell: CampaignCell) -> CellResult:
         wall_clock_s=run.wall_clock_s,
         mempool=run.mempool_stats() or None,
         sync=run.sync_stats() or None,
-        shard=shard_stats() if shard_stats is not None else None,
-        auth=(auth_stats() or None) if auth_stats is not None else None,
+        shard=run.shard_stats() or None,
+        auth=run.auth_stats() or None,
     )
 
 

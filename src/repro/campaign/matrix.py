@@ -75,9 +75,9 @@ class CellResult:
     #: cross-shard atomicity verdict.  None for single-chain cells.
     #: Same determinism contract as ``mempool``.
     shard: Optional[Dict[str, Any]] = None
-    #: Signature-pipeline measurements (``ProtocolRun.auth_stats`` /
-    #: ``ShardedRun.auth_stats``) for cells with ``scenario.auth``; None
-    #: for unsigned cells.  Same determinism contract as ``mempool``.
+    #: Signature-pipeline measurements (``ProtocolRun.auth_stats``) for
+    #: cells with ``scenario.auth``; None for unsigned cells.  Same
+    #: determinism contract as ``mempool``.
     auth: Optional[Dict[str, Any]] = None
 
     @property

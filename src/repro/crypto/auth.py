@@ -25,8 +25,7 @@ Design points:
   of already-verified ``(id, signer)`` pairs (the ``wire_size`` memo
   pattern: a plain dict cleared wholesale at capacity).
   :meth:`BlockAuthenticator.prime_batch` amortizes sync/reconcile
-  batches through the same midstates, optionally offloaded to a process
-  pool (``offload`` workers) for very large catch-up gaps.
+  batches through the same midstates.
 
 * **Identity binding.**  A signed block whose ``creator`` is set must be
   signed *by* that creator (defeating :class:`StolenIdentityRelay`-style
@@ -49,7 +48,6 @@ Design points:
 from __future__ import annotations
 
 import hashlib
-import multiprocessing
 from dataclasses import dataclass, replace
 from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
 
@@ -155,12 +153,6 @@ def _forked_digest(seed: int, owner: str, kind: str, content_id: str) -> str:
     return hash_hex("sig", seed, owner, kind, content_id)
 
 
-def _offload_digests(job: Tuple[int, str, str, Tuple[str, ...]]) -> Tuple[str, ...]:
-    """Pool worker: digests for one (seed, owner, kind) group of ids."""
-    seed, owner, kind, ids = job
-    return tuple(_forked_digest(seed, owner, kind, cid) for cid in ids)
-
-
 class BlockAuthenticator:
     """Per-replica verifier/signer for the authenticated pipeline.
 
@@ -175,12 +167,10 @@ class BlockAuthenticator:
         self,
         registry: SignatureRegistry,
         cache_cap: int = _CACHE_CAP_DEFAULT,
-        offload: int = 0,
         amortize: bool = True,
     ) -> None:
         self.registry = registry
         self.cache_cap = cache_cap
-        self.offload = offload
         # ``amortize=False`` is the reference mode: every digest is
         # recomputed from scratch through ``Registry.verify_detailed``
         # (no midstate table).  Differential tests and the auth bench's
@@ -358,10 +348,7 @@ class BlockAuthenticator:
         Populates the verified-pair cache so the per-block
         :meth:`check_block` calls on the adoption path hit it; identity
         binding and equivocation still run per block there.  Returns the
-        number of fresh digests verified.  With ``offload`` > 1 and a
-        large batch the digests are recomputed on a process pool
-        (skipped inside daemonic campaign workers, which may not spawn
-        children).
+        number of fresh digests verified.
         """
         pending: List[Tuple[Tuple[str, str], KeyPair, str]] = []
         verified = self._verified
@@ -381,9 +368,7 @@ class BlockAuthenticator:
         if not pending:
             return 0
         expected: Dict[Tuple[str, str], str]
-        if self._can_offload(len(pending)):
-            expected = self._offloaded_digests(pending)
-        elif not self.amortize:
+        if not self.amortize:
             expected = {
                 key: _forked_digest(kp.seed, kp.owner, "block", key[0])
                 for key, kp, _ in pending
@@ -408,30 +393,6 @@ class BlockAuthenticator:
         self.counters["batch_primed"] += primed
         self.counters["verified"] += primed
         return primed
-
-    def _can_offload(self, n_pending: int) -> bool:
-        if self.offload <= 1 or n_pending < 4 * self.offload:
-            return False
-        # Campaign pool workers are daemonic and cannot spawn children.
-        return not multiprocessing.current_process().daemon
-
-    def _offloaded_digests(
-        self, pending: Sequence[Tuple[Tuple[str, str], KeyPair, str]]
-    ) -> Dict[Tuple[str, str], str]:
-        groups: Dict[Tuple[int, str], List[str]] = {}
-        for (content_id, signer), kp, _ in pending:
-            groups.setdefault((kp.seed, signer), []).append(content_id)
-        jobs = [
-            (seed, owner, "block", tuple(ids))
-            for (seed, owner), ids in sorted(groups.items(), key=lambda kv: kv[0][1])
-        ]
-        with multiprocessing.Pool(processes=self.offload) as pool:
-            digest_groups = pool.map(_offload_digests, jobs)
-        expected: Dict[Tuple[str, str], str] = {}
-        for (seed, owner, _kind, ids), digests in zip(jobs, digest_groups):
-            for content_id, digest in zip(ids, digests):
-                expected[(content_id, owner)] = digest
-        return expected
 
     # -- equivocation --------------------------------------------------------
 

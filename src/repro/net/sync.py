@@ -89,6 +89,9 @@ MAX_FRONTIER_TIPS = 128
 #: healthy sync converges in two or three rounds).
 _MAX_ROUNDS = 32
 
+#: Ceiling on the retry backoff, in simulated seconds.
+BACKOFF_CAP = 30.0
+
 #: Server-side memo of the last few (frontier → missing ids) diffs.  The
 #: protocol stays stateless — a cache miss just recomputes — but the
 #: repeated RANGE requests of one round hit the memo instead of
@@ -194,7 +197,6 @@ class SyncManager:
         self.batch = scenario.sync_batch
         self.timeout = scenario.sync_timeout or 4.0 * scenario.channel_delta
         self.backoff_base = scenario.sync_backoff_base or 2.0 * scenario.channel_delta
-        self.backoff_cap = scenario.sync_backoff_cap
         self.max_attempts = scenario.sync_max_attempts
         #: idle | frontier | range | done | failed
         self.state = "idle"
@@ -339,7 +341,7 @@ class SyncManager:
         self.totals["retries"] += 1
         self._peer_cursor += 1  # rotate: maybe the peer is down/eclipsed
         backoff = min(
-            self.backoff_cap, self.backoff_base * (2 ** (self.attempts - 1))
+            BACKOFF_CAP, self.backoff_base * (2 ** (self.attempts - 1))
         )
         # Restart from FRONTIER: the refreshed frontier already excludes
         # everything adopted so far, so no progress is lost.  The round

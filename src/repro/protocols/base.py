@@ -7,8 +7,9 @@ operations, and recorded ``append``/``send``/``receive``/``update``
 events so the consistency checkers can judge the run afterwards.
 
 :class:`ProtocolRun` builds the network for a scenario, runs it, issues a
-final read at every node (so limit chains are observable) and packages
-history + trees + metrics.
+final read on every chain pipeline (so limit chains are observable) and
+packages histories + trees + metrics — for a single chain and for K
+shard facets per replica alike (see :meth:`BlockchainNode.pipelines`).
 """
 
 from __future__ import annotations
@@ -136,6 +137,16 @@ class BlockchainNode(SimProcess):
         # and evidence are re-learned via sync piggyback).
         self.auth = scenario.build_auth()
         self._auth_carry: Dict[str, int] = {}
+
+    def pipelines(self) -> List[Tuple[int, "BlockchainNode"]]:
+        """The ``(shard, chain pipeline)`` pairs this host runs.
+
+        A plain replica is its own single pipeline on shard 0; a
+        :class:`repro.shard.node.ShardedNode` answers with one facet per
+        subscribed shard.  :class:`ProtocolRun` measures and drives a
+        run only through this list.
+        """
+        return [(0, self)]
 
     # -- reads ------------------------------------------------------------------
 
@@ -342,7 +353,7 @@ class BlockchainNode(SimProcess):
             self.transport.relay_block(block)
         self.seen_blocks.add(block.block_id)
         self.on_new_block(block)
-        if self.scenario.read_on_update and not self._bulk_sync:
+        if not self._bulk_sync:
             # Applications read after updates; this makes transient forks
             # observable to the consistency checkers (a read on each side
             # of a fork witnesses the Strong Prefix violation).
@@ -817,28 +828,74 @@ class PassiveNode(BlockchainNode):
         self.on_gossip(src, message)
 
 
+def _fold(
+    into: Dict[str, Any], stats: Dict[str, Any], gauges: Tuple[str, ...] = ()
+) -> None:
+    """Fold one stats dict into an aggregate: counters add up,
+    ``gauges`` take the maximum, labels (strings) are kept."""
+    for key, value in stats.items():
+        if key not in into or isinstance(value, str):
+            into[key] = value
+        elif key in gauges:
+            into[key] = max(into[key], value)
+        else:
+            into[key] += value
+
+
+def _pipelines(hosts: List[Any]) -> List[Tuple[str, int, BlockchainNode]]:
+    return [
+        (host.name, shard, chain)
+        for host in hosts
+        for shard, chain in host.pipelines()
+    ]
+
+
 @dataclass
 class ProtocolRun:
-    """Outcome of one protocol simulation."""
+    """Outcome of one protocol simulation.
+
+    A run is a list of chain :meth:`pipelines` — one per replica on
+    shard 0 for a single chain, one facet per subscribed shard when
+    ``scenario.shards > 1`` — and every measurement below is one fold
+    over that list: counters summed per replica, gauges by maximum,
+    committed throughput read off each shard's majority-view replica.
+    """
 
     scenario: ProtocolScenario
-    history: ConcurrentHistory
-    nodes: List[BlockchainNode]
+    #: The recorded history of a single-chain run; ``None`` when sharded
+    #: (every shard has its own — see :attr:`histories`).
+    history: Optional[ConcurrentHistory]
+    #: The processes registered on the network: the replicas, or the
+    #: ``ShardedNode`` hosts of their facets.
+    nodes: List[Any]
     network: Network
     simulator: Simulator
     #: Live adversary objects built from an AdversarialScenario (their
     #: dropped/delayed counters survive the run for inspection).
     faults: Dict[str, Any] = field(default_factory=dict)
-    #: ``(time, max_fork_degree, max_height)`` time series, sampled every
-    #: ``scenario.metrics_interval`` when the scenario requests it.
+    #: ``(time, max_fork_degree, max_height)`` over all pipelines,
+    #: sampled every ``scenario.metrics_interval`` when requested.
     samples: List[Tuple[float, int, int]] = field(default_factory=list)
     #: Wall-clock seconds spent inside ``Simulator.run`` (run metadata
     #: for the campaign engine's events/sec throughput column).
     wall_clock_s: float = 0.0
     #: The compiled client-traffic schedule (empty without a
-    #: ``scenario.traffic``); submission times anchor the
+    #: ``scenario.traffic``): a tuple for a single chain, shard id →
+    #: tuple when sharded.  Submission times anchor the
     #: confirmation-latency measurements of :meth:`mempool_stats`.
-    submissions: Tuple[Submission, ...] = ()
+    submissions: Any = ()
+    #: shard id → recorded history, each judged independently by the
+    #: consistency checkers (``{0: history}`` for a single chain).
+    histories: Dict[int, ConcurrentHistory] = field(default_factory=dict)
+
+    def __post_init__(self) -> None:
+        if not self.histories:
+            self.histories = {0: self.history}
+
+    @property
+    def shards(self) -> int:
+        """Shard count K (1 for a single chain)."""
+        return self.scenario.shards
 
     @property
     def node_names(self) -> List[str]:
@@ -849,36 +906,73 @@ class ProtocolRun:
         """Simulator events executed during the run."""
         return self.simulator.events_executed
 
+    def pipelines(self) -> List[Tuple[str, int, BlockchainNode]]:
+        """Every ``(replica name, shard, chain pipeline)`` of the run."""
+        return _pipelines(self.nodes)
+
+    def _per_replica(
+        self,
+        stats_of: Callable[[BlockchainNode], Dict[str, Any]],
+        gauges: Tuple[str, ...] = (),
+    ) -> Dict[str, Dict[str, Any]]:
+        """``stats_of(pipeline)`` folded per replica (see :func:`_fold`)."""
+        per_node: Dict[str, Dict[str, Any]] = {}
+        for name, _, chain in self.pipelines():
+            _fold(per_node.setdefault(name, {}), stats_of(chain), gauges)
+        return per_node
+
+    def _max_per_replica(
+        self, value_of: Callable[[BlockchainNode], int]
+    ) -> List[Tuple[str, int]]:
+        """Per replica, the largest ``value_of(pipeline)``; name-sorted."""
+        return sorted(
+            (node.name, max(value_of(chain) for _, chain in node.pipelines()))
+            for node in self.nodes
+        )
+
+    # -- chains ---------------------------------------------------------------
+
+    def shard_chains(self, shard: int) -> Dict[str, Chain]:
+        """Each subscribed replica's adopted chain on one shard.
+
+        Goes through ``select_chain`` so equivocation bans are honoured
+        when the pipelines run authenticated.
+        """
+        return {
+            name: chain.select_chain()
+            for name, k, chain in self.pipelines()
+            if k == shard
+        }
+
     def final_chains(self) -> Dict[str, Chain]:
-        """Each node's adopted chain at the end of the run."""
-        return {n.name: n.select_chain() for n in self.nodes}
+        """Each node's adopted chain at the end of a single-chain run."""
+        return self.shard_chains(0)
+
+    def final_majority_chains(self) -> Dict[int, Chain]:
+        """shard id → the majority-view final chain of that shard."""
+        from repro.protocols.classify import majority_view
+
+        return {k: majority_view(self.shard_chains(k)) for k in range(self.shards)}
 
     def max_fork_degree(self) -> int:
-        """The widest fork observed on any replica."""
-        return max(n.tree.max_fork_degree() for n in self.nodes)
+        """The widest fork observed on any pipeline."""
+        return max(chain.tree.max_fork_degree() for _, _, chain in self.pipelines())
 
     def node_heights(self) -> List[Tuple[str, int]]:
-        """Every replica's final chain height, name-sorted."""
-        return [
-            (name, chain.height)
-            for name, chain in sorted(self.final_chains().items())
-        ]
+        """Every replica's (tallest) final chain height, name-sorted."""
+        return self._max_per_replica(lambda chain: chain.select_chain().height)
 
     def node_fork_degrees(self) -> List[Tuple[str, int]]:
-        """Every replica's widest observed fork, name-sorted.
+        """Every replica's widest observed fork, name-sorted."""
+        return self._max_per_replica(lambda chain: chain.tree.max_fork_degree())
 
-        Shared measurement surface with ``repro.shard.run.ShardedRun``
-        (whose replicas aggregate over facet trees), so the campaign
-        engine packages either run kind without reaching into ``.tree``.
-        """
-        return [
-            (node.name, node.tree.max_fork_degree())
-            for node in sorted(self.nodes, key=lambda n: n.name)
-        ]
+    # -- measurements ---------------------------------------------------------
 
     def storage_stats(self) -> Dict[str, Dict[str, int]]:
         """Per-node block-store lifecycle counters (``BlockTree.stats``)."""
-        return {n.name: n.tree.stats() for n in self.nodes}
+        return self._per_replica(
+            lambda chain: chain.tree.stats(), gauges=("checkpoint_height",)
+        )
 
     def append_stats(self) -> Dict[str, Dict[str, Any]]:
         """Per-node append bookkeeping (begun/resolved/unknown-resolution).
@@ -887,21 +981,22 @@ class ProtocolRun:
         typed signature-rejection counters (``auth``) — forged vs
         unregistered vs misbound rejections are separately observable.
         """
-        stats: Dict[str, Dict[str, Any]] = {}
-        for n in self.nodes:
-            entry: Dict[str, Any] = {
-                "begun": n.appends_begun,
-                "resolved": n.appends_resolved,
-                "unknown_resolutions": n.unknown_append_resolutions,
+        stats = self._per_replica(
+            lambda chain: {
+                "begun": chain.appends_begun,
+                "resolved": chain.appends_resolved,
+                "unknown_resolutions": chain.unknown_append_resolutions,
             }
-            if n.auth is not None or n._auth_carry:
-                entry["auth"] = n.auth_report()
-            stats[n.name] = entry
+        )
+        for name, report in self.auth_stats().get("per_node", {}).items():
+            stats[name]["auth"] = report
         return stats
 
     def unknown_append_resolutions(self) -> int:
-        """Total resolve-without-begin events across all replicas."""
-        return sum(n.unknown_append_resolutions for n in self.nodes)
+        """Total resolve-without-begin events across all pipelines."""
+        return sum(
+            chain.unknown_append_resolutions for _, _, chain in self.pipelines()
+        )
 
     def mempool_stats(self) -> Dict[str, Any]:
         """Transaction-pipeline measurements (empty without traffic).
@@ -913,44 +1008,64 @@ class ProtocolRun:
 
         * ``per_node`` — pool lifecycle counters, packer totals and
           gossip duplicate counts for every replica;
-        * ``committed`` — throughput over the majority-view chain:
-          unique committed transactions, committed tx per simulated
-          second, and the confirmation-latency distribution (submission
-          to first observation on the majority-view replica's chain);
+        * ``committed`` — throughput over each shard's majority-view
+          chain: unique committed transactions, committed tx per
+          simulated second, and the confirmation-latency distribution
+          (submission to first observation on the majority-view
+          replica's chain), summed / merged over shards;
         * ``duplicate_relay_ratio`` — duplicate tx-gossip receives over
           all tx-gossip receives (flooding redundancy).
+
+        A single chain names its majority-view replica in
+        ``committed.majority_node``; a sharded run adds the per-shard
+        breakdown as ``per_shard`` instead.
         """
         if self.scenario.traffic is None:
             return {}
         from repro.protocols.classify import majority_view
 
-        per_node: Dict[str, Dict[str, int]] = {}
-        for node in self.nodes:
-            stats = dict(node.pool.stats())
-            stats["blocks_packed"] = node.packer.blocks_packed
-            stats["txs_packed"] = node.packer.txs_packed
-            stats["tx_gossip_received"] = node.tx_gossip_received
-            stats["tx_gossip_duplicates"] = node.tx_gossip_duplicates
-            per_node[node.name] = stats
-        chains = self.final_chains()
-        majority = majority_view(chains)
-        representative = min(
-            name for name, chain in chains.items() if chain.tip_id == majority.tip_id
-        )
-        rep_node = next(n for n in self.nodes if n.name == representative)
-        committed_ids = set(rep_node.pool.view.committed)
+        def pool_stats(chain: BlockchainNode) -> Dict[str, int]:
+            stats = dict(chain.pool.stats())
+            stats["blocks_packed"] = chain.packer.blocks_packed
+            stats["txs_packed"] = chain.packer.txs_packed
+            stats["tx_gossip_received"] = chain.tx_gossip_received
+            stats["tx_gossip_duplicates"] = chain.tx_gossip_duplicates
+            return stats
+
+        per_node = self._per_replica(pool_stats)
+        sharded = self.shards > 1
         first_submit: Dict[str, float] = {}
-        submitted_ids = set()
-        for sub in self.submissions:
-            for tx in sub.txs:
-                submitted_ids.add(tx.tx_id)
-                if tx.tx_id not in first_submit:
-                    first_submit[tx.tx_id] = sub.time
-        latencies = sorted(
-            rep_node.pool.committed_at[tx_id] - first_submit[tx_id]
-            for tx_id in committed_ids
-            if tx_id in first_submit and tx_id in rep_node.pool.committed_at
-        )
+        for subs in self.submissions.values() if sharded else (self.submissions,):
+            for sub in subs:
+                for tx in sub.txs:
+                    first_submit.setdefault(tx.tx_id, sub.time)
+
+        duration = self.scenario.duration or 1.0
+        pools = {(name, k): chain.pool for name, k, chain in self.pipelines()}
+        per_shard: Dict[str, Dict[str, Any]] = {}
+        latencies: List[float] = []
+        total_committed = 0
+        for k in range(self.shards):
+            chains = self.shard_chains(k)
+            majority = majority_view(chains)
+            representative = min(
+                name for name, c in chains.items() if c.tip_id == majority.tip_id
+            )
+            pool = pools[representative, k]
+            committed_ids = set(pool.view.committed)
+            total_committed += len(committed_ids)
+            latencies.extend(
+                pool.committed_at[tx_id] - first_submit[tx_id]
+                for tx_id in committed_ids
+                if tx_id in first_submit and tx_id in pool.committed_at
+            )
+            per_shard[str(k)] = {
+                "txs": len(committed_ids),
+                "tx_per_s": len(committed_ids) / duration,
+                "height": majority.height,
+                "majority_node": representative,
+            }
+        latencies.sort()
 
         def percentile(q: float) -> float:
             if not latencies:
@@ -958,26 +1073,28 @@ class ProtocolRun:
             index = min(len(latencies) - 1, int(q * len(latencies)))
             return latencies[index]
 
-        duration = self.scenario.duration or 1.0
-        received = sum(n.tx_gossip_received for n in self.nodes)
-        duplicates = sum(n.tx_gossip_duplicates for n in self.nodes)
-        return {
-            "per_node": per_node,
-            "committed": {
-                "txs": len(committed_ids),
-                "submitted": len(submitted_ids),
-                "tx_per_s": len(committed_ids) / duration,
-                "latency": {
-                    "observed": len(latencies),
-                    "mean": sum(latencies) / len(latencies) if latencies else 0.0,
-                    "p50": percentile(0.50),
-                    "p90": percentile(0.90),
-                    "max": latencies[-1] if latencies else 0.0,
-                },
-                "majority_node": representative,
+        committed: Dict[str, Any] = {
+            "txs": total_committed,
+            "submitted": len(first_submit),
+            "tx_per_s": total_committed / duration,
+            "latency": {
+                "observed": len(latencies),
+                "mean": sum(latencies) / len(latencies) if latencies else 0.0,
+                "p50": percentile(0.50),
+                "p90": percentile(0.90),
+                "max": latencies[-1] if latencies else 0.0,
             },
-            "duplicate_relay_ratio": duplicates / received if received else 0.0,
         }
+        stats: Dict[str, Any] = {"per_node": per_node}
+        if sharded:
+            stats["per_shard"] = per_shard
+        else:
+            committed["majority_node"] = per_shard["0"]["majority_node"]
+        received = sum(s["tx_gossip_received"] for s in per_node.values())
+        duplicates = sum(s["tx_gossip_duplicates"] for s in per_node.values())
+        stats["committed"] = committed
+        stats["duplicate_relay_ratio"] = duplicates / received if received else 0.0
+        return stats
 
     def auth_stats(self) -> Dict[str, Any]:
         """Authenticated-pipeline measurements (empty when auth is off).
@@ -989,17 +1106,12 @@ class ProtocolRun:
         Deterministic: all counters derive from message flow, never wall
         clock, so serial and parallel campaign executions agree.
         """
-        if not getattr(self.scenario, "auth", False):
+        if not self.scenario.auth:
             return {}
-        per_node = {n.name: n.auth_report() for n in self.nodes}
+        per_node = self._per_replica(lambda chain: chain.auth_report())
         totals: Dict[str, int] = {}
-        gauges = ("evidence", "banned")
         for stats in per_node.values():
-            for key, value in stats.items():
-                if key in gauges:
-                    totals[key] = max(totals.get(key, 0), value)
-                else:
-                    totals[key] = totals.get(key, 0) + value
+            _fold(totals, stats, gauges=("evidence", "banned"))
         return {"per_node": per_node, "totals": totals}
 
     def sync_stats(self) -> Dict[str, Any]:
@@ -1012,7 +1124,9 @@ class ProtocolRun:
         lifecycle events report ``{}``, keeping default campaign cells
         byte-identical to their pre-sync serialization.
         """
-        per_node = {n.name: dict(n.sync_totals) for n in self.nodes}
+        per_node = self._per_replica(
+            lambda chain: chain.sync_totals, gauges=("last_catch_up_s",)
+        )
         if not any(stats["syncs_started"] for stats in per_node.values()):
             return {}
         keys = [k for k in next(iter(per_node.values())) if k != "last_catch_up_s"]
@@ -1031,7 +1145,7 @@ class ProtocolRun:
         metric.  Deterministic: byte costs are modelled from message
         structure, never wall clock.
         """
-        per_node = {n.name: n.transport.stats() for n in self.nodes}
+        per_node = self._per_replica(lambda chain: chain.transport.stats())
         totals = {
             key: sum(stats[key] for stats in per_node.values())
             for key in ("messages_sent", "bytes_sent", "block_bytes_sent",
@@ -1044,38 +1158,45 @@ class ProtocolRun:
         }
 
     def parent_map(self) -> Dict[str, str]:
-        """block_id → parent_id over all blocks on all replicas."""
+        """block_id → parent_id over all blocks on all pipelines."""
         parents: Dict[str, str] = {}
-        for node in self.nodes:
-            for block in node.tree.blocks():
+        for _, _, chain in self.pipelines():
+            for block in chain.tree.blocks():
                 if not block.is_genesis:
                     parents[block.block_id] = block.parent_id
         return parents
 
-    @staticmethod
+    def shard_stats(self) -> Dict[str, Any]:
+        """Sharding measurements: none for a single chain (see
+        :meth:`repro.shard.run.ShardedRun.shard_stats`)."""
+        return {}
+
+    # -- execution ------------------------------------------------------------
+
+    @classmethod
     def execute(
-        node_cls: Type[BlockchainNode],
+        cls,
+        node_cls: Callable[[str, ProtocolScenario], Any],
         scenario: ProtocolScenario,
         channel: Optional[ChannelModel] = None,
-        configure: Optional[Callable[[Network, List[BlockchainNode]], None]] = None,
+        configure: Optional[Callable[[Network, List[Any]], None]] = None,
         settle: float = 120.0,
         sim_cls: Type[Simulator] = Simulator,
     ) -> "ProtocolRun":
         """Build, run and package a protocol simulation.
 
-        The network runs for ``scenario.duration`` of block production
-        plus a settle window during which production stops but messages
-        drain — then every node issues one final recorded read (the
-        observable limit chains).  The history carries an all-growing
-        single-group continuation: these protocols keep producing and
-        converging, which is the declared future used by the liveness
-        checkers.
+        ``node_cls(name, scenario)`` builds the process registered for
+        one replica; everything after that drives the hosts' chain
+        pipelines (``host.pipelines()``), so a replica that is its own
+        pipeline and a ``ShardedNode`` hosting K facets run through the
+        same code.  The network runs for ``scenario.duration`` of block
+        production plus a settle window during which production stops
+        but messages drain — then every pipeline issues one final
+        recorded read (the observable limit chains).  Each shard's
+        history carries an all-growing single-group continuation: these
+        protocols keep producing and converging, which is the declared
+        future used by the liveness checkers.
         """
-        if scenario.shards > 1:
-            raise ValueError(
-                "sharded scenarios (shards > 1) run through "
-                "repro.shard.run.execute_sharded (bitcoin only)"
-            )
         sim = sim_cls(seed=scenario.seed)
         faults: Dict[str, Any] = {}
         if channel is None:
@@ -1083,25 +1204,25 @@ class ProtocolRun:
             # churn, selfish withholding) into the channel stack.
             channel, faults = scenario.build_channel()
         net = Network(sim, channel=channel, overlay=scenario.build_overlay())
-        byzantine = scenario.byzantine_map()
+        # Node name → the adversary class substituted for ``node_cls``.
+        byzantine: Dict[str, Any] = scenario.byzantine_map()
         if byzantine:
             # Late import: repro.protocols.byzantine subclasses the
             # protocol node classes defined on top of this module.
             from repro.protocols.byzantine import ADVERSARY_KINDS
 
-            def cls_for(name: str) -> Type[BlockchainNode]:
-                kind = byzantine.get(name)
-                return ADVERSARY_KINDS[kind] if kind else node_cls
-
-        else:
-
-            def cls_for(name: str) -> Type[BlockchainNode]:
-                return node_cls
-
+            byzantine = {name: ADVERSARY_KINDS[k] for name, k in byzantine.items()}
         nodes = [
-            net.register(cls_for(name)(name, scenario))
+            net.register(byzantine.get(name, node_cls)(name, scenario))
             for name in scenario.node_names()
         ]
+        pipelines = _pipelines(nodes)
+        members = scenario.shard_members()
+        if {shard for _, shard, _ in pipelines} != set(members):
+            raise ValueError(
+                "sharded scenarios (shards > 1) run through "
+                "repro.shard.run.execute_sharded (bitcoin only)"
+            )
         if configure is not None:
             configure(net, nodes)
         by_name = {node.name: node for node in nodes}
@@ -1110,36 +1231,49 @@ class ProtocolRun:
         # event; their t=0 timers die at fire time via the offline gate.
         for name in scenario.initially_offline():
             by_name[name].offline = True
+            for _, chain in by_name[name].pipelines():
+                chain.offline = True
         for at, action, name in scenario.lifecycle_schedule():
             sim.schedule_at(
                 at,
                 lambda a=action, node=by_name[name]: node.apply_lifecycle(a),
             )
-        submissions: Tuple[Submission, ...] = ()
+        submissions: Dict[int, Tuple[Submission, ...]] = {}
         if scenario.traffic is not None:
             # Open-loop client traffic: the schedule is compiled up
             # front (deterministic per seed) and injected at each
-            # ingress replica's local clock — propagation to everyone
+            # ingress pipeline's local clock — propagation to everyone
             # else rides tx gossip through the (possibly faulty)
             # channel stack.
-            submissions = scenario.traffic.compile_submissions(
-                scenario.node_names(), scenario.seed, scenario.duration
-            )
+            traffic, seed = scenario.traffic, scenario.seed
+            if scenario.shards > 1:
+                submissions = traffic.compile_shard_submissions(
+                    members, seed, scenario.duration
+                )
+            else:
+                submissions = {
+                    0: traffic.compile_submissions(members[0], seed, scenario.duration)
+                }
             if scenario.auth:
                 # Clients seal their transactions before submission; a
                 # post-pass keeps the compiled schedule itself (times,
                 # ingress choices, tx ids) byte-identical to unsigned.
                 from repro.crypto.auth import build_registry, sign_submissions
 
-                submissions = sign_submissions(
-                    submissions,
-                    build_registry(scenario.seed, scenario.auth_signers()),
-                )
-            for sub in submissions:
-                sim.schedule_at(
-                    sub.time,
-                    lambda sub=sub: by_name[sub.ingress].submit_transactions(sub.txs),
-                )
+                registry = build_registry(scenario.seed, scenario.auth_signers())
+                submissions = {
+                    k: sign_submissions(subs, registry)
+                    for k, subs in submissions.items()
+                }
+            ingress = {(name, shard): chain for name, shard, chain in pipelines}
+            for shard, subs in submissions.items():
+                for sub in subs:
+                    sim.schedule_at(
+                        sub.time,
+                        lambda chain=ingress[sub.ingress, shard], txs=sub.txs: (
+                            chain.submit_transactions(txs)
+                        ),
+                    )
         samples: List[Tuple[float, int, int]] = []
         if scenario.metrics_interval:
             sim.every(
@@ -1147,37 +1281,45 @@ class ProtocolRun:
                 lambda: samples.append(
                     (
                         sim.now,
-                        max(n.tree.max_fork_degree() for n in nodes),
-                        max(n.tree.height(n.selected_tip().block_id) for n in nodes),
+                        max(c.tree.max_fork_degree() for _, _, c in pipelines),
+                        max(c.select_chain().height for _, _, c in pipelines),
                     )
                 ),
                 until=scenario.duration,
             )
         net.start()
         for node in nodes:
-            # Transport timers (reconciliation rounds) arm at t=0 without
-            # relying on protocol subclasses to forward on_start hooks.
-            sim.schedule(0.0, node.transport.on_start)
+            if isinstance(node, BlockchainNode):
+                # Transport timers (reconciliation rounds) arm at t=0
+                # without relying on protocol subclasses to forward
+                # on_start hooks.  (A host of facets arms theirs in its
+                # own on_start.)
+                sim.schedule(0.0, node.transport.on_start)
         wall_start = _time.perf_counter()
         sim.run(until=scenario.duration + settle)
         wall_clock_s = _time.perf_counter() - wall_start
-        for node in nodes:
-            node.read()  # final read: the limit chain
-        for node in nodes:
-            for block_id in list(node.open_appends):
-                node.resolve_append(block_id, False)  # never committed
-        continuation = ContinuationModel.all_growing(
-            [n.name for n in nodes], group="main"
-        )
-        history = net.recorder.history(continuation=continuation)
-        return ProtocolRun(
+        for _, _, chain in pipelines:
+            chain.read()  # final read: the limit chain
+        for _, _, chain in pipelines:
+            for block_id in list(chain.open_appends):
+                chain.resolve_append(block_id, False)  # never committed
+        recorders = {shard: chain.network.recorder for _, shard, chain in pipelines}
+        histories = {
+            k: recorders[k].history(
+                continuation=ContinuationModel.all_growing(names, group="main")
+            )
+            for k, names in members.items()
+        }
+        sharded = scenario.shards > 1
+        return cls(
             scenario=scenario,
-            history=history,
+            history=None if sharded else histories[0],
             nodes=nodes,
             network=net,
             simulator=sim,
             faults=faults,
             samples=samples,
             wall_clock_s=wall_clock_s,
-            submissions=submissions,
+            submissions=submissions if sharded else submissions.get(0, ()),
+            histories=histories,
         )

@@ -119,17 +119,15 @@ def classify_run(name: str, run: ProtocolRun) -> ClassificationRow:
     error, not a measurable system) and ``blocks_committed`` is the
     height of the :func:`majority_view` chain.
 
-    Sharded runs (``repro.shard.run.ShardedRun``) are classified by the
-    same criteria applied *per shard*: each sub-community chain's
-    recorded history must satisfy the verdict independently (the SC/EC
-    flags AND over shards), ``max_fork_degree`` is the widest fork on
-    any facet, and ``blocks_committed`` sums the per-shard
-    majority-view heights.
+    The criteria apply *per recorded history* — one for a single chain,
+    one per shard for a sharded run, each sub-community chain an
+    independent BT-ADT: the SC/EC flags AND over ``run.histories``
+    (sharded failures are prefixed ``s<shard>:``), ``max_fork_degree``
+    is the widest fork on any pipeline, and ``blocks_committed`` sums
+    the per-shard majority-view heights.
     """
-    if getattr(run, "shards", 1) > 1:
-        return _classify_sharded(name, run)
-    kinds = {node.oracle_kind for node in run.nodes}
-    expectations = {node.expected_refinement for node in run.nodes}
+    kinds = {chain.oracle_kind for _, _, chain in run.pipelines()}
+    expectations = {chain.expected_refinement for _, _, chain in run.pipelines()}
     if len(kinds) != 1 or len(expectations) != 1:
         raise ValueError(
             f"{name}: replicas disagree on declared classification "
@@ -138,65 +136,28 @@ def classify_run(name: str, run: ProtocolRun) -> ClassificationRow:
     oracle_declared = kinds.pop()
     expected = expectations.pop()
     score = LengthScore()
-    history = run.history.purged()
-    sc_report = BTStrongConsistency(score=score).check(history)
-    ec_report = BTEventualConsistency(score=score).check(history)
-    fork_degree = run.max_fork_degree()
-
-    if fork_degree <= 1 and sc_report.ok:
-        measured = "R(BT-ADT_SC, Θ_F,k=1)"
-    elif ec_report.ok:
-        measured = "R(BT-ADT_EC, Θ_P)"
-    else:
-        measured = "inconsistent"
-    expected_core = expected.replace(" w.h.p.", "")
-    matches = measured == expected_core
-    chain = majority_view(run.final_chains())
-    return ClassificationRow(
-        protocol=name,
-        oracle_declared=oracle_declared,
-        expected_refinement=expected,
-        max_fork_degree=fork_degree,
-        sc_ok=sc_report.ok,
-        ec_ok=ec_report.ok,
-        sc_failures=", ".join(sc_report.failures()) or "-",
-        measured_refinement=measured,
-        matches_paper=matches,
-        blocks_committed=chain.height,
-    )
-
-
-def _classify_sharded(name: str, run) -> ClassificationRow:
-    """A Table 1 row for a sharded run: per-shard verdicts, composed."""
-    kinds = {node.oracle_kind for node in run.nodes}
-    expectations = {node.expected_refinement for node in run.nodes}
-    if len(kinds) != 1 or len(expectations) != 1:
-        raise ValueError(
-            f"{name}: replicas disagree on declared classification "
-            f"(oracles {sorted(kinds)}, expectations {sorted(expectations)})"
-        )
-    score = LengthScore()
     sc_ok, ec_ok = True, True
     sc_failures: List[str] = []
-    for shard in sorted(run.histories):
-        history = run.histories[shard].purged()
+    for shard, recorded in sorted(run.histories.items()):
+        history = recorded.purged()
         sc_report = BTStrongConsistency(score=score).check(history)
         ec_report = BTEventualConsistency(score=score).check(history)
         sc_ok = sc_ok and sc_report.ok
         ec_ok = ec_ok and ec_report.ok
-        sc_failures.extend(f"s{shard}:{f}" for f in sc_report.failures())
+        prefix = f"s{shard}:" if run.shards > 1 else ""
+        sc_failures.extend(prefix + failure for failure in sc_report.failures())
     fork_degree = run.max_fork_degree()
+
     if fork_degree <= 1 and sc_ok:
         measured = "R(BT-ADT_SC, Θ_F,k=1)"
     elif ec_ok:
         measured = "R(BT-ADT_EC, Θ_P)"
     else:
         measured = "inconsistent"
-    expected = expectations.pop()
     expected_core = expected.replace(" w.h.p.", "")
     return ClassificationRow(
         protocol=name,
-        oracle_declared=kinds.pop(),
+        oracle_declared=oracle_declared,
         expected_refinement=expected,
         max_fork_degree=fork_degree,
         sc_ok=sc_ok,

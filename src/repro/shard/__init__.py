@@ -13,7 +13,7 @@ Layout:
   shard behind a shard-tagged network view, plus the cross-shard
   coordinator.
 * :mod:`repro.shard.run` — :func:`execute_sharded` /
-  :class:`ShardedRun`, the sharded counterpart of
+  :class:`ShardedRun`, the K>1 inputs and extras of
   :class:`~repro.protocols.base.ProtocolRun`.
 * :mod:`repro.shard.atomicity` — the composed cross-shard consistency
   checker (no LOCK without eventual COMMIT/ABORT; no value created or

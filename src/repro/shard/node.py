@@ -34,7 +34,7 @@ the pools, and every push repeats each tick until acknowledged.
 from __future__ import annotations
 
 from dataclasses import replace
-from typing import Any, Dict, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.histories.builder import HistoryRecorder
 from repro.net.process import SimProcess
@@ -49,13 +49,11 @@ from repro.shard.records import (
     make_release,
     parse_record,
 )
-from repro.workloads.scenarios import ProtocolScenario
+from repro.workloads.scenarios import SHARD_TAG, ProtocolScenario
 from repro.workloads.transactions import Transaction
 
 __all__ = ["ShardedNode", "facet_scenario", "SHARD_TAG"]
 
-#: Envelope tag for facet traffic: ``(SHARD_TAG, shard_id, inner)``.
-SHARD_TAG = "shard"
 XNOTICE = "xshard-notice"
 XDECIDED = "xshard-decided"
 XDECISION = "xshard-decision"
@@ -136,9 +134,6 @@ class _ShardNetView:
 class ShardedNode(SimProcess):
     """A replica hosting one chain facet per subscribed shard."""
 
-    oracle_kind = BitcoinNode.oracle_kind
-    expected_refinement = BitcoinNode.expected_refinement
-
     def __init__(
         self,
         name: str,
@@ -196,6 +191,11 @@ class ShardedNode(SimProcess):
         """Coordinator cadence: twice per mean block interval."""
         return max(1.0, self.scenario.mean_block_interval / 2.0)
 
+    def pipelines(self) -> List[Tuple[int, BitcoinNode]]:
+        """The ``(shard, facet)`` chain pipelines this host runs (see
+        :meth:`repro.protocols.base.BlockchainNode.pipelines`)."""
+        return list(self.facets.items())
+
     def on_start(self) -> None:
         for facet in self.facets.values():
             facet.on_start()
@@ -234,15 +234,6 @@ class ShardedNode(SimProcess):
         self._reassert_records()
         self.set_timer(self.tick_interval, ("xshard-tick",))
 
-    def submit_shard_transactions(
-        self, shard: int, txs: Tuple[Transaction, ...]
-    ) -> int:
-        """Client ingress for one shard's facet (traffic injection)."""
-        facet = self.facets.get(shard)
-        if facet is None or self.offline:
-            return 0
-        return facet.submit_transactions(txs)
-
     # -- cross-shard coordinator ---------------------------------------------
 
     def _selected(self, shard: int):
@@ -277,21 +268,14 @@ class ShardedNode(SimProcess):
                 and depth >= RELEASE_DEPTH
                 and meta.tid not in self._release_acked
             ):
-                self._abort_pushes.setdefault(
-                    meta.tid, self._reconstruct_lock_for(meta, tx)
-                )
+                # The push carries the decision tx; the source rebuilds
+                # the RELEASE from it (see _on_abort_decision).
+                self._abort_pushes.setdefault(meta.tid, tx)
         elif meta.kind == "release" and meta.src_shard == shard:
             # The refund is on-chain: the source side is fully settled.
             self._pending_locks.pop(meta.tid, None)
             self._acked_tids.add(meta.tid)
             self._src_releases.pop(meta.tid, None)
-
-    @staticmethod
-    def _reconstruct_lock_for(meta, decision_tx) -> Transaction:
-        """Carry the decision tx in the push; the source rebuilds the
-        RELEASE from its own copy of the LOCK (see
-        :meth:`_on_abort_decision`)."""
-        return decision_tx
 
     def _push_notices(self) -> None:
         """Repeat LOCK notices to destination members until acked."""
@@ -419,54 +403,25 @@ class ShardedNode(SimProcess):
     # -- lifecycle -----------------------------------------------------------
 
     def apply_lifecycle(self, action: str) -> None:
-        """Mirror the scenario lifecycle verbs onto every facet."""
-        handler = {
-            "suspend": self._lc_suspend,
-            "resume": self._lc_resume,
-            "crash": self._lc_crash,
-            "recover": self._lc_recover,
-            "join": self._lc_resume,
-            "heal": self._lc_heal,
-        }.get(action)
-        if handler is None:
-            raise ValueError(f"unknown lifecycle action {action!r}")
-        handler()
+        """Apply one scenario lifecycle verb to the host and every facet.
 
-    def go_offline(self) -> None:
-        """Start suspended (late joiners), facets included."""
-        self.offline = True
+        The host only carries the network-facing flag and its own
+        coordinator timer; the verb itself (crash, recover, …) is each
+        facet's :meth:`BlockchainNode.apply_lifecycle`, which also
+        rejects unknown verbs.
+        """
+        coming_up = action in ("resume", "recover", "join")
+        if action in ("suspend", "crash"):
+            self.offline = True
+            self.lifecycle_epoch += 1  # kills the pending coordinator tick
+        elif coming_up:
+            # Online *before* the facets: resuming ends in a fast-sync
+            # whose requests leave through the host.
+            self.offline = False
         for facet in self.facets.values():
-            facet.offline = True
-
-    def _lc_suspend(self) -> None:
-        self.offline = True
-        self.lifecycle_epoch += 1
-        for facet in self.facets.values():
-            facet.lifecycle_suspend()
-
-    def _lc_resume(self) -> None:
-        self.offline = False
-        for facet in self.facets.values():
-            facet.lifecycle_resume()
-        self.set_timer(self.tick_interval, ("xshard-tick",))
-
-    def _lc_crash(self) -> None:
-        self.offline = True
-        self.lifecycle_epoch += 1
-        for facet in self.facets.values():
-            facet.lifecycle_crash()
-
-    def _lc_recover(self) -> None:
-        # The host must be online *before* facets resume: recovery ends
-        # in a fast-sync whose requests leave through the host.
-        self.offline = False
-        for facet in self.facets.values():
-            facet.lifecycle_recover()
-        self.set_timer(self.tick_interval, ("xshard-tick",))
-
-    def _lc_heal(self) -> None:
-        for facet in self.facets.values():
-            facet.lifecycle_heal()
+            facet.apply_lifecycle(action)
+        if coming_up:
+            self.set_timer(self.tick_interval, ("xshard-tick",))
 
     # -- end-of-run bookkeeping ----------------------------------------------
 
@@ -499,15 +454,3 @@ class ShardedNode(SimProcess):
                 if meta is not None and meta.kind == "lock":
                     pairs.add(("lock", meta.tid))
         return pairs
-
-    def final_read(self) -> None:
-        for facet in self.facets.values():
-            facet.read()
-
-    def resolve_open_appends(self) -> None:
-        for facet in self.facets.values():
-            for block_id in list(facet.open_appends):
-                facet.resolve_append(block_id, False)
-
-    def max_fork_degree(self) -> int:
-        return max(facet.tree.max_fork_degree() for facet in self.facets.values())

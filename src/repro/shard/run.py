@@ -1,276 +1,46 @@
-"""Sharded execution: build, run and package a K-shard simulation.
+"""Sharded execution: the K>1 inputs of the one run surface.
 
-:func:`execute_sharded` is the sharded counterpart of
-:meth:`repro.protocols.base.ProtocolRun.execute`: one
-:class:`~repro.shard.node.ShardedNode` per replica on the *real*
-network, each hosting one Bitcoin facet per subscribed shard, with
-per-shard traffic compiled by
-:meth:`~repro.workloads.traffic.ClientTrafficScenario
-.compile_shard_submissions` and one :class:`HistoryRecorder` — hence one
+:func:`execute_sharded` hands :meth:`repro.protocols.base.ProtocolRun
+.execute` one :class:`~repro.shard.node.ShardedNode` per replica on the
+*real* network, each hosting one Bitcoin facet per subscribed shard and
+recording into one :class:`HistoryRecorder` — hence one
 :class:`ConcurrentHistory` — per shard, so the per-shard consistency
-checkers judge each sub-community chain as an independent BT-ADT.
+checkers judge each sub-community chain as an independent BT-ADT.  The
+executor, and every ``ProtocolRun`` measurement, only ever see the
+hosts' chain pipelines; with ``shards == 1`` the pipelines are the
+``BitcoinNode`` replicas themselves, so a K=1 "sharded" run *is* the
+single-chain run (the identity the sharding bench gates).
 
-With ``shards == 1`` it delegates to ``ProtocolRun.execute`` verbatim,
-so a K=1 "sharded" run reproduces the single-chain pipeline
-byte-identically (the identity the sharding bench gates).
-
-:class:`ShardedRun` mirrors the ``ProtocolRun`` measurement surface
-(``mempool_stats``/``sync_stats``/``node_fork_degrees`` …) so the
-campaign engine packages sharded cells through the same code path, and
-adds :meth:`ShardedRun.shard_stats` — per-shard and aggregate
-throughput plus the composed cross-shard atomicity verdict of
-:func:`repro.shard.atomicity.check_atomicity`.
+:class:`ShardedRun` adds what only a partitioned chain has: the shard
+membership, the composed cross-shard atomicity verdict of
+:func:`repro.shard.atomicity.check_atomicity`, and
+:meth:`ShardedRun.shard_stats` packaging both with the per-shard
+throughput.
 """
 
 from __future__ import annotations
 
-import time as _time
-from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Tuple
+from functools import partial
+from typing import Any, Dict, Optional, Tuple
 
-from repro.blocktree.chain import Chain
 from repro.histories.builder import HistoryRecorder
-from repro.histories.continuation import ContinuationModel
-from repro.histories.history import ConcurrentHistory
-from repro.net.process import Network
-from repro.net.simulator import Simulator
 from repro.protocols.base import ProtocolRun
-from repro.shard.assignment import shard_members
+from repro.protocols.bitcoin import BitcoinNode
 from repro.shard.atomicity import AtomicityReport, check_atomicity
 from repro.shard.node import ShardedNode
+from repro.shard.records import parse_record
 from repro.workloads.scenarios import ProtocolScenario
-from repro.workloads.traffic import Submission
 
 __all__ = ["ShardedRun", "execute_sharded"]
 
 
-@dataclass
-class ShardedRun:
+class ShardedRun(ProtocolRun):
     """Outcome of one sharded simulation (``scenario.shards > 1``)."""
 
-    scenario: ProtocolScenario
-    #: One recorded history per shard — each judged independently by the
-    #: per-shard checkers, then composed by :meth:`shard_stats`.
-    histories: Dict[int, ConcurrentHistory]
-    nodes: List[ShardedNode]
-    network: Network
-    simulator: Simulator
-    faults: Dict[str, Any] = field(default_factory=dict)
-    #: ``(time, max fork degree over all facets, max facet height)``.
-    samples: List[Tuple[float, int, int]] = field(default_factory=list)
-    wall_clock_s: float = 0.0
-    #: Per-shard compiled submission schedules.
-    submissions: Dict[int, Tuple[Submission, ...]] = field(default_factory=dict)
-    #: shard id → subscribed replica names (sorted).
-    members: Dict[int, Tuple[str, ...]] = field(default_factory=dict)
-
     @property
-    def shards(self) -> int:
-        """Shard count K — the discriminator ``classify_run`` dispatches on."""
-        return self.scenario.shards
-
-    @property
-    def node_names(self) -> List[str]:
-        return [n.name for n in self.nodes]
-
-    @property
-    def events_executed(self) -> int:
-        return self.simulator.events_executed
-
-    # -- chains ---------------------------------------------------------------
-
-    def shard_chains(self, shard: int) -> Dict[str, Chain]:
-        """Each subscribed replica's adopted chain on one shard.
-
-        Goes through ``select_chain`` so equivocation bans are honoured
-        when the facets run authenticated.
-        """
-        return {
-            node.name: node.facets[shard].select_chain()
-            for node in self.nodes
-            if shard in node.facets
-        }
-
-    def final_majority_chains(self) -> Dict[int, Chain]:
-        """shard id → the majority-view final chain of that shard."""
-        from repro.protocols.classify import majority_view
-
-        return {
-            k: majority_view(self.shard_chains(k)) for k in range(self.shards)
-        }
-
-    def max_fork_degree(self) -> int:
-        return max(node.max_fork_degree() for node in self.nodes)
-
-    def node_heights(self) -> List[Tuple[str, int]]:
-        """Per replica: the tallest facet chain height (name-sorted)."""
-        return [
-            (
-                node.name,
-                max(
-                    facet.tree.height(facet.selected_tip().block_id)
-                    for facet in node.facets.values()
-                ),
-            )
-            for node in sorted(self.nodes, key=lambda n: n.name)
-        ]
-
-    def node_fork_degrees(self) -> List[Tuple[str, int]]:
-        """Per replica: the widest fork over its facets (name-sorted)."""
-        return [
-            (node.name, node.max_fork_degree())
-            for node in sorted(self.nodes, key=lambda n: n.name)
-        ]
-
-    def unknown_append_resolutions(self) -> int:
-        return sum(
-            facet.unknown_append_resolutions
-            for node in self.nodes
-            for facet in node.facets.values()
-        )
-
-    def _facets(self):
-        for node in self.nodes:
-            for facet in node.facets.values():
-                yield node, facet
-
-    # -- measurement surface (ProtocolRun-shaped) -----------------------------
-
-    def mempool_stats(self) -> Dict[str, Any]:
-        """Transaction-pipeline measurements, aggregated over facets.
-
-        Shape-compatible with :meth:`ProtocolRun.mempool_stats` — the
-        campaign's flat CSV and the determinism gates read the same
-        ``per_node``/``committed`` keys — with facet counters summed per
-        replica, committed throughput summed over the per-shard
-        majority views, and confirmation latencies merged across
-        shards.  ``per_shard`` adds the per-shard breakdown.
-        """
-        if self.scenario.traffic is None:
-            return {}
-        from repro.protocols.classify import majority_view
-
-        per_node: Dict[str, Dict[str, int]] = {}
-        for node in self.nodes:
-            agg: Dict[str, int] = {}
-            for facet in node.facets.values():
-                stats = dict(facet.pool.stats())
-                stats["blocks_packed"] = facet.packer.blocks_packed
-                stats["txs_packed"] = facet.packer.txs_packed
-                stats["tx_gossip_received"] = facet.tx_gossip_received
-                stats["tx_gossip_duplicates"] = facet.tx_gossip_duplicates
-                for key, value in stats.items():
-                    agg[key] = agg.get(key, 0) + value
-            per_node[node.name] = agg
-
-        duration = self.scenario.duration or 1.0
-        first_submit: Dict[str, float] = {}
-        submitted_ids: set = set()
-        for subs in self.submissions.values():
-            for sub in subs:
-                for tx in sub.txs:
-                    submitted_ids.add(tx.tx_id)
-                    if tx.tx_id not in first_submit:
-                        first_submit[tx.tx_id] = sub.time
-
-        per_shard: Dict[str, Dict[str, Any]] = {}
-        latencies: List[float] = []
-        total_committed = 0
-        for k in range(self.shards):
-            chains = self.shard_chains(k)
-            majority = majority_view(chains)
-            representative = min(
-                name
-                for name, chain in chains.items()
-                if chain.tip_id == majority.tip_id
-            )
-            rep = next(n for n in self.nodes if n.name == representative)
-            pool = rep.facets[k].pool
-            committed_ids = set(pool.view.committed)
-            total_committed += len(committed_ids)
-            shard_lat = [
-                pool.committed_at[tx_id] - first_submit[tx_id]
-                for tx_id in committed_ids
-                if tx_id in first_submit and tx_id in pool.committed_at
-            ]
-            latencies.extend(shard_lat)
-            per_shard[str(k)] = {
-                "txs": len(committed_ids),
-                "tx_per_s": len(committed_ids) / duration,
-                "height": majority.height,
-                "majority_node": representative,
-            }
-        latencies.sort()
-
-        def percentile(q: float) -> float:
-            if not latencies:
-                return 0.0
-            index = min(len(latencies) - 1, int(q * len(latencies)))
-            return latencies[index]
-
-        received = sum(f.tx_gossip_received for _, f in self._facets())
-        duplicates = sum(f.tx_gossip_duplicates for _, f in self._facets())
-        return {
-            "per_node": per_node,
-            "per_shard": per_shard,
-            "committed": {
-                "txs": total_committed,
-                "submitted": len(submitted_ids),
-                "tx_per_s": total_committed / duration,
-                "latency": {
-                    "observed": len(latencies),
-                    "mean": sum(latencies) / len(latencies) if latencies else 0.0,
-                    "p50": percentile(0.50),
-                    "p90": percentile(0.90),
-                    "max": latencies[-1] if latencies else 0.0,
-                },
-            },
-            "duplicate_relay_ratio": duplicates / received if received else 0.0,
-        }
-
-    def sync_stats(self) -> Dict[str, Any]:
-        """Fast-sync counters summed over each replica's facets."""
-        per_node: Dict[str, Dict[str, Any]] = {}
-        for node in self.nodes:
-            agg: Dict[str, Any] = {}
-            for facet in node.facets.values():
-                for key, value in facet.sync_totals.items():
-                    if key == "last_catch_up_s":
-                        agg[key] = max(agg.get(key, 0.0), value)
-                    else:
-                        agg[key] = agg.get(key, 0) + value
-            per_node[node.name] = agg
-        if not any(stats["syncs_started"] for stats in per_node.values()):
-            return {}
-        keys = [k for k in next(iter(per_node.values())) if k != "last_catch_up_s"]
-        totals = {key: sum(stats[key] for stats in per_node.values()) for key in keys}
-        return {"per_node": per_node, "totals": totals}
-
-    def auth_stats(self) -> Dict[str, Any]:
-        """Signature-pipeline counters summed over each replica's facets.
-
-        Shape-compatible with :meth:`ProtocolRun.auth_stats`; empty when
-        the scenario runs unsigned.
-        """
-        if not self.scenario.auth:
-            return {}
-        per_node: Dict[str, Dict[str, int]] = {}
-        for node in self.nodes:
-            agg: Dict[str, int] = {}
-            for facet in node.facets.values():
-                for key, value in facet.auth_report().items():
-                    agg[key] = agg.get(key, 0) + value
-            per_node[node.name] = agg
-        totals: Dict[str, int] = {}
-        for stats in per_node.values():
-            for key, value in stats.items():
-                if key in ("evidence", "banned"):
-                    totals[key] = max(totals.get(key, 0), value)
-                else:
-                    totals[key] = totals.get(key, 0) + value
-        return {"per_node": per_node, "totals": totals}
-
-    # -- sharding-specific measurements ---------------------------------------
+    def members(self) -> Dict[int, Tuple[str, ...]]:
+        """shard id → subscribed replica names (sorted)."""
+        return self.scenario.shard_members()
 
     def atomicity(self, grace: Optional[float] = None) -> AtomicityReport:
         """The composed cross-shard verdict on the final majority chains.
@@ -294,8 +64,6 @@ class ShardedRun:
         # thin air: whichever branch wins, the lock either stays
         # committed or is re-pooled and re-mined.  Count it as
         # in-flight evidence for the composed check.
-        from repro.shard.records import parse_record
-
         for k in range(self.shards):
             for chain in self.shard_chains(k).values():
                 for block in chain.blocks:
@@ -348,100 +116,17 @@ class ShardedRun:
         }
 
 
-def execute_sharded(
-    scenario: ProtocolScenario, settle: float = 120.0
-) -> "ProtocolRun | ShardedRun":
-    """Build, run and package a sharded Bitcoin simulation.
+def execute_sharded(scenario: ProtocolScenario, settle: float = 120.0) -> ProtocolRun:
+    """Build, run and package a (possibly sharded) Bitcoin simulation.
 
-    ``shards == 1`` delegates to :meth:`ProtocolRun.execute` with
-    :class:`~repro.protocols.bitcoin.BitcoinNode` — byte-identical to
-    the historical single-chain pipeline.  ``shards > 1`` registers one
-    :class:`ShardedNode` per replica, compiles per-shard traffic, runs
-    ``duration + settle`` and issues a final recorded read on every
-    facet.
+    ``shards == 1`` is the single-chain pipeline itself; ``shards > 1``
+    returns a :class:`ShardedRun` over one :class:`ShardedNode` per
+    replica, all sharing one history recorder per shard.
     """
     if scenario.shards <= 1:
-        from repro.protocols.bitcoin import BitcoinNode
-
         return ProtocolRun.execute(BitcoinNode, scenario, settle=settle)
-
-    sim = Simulator(seed=scenario.seed)
-    channel, faults = scenario.build_channel()
-    net = Network(sim, channel=channel, overlay=scenario.build_overlay())
     recorders = {k: HistoryRecorder() for k in range(scenario.shards)}
-    members = shard_members(
-        scenario.node_names(), scenario.shards, scenario.shard_subscription
+    host = partial(
+        ShardedNode, recorders=recorders, members=scenario.shard_members()
     )
-    nodes = [
-        net.register(ShardedNode(name, scenario, recorders, members))
-        for name in scenario.node_names()
-    ]
-    by_name = {node.name: node for node in nodes}
-    for name in scenario.initially_offline():
-        by_name[name].go_offline()
-    for at, action, name in scenario.lifecycle_schedule():
-        sim.schedule_at(
-            at, lambda a=action, node=by_name[name]: node.apply_lifecycle(a)
-        )
-    submissions = scenario.traffic.compile_shard_submissions(
-        members, scenario.seed, scenario.duration
-    )
-    if scenario.auth:
-        from repro.crypto.auth import build_registry, sign_submissions
-
-        registry = build_registry(scenario.seed, scenario.auth_signers())
-        submissions = {
-            k: sign_submissions(subs, registry) for k, subs in submissions.items()
-        }
-    for shard, subs in submissions.items():
-        for sub in subs:
-            sim.schedule_at(
-                sub.time,
-                lambda k=shard, sub=sub: by_name[sub.ingress]
-                .submit_shard_transactions(k, sub.txs),
-            )
-    samples: List[Tuple[float, int, int]] = []
-    if scenario.metrics_interval:
-        sim.every(
-            scenario.metrics_interval,
-            lambda: samples.append(
-                (
-                    sim.now,
-                    max(node.max_fork_degree() for node in nodes),
-                    max(
-                        facet.tree.height(facet.selected_tip().block_id)
-                        for node in nodes
-                        for facet in node.facets.values()
-                    ),
-                )
-            ),
-            until=scenario.duration,
-        )
-    net.start()
-    wall_start = _time.perf_counter()
-    sim.run(until=scenario.duration + settle)
-    wall_clock_s = _time.perf_counter() - wall_start
-    for node in nodes:
-        node.final_read()
-    for node in nodes:
-        node.resolve_open_appends()
-    histories = {
-        k: recorders[k].history(
-            continuation=ContinuationModel.all_growing(
-                list(members[k]), group="main"
-            )
-        )
-        for k in range(scenario.shards)
-    }
-    return ShardedRun(
-        scenario=scenario,
-        histories=histories,
-        nodes=nodes,
-        network=net,
-        simulator=sim,
-        faults=faults,
-        samples=samples,
-        wall_clock_s=wall_clock_s,
-        submissions=submissions,
-        members=members,
-    )
+    return ShardedRun.execute(host, scenario, settle=settle)

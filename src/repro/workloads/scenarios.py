@@ -69,6 +69,10 @@ __all__ = [
 #: the protocol layer (which imports this module).
 GOSSIP_TAG = "block-gossip"
 
+#: Envelope tag for shard-facet traffic, ``(SHARD_TAG, shard_id, inner)``
+#: (see :mod:`repro.shard.node`) — here for the same reason.
+SHARD_TAG = "shard"
+
 #: Byzantine replica kinds (mirrors ADVERSARY_KINDS in
 #: :mod:`repro.protocols.byzantine`; listed here so scenario validation
 #: does not import the protocol layer, which imports this module).
@@ -102,7 +106,6 @@ class ProtocolScenario:
     merits: Optional[Tuple[float, ...]] = None
     tx_per_block: int = 3
     round_length: float = 30.0
-    read_on_update: bool = True
     pow_difficulty_bits: int = 0  # 0 disables real hash-puzzle validation
     #: When > 0, ProtocolRun.execute samples a (time, max fork degree,
     #: max height) series at this interval during the run.
@@ -145,12 +148,11 @@ class ProtocolScenario:
     topology_degree: int = 8
     #: Fast-sync knobs (see :mod:`repro.net.sync`): blocks per BLOCKS
     #: batch; per-request timeout and retry backoff base in simulated
-    #: seconds (0 derives both from ``channel_delta``); backoff ceiling;
-    #: attempts before a sync degrades to normal gossip.
+    #: seconds (0 derives both from ``channel_delta``); attempts before
+    #: a sync degrades to normal gossip.
     sync_batch: int = 64
     sync_timeout: float = 0.0
     sync_backoff_base: float = 0.0
-    sync_backoff_cap: float = 30.0
     sync_max_attempts: int = 6
     #: Shard count K (see :mod:`repro.shard`).  1 keeps the historical
     #: single-chain pipeline byte-identical; K > 1 runs one BlockTree +
@@ -171,9 +173,6 @@ class ProtocolScenario:
     auth: bool = False
     #: Capacity of the verified-(id, signer) cache (0 disables caching).
     auth_cache: int = 65536
-    #: Process-pool workers for batched sync verification (0/1 = inline;
-    #: ignored inside daemonic campaign workers).
-    auth_offload: int = 0
 
     def __post_init__(self) -> None:
         self.validate()
@@ -233,8 +232,6 @@ class ProtocolScenario:
             raise ValueError("sync_batch must be >= 1")
         if self.sync_timeout < 0 or self.sync_backoff_base < 0:
             raise ValueError("sync timing knobs must be >= 0 (0 = derived)")
-        if self.sync_backoff_cap <= 0:
-            raise ValueError("sync_backoff_cap must be positive")
         if self.sync_max_attempts < 1:
             raise ValueError("sync_max_attempts must be >= 1")
         if self.shards < 1:
@@ -258,8 +255,6 @@ class ProtocolScenario:
             validate_coverage(self.node_names(), self.shards, self.shard_subscription)
         if self.auth_cache < 0:
             raise ValueError("auth_cache must be >= 0 (0 disables the cache)")
-        if self.auth_offload < 0:
-            raise ValueError("auth_offload must be >= 0 (0/1 = inline)")
         if self.traffic is not None:
             self.traffic.validate()
 
@@ -272,6 +267,15 @@ class ProtocolScenario:
     def node_names(self) -> Tuple[str, ...]:
         """The node identities ``p0 … p(n-1)``."""
         return tuple(f"p{i}" for i in range(self.n_nodes))
+
+    def shard_members(self) -> Dict[int, Tuple[str, ...]]:
+        """shard id → names of the replicas running that shard's chain
+        (a single chain is shard 0 on every replica)."""
+        if self.shards == 1:
+            return {0: self.node_names()}
+        from repro.shard.assignment import shard_members
+
+        return shard_members(self.node_names(), self.shards, self.shard_subscription)
 
     # -- authenticated pipeline ---------------------------------------------
 
@@ -304,7 +308,6 @@ class ProtocolScenario:
         return BlockAuthenticator(
             build_registry(self.seed, self.auth_signers()),
             cache_cap=self.auth_cache,
-            offload=self.auth_offload,
         )
 
     def byzantine_map(self) -> Dict[str, str]:
@@ -691,6 +694,8 @@ class AdversarialScenario(ProtocolScenario):
                 # instead of a flooded body — both are matched here.
                 if src not in selfish:
                     return False
+                if isinstance(message, tuple) and message[:1] == (SHARD_TAG,):
+                    message = message[-1]  # facet traffic: match the inner message
                 if not (isinstance(message, tuple) and message):
                     return False
                 tag = message[0]

@@ -261,3 +261,23 @@ def test_k1_identity_is_exact():
         for n in direct.nodes
     }
     assert chains_a == chains_b
+    # ...and so is every measurement: both are the same fold over the
+    # same pipelines (a single chain has no shard_stats).
+    for surface in (
+        "mempool_stats",
+        "sync_stats",
+        "auth_stats",
+        "gossip_stats",
+        "storage_stats",
+        "append_stats",
+        "shard_stats",
+        "node_heights",
+        "node_fork_degrees",
+        "max_fork_degree",
+        "unknown_append_resolutions",
+        "parent_map",
+    ):
+        assert getattr(sharded, surface)() == getattr(direct, surface)(), surface
+    assert type(sharded) is type(direct)
+    assert sharded.events_executed == direct.events_executed
+    assert sharded.mempool_stats()["committed"]["txs"] > 0
