@@ -95,11 +95,11 @@ class Block:
     def wire_bytes(self) -> int:
         """Modelled wire size of this block.
 
-        Must equal what the generic dataclass-field recursion in
-        :func:`repro.net.reconcile.wire_size` would compute (asserted
-        in ``tests/test_reconcile.py``) — this analytic form exists
-        only because sizing blocks is the hottest loop of every gossip
-        and sync simulation.
+        Container framing plus each field at the primitive costs of
+        :func:`repro.net.reconcile.wire_size` (the per-field sum is
+        asserted in ``tests/test_reconcile.py``), written out
+        analytically because sizing blocks is the hottest loop of every
+        gossip and sync simulation.
         """
         size = 4 + len(self.block_id) + 1
         size += 1 if self.parent_id is None else len(self.parent_id) + 1

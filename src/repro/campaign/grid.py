@@ -25,7 +25,7 @@ import tempfile
 from dataclasses import dataclass, replace
 from typing import List, Optional, Tuple
 
-from repro.storage import STORE_KINDS
+from repro.protocols.classify import RUNNERS
 from repro.workloads.scenarios import (
     ProtocolScenario,
     adversarial_scenarios,
@@ -42,57 +42,38 @@ __all__ = [
 ]
 
 #: The seven Table 1 systems, in the paper's row order.
-PROTOCOLS: Tuple[str, ...] = (
-    "bitcoin",
-    "ethereum",
-    "algorand",
-    "byzcoin",
-    "peercensus",
-    "redbelly",
-    "hyperledger",
-)
+PROTOCOLS: Tuple[str, ...] = tuple(RUNNERS)
 
-#: ``"default"`` (the per-protocol Table 1 parameter set) plus the
-#: adversarial preset axes of ``adversarial_scenarios`` — including the
-#: transaction-pipeline presets (``client-steady``/``spam-flood``) whose
-#: cells run the mempool/gossip/packer path and report ``mempool_stats``,
-#: and the node-lifecycle presets
-#: (``crash-rejoin``/``late-join``/``eclipse-heal``) whose cells exercise
-#: fast sync (see :mod:`repro.net.sync`) and report ``sync_stats``.
-SCENARIO_PRESETS: Tuple[str, ...] = (
-    "default",
-    "partition-heal",
-    "node-churn",
-    "selfish-miner",
-    "skewed-merit",
-    "burst-traffic",
-    "crash-rejoin",
-    "late-join",
-    "eclipse-heal",
-    "client-steady",
-    "spam-flood",
-)
+#: The adversarial preset registry the axes below are read off (names
+#: and the bitcoin-only rule; cells get theirs sized by the grid).
+_REGISTRY = adversarial_scenarios()
 
-#: Sharded-pipeline presets (``repro.shard``): K=4 shard facets per
-#: replica with 5% cross-shard two-phase transfers.  Valid grid axes,
-#: but *not* part of the default grid — sharded execution is
-#: Bitcoin-only, so a grid selecting them must restrict ``protocols``
-#: to ``("bitcoin",)``.
-SHARD_SCENARIO_PRESETS: Tuple[str, ...] = (
-    "shard-uniform",
-    "shard-hot",
+#: Sharded-pipeline presets (``repro.shard``): K shard facets per
+#: replica with cross-shard two-phase transfers.
+SHARD_SCENARIO_PRESETS: Tuple[str, ...] = tuple(
+    name for name, preset in _REGISTRY.items() if preset.shards > 1
 )
 
 #: Authenticated-pipeline presets (``repro.crypto.auth``): signed blocks
 #: and transactions with one signature adversary per preset (see
-#: :data:`repro.protocols.byzantine.ADVERSARY_KINDS`).  Valid grid axes,
-#: but *not* part of the default grid — the adversaries are BitcoinNode
-#: subclasses, so a grid selecting them must restrict ``protocols`` to
+#: :data:`repro.protocols.byzantine.ADVERSARY_KINDS`).
+AUTH_SCENARIO_PRESETS: Tuple[str, ...] = tuple(
+    name for name, preset in _REGISTRY.items() if preset.byzantine
+)
+
+#: Valid grid axes, but *not* part of the default grid: sharded
+#: execution and the BitcoinNode-subclass adversaries exist for Bitcoin
+#: only, so a grid selecting one must restrict ``protocols`` to
 #: ``("bitcoin",)``.
-AUTH_SCENARIO_PRESETS: Tuple[str, ...] = (
-    "forged-signature",
-    "equivocating-signer",
-    "stolen-identity",
+_BITCOIN_ONLY = frozenset(SHARD_SCENARIO_PRESETS + AUTH_SCENARIO_PRESETS)
+
+#: ``"default"`` (the per-protocol Table 1 parameter set) plus every
+#: ``adversarial_scenarios`` preset that runs on all seven systems —
+#: fault axes, node-lifecycle presets (their cells report
+#: ``sync_stats``) and client-traffic presets (``mempool_stats``).
+SCENARIO_PRESETS: Tuple[str, ...] = (
+    "default",
+    *(name for name in _REGISTRY if name not in _BITCOIN_ONLY),
 )
 
 
@@ -151,24 +132,13 @@ class CampaignGrid:
         unknown = set(self.protocols) - set(PROTOCOLS)
         if unknown:
             raise ValueError(f"unknown protocols {sorted(unknown)}")
-        unknown = (
-            set(self.scenarios)
-            - set(SCENARIO_PRESETS)
-            - set(SHARD_SCENARIO_PRESETS)
-            - set(AUTH_SCENARIO_PRESETS)
-        )
+        unknown = set(self.scenarios) - {"default", *_REGISTRY}
         if unknown:
             raise ValueError(f"unknown scenario presets {sorted(unknown)}")
-        sharded = set(self.scenarios) & set(SHARD_SCENARIO_PRESETS)
-        if sharded and set(self.protocols) != {"bitcoin"}:
+        restricted = set(self.scenarios) & _BITCOIN_ONLY
+        if restricted and set(self.protocols) != {"bitcoin"}:
             raise ValueError(
-                f"shard presets {sorted(sharded)} run on bitcoin only; "
-                "restrict protocols=('bitcoin',)"
-            )
-        authed = set(self.scenarios) & set(AUTH_SCENARIO_PRESETS)
-        if authed and set(self.protocols) != {"bitcoin"}:
-            raise ValueError(
-                f"auth presets {sorted(authed)} run on bitcoin only; "
+                f"presets {sorted(restricted)} run on bitcoin only; "
                 "restrict protocols=('bitcoin',)"
             )
         if not self.protocols or not self.scenarios or not self.seeds:
@@ -177,24 +147,16 @@ class CampaignGrid:
             raise ValueError("adversarial presets need n_nodes >= 2")
         if self.duration is not None and self.duration <= 0:
             raise ValueError("duration must be positive")
-        kind = self.store.partition(":")[0].strip().lower()
-        if kind not in STORE_KINDS:
-            raise ValueError(
-                f"unknown store {self.store!r}; expected one of {sorted(STORE_KINDS)}"
-            )
-        if self.gossip not in ("flood", "reconcile"):
-            raise ValueError(
-                f"unknown gossip transport {self.gossip!r}; "
-                "expected 'flood' or 'reconcile'"
-            )
-        from repro.net.overlay import TOPOLOGY_KINDS
-
-        if self.topology not in TOPOLOGY_KINDS:
-            raise ValueError(
-                f"unknown topology {self.topology!r}; expected one of {TOPOLOGY_KINDS}"
-            )
-        if self.topology_degree < 2:
-            raise ValueError("topology_degree must be >= 2")
+        # What store/gossip/topology accept is the scenario's decision:
+        # building one with this grid's overrides rejects a bad value
+        # here, not cells later.
+        ProtocolScenario(
+            name="grid",
+            store=self.store,
+            gossip=self.gossip,
+            topology=self.topology,
+            topology_degree=self.topology_degree,
+        )
 
     def size(self) -> int:
         return len(self.protocols) * len(self.scenarios) * len(self.seeds)

@@ -88,17 +88,10 @@ class BAStarComponent:
         self.relay = QuorumRelay(host, tag="ba-relay", deliver=self._dispatch)
 
     def _bcast(self, message: tuple) -> None:
-        """Committee-wide vote broadcast, self included.
-
-        One-hop on the full topology (byte-identical to historical
-        runs); relay-flooded over sparse overlays so votes from
-        non-adjacent members still count toward quorums.
-        """
-        if not self.relay.active:
-            self.host.broadcast(message, include_self=True)
-            return
-        self.relay.broadcast(message)
-        self.host.send(self.host.name, message)
+        """Committee-wide vote broadcast, self included (relay-flooded
+        over sparse overlays so votes from non-adjacent members still
+        count toward quorums)."""
+        self.relay.broadcast(message, include_self=True)
 
     # -- sortition ------------------------------------------------------------
 

@@ -117,13 +117,9 @@ class OrderingService:
             self.unordered.append(batch)
 
     def _bcast(self, message: tuple) -> None:
-        """Cluster-wide broadcast: one-hop on the full topology,
-        relay-flooded over sparse overlays."""
-        if self.relay is None or not self.relay.active:
-            self.host.broadcast(message, include_self=True)
-            return
-        self.relay.broadcast(message)
-        self.host.send(self.host.name, message)
+        """Cluster-wide broadcast, self included: the host's one-hop
+        broadcast, or the relay's when the host supplied one."""
+        (self.relay or self.host).broadcast(message, include_self=True)
 
     def _order(self, batch: Any) -> None:
         seq = self.next_seq

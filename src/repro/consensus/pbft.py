@@ -109,18 +109,9 @@ class PBFTComponent:
         return self.peers[view % self.n]
 
     def _bcast(self, message: tuple) -> None:
-        """Committee-wide vote broadcast, self included.
-
-        On the full topology this is the classic one-hop all-to-all
-        (byte-identical to historical runs); with a sparse overlay the
-        vote is relay-flooded so non-adjacent committee members still
-        receive it (see :mod:`repro.consensus.relay`).
-        """
-        if not self.relay.active:
-            self.host.broadcast(message, include_self=True)
-            return
-        self.relay.broadcast(message)
-        self.host.send(self.host.name, message)
+        """Committee-wide vote broadcast, self included (relay-flooded
+        over sparse overlays — see :mod:`repro.consensus.relay`)."""
+        self.relay.broadcast(message, include_self=True)
 
     def _arm_timer(self, instance_id: Any, view: int) -> None:
         self.host.set_timer(self.timeout, ("pbft-timeout", instance_id, view))

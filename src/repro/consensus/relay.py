@@ -15,10 +15,11 @@ counting keys on the origin's identity, not on whichever neighbour
 happened to deliver the envelope.
 
 The relay is only engaged when an overlay is installed; on the default
-full topology callers keep the direct one-hop broadcast, so historical
-runs stay byte-identical.  Each relay instance owns a distinct ``tag``
-namespace, letting several protocol layers on one host (inner PBFT,
-outer proposal collection, candidate flood) relay independently.
+full topology :meth:`QuorumRelay.broadcast` is the direct one-hop
+broadcast, so historical runs stay byte-identical.  Each relay instance
+owns a distinct ``tag`` namespace, letting several protocol layers on
+one host (inner PBFT, outer proposal collection, candidate flood) relay
+independently.
 """
 
 from __future__ import annotations
@@ -62,8 +63,18 @@ class QuorumRelay:
         """Whether the host's network routes through a sparse overlay."""
         return getattr(self.host.network, "overlay", None) is not None
 
-    def broadcast(self, message: Any) -> None:
-        """Flood ``message`` committee-wide (no local self-delivery)."""
+    def broadcast(self, message: Any, include_self: bool = False) -> None:
+        """Send ``message`` committee-wide (optionally to the origin too).
+
+        One hop on the full topology — exactly
+        :meth:`SimProcess.broadcast`, no envelope; flooded in an envelope
+        over a sparse overlay, the origin's own copy sent bare *after*
+        the peer sends (channel delays draw from the simulator RNG per
+        send, so the order is part of a run's identity).
+        """
+        if not self.active:
+            self.host.broadcast(message, include_self=include_self)
+            return
         origin = self.host.name
         seq = self._seq
         self._seq += 1
@@ -71,6 +82,8 @@ class QuorumRelay:
         envelope = (self.tag, origin, seq, message)
         for peer in self.host.network.neighbors_of(origin):
             self.host.send(peer, envelope)
+        if include_self:
+            self.host.send(origin, message)
 
     def on_message(self, src: str, message: Any) -> bool:
         """Intercept relay envelopes; returns True when consumed.

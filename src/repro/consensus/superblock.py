@@ -63,16 +63,11 @@ class SuperblockComponent:
 
     def propose(self, round_id: Any, value: Any) -> None:
         """Submit this member's proposal for ``round_id``."""
-        message = (SB_PROPOSAL, round_id, value)
-        if not self.relay.active:
-            self.host.broadcast(message, include_self=True)
-        else:
-            # Sparse overlay: relay-flood so non-adjacent members still
-            # collect this proposal (the superblock is a pure function
-            # of the collected set, so missing members would decide a
-            # different union).
-            self.relay.broadcast(message)
-            self.host.send(self.host.name, message)
+        # Relay-flooded over a sparse overlay so non-adjacent members
+        # still collect this proposal (the superblock is a pure function
+        # of the collected set, so missing members would decide a
+        # different union).
+        self.relay.broadcast((SB_PROPOSAL, round_id, value), include_self=True)
         if round_id not in self.started:
             self.started.add(round_id)
             self.host.set_timer(self.collection_window, ("sb-assemble", round_id))

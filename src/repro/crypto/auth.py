@@ -177,8 +177,8 @@ class BlockAuthenticator:
         # naive baseline pin the amortized path against it.
         self.amortize = amortize
         # (content_id, signer) pairs whose digest verified — cleared
-        # wholesale at capacity like the wire_size memo (an LRU's
-        # per-hit bookkeeping costs more than re-verifying rare evictees).
+        # wholesale at capacity (an LRU's per-hit bookkeeping costs more
+        # than re-verifying rare evictees).
         self._verified: Dict[Tuple[str, str], bool] = {}
         # (owner, kind) → sha256 midstate over the static digest prefix.
         self._midstates: Dict[Tuple[str, str], Any] = {}

@@ -7,20 +7,11 @@ the expected number of attempts is ``2**d``.
 
 from __future__ import annotations
 
-import hashlib
 from typing import Any
 
-from repro._util import stable_repr
+from repro._util import sha256_hex as hash_hex
 
 __all__ = ["hash_hex", "hash_to_unit", "leading_zero_bits", "meets_difficulty"]
-
-
-def hash_hex(*parts: Any) -> str:
-    """SHA-256 of the stable encoding of ``parts``, hex-encoded."""
-    h = hashlib.sha256()
-    for part in parts:
-        h.update(stable_repr(part))
-    return h.hexdigest()
 
 
 def hash_to_unit(*parts: Any) -> float:

@@ -47,7 +47,6 @@ transports.
 
 from __future__ import annotations
 
-import dataclasses
 from typing import Any, Dict, List, Optional, Tuple
 
 from repro._util import prf_uint64, prf_unit
@@ -108,24 +107,15 @@ _IBLT_CELL_CAP = 4096
 _DIFF_SLACK = 4
 
 
-#: Content-id → modelled size memo for blocks/transactions.  Both are
-#: immutable values whose id is a content hash, so the size is a pure
-#: function of the id; the memo turns the per-field recursion (the
-#: hottest loop of every gossip and sync benchmark) into a dict hit for
-#: every copy after the first.  Cleared wholesale at the cap — eviction
-#: order must not affect behaviour, only speed.
-_SIZE_MEMO: dict = {}
-_SIZE_MEMO_CAP = 1 << 18
-
-
 def wire_size(message: Any) -> int:
     """A deterministic modelled byte cost for a message.
 
-    Strings are charged their length (ids stay hex, so this slightly
-    overstates a binary encoding — identically for both transports),
-    numbers 8 bytes, containers a small framing overhead plus contents,
-    dataclasses (blocks, transactions) the sum of their fields, and
-    sketches their own ``wire_bytes``.
+    Values that model their own encoding (blocks, transactions,
+    frontiers, sketches, equivocation evidence) answer through
+    ``wire_bytes()``.  Of the rest, strings are charged their length
+    (ids stay hex, so this slightly overstates a binary encoding —
+    identically for both transports), numbers 8 bytes, containers a
+    small framing overhead plus contents, anything else a flat 16.
     """
     wire_bytes = getattr(message, "wire_bytes", None)
     if callable(wire_bytes):
@@ -138,20 +128,6 @@ def wire_size(message: Any) -> int:
         return len(message) + 1
     if isinstance(message, (tuple, list)):
         return 4 + sum(wire_size(item) for item in message)
-    if dataclasses.is_dataclass(message) and not isinstance(message, type):
-        key = getattr(message, "block_id", None) or getattr(message, "tx_id", None)
-        if key is not None:
-            cached = _SIZE_MEMO.get(key)
-            if cached is not None:
-                return cached
-        size = 4 + sum(
-            wire_size(getattr(message, f.name)) for f in dataclasses.fields(message)
-        )
-        if key is not None:
-            if len(_SIZE_MEMO) >= _SIZE_MEMO_CAP:
-                _SIZE_MEMO.clear()
-            _SIZE_MEMO[key] = size
-        return size
     return 16
 
 

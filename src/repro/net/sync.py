@@ -92,6 +92,9 @@ _MAX_ROUNDS = 32
 #: Ceiling on the retry backoff, in simulated seconds.
 BACKOFF_CAP = 30.0
 
+#: Timed-out requests per sync before it degrades to normal gossip.
+MAX_ATTEMPTS = 6
+
 #: Server-side memo of the last few (frontier → missing ids) diffs.  The
 #: protocol stays stateless — a cache miss just recomputes — but the
 #: repeated RANGE requests of one round hit the memo instead of
@@ -195,9 +198,11 @@ class SyncManager:
         self.node = node
         scenario = node.scenario
         self.batch = scenario.sync_batch
-        self.timeout = scenario.sync_timeout or 4.0 * scenario.channel_delta
-        self.backoff_base = scenario.sync_backoff_base or 2.0 * scenario.channel_delta
-        self.max_attempts = scenario.sync_max_attempts
+        # Per-request timeout and retry backoff base, in simulated
+        # seconds: two round trips and one, at the channel's bound.
+        self.timeout = 4.0 * scenario.channel_delta
+        self.backoff_base = 2.0 * scenario.channel_delta
+        self.max_attempts = MAX_ATTEMPTS
         #: idle | frontier | range | done | failed
         self.state = "idle"
         self.req_seq = 0

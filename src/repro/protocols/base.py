@@ -25,21 +25,19 @@ from repro.blocktree.selection import LongestChain, SelectionFunction
 from repro.blocktree.tree import BlockTree
 from repro.histories.continuation import ContinuationModel
 from repro.histories.history import ConcurrentHistory
-from repro.mempool import TX_GOSSIP_TAG, BlockPacker, Mempool
+from repro.mempool import BlockPacker, Mempool
 from repro.net.channels import ChannelModel
 from repro.net.process import Network, SimProcess
 from repro.net.reconcile import build_transport
 from repro.net.simulator import Simulator
 from repro.net.sync import SyncManager
 from repro.storage import open_store
-from repro.workloads.scenarios import GOSSIP_TAG, ProtocolScenario
+from repro.workloads.scenarios import ProtocolScenario
 from repro.workloads.traffic import Submission
 from repro.workloads.transactions import Transaction, TransactionGenerator
 
 __all__ = ["BlockchainNode", "PassiveNode", "ProtocolRun"]
 
-BLOCK_GOSSIP = GOSSIP_TAG
-TX_GOSSIP = TX_GOSSIP_TAG
 #: Gossip tag for flooded equivocation evidence (see repro.crypto.auth).
 AUTH_EVID = "auth-evidence"
 
@@ -60,31 +58,9 @@ class BlockchainNode(SimProcess):
     def __init__(self, name: str, scenario: ProtocolScenario) -> None:
         super().__init__(name)
         self.scenario = scenario
-        # The replica tree persists through the scenario's block-store
-        # backend (the --store knob); with `prune_hot_cap` set, finalized
-        # prefixes are checkpointed and evicted from the hot set.
-        store = scenario.build_store(name)
-        #: Where the durable store file lives (None for memory) — crash
-        #: recovery reopens the same file, like a restarted OS process.
-        self._store_path: Optional[str] = getattr(store, "path", None)
-        self.tree = BlockTree(store=store, prune=scenario.build_prune())
         self.selection: SelectionFunction = LongestChain()
-        self.orphans: Dict[str, List[Block]] = {}
-        #: Ids currently parked in ``orphans`` — FIFO-bounded, so a peer
-        #: feeding bodies with never-arriving parents (e.g. below a
-        #: pruned checkpoint) cannot grow replica memory without limit;
-        #: bodies whose id fell out of the bound are discarded on the
-        #: next stale-orphan sweep instead of being retried forever.
-        self._parked_ids = BoundedSet(cap=2048)
-        self.seen_blocks: set = {self.tree.genesis.block_id}
-        #: Height of the checkpoint the seen-set was last pruned against
-        #: (see :meth:`_prune_seen_sets`).
-        self._seen_pruned_at = 0
-        self.received_marks: set = set()  # blocks with a recorded receive
-        #: Blocks refused by the validity predicate P.  Bounded FIFO: a
-        #: spam adversary must not grow replica memory without limit, and
-        #: re-validating a long-forgotten junk block is cheap.
-        self.rejected_blocks = BoundedSet(cap=4096)
+        # -- measurement apparatus: survives crashes, it belongs to the
+        # history being measured, not to the replica --
         self.open_appends: Dict[str, Tuple[int, str]] = {}  # block_id → (op_id, name)
         self.appends_begun = 0
         self.appends_resolved = 0
@@ -98,6 +74,46 @@ class BlockchainNode(SimProcess):
         self.txgen = TransactionGenerator(
             seed=prf_uint64("txgen", scenario.seed, scenario.name, name)
         )
+        self.tx_gossip_received = 0
+        self.tx_gossip_duplicates = 0
+        #: Cumulative fast-sync counters; the :class:`SyncManager` itself
+        #: is RAM and writes through to these.
+        self.sync_totals: Dict[str, Any] = SyncManager.fresh_totals()
+        #: Counters of authenticators lost to crashes (see :meth:`_boot`).
+        self._auth_carry: Dict[str, int] = {}
+        self.auth = None
+        # -- the replica: a tree persisting through the scenario's
+        # block-store backend (the --store knob; with `prune_hot_cap`
+        # set, finalized prefixes are checkpointed and evicted from the
+        # hot set), and the RAM state built around it --
+        store = scenario.build_store(name)
+        #: The store's ``(kind, path)`` (path None for memory) — crash
+        #: recovery reopens the same file, like a restarted OS process.
+        self._store_at = (store.kind, getattr(store, "path", None))
+        self._boot(BlockTree(store=store, prune=scenario.build_prune()))
+
+    def _boot(self, tree: BlockTree) -> None:
+        """Build every piece of RAM state a process start builds, around
+        ``tree``: the constructor boots a fresh tree, a crash boots an
+        empty placeholder, recovery boots the replayed store."""
+        scenario = self.scenario
+        self.tree = tree
+        self.orphans: Dict[str, List[Block]] = {}
+        #: Ids currently parked in ``orphans`` — FIFO-bounded, so a peer
+        #: feeding bodies with never-arriving parents (e.g. below a
+        #: pruned checkpoint) cannot grow replica memory without limit;
+        #: bodies whose id fell out of the bound are discarded on the
+        #: next stale-orphan sweep instead of being retried forever.
+        self._parked_ids = BoundedSet(cap=2048)
+        self.seen_blocks: set = set(tree.iter_ids())
+        #: Height of the checkpoint the seen-set was last pruned against
+        #: (see :meth:`_prune_seen_sets`).
+        self._seen_pruned_at = 0
+        self.received_marks: set = set()  # blocks with a recorded receive
+        #: Blocks refused by the validity predicate P.  Bounded FIFO: a
+        #: spam adversary must not grow replica memory without limit, and
+        #: re-validating a long-forgotten junk block is cheap.
+        self.rejected_blocks = BoundedSet(cap=4096)
         # The transaction pipeline (scenario.traffic): a fee-priority
         # mempool fed by client submissions and tx gossip, drained by
         # the block packer, reaped on fork-choice reads.  None keeps the
@@ -105,8 +121,6 @@ class BlockchainNode(SimProcess):
         self.pool: Optional[Mempool] = None
         self.packer: Optional[BlockPacker] = None
         self.tx_seen: set = set()
-        self.tx_gossip_received = 0
-        self.tx_gossip_duplicates = 0
         if scenario.traffic is not None:
             self.pool = Mempool(
                 genesis_coins=scenario.traffic.genesis_coins(),
@@ -123,20 +137,22 @@ class BlockchainNode(SimProcess):
         )
         # Fast-sync (repro.net.sync): every replica answers sync
         # requests; the client side is driven by lifecycle events.
-        # ``sync_totals`` lives on the node, not the manager, so the
-        # counters survive crash recovery (measurement apparatus, not
-        # replica state).  ``_bulk_sync`` marks batch adoption: per-block
-        # application reads are suppressed (one read per batch instead).
-        self.sync_totals: Dict[str, Any] = SyncManager.fresh_totals()
+        # ``_bulk_sync`` marks batch adoption: per-block application
+        # reads are suppressed (one read per batch instead).
         self._bulk_sync = False
         self.sync = SyncManager(self)
         # Authenticated pipeline (scenario.auth): the per-replica
-        # verifier/signer.  ``_auth_carry`` accumulates a crashed
-        # authenticator's counters — measurement apparatus survives like
-        # ``sync_totals``, while the authenticator itself is RAM (bans
-        # and evidence are re-learned via sync piggyback).
-        self.auth = scenario.build_auth()
-        self._auth_carry: Dict[str, int] = {}
+        # verifier/signer, its PKI rebuilt from the scenario seed.  Of
+        # the authenticator this one replaces, the counters fold into
+        # the carry and the signer-side slashing-protection journal is
+        # kept (real validators persist exactly that, so a recovered
+        # miner never signs a rival at a parent it already extended);
+        # bans and evidence are RAM — re-learned from peers (sync
+        # piggyback + refloods).
+        old, self.auth = self.auth, scenario.build_auth()
+        if old is not None:
+            _fold(self._auth_carry, old.counters)
+            self.auth.signed_parents.update(old.signed_parents)
 
     def pipelines(self) -> List[Tuple[int, "BlockchainNode"]]:
         """The ``(shard, chain pipeline)`` pairs this host runs.
@@ -442,41 +458,37 @@ class BlockchainNode(SimProcess):
             # Submissions to a down ingress replica are lost — clients
             # talking to a crashed node get no service, not a queue.
             return 0
+        return self._pool_txs(txs)
+
+    def _pool_txs(self, txs: Tuple[Transaction, ...]) -> int:
+        """Verify, pool, mark and relay one batch, however it arrived;
+        returns how many transactions the pool accepted.
+
+        Signature rejects are not marked seen: an unsigned/forged copy
+        must not blacklist the id against a later validly signed
+        arrival.  Nor are pool rejects: one for a transient reason
+        (double-spend against a chain that later reorgs away) must stay
+        re-judgeable, not be blacklisted forever.
+        """
         if self.auth is not None:
-            txs = self._auth_admit_txs(txs)
+            txs = tuple(tx for tx in txs if self.auth.check_tx(tx) == "ok")
             if not txs:
                 return 0
-        chain = self.select_chain()
-        accepted = self.pool.add_batch(txs, chain=chain, now=self.now)
-        # Only ids the pool accepted or holds are marked seen: a
-        # submission rejected for a transient reason (double-spend
-        # against a chain that later reorgs away) must stay
-        # re-judgeable, not be blacklisted forever (the
-        # permanent-blacklist bug).
-        self._mark_relayed_tx_seen(txs, accepted)
-        self._relay_fresh_txs(accepted)
-        return len(accepted)
-
-    def _mark_relayed_tx_seen(
-        self,
-        txs: Tuple[Transaction, ...],
-        accepted: Tuple[Transaction, ...],
-    ) -> None:
-        """Record dedup marks for the ids the pool accepted or holds.
-
-        Every *accepted* id is marked even if a later transaction in the
-        same batch already evicted it: accepted transactions are relayed,
-        and an unmarked relayed id turns each returning gossip copy into
-        a fresh accept-evict-relay cycle — a network-wide storm once the
-        pool saturates.  Of the rest, only ids still held (pooled or
-        parked) are marked; rejected ids stay re-judgeable.
-        """
         pool = self.pool
+        accepted = pool.add_batch(txs, chain=self.select_chain(), now=self.now)
+        # Every *accepted* id is marked even if a later transaction in the
+        # same batch already evicted it: accepted transactions are relayed,
+        # and an unmarked relayed id turns each returning gossip copy into
+        # a fresh accept-evict-relay cycle — a network-wide storm once the
+        # pool saturates.  Of the rest, only ids still held (pooled or
+        # parked) are marked.
         for tx in accepted:
             self.tx_seen.add(tx.tx_id)
         for tx in txs:
             if pool.is_held(tx.tx_id):
                 self.tx_seen.add(tx.tx_id)
+        self._relay_fresh_txs(accepted)
+        return len(accepted)
 
     def _relay_fresh_txs(self, accepted: Tuple[Transaction, ...] = ()) -> None:
         """Propagate newly pooled transactions: the just-accepted batch
@@ -507,26 +519,8 @@ class BlockchainNode(SimProcess):
                 self.tx_gossip_duplicates += 1
                 continue
             fresh.append(tx)
-        if not fresh:
-            return
-        if self.auth is not None:
-            fresh = list(self._auth_admit_txs(tuple(fresh)))
-            if not fresh:
-                return
-        chain = self.select_chain()
-        accepted = self.pool.add_batch(fresh, chain=chain, now=self.now)
-        self._mark_relayed_tx_seen(tuple(fresh), accepted)
-        self._relay_fresh_txs(accepted)
-
-    def _auth_admit_txs(
-        self, txs: Tuple[Transaction, ...]
-    ) -> Tuple[Transaction, ...]:
-        """Drop transactions failing signature verification at ingest.
-
-        Rejected ids are not marked seen: an unsigned/forged copy must
-        not blacklist the id against a later validly signed arrival.
-        """
-        return tuple(tx for tx in txs if self.auth.check_tx(tx) == "ok")
+        if fresh:
+            self._pool_txs(tuple(fresh))
 
     def on_gossip(self, src: str, message: tuple) -> bool:
         """Dispatch transport traffic (blocks, txs, reconciliation,
@@ -647,8 +641,7 @@ class BlockchainNode(SimProcess):
         """Cumulative authenticator counters (crash carry included)."""
         merged = dict(self._auth_carry)
         if self.auth is not None:
-            for key, value in self.auth.counters.items():
-                merged[key] = merged.get(key, 0) + value
+            _fold(merged, self.auth.counters)
             merged["evidence"] = len(self.auth.evidence)
             merged["banned"] = len(self.auth.banned_ids)
         return merged
@@ -658,15 +651,8 @@ class BlockchainNode(SimProcess):
     def apply_lifecycle(self, action: str) -> None:
         """Dispatch one scenario lifecycle verb (see
         :meth:`~repro.workloads.scenarios.ProtocolScenario.lifecycle_schedule`)."""
-        handler = {
-            "suspend": self.lifecycle_suspend,
-            "resume": self.lifecycle_resume,
-            "crash": self.lifecycle_crash,
-            "recover": self.lifecycle_recover,
-            "join": self.lifecycle_join,
-            "heal": self.lifecycle_heal,
-        }.get(action)
-        if handler is None:
+        handler = getattr(self, f"lifecycle_{action}", None)
+        if not callable(handler):
             raise ValueError(f"unknown lifecycle action {action!r}")
         handler()
 
@@ -703,21 +689,13 @@ class BlockchainNode(SimProcess):
 
         The store is flushed and closed (the crashed OS process's file
         handle is gone); a placeholder empty tree keeps end-of-run
-        bookkeeping alive while the node is down.  Recorder bookkeeping
-        (``open_appends``) survives — it belongs to the history being
-        measured, not to the replica.
+        bookkeeping alive while the node is down.
         """
         self.offline = True
         self.lifecycle_epoch += 1
-        store = self.tree._store
-        store.flush()
-        store.close()
-        self.tree = BlockTree()
-        self.orphans = {}
-        self._parked_ids = BoundedSet(cap=2048)
-        self.seen_blocks = {self.tree.genesis.block_id}
-        self.received_marks = set()
-        self._rebuild_auth()
+        self.tree._store.flush()
+        self.tree._store.close()
+        self._boot(BlockTree())
 
     def lifecycle_recover(self) -> None:
         """Rebuild from the durable store, then resume and fast-sync.
@@ -725,61 +703,18 @@ class BlockchainNode(SimProcess):
         Durable backends reopen the same per-node file and
         :meth:`BlockTree.replay` restores tree + checkpoint; the
         in-memory backend recovers nothing (full resync — the correct
-        degenerate case).  Dedup sets rebuild from the recovered tree;
-        pool, packer, transport and sync manager are constructed fresh,
-        like a restarted process.  Consensus components owned by
-        subclasses (ordering service, committees) are modelled as
-        durably persisted and survive; their timers re-arm through
+        degenerate case).  Consensus components owned by subclasses
+        (ordering service, committees) are modelled as durably persisted
+        and survive; their timers re-arm through
         :meth:`on_lifecycle_resume`.
         """
-        scenario = self.scenario
-        kind = scenario.store.partition(":")[0].strip().lower()
-        if self._store_path is not None:
-            store = open_store(kind, path=self._store_path)
-        else:
-            store = open_store("memory")
-        self.tree = BlockTree.replay(store, prune=scenario.build_prune())
-        self.seen_blocks = set(self.tree.iter_ids())
-        self._seen_pruned_at = 0
-        self.received_marks = set()
-        self.orphans = {}
-        self._parked_ids = BoundedSet(cap=2048)
-        self.rejected_blocks = BoundedSet(cap=4096)
-        if scenario.traffic is not None:
-            self.pool = Mempool(
-                genesis_coins=scenario.traffic.genesis_coins(),
-                capacity=scenario.traffic.pool_capacity,
-                min_fee=scenario.traffic.min_fee,
+        self._boot(
+            BlockTree.replay(
+                open_store(*self._store_at),
+                prune=self.scenario.build_prune(),
             )
-            self.packer = BlockPacker(self.pool)
-            self.tx_seen = set()
-        self.transport = build_transport(
-            scenario.gossip, self, interval=scenario.recon_interval
         )
-        self.sync = SyncManager(self)
-        # The authenticator is RAM and was dropped at crash time; a
-        # fresh one rebuilds the PKI from the scenario seed, and bans/
-        # evidence are re-learned from peers (sync piggyback + refloods).
-        self._rebuild_auth()
         self.lifecycle_resume()
-
-    def _rebuild_auth(self) -> None:
-        """Crash-rebuild the authenticator.
-
-        Counters fold into the carry (measurement apparatus, like
-        ``sync_totals``); the signer-side slashing-protection journal
-        survives the rebuild (real validators persist exactly that, so a
-        recovered miner never signs a rival at a parent it already
-        extended); bans and evidence are RAM — re-learned from peers.
-        """
-        if self.auth is None:
-            return
-        for key, value in self.auth.counters.items():
-            self._auth_carry[key] = self._auth_carry.get(key, 0) + value
-        journal = dict(self.auth.signed_parents)
-        self.auth = self.scenario.build_auth()
-        if self.auth is not None:
-            self.auth.signed_parents.update(journal)
 
     def lifecycle_join(self) -> None:
         """A late joiner comes online (it started suspended, store empty)."""
@@ -1179,7 +1114,6 @@ class ProtocolRun:
         node_cls: Callable[[str, ProtocolScenario], Any],
         scenario: ProtocolScenario,
         channel: Optional[ChannelModel] = None,
-        configure: Optional[Callable[[Network, List[Any]], None]] = None,
         settle: float = 120.0,
         sim_cls: Type[Simulator] = Simulator,
     ) -> "ProtocolRun":
@@ -1223,8 +1157,6 @@ class ProtocolRun:
                 "sharded scenarios (shards > 1) run through "
                 "repro.shard.run.execute_sharded (bitcoin only)"
             )
-        if configure is not None:
-            configure(net, nodes)
         by_name = {node.name: node for node in nodes}
         # Late joiners are registered from the start (the membership set
         # is the paper's static Π) but stay suspended until their join

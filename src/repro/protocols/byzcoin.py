@@ -115,10 +115,7 @@ class CommitteePoWNode(BlockchainNode):
         # Candidate dissemination is a §4.2 send (with loopback receive).
         args = (block.parent_id, block.block_id, self.creator_name(block))
         self.record_instant("send", args)
-        if not self._candidate_relay.active:
-            self.broadcast((CANDIDATE, height, block))
-        else:
-            self._candidate_relay.broadcast((CANDIDATE, height, block))
+        self._candidate_relay.broadcast((CANDIDATE, height, block))
         self.record_instant("receive", args)
         self.received_marks.add(block.block_id)
         self._register_candidate(height, block)

@@ -39,7 +39,7 @@ from __future__ import annotations
 
 import pickle
 from abc import ABC, abstractmethod
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass, fields
 from typing import Iterator, Optional
 
 from repro.blocktree.block import Block
@@ -75,6 +75,12 @@ class CheckpointRecord:
     note: str = ""
 
 
+#: The stored record: every field of :class:`Block`, in declaration
+#: order — a field added to the dataclass (a witness such as
+#: ``signature``) is persisted without an edit here.
+_BLOCK_FIELDS = tuple(f.name for f in fields(Block))
+
+
 def encode_block(block: Block) -> bytes:
     """Serialize a block to bytes (stable across put/get round-trips).
 
@@ -83,47 +89,24 @@ def encode_block(block: Block) -> bytes:
     objects (transactions, ids, …) survive unchanged.
     """
     return pickle.dumps(
-        (
-            block.block_id,
-            block.parent_id,
-            block.label,
-            block.payload,
-            block.creator,
-            block.nonce,
-            block.weight,
-        ),
+        tuple(getattr(block, name) for name in _BLOCK_FIELDS),
         protocol=pickle.HIGHEST_PROTOCOL,
     )
 
 
 def decode_block(data: bytes) -> Block:
     """Inverse of :func:`encode_block` (value-identical round-trip)."""
-    block_id, parent_id, label, payload, creator, nonce, weight = pickle.loads(data)
-    return Block(
-        block_id=block_id,
-        parent_id=parent_id,
-        label=label,
-        payload=payload,
-        creator=creator,
-        nonce=nonce,
-        weight=weight,
-    )
+    return Block(*pickle.loads(data))
 
 
 def encode_checkpoint(record: CheckpointRecord) -> bytes:
-    """Serialize a checkpoint record."""
-    return pickle.dumps(
-        (record.block_id, record.height, record.block_count, record.note),
-        protocol=pickle.HIGHEST_PROTOCOL,
-    )
+    """Serialize a checkpoint record (its field tuple, like a block's)."""
+    return pickle.dumps(astuple(record), protocol=pickle.HIGHEST_PROTOCOL)
 
 
 def decode_checkpoint(data: bytes) -> CheckpointRecord:
     """Inverse of :func:`encode_checkpoint`."""
-    block_id, height, block_count, note = pickle.loads(data)
-    return CheckpointRecord(
-        block_id=block_id, height=height, block_count=block_count, note=note
-    )
+    return CheckpointRecord(*pickle.loads(data))
 
 
 class BlockStore(ABC):

@@ -119,9 +119,6 @@ class ProtocolScenario:
     #: When > 0, each replica tree prunes its resident hot set to this
     #: cap (requires a non-memory ``store``; see PrunePolicy.hot_cap).
     prune_hot_cap: int = 0
-    #: Confirmation depth held back below the recent-read LCA when the
-    #: prune lifecycle checkpoints (PrunePolicy.finality_margin).
-    prune_margin: int = 16
     #: Open-loop client traffic driving the transaction pipeline.  When
     #: set, replicas run a mempool + block packer (payloads come from
     #: the pool instead of the per-replica synthetic generator) and the
@@ -146,14 +143,10 @@ class ProtocolScenario:
     topology: str = "full"
     #: Per-node link budget for sparse topologies; ignored by ``full``.
     topology_degree: int = 8
-    #: Fast-sync knobs (see :mod:`repro.net.sync`): blocks per BLOCKS
-    #: batch; per-request timeout and retry backoff base in simulated
-    #: seconds (0 derives both from ``channel_delta``); attempts before
-    #: a sync degrades to normal gossip.
+    #: Blocks per fast-sync BLOCKS batch (see :mod:`repro.net.sync`;
+    #: its request timeout and retry backoff derive from
+    #: ``channel_delta``).
     sync_batch: int = 64
-    sync_timeout: float = 0.0
-    sync_backoff_base: float = 0.0
-    sync_max_attempts: int = 6
     #: Shard count K (see :mod:`repro.shard`).  1 keeps the historical
     #: single-chain pipeline byte-identical; K > 1 runs one BlockTree +
     #: Mempool + UTXOView *facet* per subscribed shard on every replica,
@@ -171,8 +164,6 @@ class ProtocolScenario:
     #: historical unsigned pipeline byte-identical (signatures are
     #: witness data, excluded from content ids, so ids match either way).
     auth: bool = False
-    #: Capacity of the verified-(id, signer) cache (0 disables caching).
-    auth_cache: int = 65536
 
     def __post_init__(self) -> None:
         self.validate()
@@ -212,16 +203,15 @@ class ProtocolScenario:
             raise ValueError("prune_hot_cap must be 0 (disabled) or >= 2")
         if self.prune_hot_cap and kind == "memory":
             raise ValueError("pruning needs a durable store (log or sqlite)")
-        if self.prune_margin < 0:
-            raise ValueError("prune_margin must be >= 0")
-        if self.gossip not in ("flood", "reconcile"):
+        from repro.net.overlay import TOPOLOGY_KINDS
+        from repro.net.reconcile import GOSSIP_KINDS
+
+        if self.gossip not in GOSSIP_KINDS:
             raise ValueError(
-                f"unknown gossip {self.gossip!r}; expected 'flood' or 'reconcile'"
+                f"unknown gossip {self.gossip!r}; expected one of {GOSSIP_KINDS}"
             )
         if self.recon_interval <= 0:
             raise ValueError("recon_interval must be positive")
-        from repro.net.overlay import TOPOLOGY_KINDS
-
         if self.topology not in TOPOLOGY_KINDS:
             raise ValueError(
                 f"unknown topology {self.topology!r}; expected one of {TOPOLOGY_KINDS}"
@@ -230,10 +220,6 @@ class ProtocolScenario:
             raise ValueError("topology_degree must be >= 2")
         if self.sync_batch < 1:
             raise ValueError("sync_batch must be >= 1")
-        if self.sync_timeout < 0 or self.sync_backoff_base < 0:
-            raise ValueError("sync timing knobs must be >= 0 (0 = derived)")
-        if self.sync_max_attempts < 1:
-            raise ValueError("sync_max_attempts must be >= 1")
         if self.shards < 1:
             raise ValueError("shards must be >= 1")
         if self.shard_subscription < 0:
@@ -253,8 +239,6 @@ class ProtocolScenario:
             from repro.shard.assignment import validate_coverage
 
             validate_coverage(self.node_names(), self.shards, self.shard_subscription)
-        if self.auth_cache < 0:
-            raise ValueError("auth_cache must be >= 0 (0 disables the cache)")
         if self.traffic is not None:
             self.traffic.validate()
 
@@ -305,10 +289,7 @@ class ProtocolScenario:
             return None
         from repro.crypto.auth import BlockAuthenticator, build_registry
 
-        return BlockAuthenticator(
-            build_registry(self.seed, self.auth_signers()),
-            cache_cap=self.auth_cache,
-        )
+        return BlockAuthenticator(build_registry(self.seed, self.auth_signers()))
 
     def byzantine_map(self) -> Dict[str, str]:
         """Node name → adversary kind (empty for fault-free scenarios)."""
@@ -399,12 +380,16 @@ class ProtocolScenario:
         suffix = "btlog" if kind == "log" else "db"
         return open_store(kind, path=os.path.join(directory, f"{node_name}.{suffix}"))
 
+    #: Confirmation depth replica trees hold back below the recent-read
+    #: LCA when the prune lifecycle checkpoints.
+    PRUNE_MARGIN = 16
+
     def build_prune(self) -> Optional[PrunePolicy]:
         """The replica-tree prune policy, or None when pruning is off."""
         if not self.prune_hot_cap:
             return None
         return PrunePolicy(
-            hot_cap=self.prune_hot_cap, finality_margin=self.prune_margin
+            hot_cap=self.prune_hot_cap, finality_margin=self.PRUNE_MARGIN
         )
 
 
@@ -958,12 +943,24 @@ def adversarial_scenarios(n_nodes: int = 4, duration: float = 240.0) -> Dict[str
     names = tuple(f"p{i}" for i in range(n_nodes))
     presets = traffic_presets(duration)
     shard_presets = shard_traffic_presets(duration, n_shards=4)
-    return {
-        "partition-heal": AdversarialScenario(
-            name="partition-heal",
+
+    def preset(
+        name: str, mean_block_interval: float = 12.0, **axis: Any
+    ) -> AdversarialScenario:
+        """What every entry shares: size, horizon, tempo and a 24-point
+        fork-degree/height series — plus its one fault ``axis``."""
+        return AdversarialScenario(
+            name=name,
             n_nodes=n_nodes,
             duration=duration,
-            mean_block_interval=12.0,
+            mean_block_interval=mean_block_interval,
+            metrics_interval=duration / 24,
+            **axis,
+        )
+
+    entries = (
+        preset(
+            "partition-heal",
             partitions=(
                 PartitionWindow(
                     groups=(names[:half], names[half:]),
@@ -971,148 +968,82 @@ def adversarial_scenarios(n_nodes: int = 4, duration: float = 240.0) -> Dict[str
                     heal_at=duration * 0.6,
                 ),
             ),
-            metrics_interval=duration / 24,
         ),
-        "node-churn": AdversarialScenario(
-            name="node-churn",
-            n_nodes=n_nodes,
-            duration=duration,
-            mean_block_interval=12.0,
+        preset(
+            "node-churn",
             churn=(
                 ChurnEvent(node=names[-1], leave_at=duration * 0.2, rejoin_at=duration * 0.5),
                 ChurnEvent(node=names[0], leave_at=duration * 0.6, rejoin_at=duration * 0.8),
             ),
-            metrics_interval=duration / 24,
         ),
-        "selfish-miner": AdversarialScenario(
-            name="selfish-miner",
-            n_nodes=n_nodes,
-            duration=duration,
+        preset(
+            "selfish-miner",
             mean_block_interval=10.0,
             # p0 gets the dominant share: a selfish miner below ~25%
             # merit barely forks, which would make this entry toothless.
             merits=tuple(sorted(skewed_merits(n_nodes, exponent=1.0, seed=7), reverse=True)),
             selfish_nodes=(names[0],),
             selfish_extra_delay=18.0,
-            metrics_interval=duration / 24,
         ),
-        "skewed-merit": AdversarialScenario(
-            name="skewed-merit",
-            n_nodes=n_nodes,
-            duration=duration,
+        preset(
+            "skewed-merit",
             mean_block_interval=10.0,
             merits=skewed_merits(n_nodes, exponent=1.6, seed=11),
-            metrics_interval=duration / 24,
         ),
-        "burst-traffic": AdversarialScenario(
-            name="burst-traffic",
-            n_nodes=n_nodes,
-            duration=duration,
+        preset(
+            "burst-traffic",
             mean_block_interval=16.0,
             bursts=(
                 TrafficBurst(at=duration * 0.3, duration=duration * 0.2, factor=6.0),
             ),
-            metrics_interval=duration / 24,
         ),
         # Node-lifecycle presets (see repro.net.sync): a replica drops
         # out of the run — losing RAM, joining late, or mining eclipsed
         # on a stale view — and must end Strong-Prefix-consistent with
         # the majority after fast-syncing the gap.
-        "crash-rejoin": AdversarialScenario(
-            name="crash-rejoin",
-            n_nodes=n_nodes,
-            duration=duration,
-            mean_block_interval=12.0,
+        preset(
+            "crash-rejoin",
             crashes=(
                 CrashEvent(
                     node=names[-1], at=duration * 0.3, recover_at=duration * 0.6
                 ),
             ),
-            metrics_interval=duration / 24,
         ),
-        "late-join": AdversarialScenario(
-            name="late-join",
-            n_nodes=n_nodes,
-            duration=duration,
-            mean_block_interval=12.0,
-            joins=(JoinEvent(node=names[-1], at=duration * 0.5),),
-            metrics_interval=duration / 24,
-        ),
-        "eclipse-heal": AdversarialScenario(
-            name="eclipse-heal",
-            n_nodes=n_nodes,
-            duration=duration,
-            mean_block_interval=12.0,
+        preset("late-join", joins=(JoinEvent(node=names[-1], at=duration * 0.5),)),
+        preset(
+            "eclipse-heal",
             eclipses=(
                 EclipseEvent(
                     node=names[-1], start=duration * 0.25, heal_at=duration * 0.6
                 ),
             ),
-            metrics_interval=duration / 24,
         ),
         # Transaction-pipeline presets: client traffic drives the
         # mempool/gossip/packer path (see repro.mempool).  The fault-free
         # steady workload is the throughput baseline; the spam flood
         # stresses duplicate filtering, double-spend rejection and
         # bounded-capacity eviction on every replica.
-        "client-steady": AdversarialScenario(
-            name="client-steady",
-            n_nodes=n_nodes,
-            duration=duration,
-            mean_block_interval=12.0,
-            traffic=presets["steady"],
-            metrics_interval=duration / 24,
-        ),
-        "spam-flood": AdversarialScenario(
-            name="spam-flood",
-            n_nodes=n_nodes,
-            duration=duration,
-            mean_block_interval=12.0,
-            traffic=presets["spam-flood"],
-            metrics_interval=duration / 24,
-        ),
+        preset("client-steady", traffic=presets["steady"]),
+        preset("spam-flood", traffic=presets["spam-flood"]),
         # Sharded-pipeline presets (see repro.shard): K=4 shard facets
         # per replica, 5% cross-shard two-phase transfers.  shard-hot
         # drives one shard at 4× the per-shard rate with regionally
         # skewed ingress — the hot-shard capacity stress.
-        "shard-uniform": AdversarialScenario(
-            name="shard-uniform",
-            n_nodes=n_nodes,
-            duration=duration,
-            mean_block_interval=12.0,
-            shards=4,
-            traffic=shard_presets["shard-uniform"],
-            metrics_interval=duration / 24,
-        ),
-        "shard-hot": AdversarialScenario(
-            name="shard-hot",
-            n_nodes=n_nodes,
-            duration=duration,
-            mean_block_interval=12.0,
-            shards=4,
-            traffic=shard_presets["shard-hot"],
-            metrics_interval=duration / 24,
-        ),
+        preset("shard-uniform", shards=4, traffic=shard_presets["shard-uniform"]),
+        preset("shard-hot", shards=4, traffic=shard_presets["shard-hot"]),
         # Authenticated-pipeline presets (see repro.crypto.auth): one
         # Byzantine replica mounts an attack only signature checking can
         # defeat — the PoW predicate, double-spend rules and lifecycle
         # machinery all accept its blocks.  The gate (benchmarks/
         # test_bench_auth.py) asserts zero adversary-authored blocks in
         # any honest replica's committed chain.
-        "forged-signature": AdversarialScenario(
-            name="forged-signature",
-            n_nodes=n_nodes,
-            duration=duration,
-            mean_block_interval=12.0,
+        preset(
+            "forged-signature",
             auth=True,
             byzantine=((names[-1], "forged-signature"),),
-            metrics_interval=duration / 24,
         ),
-        "equivocating-signer": AdversarialScenario(
-            name="equivocating-signer",
-            n_nodes=n_nodes,
-            duration=duration,
-            mean_block_interval=12.0,
+        preset(
+            "equivocating-signer",
             auth=True,
             # The equivocator gets the dominant merit share so its rival
             # pairs actually land on honest tips often enough to matter.
@@ -1120,18 +1051,14 @@ def adversarial_scenarios(n_nodes: int = 4, duration: float = 240.0) -> Dict[str
                 sorted(skewed_merits(n_nodes, exponent=1.0, seed=13), reverse=True)
             ),
             byzantine=((names[0], "equivocating-signer"),),
-            metrics_interval=duration / 24,
         ),
-        "stolen-identity": AdversarialScenario(
-            name="stolen-identity",
-            n_nodes=n_nodes,
-            duration=duration,
-            mean_block_interval=12.0,
+        preset(
+            "stolen-identity",
             auth=True,
             byzantine=((names[-1], "stolen-identity"),),
-            metrics_interval=duration / 24,
         ),
-    }
+    )
+    return {entry.name: entry for entry in entries}
 
 
 def tree_scenarios() -> Dict[str, TreeScenario]:

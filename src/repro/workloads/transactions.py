@@ -91,13 +91,12 @@ class Transaction:
         return not self.inputs
 
     def wire_bytes(self) -> int:
-        """Modelled wire size, mirroring the generic dataclass-field
-        recursion in :func:`repro.net.reconcile.wire_size`.
+        """Modelled wire size: container framing plus each field at the
+        primitive costs of :func:`repro.net.reconcile.wire_size`.
 
-        The analytic form matters beyond speed: the generic path memoizes
-        by ``tx_id``, and signatures are segregated from the id — a memo
-        hit could return a signed transaction's size for an unsigned one
-        (or vice versa) across runs sharing a process.
+        Computed per call, never memoized by ``tx_id``: signatures are
+        segregated from the id, so a signed and an unsigned copy share
+        an id but not a size.
         """
         size = 4 + len(self.tx_id) + 1
         size += 4 + sum(len(coin) + 1 for coin in self.inputs)

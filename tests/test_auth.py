@@ -407,7 +407,7 @@ class TestScenarioKnobs:
     def test_build_auth(self):
         sc = ProtocolScenario(name="x", n_nodes=3, duration=10.0, auth=True)
         auth = sc.build_auth()
-        assert auth is not None
+        assert auth is not None and auth.cache_cap == 65536
         assert all(auth.keypair_for(n) is not None for n in sc.node_names())
 
     def test_signers_include_clients_and_spammer(self):
@@ -422,10 +422,10 @@ class TestScenarioKnobs:
         assert "client0" in signers and "client1" in signers and "spammer" in signers
 
     def test_validation(self):
-        with pytest.raises(ValueError):
-            ProtocolScenario(
-                name="x", n_nodes=3, duration=10.0, auth_cache=-1
-            ).validate()
+        # The verified-pair cache size is the authenticator's default,
+        # not a scenario knob.
+        with pytest.raises(TypeError):
+            ProtocolScenario(name="x", n_nodes=3, duration=10.0, auth_cache=-1)
         with pytest.raises(ValueError):
             AdversarialScenario(
                 name="x", n_nodes=3, duration=10.0, byzantine=(("p9", "forged-signature"),)

@@ -14,6 +14,7 @@ from repro.campaign import (
     run_single_cell,
 )
 from repro.campaign.__main__ import main as campaign_main
+from repro.campaign.grid import AUTH_SCENARIO_PRESETS, SHARD_SCENARIO_PRESETS
 from repro.protocols import classify_protocol
 from repro.protocols.classify import majority_view
 from repro.workloads import default_scenarios
@@ -104,6 +105,47 @@ class TestGridExpansion:
             CampaignGrid(seeds=())
         with pytest.raises(ValueError):
             CampaignGrid(store="bogus")  # surfaces before any workdir exists
+        # What the scenario knobs accept is the scenario's decision, but
+        # a bad value still fails at grid construction, not per cell.
+        for bad in (
+            dict(gossip="carrier-pigeon"),
+            dict(topology="torus"),
+            dict(topology="ring", topology_degree=1),
+        ):
+            with pytest.raises(ValueError):
+                CampaignGrid(**bad)
+
+    def test_axes_are_pinned(self):
+        """The axes derive from ``RUNNERS`` and the preset registry; a
+        reorder there would silently reorder every grid and artifact."""
+        assert PROTOCOLS == (
+            "bitcoin",
+            "ethereum",
+            "algorand",
+            "byzcoin",
+            "peercensus",
+            "redbelly",
+            "hyperledger",
+        )
+        assert SCENARIO_PRESETS == (
+            "default",
+            "partition-heal",
+            "node-churn",
+            "selfish-miner",
+            "skewed-merit",
+            "burst-traffic",
+            "crash-rejoin",
+            "late-join",
+            "eclipse-heal",
+            "client-steady",
+            "spam-flood",
+        )
+        assert SHARD_SCENARIO_PRESETS == ("shard-uniform", "shard-hot")
+        assert AUTH_SCENARIO_PRESETS == (
+            "forged-signature",
+            "equivocating-signer",
+            "stolen-identity",
+        )
 
 
 class TestSeedHygiene:

@@ -27,6 +27,7 @@ from repro.workloads.scenarios import (
     ProtocolScenario,
     adversarial_scenarios,
 )
+from repro.workloads.traffic import traffic_presets
 
 
 def preset(name: str, duration: float = 160.0, **overrides):
@@ -158,6 +159,63 @@ class TestCrashRejoin:
         assert len(node.tree) == 1  # RAM gone: placeholder genesis tree
         node.lifecycle_recover()
         assert node.tree.freeze() == before  # replayed from the log
+
+    def test_crash_and_recover_reboot_ram_and_keep_the_apparatus(self, tmp_path):
+        """Crash and recovery are two more calls of what the constructor
+        calls: every RAM attribute ``_boot`` owns comes back a fresh
+        object, the measurement apparatus is the same object throughout."""
+        scenario = ProtocolScenario(
+            name="reboot",
+            n_nodes=2,
+            duration=60.0,
+            store="log",
+            store_dir=str(tmp_path),
+            auth=True,
+            traffic=traffic_presets(60.0)["steady"],
+        )
+        sim = Simulator(seed=5)
+        net = Network(sim, channel=SynchronousChannel(delta=scenario.channel_delta))
+        node, _peer = (
+            net.register(PassiveNode(name, scenario))
+            for name in scenario.node_names()
+        )
+        ram = (
+            "tree", "orphans", "_parked_ids", "seen_blocks", "received_marks",
+            "rejected_blocks", "pool", "packer", "tx_seen", "transport", "sync",
+            "auth",
+        )
+        apparatus = ("sync_totals", "open_appends", "_auth_carry", "txgen")
+        sealed = node.seal_block(make_block(GENESIS, label="mine", creator=0))
+        node.begin_append(sealed)
+        node.adopt_block(sealed, relay=False)
+        node.tx_gossip_received = 7
+        node.sync_totals["syncs_started"] = 3
+        verified = node.auth_report()["verified"]
+        assert verified >= 1
+        kept = {name: getattr(node, name) for name in apparatus}
+        generations = [{name: getattr(node, name) for name in ram}]
+        node.lifecycle_crash()
+        assert node.offline and len(node.tree) == 1
+        generations.append({name: getattr(node, name) for name in ram})
+        node.lifecycle_recover()
+        assert not node.offline and sealed.block_id in node.tree
+        generations.append({name: getattr(node, name) for name in ram})
+        for name in ram:
+            objects = [generation[name] for generation in generations]
+            assert len({id(obj) for obj in objects}) == 3, name
+        for name in apparatus:
+            assert getattr(node, name) is kept[name], name
+        assert node.tx_gossip_received == 7
+        assert sealed.block_id in node.open_appends
+        assert node.sync_totals["syncs_started"] == 3 + 1  # + the recovery sync
+        # Counters of both lost authenticators are in the carry; the
+        # slashing journal came along, so the rival is refused.
+        assert node.auth.counters["verified"] == 0
+        assert node.auth_report()["verified"] == verified
+        rival = make_block(GENESIS, label="rival", creator=0)
+        assert node.auth.sign_block(rival, node.name).signature is None
+        assert node.seen_blocks == set(node.tree.iter_ids())
+        assert (node._parked_ids.cap, node.rejected_blocks.cap) == (2048, 4096)
 
     def test_crash_with_memory_store_recovers_empty(self):
         scenario = ProtocolScenario(name="crash-mem", n_nodes=2, duration=60.0)

@@ -44,14 +44,21 @@ class _Collector(SimProcess):
 
     def __init__(self, name):
         super().__init__(name)
-        self.got = []
+        self.got = []  # relay deliveries
+        self.bare = []  # (src, message) arrivals that were no envelope
+        self.sent = []  # (dst, message) in send order
         self.relay = QuorumRelay(self, tag="t-relay", deliver=self._deliver)
 
     def _deliver(self, origin, inner):
         self.got.append((origin, inner))
 
+    def send(self, dst, message):
+        self.sent.append((dst, message))
+        super().send(dst, message)
+
     def on_message(self, src, message):
-        self.relay.on_message(src, message)
+        if not self.relay.on_message(src, message):
+            self.bare.append((src, message))
 
 
 def ring_collectors(n=6, seed=3):
@@ -103,6 +110,37 @@ class TestQuorumRelayUnit:
         net = Network(sim, channel=SynchronousChannel(delta=1.0))
         node = net.register(_Collector("p0"))
         assert node.relay.active is False
+
+    def test_include_self_on_full_topology_is_the_one_hop_broadcast(self):
+        sim = Simulator(seed=1)
+        net = Network(sim, channel=SynchronousChannel(delta=1.0))
+        nodes = [net.register(_Collector(f"p{i}")) for i in range(4)]
+        sim.schedule(0.0, lambda: nodes[1].relay.broadcast("vote", include_self=True))
+        sim.run(until=50)
+        # Exactly SimProcess.broadcast(include_self=True): one bare copy
+        # per member in name order, the origin in its sorted slot.
+        assert nodes[1].sent == [(f"p{i}", "vote") for i in range(4)]
+        for node in nodes:
+            assert node.bare == [("p1", "vote")] and node.got == [], node.name
+            assert node is nodes[1] or node.sent == []  # nothing is forwarded
+
+    def test_include_self_on_ring_floods_peers_first_then_self_once(self):
+        sim, net, nodes = ring_collectors(n=6)
+        sim.schedule(0.0, lambda: nodes[0].relay.broadcast("vote", include_self=True))
+        sim.run(until=50)
+        origin = nodes[0]
+        neighbours = list(net.neighbors_of("p0"))
+        envelope = ("t-relay", "p0", 0, "vote")
+        # Channel delays draw from the simulator RNG per send, so the
+        # order is part of a run's identity: envelopes to the overlay
+        # neighbours first, the origin's own bare copy last.
+        assert origin.sent[: len(neighbours) + 1] == [
+            *((peer, envelope) for peer in neighbours),
+            ("p0", "vote"),
+        ]
+        assert origin.bare == [("p0", "vote")] and origin.got == []
+        for node in nodes[1:]:
+            assert node.got == [("p0", "vote")] and node.bare == [], node.name
 
 
 # -- PBFT on a ring -------------------------------------------------------------

@@ -388,7 +388,8 @@ class TestBlacklistFix:
 
 
 class TestBoundedSeenSets:
-    def test_long_run_prunes_dedup_sets(self, tmp_path):
+    def test_long_run_prunes_dedup_sets(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(ProtocolScenario, "PRUNE_MARGIN", 2)
         duration = 360.0
         scenario = ProtocolScenario(
             name="bounded",
@@ -400,7 +401,6 @@ class TestBoundedSeenSets:
             store="log",
             store_dir=str(tmp_path),
             prune_hot_cap=8,
-            prune_margin=2,
         )
         run = run_bitcoin(scenario)
         node = run.nodes[0]

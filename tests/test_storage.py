@@ -11,7 +11,9 @@ Three layers of coverage:
   materialized deep reads on evicted prefixes, replica semantics.
 """
 
+import dataclasses
 import math
+import pickle
 
 import pytest
 
@@ -24,6 +26,8 @@ from repro.blocktree import (
     PrunePolicy,
     make_block,
 )
+from repro.blocktree.block import Block
+from repro.crypto.signatures import Signature
 from repro.storage import (
     STORE_KINDS,
     AppendOnlyLogStore,
@@ -122,8 +126,23 @@ def test_open_store_factory_grammar(tmp_path):
 
 
 def test_encode_decode_block_is_stable():
-    block = make_block(GENESIS, label="x", payload=("tx", 42), weight=2.0)
-    assert decode_block(encode_block(block)) == block
+    """Every field of ``Block`` round-trips — the signature witness too
+    (it is excluded from content ids, so only this codec carries it)."""
+    unsigned = make_block(GENESIS, label="x", payload=("tx", 42), creator=1, weight=2.0)
+    signed = dataclasses.replace(unsigned, signature=Signature("p1", "d1g35t"))
+    for block in (unsigned, signed):
+        restored = decode_block(encode_block(block))
+        for f in dataclasses.fields(Block):
+            assert getattr(restored, f.name) == getattr(block, f.name), f.name
+        assert restored == block
+
+
+def test_codec_stores_exactly_the_block_fields():
+    """The stored record is the dataclass's field list, nothing else:
+    a block whose every field holds its own name stores that name set."""
+    names = [f.name for f in dataclasses.fields(Block)]
+    stored = pickle.loads(encode_block(Block(*names)))
+    assert sorted(stored) == sorted(names)
 
 
 def test_durable_stores_refuse_copy(tmp_path):
@@ -366,11 +385,14 @@ def test_scenario_store_knob_validation():
     assert isinstance(ProtocolScenario(name="x").build_store("p0"), InMemoryStore)
 
 
-def test_protocol_run_on_durable_store(tmp_path):
+def test_protocol_run_on_durable_store(tmp_path, monkeypatch):
     """One short bitcoin run per durable backend, identical final chains."""
     from repro.protocols.base import ProtocolRun
     from repro.protocols.bitcoin import BitcoinNode
     from repro.workloads.scenarios import ProtocolScenario
+
+    # A shallow confirmation depth, so an 18-block run does checkpoint.
+    monkeypatch.setattr(ProtocolScenario, "PRUNE_MARGIN", 2)
 
     def final(scenario):
         run = ProtocolRun.execute(BitcoinNode, scenario)
@@ -387,11 +409,11 @@ def test_protocol_run_on_durable_store(tmp_path):
             store="log",
             store_dir=str(tmp_path),
             prune_hot_cap=8,
-            prune_margin=2,
         )
     )
     assert got == ref
     assert all(s["blocks"] > 1 for s in stats.values())
+    assert all(s["prune_count"] for s in stats.values())
     assert (tmp_path / "p0.btlog").exists()
 
 

@@ -236,3 +236,45 @@ def test_crash_mid_sync_resumes_byte_identical(tmp_path):
     reopened = AppendOnlyLogStore(str(tmp_path / "crashed" / "p1.btlog"))
     assert len(reopened) == 60
     reopened.close()
+
+
+@pytest.mark.parametrize("store", ["log", "sqlite"])
+def test_signatures_survive_crash_recovery(tmp_path, store):
+    """A recovered replica replays — and then serves — *signed* blocks.
+
+    p2 and p0 crash and recover from their durable stores, then p1
+    joins and fast-syncs the whole chain from them: a codec dropping
+    ``Block.signature`` makes the joiner reject every served block as
+    ``block:unsigned`` and end the run far behind.
+    """
+    from repro.protocols.bitcoin import run_bitcoin
+    from repro.workloads.scenarios import AdversarialScenario, CrashEvent, JoinEvent
+
+    run = run_bitcoin(
+        AdversarialScenario(
+            name="signed-recovery",
+            n_nodes=3,
+            seed=5,
+            duration=600.0,
+            mean_block_interval=10.0,
+            auth=True,
+            store=store,
+            store_dir=str(tmp_path),
+            crashes=(
+                CrashEvent(node="p2", at=200.0, recover_at=250.0),
+                CrashEvent(node="p0", at=300.0, recover_at=330.0),
+            ),
+            joins=(JoinEvent(node="p1", at=400.0),),
+        )
+    )
+    assert run.auth_stats()["totals"].get("block:unsigned", 0) == 0
+    for node in run.nodes:
+        unsigned = [
+            b.short()
+            for b in node.tree.blocks()
+            if not b.is_genesis and b.signature is None
+        ]
+        assert not unsigned, (node.name, unsigned)
+    heights = {height for _, height in run.node_heights()}
+    assert len(heights) == 1 and heights.pop() > 0
+    assert run.sync_stats()["per_node"]["p1"]["blocks_synced"] > 0

@@ -199,9 +199,9 @@ class TestSyncEndToEnd:
         assert client.sync_totals["syncs_completed"] == 1
 
     def test_timeouts_exhaust_then_degrade_to_gossip(self):
-        sim, net, (server, client) = sync_network(
-            sync_timeout=2.0, sync_backoff_base=1.0, sync_max_attempts=3
-        )
+        # channel_delta=0.5 derives a 2.0 s timeout and a 1.0 s backoff.
+        sim, net, (server, client) = sync_network(channel_delta=0.5)
+        client.sync.max_attempts = 3
         grow_chain(server.tree, 20)
         server.offline = True  # every request is lost
         net.start()
@@ -217,9 +217,7 @@ class TestSyncEndToEnd:
         assert block.block_id in client.tree
 
     def test_rotation_finds_a_live_peer(self):
-        sim, net, nodes = sync_network(
-            n_nodes=3, sync_timeout=2.0, sync_backoff_base=1.0
-        )
+        sim, net, nodes = sync_network(n_nodes=3, channel_delta=0.5)
         client, servers = nodes[0], nodes[1:]
         for server in servers:
             forky_fill(server.tree, 60)
