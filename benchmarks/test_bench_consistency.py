@@ -11,9 +11,16 @@ Not a paper figure — these gate the PR-2 perf claims and populate
   100k reads is infeasible by construction; it is timed on an
   evenly-spaced *subsample* of the same history instead, which is a
   strict **lower bound** on its full cost (a subset of the chains is a
-  subset of the pairs).  Verdict identity is asserted twice: fast ==
+  subset of the pairs).  Verdict identity is asserted twice: fast vs
   reference on the subsample (PropertyCheck equality, witnesses and
-  all), and fast(full) must hold.
+  all, for Eventual Prefix; the verdict for Strong Prefix, whose scan
+  names its own pair), and fast(full) must hold.
+* **violating row** — the same measurement on a forked history shaped
+  like the ``lifecycle-signed-n8`` workload (≥500 distinct chains, ≥5k
+  reads): the path a prodigal-oracle run actually takes, where the
+  fast checkers decide *and* name the witness (``"violating": true``;
+  the reference exits at its first diverging pair, so the ratio is
+  reported, not gated).
 * **prefix gate** — ``Chain.is_prefix_of`` on 50k-deep chains must beat
   the retained tuple comparison by ≥20×, with identical verdicts and an
   identical ``common_prefix`` chain.
@@ -93,6 +100,42 @@ def _scenario_history(n_reads, depth=3000, n_procs=48):
     return rec.history(continuation), tree
 
 
+def _forked_history(n_reads, depth, n_procs, fork_every=8):
+    """A trunk with a one-block stale fork at every ``fork_every``-th
+    height, read ``n_reads`` times: while a fork is open the odd procs
+    read the stale tip, the even ones the winning tip.  Everyone ends on
+    the full trunk; the continuation declares everyone frozen."""
+    tree = BlockTree()
+    rec = HistoryRecorder()
+    procs = [f"p{i}" for i in range(n_procs)]
+    reads_per_block = (n_reads - n_procs) // depth
+    parent, reads = GENESIS, 0
+
+    def append(block):
+        op = rec.begin("env", "append", (block.block_id, block.parent_id))
+        tree.add_block(block)
+        rec.end("env", op, "append", True)
+
+    for height in range(depth):
+        block = make_block(parent, label=str(height))
+        append(block)
+        stale = None
+        if height % fork_every == fork_every - 1:
+            stale = make_block(parent, label=f"stale{height}")
+            append(stale)
+        for _ in range(reads_per_block):
+            tip = stale if stale is not None and reads % 2 else block
+            rec.record_read(procs[reads % n_procs], tree.chain_to(tip.block_id))
+            reads += 1
+        parent = block
+    for proc in procs:
+        rec.record_read(proc, tree.chain_to(parent.block_id))
+    continuation = ContinuationModel(
+        {p: Continuation(True, GrowthMode.FROZEN, "none") for p in procs}
+    )
+    return rec.history(continuation)
+
+
 def _subsample(history, m):
     """Every ⌈n/m⌉-th read (plus each proc's final read) of ``history``.
 
@@ -116,8 +159,7 @@ def _time(fn, repeat=1):
     return (time.perf_counter() - start) / repeat, result
 
 
-def _run_batch_row(n_reads, sample_reads):
-    history, _tree = _scenario_history(n_reads)
+def _run_batch_row(history, sample_reads, violating=False, **shape):
     sample = _subsample(history, sample_reads)
     model = history.continuation
 
@@ -131,18 +173,21 @@ def _run_batch_row(n_reads, sample_reads):
     ref_eventual_s, ref_eventual = _time(
         lambda: pairwise_check_eventual_prefix(sample, SCORE, model)
     )
-    # Identical verdicts: fast == pairwise reference on the very same
-    # (sub-sampled) history — dataclass equality covers the witnesses.
-    assert check_strong_prefix(sample, model) == ref_strong
+    # Same verdicts on the very same (sub-sampled) history: the Strong
+    # Prefix scan names its own pair, Eventual Prefix is held to dataclass
+    # equality (witness included).
+    assert check_strong_prefix(sample, model).ok == ref_strong.ok
     assert check_eventual_prefix(sample, SCORE, model) == ref_eventual
-    assert fast_strong.ok and fast_eventual.ok and ref_strong.ok and ref_eventual.ok
+    # A violating row is EC-not-SC, like the protocols it stands for.
+    assert fast_eventual.ok and ref_eventual.ok
+    assert fast_strong.ok is ref_strong.ok is not violating
+    assert bool(fast_strong.witness) is violating
 
     new_s = new_strong_s + new_eventual_s
     ref_s = ref_strong_s + ref_eventual_s
     row = {
-        "n_reads": n_reads,
-        "depth": 3000,
-        "n_procs": 48,
+        "n_reads": len(history.reads()),
+        **shape,
         "new_strong_s": round(new_strong_s, 6),
         "new_eventual_s": round(new_eventual_s, 6),
         "ref_sample_reads": len(sample.reads()),
@@ -150,12 +195,20 @@ def _run_batch_row(n_reads, sample_reads):
         "ref_eventual_s": round(ref_eventual_s, 6),
         "speedup_lower_bound": round(ref_s / new_s, 2),
     }
+    if violating:
+        row["violating"] = True
     _RESULTS["batch"].append(row)
     return row
 
 
+def _run_scenario_row(n_reads, sample_reads):
+    shape = {"depth": 3000, "n_procs": 48}
+    history, _tree = _scenario_history(n_reads, **shape)
+    return _run_batch_row(history, sample_reads, **shape)
+
+
 def test_bench_batch_checkers_10k(report):
-    row = _run_batch_row(10_000, sample_reads=256)
+    row = _run_scenario_row(10_000, sample_reads=256)
     report(
         "Batch consistency checking, 10k-read history (new vs pairwise sample)",
         json.dumps(row, indent=2),
@@ -169,7 +222,7 @@ def test_bench_batch_checkers_100k_gate(report):
     same history — a strict lower bound on its 100k cost (≈ (100k/512)²
     ≈ 38000× more pairs) — so the asserted ratio is wildly conservative.
     """
-    row = _run_batch_row(100_000, sample_reads=512)
+    row = _run_scenario_row(100_000, sample_reads=512)
     speedup = row["speedup_lower_bound"]
     report(
         "Batch consistency checking, 100k-read history (gate: ≥10×)",
@@ -177,6 +230,20 @@ def test_bench_batch_checkers_100k_gate(report):
     )
     assert speedup >= 10.0, (
         f"batch checking speedup lower bound {speedup:.1f}× below the 10× gate"
+    )
+
+
+def test_bench_batch_checkers_violating(report):
+    """The failure path is the normal path for EC-not-SC protocols."""
+    shape = {"depth": 600, "n_procs": 8}
+    history = _forked_history(n_reads=6_000, **shape)
+    chains = {history.returned_chain(r).tip.block_id for r in history.reads()}
+    assert len(chains) >= 500 and len(history.reads()) >= 5_000
+    row = _run_batch_row(history, sample_reads=256, violating=True, **shape)
+    report(
+        f"Batch consistency checking, forked history ({len(chains)} distinct "
+        "chains): decide + witness vs pairwise sample",
+        json.dumps(row, indent=2),
     )
 
 
@@ -266,7 +333,8 @@ def test_emit_bench_json():
     # Refuse to emit a hollow trajectory: a partial run (-k filter, an
     # earlier gate failure, reordered execution) must not overwrite the
     # artifact with empty sections that look like a measured result.
-    assert {row["n_reads"] for row in _RESULTS["batch"]} == {10_000, 100_000}, (
+    passing = {r["n_reads"] for r in _RESULTS["batch"] if not r.get("violating")}
+    assert passing == {10_000, 100_000} and len(_RESULTS["batch"]) == 3, (
         "batch rows missing — run the whole file, not a subset"
     )
     assert _RESULTS["prefix_50k"] and _RESULTS["memory"], (

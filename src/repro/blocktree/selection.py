@@ -3,8 +3,10 @@
 ``f(bt)`` picks one blockchain out of the BlockTree — "the longest chain
 or the heaviest chain used in some blockchain implementations".  The
 paper's figures break score ties lexicographically ("in case of equality,
-selects the largest based on the lexicographical order"); our
-implementations accept a pluggable tie-break and default to the paper's.
+selects the largest based on the lexicographical order"), and so do all
+three rules here — the tree maintains each argmax incrementally under
+that tie-break (:func:`lexicographic_max` states it; the rescan oracles
+in :mod:`repro.blocktree.reference` apply it literally).
 
 Implementations:
 
@@ -18,8 +20,7 @@ Implementations:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable
+from dataclasses import dataclass
 
 from repro.blocktree.block import Block
 from repro.blocktree.chain import Chain
@@ -64,17 +65,10 @@ class LongestChain(SelectionFunction):
     """Select the leaf of maximum height, tie-broken lexicographically."""
 
     name: str = "longest"
-    tiebreak: Callable[[list[Block]], Block] = field(default=lexicographic_max)
 
     def select(self, tree: BlockTree) -> Chain:
         """The max-height leaf's chain — O(1) amortized on the heap index."""
-        if self.tiebreak is lexicographic_max:
-            # Fast path: the tree maintains this argmax incrementally.
-            return tree.chain_to(tree.best_leaf_by_height().block_id)
-        leaves = tree.leaves()
-        best_height = max(tree.height(b.block_id) for b in leaves)
-        best = [b for b in leaves if tree.height(b.block_id) == best_height]
-        return tree.chain_to(self.tiebreak(best).block_id)
+        return tree.chain_to(tree.best_leaf_by_height().block_id)
 
 
 @dataclass
@@ -82,16 +76,10 @@ class HeaviestChain(SelectionFunction):
     """Select the leaf of maximum cumulative chain weight (total work)."""
 
     name: str = "heaviest"
-    tiebreak: Callable[[list[Block]], Block] = field(default=lexicographic_max)
 
     def select(self, tree: BlockTree) -> Chain:
         """The max-chain-weight leaf's chain — O(1) amortized on the heap."""
-        if self.tiebreak is lexicographic_max:
-            return tree.chain_to(tree.best_leaf_by_weight().block_id)
-        leaves = tree.leaves()
-        best_weight = max(tree.chain_weight(b.block_id) for b in leaves)
-        best = [b for b in leaves if tree.chain_weight(b.block_id) == best_weight]
-        return tree.chain_to(self.tiebreak(best).block_id)
+        return tree.chain_to(tree.best_leaf_by_weight().block_id)
 
 
 @dataclass
@@ -106,19 +94,7 @@ class GHOSTSelection(SelectionFunction):
     """
 
     name: str = "ghost"
-    tiebreak: Callable[[list[Block]], Block] = field(default=lexicographic_max)
 
     def select(self, tree: BlockTree) -> Chain:
         """Descend best-child pointers root→leaf — O(Δ) amortized."""
-        if self.tiebreak is lexicographic_max:
-            return tree.chain_to(tree.ghost_leaf().block_id)
-        cursor = tree.genesis
-        while True:
-            children = list(tree.children(cursor.block_id))
-            if not children:
-                return tree.chain_to(cursor.block_id)
-            best_weight = max(tree.subtree_weight(c.block_id) for c in children)
-            best = [
-                c for c in children if tree.subtree_weight(c.block_id) == best_weight
-            ]
-            cursor = self.tiebreak(best)
+        return tree.chain_to(tree.ghost_leaf().block_id)

@@ -22,9 +22,9 @@ Prefix O(p·log n + r) via a collective-LCA fold, Block Validity
 O(n + r) via a cumulative root-path memo; the online
 :class:`~repro.consistency.monitor.ConsistencyMonitor` pays O(log c)
 per read for Strong Prefix and amortized O(Δ) for Block Validity.
-Failing verdicts delegate to the retained pairwise reference
-(:mod:`repro.consistency.reference`), so witnesses are byte-identical
-to the pre-index implementation.
+Failing verdicts cost the same: each scan names its own witness.  The
+pre-index pairwise checkers (:mod:`repro.consistency.reference`) are
+re-exported here for the differential tests and benches only.
 """
 
 from repro.consistency.properties import (

@@ -26,11 +26,6 @@ from repro.consistency.properties import (
     check_local_monotonic_read,
     check_strong_prefix,
 )
-from repro.consistency.reference import (
-    pairwise_check_block_validity,
-    pairwise_check_eventual_prefix,
-    pairwise_check_strong_prefix,
-)
 from repro.histories.continuation import ContinuationModel
 from repro.histories.history import ConcurrentHistory
 
@@ -69,18 +64,11 @@ class CriterionReport:
 
 @dataclass
 class BTStrongConsistency:
-    """The BT Strong Consistency criterion (Definition 3.2).
-
-    ``pairwise_reference=True`` routes the batch-checkable clauses
-    through the retained O(reads²) pairwise implementations
-    (:mod:`repro.consistency.reference`) — the differential-test oracle
-    and the baseline the consistency benches measure against.
-    """
+    """The BT Strong Consistency criterion (Definition 3.2)."""
 
     score: ScoreFunction
     valid_block_ids: Optional[Set[str]] = None
     strict_order: bool = False
-    pairwise_reference: bool = False
 
     def check(
         self,
@@ -89,22 +77,12 @@ class BTStrongConsistency:
     ) -> CriterionReport:
         """Evaluate all four SC properties on ``history``."""
         model = continuation if continuation is not None else history.continuation
-        validity = (
-            pairwise_check_block_validity
-            if self.pairwise_reference
-            else check_block_validity
-        )
-        strong = (
-            pairwise_check_strong_prefix
-            if self.pairwise_reference
-            else check_strong_prefix
-        )
         checks = {
-            "block-validity": validity(
+            "block-validity": check_block_validity(
                 history, self.valid_block_ids, self.strict_order
             ),
             "local-monotonic-read": check_local_monotonic_read(history, self.score),
-            "strong-prefix": strong(history, model),
+            "strong-prefix": check_strong_prefix(history, model),
             "ever-growing-tree": check_ever_growing_tree(history, self.score, model),
         }
         return CriterionReport(criterion="BT-Strong-Consistency", checks=checks)
@@ -112,16 +90,11 @@ class BTStrongConsistency:
 
 @dataclass
 class BTEventualConsistency:
-    """The BT Eventual Consistency criterion (Definition 3.4).
-
-    ``pairwise_reference`` selects the retained pairwise checkers, as on
-    :class:`BTStrongConsistency`.
-    """
+    """The BT Eventual Consistency criterion (Definition 3.4)."""
 
     score: ScoreFunction
     valid_block_ids: Optional[Set[str]] = None
     strict_order: bool = False
-    pairwise_reference: bool = False
 
     def check(
         self,
@@ -130,22 +103,12 @@ class BTEventualConsistency:
     ) -> CriterionReport:
         """Evaluate all four EC properties on ``history``."""
         model = continuation if continuation is not None else history.continuation
-        validity = (
-            pairwise_check_block_validity
-            if self.pairwise_reference
-            else check_block_validity
-        )
-        eventual = (
-            pairwise_check_eventual_prefix
-            if self.pairwise_reference
-            else check_eventual_prefix
-        )
         checks = {
-            "block-validity": validity(
+            "block-validity": check_block_validity(
                 history, self.valid_block_ids, self.strict_order
             ),
             "local-monotonic-read": check_local_monotonic_read(history, self.score),
             "ever-growing-tree": check_ever_growing_tree(history, self.score, model),
-            "eventual-prefix": eventual(history, self.score, model),
+            "eventual-prefix": check_eventual_prefix(history, self.score, model),
         }
         return CriterionReport(criterion="BT-Eventual-Consistency", checks=checks)

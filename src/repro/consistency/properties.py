@@ -8,41 +8,39 @@ discuss them.
 Near-linear batch checking
 --------------------------
 
-The safety checkers used to be pairwise — O(reads² · chain length) for
-Strong Prefix — which collapses on scenario histories with 10⁵⁺ reads.
-They now ride the ancestry index (:mod:`repro.blocktree.tree`) and the
-O(log n)/O(1) prefix algebra of :class:`~repro.blocktree.chain.Chain`:
+The safety checkers ride the ancestry index (:mod:`repro.blocktree.tree`)
+and the O(log n)/O(1) prefix algebra of
+:class:`~repro.blocktree.chain.Chain`.  Each property has one path: the
+scan that decides it is the scan that names its witness, so a violating
+history (the normal case for a prodigal-oracle protocol) costs what a
+passing one does.
 
 * **Strong Prefix** — a running-maximum scan (like the online monitor):
   a set of chains is pairwise comparable iff it is totally ordered by
   ``⊑``, so each chain only needs one O(log n) test against the current
-  maximum.  O(reads · log n).
+  maximum.  O(reads · log n).  The pair the scan stops at is the
+  witness: the first read in history order that diverges from any
+  earlier read, named with the read holding the maximum.
 * **Eventual Prefix** — the minimum pairwise common-prefix score of the
   frozen limit chains equals the score of their *collective* maximal
   common prefix (tree LCA argument), computed by a single O(p log n)
-  LCA fold instead of O(p²) pairwise walks.
+  LCA fold; the failing verdicts are stated from the values the fold
+  holds.
 * **Block Validity** — one cumulative pass over the distinct blocks ever
   observed (id-set lookups + a max-append-invocation-eid running along
-  each root path), O(blocks + reads) instead of re-walking every chain
-  of every read.
+  each root path), O(blocks + reads); the first failing read's chain is
+  then walked once, genesis→tip, to name its first offending block.
 
-Verdicts are byte-identical to the retained pairwise reference
-(:mod:`repro.consistency.reference`): the fast scans only *decide*; on
-the failure path the canonical witness (which pair, which block, in
-which scan order) is re-derived so it is the reference's own.
-``tests/test_checkers_differential.py`` asserts the equivalence on
-random refinement histories.
-
-For Strong Prefix that re-derivation is itself fast: comparability
-depends only on a chain's block-id tuple, so the reads collapse into
-chain-equality classes and the reference's first failing pair falls out
-of O(classes²) class-pair tests plus linear scans
-(:func:`_strong_prefix_witness`) — a violating 10⁵-read history no
-longer pays the old pairwise price.  Block Validity and Eventual Prefix
-still delegate to the reference on failure (their witnesses are cheap
-to rescan).  For flagging violations on huge streams as they happen,
-use :class:`~repro.consistency.monitor.ConsistencyMonitor` (O(log n)
-per read, stream-ordered witnesses).
+The pre-index pairwise algorithms survive next door in ``reference.py``
+as a test-and-bench oracle only — nothing here imports them.
+``tests/test_checkers_differential.py`` asserts on random refinement
+histories that Block Validity and Eventual Prefix verdicts equal the
+oracle's, witness and all, and that Strong Prefix agrees on the verdict
+and the failing clause (it may name a different, equally incomparable
+pair than the oracle's ``for i: for j > i`` order).  For flagging
+violations on huge streams as they happen, use
+:class:`~repro.consistency.monitor.ConsistencyMonitor` (O(log n) per
+read, stream-ordered witnesses).
 
 Liveness clauses are decided under the continuation semantics documented
 in :mod:`repro.histories.continuation`:
@@ -60,13 +58,14 @@ in :mod:`repro.histories.continuation`:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, Iterable, List, Optional, Set, Tuple
 
 from repro.blocktree.chain import Chain
 from repro.blocktree.score import ScoreFunction
 from repro.histories.continuation import ContinuationModel, GrowthMode
-from repro.histories.events import Event, EventKind
+from repro.histories.events import Event, EventKind, OpRecord
 from repro.histories.history import ConcurrentHistory
 
 __all__ = [
@@ -138,6 +137,41 @@ def program_order_reaches(history: ConcurrentHistory, e1: Event, e2: Event) -> b
 # ---------------------------------------------------------------------------
 
 
+def _first_offending_block(
+    history: ConcurrentHistory,
+    read: OpRecord,
+    valid_block_ids: Optional[Set[str]],
+    invocations: Dict[str, List[Event]],
+    strict_order: bool,
+) -> Optional[PropertyCheck]:
+    """Block Validity of one read: the failing verdict naming the first
+    block (genesis→tip) of its chain that is invalid or has no ``append``
+    invocation before the read's response, or ``None``."""
+    for block in history.returned_chain(read).non_genesis():
+        if valid_block_ids is not None and block.block_id not in valid_block_ids:
+            return PropertyCheck(
+                "block-validity",
+                False,
+                f"read {read.op_id} at {read.proc} returned invalid block "
+                f"{block.short()} (∉ B′)",
+            )
+        invs = invocations.get(block.block_id, ())
+        if strict_order:
+            ordered = any(
+                program_order_reaches(history, inv, read.response) for inv in invs
+            )
+        else:
+            ordered = any(inv.eid < read.resp_eid for inv in invs)
+        if not ordered:
+            return PropertyCheck(
+                "block-validity",
+                False,
+                f"read {read.op_id} at {read.proc} returned block "
+                f"{block.short()} with no prior append invocation",
+            )
+    return None
+
+
 def check_block_validity(
     history: ConcurrentHistory,
     valid_block_ids: Optional[Set[str]] = None,
@@ -149,32 +183,32 @@ def check_block_validity(
     valid — membership in ``valid_block_ids`` when supplied, else taken on
     trust from the recording — and (ii) have an ``append`` invocation
     program-order-before the read's response.  With ``strict_order`` the
-    exact ``ր`` reachability is used (the pairwise reference decides it);
-    the default compares global event order, which coincides on
-    recorder-produced histories (appends are recorded before the blocks
-    become visible to reads).
+    exact ``ր`` reachability is used, which quantifies over the whole
+    event order, so every read's chain is walked; the default compares
+    global event order, which coincides on recorder-produced histories
+    (appends are recorded before the blocks become visible to reads).
 
-    Near-linear: each *distinct* block is examined once.  A per-block
-    memo carries two cumulative facts along every root path — whether all
-    blocks so far are valid members of ``B′`` with at least one append
-    invocation, and the maximum first-invocation eid seen — so judging a
-    read is an O(Δ) tipward walk to the memo frontier plus one O(1)
-    comparison against its response eid.  On failure the pairwise
-    reference re-derives the byte-identical witness.
+    Near-linear by default: each *distinct* block is examined once.  A
+    per-block memo carries two cumulative facts along every root path —
+    whether all blocks so far are valid members of ``B′`` with at least
+    one append invocation, and the maximum first-invocation eid seen — so
+    judging a read is an O(Δ) tipward walk to the memo frontier plus one
+    O(1) comparison against its response eid.  The first read that fails
+    gets the one genesis→tip walk that names its first offending block.
     """
-    from repro.consistency.reference import pairwise_check_block_validity
-
-    if strict_order:
-        # Exact ր reachability quantifies over the whole event order; the
-        # reference implements it directly (it was never the hot path).
-        return pairwise_check_block_validity(history, valid_block_ids, True)
-    first_inv: Dict[str, int] = {}
+    invocations: Dict[str, List[Event]] = {}
     for op in history.appends():
         if op.args:
-            bid = str(op.args[0])
-            eid = op.invocation.eid
-            if bid not in first_inv or eid < first_inv[bid]:
-                first_inv[bid] = eid
+            invocations.setdefault(str(op.args[0]), []).append(op.invocation)
+    if strict_order:
+        for read in history.reads():
+            verdict = _first_offending_block(
+                history, read, valid_block_ids, invocations, True
+            )
+            if verdict is not None:
+                return verdict
+        return PropertyCheck("block-validity", True)
+    first_inv = {b: min(inv.eid for inv in invs) for b, invs in invocations.items()}
     #: block id → (all blocks on its root path valid+appended, max first
     #: append-invocation eid along that path).  Read-independent, so it
     #: is shared by every read that revisits the block.
@@ -182,7 +216,7 @@ def check_block_validity(
     for read in history.reads():
         chain = history.returned_chain(read)
         suffix: List = []
-        ok, max_eid = True, float("-inf")
+        ok, max_eid = True, -math.inf
         for block in chain.iter_tipward():
             if block.parent_id is None:
                 break
@@ -196,14 +230,20 @@ def check_block_validity(
                 if valid_block_ids is not None and block.block_id not in valid_block_ids:
                     ok = False
                 else:
-                    eid = first_inv.get(block.block_id)
-                    if eid is None:
-                        max_eid = float("inf")
-                    elif eid > max_eid:
+                    eid = first_inv.get(block.block_id, math.inf)
+                    if eid > max_eid:
                         max_eid = eid
             memo[block.block_id] = (ok, max_eid)
         if not ok or max_eid >= read.resp_eid:
-            return pairwise_check_block_validity(history, valid_block_ids, False)
+            verdict = _first_offending_block(
+                history, read, valid_block_ids, invocations, False
+            )
+            if verdict is None:
+                raise RuntimeError(
+                    f"block-validity scan flagged read {read.op_id} but its "
+                    "chain has no offending block"
+                )
+            return verdict
     return PropertyCheck("block-validity", True)
 
 
@@ -267,176 +307,25 @@ def _limit_chains(
     return limits
 
 
-def _ids_comparable(ka: Tuple[str, ...], kb: Tuple[str, ...]) -> bool:
-    """``⊑``-comparability on block-id tuples (prefix either way)."""
-    if len(ka) <= len(kb):
-        return kb[: len(ka)] == ka
-    return ka[: len(kb)] == kb
+def _first_divergence(chains: Iterable[Chain]) -> Tuple[Optional[int], Optional[int]]:
+    """Running-maximum scan over ``chains``: positions ``(m, j)``, ``m < j``,
+    where the ``j``-th chain is the first one incomparable with an earlier
+    one and the ``m``-th holds the maximum of those before it; ``(m, None)``
+    when the sequence is totally ordered by ``⊑`` with its maximum at ``m``
+    (``None`` for an empty sequence).  Stops consuming at ``j``.
 
-
-def _first_incomparable_pair(
-    cls_seq: List[int], incomparable: Dict[int, Set[int]]
-) -> Optional[Tuple[int, int]]:
-    """First ``(i, j)``, ``i < j``, with incomparable classes — in the
-    reference's canonical ``for i: for j > i`` scan order — in
-    O(positions + classes²) instead of O(positions²).
-
-    A position ``i`` is the first member of the failing pair iff some
-    class incomparable with ``cls_seq[i]`` still occurs *after* ``i``;
-    tracked by per-class suffix occurrence counts and a live count of
-    incomparable classes, both maintained under single decrements.
+    Two prefixes of one maximum are always comparable, so "incomparable
+    with the maximum" ⇔ "incomparable with some earlier chain": one
+    O(log n) ancestor test per chain decides pairwise comparability.
     """
-    count: Dict[int, int] = {}
-    for c in cls_seq:
-        count[c] = count.get(c, 0) + 1
-    live = set(count)
-    inc_live = {
-        c: sum(1 for d in incomparable.get(c, ()) if d in live) for c in live
-    }
-    for i, c in enumerate(cls_seq):
-        count[c] -= 1
-        if count[c] == 0:
-            live.discard(c)
-            for d in incomparable.get(c, ()):
-                inc_live[d] -= 1
-        if inc_live[c] > 0:
-            bad = incomparable[c]
-            for j in range(i + 1, len(cls_seq)):
-                if cls_seq[j] in bad:
-                    return i, j
-    return None
-
-
-def _strong_prefix_witness(
-    history: ConcurrentHistory, continuation: Optional[ContinuationModel]
-) -> PropertyCheck:
-    """The pairwise reference's canonical Strong Prefix witness, derived
-    without the O(reads²) rescan.
-
-    Comparability of two chains depends only on their block-id tuples,
-    so the reads collapse into chain-equality classes: the reference's
-    first failing pair is recomputed from O(classes²) class-pair tests
-    plus two linear scans, preserving its exact scan order (read pairs,
-    then limit pairs, then reads × limits) and message text.  Verdicts
-    stay byte-identical to :func:`pairwise_check_strong_prefix` —
-    asserted by ``tests/test_checkers_differential.py`` — while a
-    violating 10⁵-read history drops from minutes to milliseconds.
-    """
-    reads = history.reads()
-    chains = [history.returned_chain(r) for r in reads]
-    class_of: Dict[Tuple[str, ...], int] = {}
-    keys: List[Tuple[str, ...]] = []
-    cls_seq: List[int] = []
-    for chain in chains:
-        key = chain.block_ids()
-        idx = class_of.get(key)
-        if idx is None:
-            idx = class_of[key] = len(keys)
-            keys.append(key)
-        cls_seq.append(idx)
-    inc: Dict[int, Set[int]] = {c: set() for c in range(len(keys))}
-    for a in range(len(keys)):
-        for b in range(a + 1, len(keys)):
-            if not _ids_comparable(keys[a], keys[b]):
-                inc[a].add(b)
-                inc[b].add(a)
-    hit = _first_incomparable_pair(cls_seq, inc)
-    if hit is not None:
-        i, j = hit
-        r1, c1 = reads[i], chains[i]
-        r2, c2 = reads[j], chains[j]
-        return PropertyCheck(
-            "strong-prefix",
-            False,
-            f"reads {r1.op_id}@{r1.proc} and {r2.op_id}@{r2.proc} returned "
-            f"diverging chains [{c1.describe()}] vs [{c2.describe()}]",
-        )
-    if continuation is None:
-        return PropertyCheck("strong-prefix", True)
-
-    limits = _limit_chains(history, continuation)
-    limit_items = sorted(limits.items())
-    # Same class trick for the limit chains.  Growing processes of one
-    # group share the group branch verbatim, so distinct classes never
-    # carry the same growing group — the reference's same-group skip is
-    # kept anyway for exactness.
-    lclass_of: Dict[Tuple[str, Tuple[str, ...]], int] = {}
-    lmeta: List[Tuple[str, Tuple[str, ...]]] = []
-    lcls_seq: List[int] = []
-    for _proc, (group, limit) in limit_items:
-        lkey = (group, limit.block_ids())
-        idx = lclass_of.get(lkey)
-        if idx is None:
-            idx = lclass_of[lkey] = len(lmeta)
-            lmeta.append(lkey)
-        lcls_seq.append(idx)
-    linc: Dict[int, Set[int]] = {c: set() for c in range(len(lmeta))}
-    for a in range(len(lmeta)):
-        ga, ka = lmeta[a]
-        for b in range(a + 1, len(lmeta)):
-            gb, kb = lmeta[b]
-            if ga == gb and ga != "<frozen>":
-                continue
-            if not _ids_comparable(ka, kb):
-                linc[a].add(b)
-                linc[b].add(a)
-    hit = _first_incomparable_pair(lcls_seq, linc)
-    if hit is not None:
-        i, j = hit
-        p1, (_g1, l1) = limit_items[i]
-        p2, (_g2, l2) = limit_items[j]
-        return PropertyCheck(
-            "strong-prefix",
-            False,
-            f"limit chains of {p1} and {p2} diverge: "
-            f"[{l1.describe()}] vs [{l2.describe()}]",
-        )
-    # Reads × limits, outer loop over reads: the first violating limit
-    # index depends only on the read's chain class, so it is memoized
-    # per class and the scan over reads is linear.
-    first_bad_limit: Dict[int, int] = {}
-
-    def _first_violating_limit(rc: int) -> int:
-        cached = first_bad_limit.get(rc)
-        if cached is not None:
-            return cached
-        key = keys[rc]
-        answer = -1
-        for li, (_proc, (group, limit)) in enumerate(limit_items):
-            _lgroup, lkey = lmeta[lcls_seq[li]]
-            if group != "<frozen>":
-                # A growing branch extends forever: the observed chain
-                # must be a prefix of (or equal to) the branch.
-                ok = len(key) <= len(lkey) and lkey[: len(key)] == key
-            else:
-                ok = _ids_comparable(key, lkey)
-            if not ok:
-                answer = li
-                break
-        first_bad_limit[rc] = answer
-        return answer
-
-    for i, rc in enumerate(cls_seq):
-        li = _first_violating_limit(rc)
-        if li < 0:
-            continue
-        read, chain = reads[i], chains[i]
-        proc, (group, _limit) = limit_items[li]
-        if group != "<frozen>":
-            return PropertyCheck(
-                "strong-prefix",
-                False,
-                f"read {read.op_id}@{read.proc} chain "
-                f"[{chain.describe()}] diverges from growing branch "
-                f"of {proc}",
-            )
-        return PropertyCheck(
-            "strong-prefix",
-            False,
-            f"read {read.op_id}@{read.proc} chain diverges from "
-            f"frozen limit of {proc}",
-        )
-    return PropertyCheck("strong-prefix", True)
+    m: Optional[int] = None
+    top: Optional[Chain] = None
+    for j, chain in enumerate(chains):
+        if top is None or top.is_prefix_of(chain):
+            m, top = j, chain
+        elif not chain.is_prefix_of(top):
+            return m, j
+    return m, None
 
 
 def check_strong_prefix(
@@ -449,47 +338,58 @@ def check_strong_prefix(
     group's branch must extend every observed chain or be extended by it;
     chains that diverge in the limit witness a violation).
 
-    Near-linear: a set of chains is pairwise comparable iff it is totally
-    ordered by ``⊑``, so a running-maximum scan with one O(log n)
-    ancestor test per chain decides the property (two prefixes of the
-    maximum are always mutually comparable).  The reads-vs-limits clause
-    reduces to testing the maximum observed chain alone: every observed
-    chain is a prefix of it, and ``⊑`` is transitive.  On failure the
-    canonical reference witness is re-derived by the class-collapsed
-    scan of :func:`_strong_prefix_witness`.
+    Three clauses, in order: the reads in history order and the limit
+    chains sorted by process are each one :func:`_first_divergence` scan
+    (growing processes of one group share their branch, so the pair found
+    is never a same-group pair); reads × limits then tests the maximum
+    read alone against each limit — every read is a prefix of it, ``⊑``
+    is transitive, and being a read itself it is the witness.
     """
     reads = history.reads()
-    max_chain: Optional[Chain] = None
-    for read in reads:
-        chain = history.returned_chain(read)
-        if max_chain is None or max_chain.is_prefix_of(chain):
-            max_chain = chain
-        elif not chain.is_prefix_of(max_chain):
-            return _strong_prefix_witness(history, continuation)
-    if continuation is not None:
-        limits = _limit_chains(history, continuation)
-        limit_items = sorted(limits.items())
-        # Limit-vs-limit: same running-maximum argument.  (The reference
-        # skips same-growing-group pairs, but those share one branch
-        # chain and can never be the incomparable pair that fails here.)
-        max_limit: Optional[Chain] = None
-        for _proc, (_group, limit) in limit_items:
-            if max_limit is None or max_limit.is_prefix_of(limit):
-                max_limit = limit
-            elif not limit.is_prefix_of(max_limit):
-                return _strong_prefix_witness(history, continuation)
-        if max_chain is not None:
-            for _proc, (group, limit) in limit_items:
-                if group != "<frozen>":
-                    # All chains ⊑ max_chain, so max_chain ⊑ branch ⟺
-                    # every observed chain stays on the growing branch.
-                    if not max_chain.is_prefix_of(limit):
-                        return _strong_prefix_witness(history, continuation)
-                elif not max_chain.comparable(limit):
-                    # If the maximum is comparable with the frozen limit,
-                    # every prefix of it is too; the converse is witnessed
-                    # by the maximum itself (it is one of the reads).
-                    return _strong_prefix_witness(history, continuation)
+    chain_of = history.returned_chain
+    m, j = _first_divergence(map(chain_of, reads))
+    if j is not None:
+        r1, r2 = reads[m], reads[j]
+        return PropertyCheck(
+            "strong-prefix",
+            False,
+            f"reads {r1.op_id}@{r1.proc} and {r2.op_id}@{r2.proc} returned "
+            f"diverging chains [{chain_of(r1).describe()}] vs "
+            f"[{chain_of(r2).describe()}]",
+        )
+    if continuation is None:
+        return PropertyCheck("strong-prefix", True)
+    limit_items = sorted(_limit_chains(history, continuation).items())
+    limit_chains = [limit for _proc, (_group, limit) in limit_items]
+    lm, lj = _first_divergence(limit_chains)
+    if lj is not None:
+        return PropertyCheck(
+            "strong-prefix",
+            False,
+            f"limit chains of {limit_items[lm][0]} and {limit_items[lj][0]} diverge: "
+            f"[{limit_chains[lm].describe()}] vs [{limit_chains[lj].describe()}]",
+        )
+    if m is not None:
+        read, top = reads[m], chain_of(reads[m])
+        for proc, (group, limit) in limit_items:
+            if group != "<frozen>":
+                # A growing branch extends forever: the observed chain
+                # must be a prefix of (or equal to) the branch.
+                if not top.is_prefix_of(limit):
+                    return PropertyCheck(
+                        "strong-prefix",
+                        False,
+                        f"read {read.op_id}@{read.proc} chain "
+                        f"[{top.describe()}] diverges from growing branch "
+                        f"of {proc}",
+                    )
+            elif not top.comparable(limit):
+                return PropertyCheck(
+                    "strong-prefix",
+                    False,
+                    f"read {read.op_id}@{read.proc} chain diverges from "
+                    f"frozen limit of {proc}",
+                )
     return PropertyCheck("strong-prefix", True)
 
 
@@ -543,39 +443,55 @@ def check_eventual_prefix(
     their *collective* maximal common prefix.  Its score equals the
     minimal pairwise score exactly: every pairwise common prefix extends
     the collective one (monotone score ⇒ ≥), and the pair that diverges
-    first attains it.  On failure the pairwise reference re-derives the
-    byte-identical witness.
+    first attains it.
     """
-    from repro.consistency.reference import pairwise_check_eventual_prefix
-
     model = continuation if continuation is not None else history.continuation
     if model is None:
         return PropertyCheck("eventual-prefix", True, "complete history (vacuous)")
     limits = _limit_chains(history, model)
     if not limits:
         return PropertyCheck("eventual-prefix", True, "no process reads forever")
-    growing = {p: gl for p, gl in limits.items() if gl[0] != "<frozen>"}
-    frozen = {p: gl for p, gl in limits.items() if gl[0] == "<frozen>"}
-    if growing:
-        groups = {g for g, _ in growing.values()}
-        if len(groups) > 1 or frozen:
-            return pairwise_check_eventual_prefix(history, score, continuation)
+    groups = sorted({g for g, _ in limits.values() if g != "<frozen>"})
+    frozen = {p: c for p, (g, c) in limits.items() if g == "<frozen>"}
+    if len(groups) > 1:
+        g1, g2 = groups[:2]
+        return PropertyCheck(
+            "eventual-prefix",
+            False,
+            f"growth groups {g1!r} and {g2!r} diverge forever: future read "
+            "scores grow unboundedly past their fixed common prefix",
+        )
+    if groups and frozen:
+        fp = min(frozen)
+        return PropertyCheck(
+            "eventual-prefix",
+            False,
+            f"process {fp} is frozen while others grow: growing reads "
+            "eventually score past the fixed common prefix with "
+            f"{fp}'s final chain",
+        )
+    if groups:
         return PropertyCheck("eventual-prefix", True)
     # All reads-forever processes frozen: the minimal pairwise common-prefix
     # score must cover every score ever read (observed or final).
-    chains = [c for _, c in frozen.values()]
+    chains = list(frozen.values())
     if len(chains) > 1:
         collective = chains[0]
         for chain in chains[1:]:
             collective = collective.common_prefix(chain)
         min_pair = score(collective)
     else:
-        min_pair = float("inf")
+        min_pair = math.inf
     observed = [score(history.returned_chain(r)) for r in history.reads()]
     observed.extend(score(c) for c in chains)
     s_max = max(observed, default=score.genesis_score)
     if min_pair < s_max:
-        return pairwise_check_eventual_prefix(history, score, continuation)
+        return PropertyCheck(
+            "eventual-prefix",
+            False,
+            f"frozen limit chains agree only up to score {min_pair} but a read "
+            f"scored {s_max}",
+        )
     return PropertyCheck("eventual-prefix", True)
 
 

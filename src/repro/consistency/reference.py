@@ -16,13 +16,14 @@ consistency benches compare against
 
 All prefix decisions go through the retained tuple-walking algebra of
 :mod:`repro.blocktree.reference`, so this module exercises none of the
-ancestry index it is the oracle for.  Block Validity and Eventual
-Prefix delegate to this module on their (rare) failure paths, making
-their failing :class:`PropertyCheck` verdicts — witnesses included —
-byte-identical by construction; Strong Prefix re-derives this module's
-canonical witness through a class-collapsed scan instead (see
-``properties._strong_prefix_witness``), and the differential tests
-assert equality on both the failure and success paths.
+ancestry index it is the oracle for.  Nothing under ``src/repro`` calls
+it (``tests/test_reference_isolation.py``): the near-linear checkers
+state their own witnesses.  The differential tests hold Block Validity
+and Eventual Prefix to :class:`PropertyCheck` equality with this
+module — witness included — and Strong Prefix to the same verdict and
+failing clause, with a named pair that is incomparable under
+``tuple_comparable`` (the running-maximum scan stops at a different,
+equally valid pair than the ``for i: for j > i`` order here).
 """
 
 from __future__ import annotations
@@ -36,6 +37,11 @@ from repro.blocktree.reference import (
     tuple_mcps,
 )
 from repro.blocktree.score import ScoreFunction
+from repro.consistency.properties import (
+    PropertyCheck,
+    _limit_chains,
+    program_order_reaches,
+)
 from repro.histories.continuation import ContinuationModel
 from repro.histories.events import Event
 from repro.histories.history import ConcurrentHistory
@@ -53,8 +59,6 @@ def pairwise_check_block_validity(
     strict_order: bool = False,
 ):
     """Block Validity by full per-read chain rescan (the original)."""
-    from repro.consistency.properties import PropertyCheck, program_order_reaches
-
     append_invocations: Dict[str, List[Event]] = {}
     for op in history.appends():
         if op.args:
@@ -90,8 +94,6 @@ def pairwise_check_strong_prefix(
     history: ConcurrentHistory, continuation: Optional[ContinuationModel] = None
 ):
     """Strong Prefix by comparing all unordered read pairs (the original)."""
-    from repro.consistency.properties import PropertyCheck, _limit_chains
-
     reads = history.reads()
     chains = [(r, history.returned_chain(r)) for r in reads]
     for (r1, c1), (r2, c2) in pairwise_unordered(chains):
@@ -145,8 +147,6 @@ def pairwise_check_eventual_prefix(
     continuation: Optional[ContinuationModel] = None,
 ):
     """Eventual Prefix via all pairwise limit-chain mcps (the original)."""
-    from repro.consistency.properties import PropertyCheck, _limit_chains
-
     model = continuation if continuation is not None else history.continuation
     if model is None:
         return PropertyCheck("eventual-prefix", True, "complete history (vacuous)")

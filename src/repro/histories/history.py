@@ -174,13 +174,16 @@ class ConcurrentHistory:
         """The history with unsuccessful appends removed (§3.4's Ĥ).
 
         Drops invocation *and* response events of every append whose
-        response returned ``False`` (or is pending).
+        response returned ``False`` (or is pending); a history without any
+        is returned as is (histories are not mutated once built).
         """
         bad_ids = {
             op.op_id
             for op in self.appends()
             if not op.complete or op.result is not True
         }
+        if not bad_ids:
+            return self
         kept = [e for e in self.events if e.op_id not in bad_ids]
         return ConcurrentHistory(events=kept, continuation=self.continuation)
 

@@ -107,13 +107,22 @@ class TestHistoryViews:
 
     def test_purged_removes_failed_appends(self):
         rec = HistoryRecorder()
-        rec.record_append("p", "good", True)
+        good = rec.record_append("p", "good", True)
         rec.record_append("p", "bad", False)
         pending = rec.begin("p", "append", ("pending",))
         h = rec.history()
         purged = h.purged()
+        assert purged is not h
+        assert purged.events == [e for e in h.events if e.op_id == good]
         assert len(purged.appends()) == 1
         assert purged.appends()[0].args[0] == "good"
+
+    def test_purged_without_failed_appends_is_the_history_itself(self):
+        rec = HistoryRecorder()
+        rec.record_append("p", "good", True)
+        rec.record_read("p", chain_of("1"))
+        h = rec.history()
+        assert h.purged() is h
 
     def test_restrict_to_procs(self):
         rec = HistoryRecorder()

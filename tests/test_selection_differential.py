@@ -24,7 +24,6 @@ from repro.blocktree import (
     rescan_heaviest,
     rescan_longest,
 )
-from repro.blocktree.selection import lexicographic_max
 
 RULES = [
     (LongestChain, rescan_longest),
@@ -68,24 +67,6 @@ def test_incremental_agrees_with_rescan_while_growing(seed):
             got = rule_cls().select(tree)
             want = rescan(tree)
             assert got.block_ids() == want.block_ids(), rule_cls.__name__
-
-
-@pytest.mark.parametrize("seed", range(8))
-def test_custom_tiebreak_fallback_agrees(seed):
-    """A non-default tiebreak disables the fast path; both paths agree."""
-
-    def my_tiebreak(candidates):
-        # Same ordering as the paper's rule but a distinct function
-        # object, so the identity check routes to the rescan fallback.
-        return max(candidates, key=lambda b: (b.label or b.block_id))
-
-    for tree in grow_random_tree(seed + 1000, n_blocks=120, check_every=0.1):
-        for rule_cls, rescan in RULES:
-            fallback = rule_cls(tiebreak=my_tiebreak).select(tree)
-            fast = rule_cls(tiebreak=lexicographic_max).select(tree)
-            want = rescan(tree)
-            assert fallback.block_ids() == want.block_ids()
-            assert fast.block_ids() == want.block_ids()
 
 
 def test_agreement_survives_copy_and_further_growth():
