@@ -1,7 +1,7 @@
 PYTHON ?= python
 export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH))
 
-.PHONY: test bench-selfcheck bench-smoke bench-perf bench-consistency bench-storage bench-campaign bench-mempool bench-gossip bench-sync bench-scale bench-shard bench-auth bench-check bench-all docs-test campaign
+.PHONY: test identity-dump bench-selfcheck bench-smoke bench-perf bench-consistency bench-storage bench-campaign bench-mempool bench-gossip bench-sync bench-scale bench-shard bench-auth bench-check bench-all docs-test campaign
 
 ## Tier-1: the full unit/property/differential suite (fast, no benches).
 test:
@@ -117,3 +117,10 @@ docs-test:
 bench-all:
 	$(PYTHON) -m pytest benchmarks/ -q \
 		--benchmark-enable --benchmark-json=BENCH_all.json
+
+## Byte-identity dump of every simulated result a refactor must keep
+## (Table 1 defaults, preset cells, a 2×2×2 matrix, Byzantine-miner
+## fingerprints): run on two checkouts and `cmp` the files.
+identity-dump:
+	@test -n "$(OUT)" || (echo "usage: make identity-dump OUT=<file>" >&2; exit 2)
+	$(PYTHON) benchmarks/identity_dump.py $(OUT)

@@ -55,7 +55,7 @@ from repro.workloads.scenarios import (
 from repro.workloads.traffic import traffic_presets
 
 _RESULTS = {"bench": "auth"}
-_JSON_PATH = os.environ.get("BENCH_AUTH_JSON", "BENCH_auth.json")
+_JSON_PATH = "BENCH_auth.json"
 _DURATION = float(os.environ.get("BENCH_AUTH_DURATION", "240"))
 
 _GAP = 50_000  # blocks in the batch-verify sync gap

@@ -34,7 +34,7 @@ from repro.protocols import classify_all
 from repro.workloads import default_scenarios
 
 _RESULTS = {"bench": "campaign"}
-_JSON_PATH = os.environ.get("BENCH_CAMPAIGN_JSON", "BENCH_campaign.json")
+_JSON_PATH = "BENCH_campaign.json"
 _DURATION = float(os.environ.get("BENCH_CAMPAIGN_DURATION", "1000"))
 
 _WORKERS = 4

@@ -58,7 +58,7 @@ from repro.histories import (
 
 SCORE = LengthScore()
 _RESULTS = {"bench": "consistency", "batch": [], "prefix_50k": {}, "memory": {}}
-_JSON_PATH = os.environ.get("BENCH_CONSISTENCY_JSON", "BENCH_consistency.json")
+_JSON_PATH = "BENCH_consistency.json"
 
 
 def _scenario_history(n_reads, depth=3000, n_procs=48):

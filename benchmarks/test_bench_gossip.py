@@ -39,7 +39,7 @@ from repro.workloads.scenarios import ProtocolScenario
 from repro.workloads.traffic import traffic_presets
 
 _RESULTS = {"bench": "gossip"}
-_JSON_PATH = os.environ.get("BENCH_GOSSIP_JSON", "BENCH_gossip.json")
+_JSON_PATH = "BENCH_gossip.json"
 _DURATION = float(os.environ.get("BENCH_GOSSIP_DURATION", "240"))
 
 _FANOUTS = (4, 8, 16)  # peers per node → 5/9/17-node cliques

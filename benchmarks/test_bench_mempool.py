@@ -40,7 +40,7 @@ from repro.workloads.traffic import traffic_presets
 from repro.workloads.transactions import Transaction
 
 _RESULTS = {"bench": "mempool"}
-_JSON_PATH = os.environ.get("BENCH_MEMPOOL_JSON", "BENCH_mempool.json")
+_JSON_PATH = "BENCH_mempool.json"
 _N_TX = int(os.environ.get("BENCH_MEMPOOL_SCALE", "100000"))
 _DURATION = float(os.environ.get("BENCH_MEMPOOL_DURATION", "400"))
 

@@ -42,7 +42,7 @@ from repro.net.reference_queue import HeapSimulator
 from repro.net.simulator import Simulator
 
 _RESULTS = {"bench": "scale"}
-_JSON_PATH = os.environ.get("BENCH_SCALE_JSON", "BENCH_scale.json")
+_JSON_PATH = "BENCH_scale.json"
 _N = int(os.environ.get("BENCH_SCALE_N", "10000"))
 _DURATION = float(os.environ.get("BENCH_SCALE_DURATION", "240"))
 #: Executed-event budget for the new-stack throughput measurement.

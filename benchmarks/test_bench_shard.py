@@ -39,7 +39,7 @@ from repro.workloads.scenarios import ProtocolScenario, adversarial_scenarios
 from repro.workloads.traffic import shard_traffic_presets
 
 _RESULTS = {"bench": "shard"}
-_JSON_PATH = os.environ.get("BENCH_SHARD_JSON", "BENCH_shard.json")
+_JSON_PATH = "BENCH_shard.json"
 _DURATION = float(os.environ.get("BENCH_SHARD_DURATION", "240"))
 
 _SWEEP = (1, 2, 4, 8)

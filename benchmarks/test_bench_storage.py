@@ -42,7 +42,7 @@ _RESULTS = {
     "recovery": {},
     "bounded_hot_set": {},
 }
-_JSON_PATH = os.environ.get("BENCH_STORAGE_JSON", "BENCH_storage.json")
+_JSON_PATH = "BENCH_storage.json"
 _SCALE = int(os.environ.get("BENCH_STORAGE_SCALE", "1000000"))
 
 #: Raw-append floors (blocks/s), ~5-10× below measured dev-box numbers.

@@ -45,7 +45,7 @@ from repro.protocols.base import PassiveNode
 from repro.workloads.scenarios import ProtocolScenario, TreeScenario
 
 _RESULTS = {"bench": "sync"}
-_JSON_PATH = os.environ.get("BENCH_SYNC_JSON", "BENCH_sync.json")
+_JSON_PATH = "BENCH_sync.json"
 _GAP = int(os.environ.get("BENCH_SYNC_GAP", "50000"))
 _DURATION = float(os.environ.get("BENCH_SYNC_DURATION", "240"))
 

@@ -12,7 +12,7 @@ the context of the chain it extends.
 
 from __future__ import annotations
 
-from typing import List, Optional, Set, Tuple
+from typing import Dict, List, Optional, Set, Tuple
 
 from repro.blocktree.chain import Chain
 from repro.mempool.pool import Mempool
@@ -28,6 +28,10 @@ class BlockPacker:
         self.pool = pool
         self.blocks_packed = 0
         self.txs_packed = 0
+
+    def stats(self) -> Dict[str, int]:
+        """Packing totals."""
+        return {"blocks_packed": self.blocks_packed, "txs_packed": self.txs_packed}
 
     def pack(
         self, chain: Chain, limit: int, now: Optional[float] = None

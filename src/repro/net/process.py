@@ -37,9 +37,9 @@ class SimProcess:
     """Base class for simulated processes.
 
     Subclasses override :meth:`on_start`, :meth:`on_message` and
-    :meth:`on_timer`.  Helper methods ``send``, ``broadcast`` and
-    ``set_timer`` are available once the process is registered with a
-    :class:`Network`.
+    :meth:`on_timer`.  Helper methods ``send``, ``broadcast``,
+    ``call_later`` and ``set_timer`` are available once the process is
+    registered with a :class:`Network`.
 
     The base state lives in ``__slots__`` (part of the large-N hot-class
     sweep); subclasses may still declare ad-hoc attributes — they get a
@@ -93,24 +93,26 @@ class SimProcess:
         for other in targets:
             self.send(other, message)
 
-    def set_timer(self, delay: float, tag: Any) -> None:
-        """Schedule :meth:`on_timer` after ``delay``.
+    def call_later(self, delay: float, fn: Callable[..., Any], *args: Any) -> None:
+        """Schedule ``fn(*args)`` after ``delay`` — the one timer guard.
 
-        The timer dies silently if the process is crashed or offline at
-        fire time, or if the process suspended-and-resumed in between
-        (the lifecycle epoch moved on): resumed processes re-arm their
-        own timers, and stale ones must not double-fire into them.
+        The call dies silently if the process is crashed or offline at
+        fire time, or if it suspended or crashed in between (the
+        lifecycle epoch moved on): resumed processes re-arm their own
+        timers, and stale ones must not double-fire into them.
         """
         epoch = self.lifecycle_epoch
 
         def fire() -> None:
-            if self.crashed or self.offline:
+            if self.crashed or self.offline or self.lifecycle_epoch != epoch:
                 return
-            if self.lifecycle_epoch != epoch:
-                return
-            self.on_timer(tag)
+            fn(*args)
 
         self.network.simulator.schedule(delay, fire)
+
+    def set_timer(self, delay: float, tag: Any) -> None:
+        """Schedule :meth:`on_timer` with ``tag`` after ``delay``."""
+        self.call_later(delay, self.on_timer, tag)
 
     @property
     def now(self) -> float:

@@ -47,7 +47,7 @@ transports.
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Tuple
 
 from repro._util import prf_uint64, prf_unit
 from repro.mempool import TX_GOSSIP_TAG
@@ -279,31 +279,17 @@ class ReconcileTransport(GossipTransport):
 
     def on_start(self) -> None:
         # Deterministic per-node stagger so the fleet's rounds interleave
-        # instead of thundering in lockstep.
+        # instead of thundering in lockstep.  Ticks ride the node's
+        # guarded timer, so a transport a crash replaced stops ticking.
         offset = prf_unit("recon-stagger", self.node.scenario.seed, self.node.name)
-        self._schedule(self.interval * (0.5 + 0.5 * offset), self._tick)
-
-    def _schedule(self, delay: float, fn) -> None:
-        node = self.node
-        epoch = getattr(node, "lifecycle_epoch", 0)
-
-        def fire() -> None:
-            if node.crashed or getattr(node, "offline", False):
-                return
-            if getattr(node, "lifecycle_epoch", 0) != epoch:
-                return  # a resumed node's fresh transport re-armed its own
-            if getattr(node, "transport", self) is not self:
-                return  # this transport was replaced by crash recovery
-            fn()
-
-        node.network.simulator.schedule(delay, fire)
+        self.node.call_later(self.interval * (0.5 + 0.5 * offset), self._tick)
 
     def _tick(self) -> None:
         now = self.node.now
         self._retry_fetches(now)
         self._maybe_initiate(now)
         self._tick_count += 1
-        self._schedule(self.interval, self._tick)
+        self.node.call_later(self.interval, self._tick)
 
     # -- node-facing surface ----------------------------------------------
 

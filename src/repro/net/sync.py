@@ -259,20 +259,6 @@ class SyncManager:
         self.totals["bytes_sent"] += size
         self.node.send(dst, message)
 
-    def _schedule(self, delay: float, fn) -> None:
-        """Schedule ``fn`` guarded against crash/suspend/replacement."""
-        node = self.node
-        epoch = node.lifecycle_epoch
-
-        def fire() -> None:
-            if node.sync is not self or node.crashed or node.offline:
-                return
-            if node.lifecycle_epoch != epoch:
-                return
-            fn()
-
-        node.network.simulator.schedule(delay, fire)
-
     # -- client side -------------------------------------------------------
 
     def start_sync(self) -> bool:
@@ -302,40 +288,27 @@ class SyncManager:
         self._send_frontier()
         return True
 
-    def _next_req(self) -> str:
-        self.req_seq += 1
-        self.req_id = f"{self.node.name}/s{self.req_seq}"
-        return self.req_id
-
     def _send_frontier(self) -> None:
-        peer = self._peer()
-        if peer is None:
-            self._fail()
-            return
-        req_id = self._next_req()
         self.round_frontier = frontier_of(self.node.tree)
-        self._send(peer, (SYNC_FRONTIER, req_id, self.round_frontier))
-        self._arm_timeout(req_id)
+        self._request(SYNC_FRONTIER, self.round_frontier)
 
     def _send_range(self) -> None:
+        self._request(SYNC_RANGE, self.round_frontier, self.lo, self.hi, self.offset)
+
+    def _request(self, tag: str, *body: Any) -> None:
+        """Send a fresh request to the current peer and arm its timeout."""
         peer = self._peer()
         if peer is None:
             self._fail()
             return
-        req_id = self._next_req()
-        self._send(
-            peer,
-            (SYNC_RANGE, req_id, self.round_frontier, self.lo, self.hi, self.offset),
-        )
-        self._arm_timeout(req_id)
+        self.req_seq += 1
+        self.req_id = f"{self.node.name}/s{self.req_seq}"
+        self._send(peer, (tag, self.req_id, *body))
+        self.node.call_later(self.timeout, self._expire, self.req_id)
 
-    def _arm_timeout(self, req_id: str) -> None:
-        def expire() -> None:
-            if self.req_id != req_id or not self.syncing:
-                return  # answered (or sync over): stale timer
+    def _expire(self, req_id: str) -> None:
+        if self.req_id == req_id and self.syncing:  # else answered or over
             self._on_timeout()
-
-        self._schedule(self.timeout, expire)
 
     def _on_timeout(self) -> None:
         self.totals["timeouts"] += 1
@@ -354,7 +327,7 @@ class SyncManager:
         # nothing about what the next peer can offer.
         self.state = "frontier"
         self.round_adopted = -1
-        self._schedule(backoff, self._send_frontier)
+        self.node.call_later(backoff, self._send_frontier)
 
     def _fail(self) -> None:
         """Degrade to normal gossip: stop asking, keep listening."""

@@ -35,7 +35,9 @@ class AlgorandNode(BlockchainNode):
 
     def __init__(self, name: str, scenario: ProtocolScenario) -> None:
         super().__init__(name, scenario)
-        stakes = {n: scenario.merit_of(int(n[1:])) for n in scenario.node_names()}
+        stakes = {
+            n: scenario.merit_of(i) for i, n in enumerate(scenario.node_names())
+        }
         self.round = 0
         self.own_proposals: dict = {}
         self.ba = BAStarComponent(
@@ -63,8 +65,6 @@ class AlgorandNode(BlockchainNode):
         self.set_timer(0.5, ("round", self.round + 1))
 
     def on_timer(self, tag: Any) -> None:
-        if self._maybe_periodic_read(tag):
-            return
         if self.ba.on_timer(tag):
             return
         if isinstance(tag, tuple) and tag and tag[0] == "round":
@@ -106,9 +106,6 @@ class AlgorandNode(BlockchainNode):
         self.ba.on_message(src, message)
 
 
-def run_algorand(scenario: ProtocolScenario | None = None, **overrides) -> ProtocolRun:
+def run_algorand(scenario: ProtocolScenario) -> ProtocolRun:
     """Run the Algorand model."""
-    scenario = scenario or ProtocolScenario(
-        name="algorand", round_length=25.0, **overrides
-    )
     return ProtocolRun.execute(AlgorandNode, scenario)

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Tuple, Type
 
 from repro._util import BoundedSet, prf_uint64
-from repro.blocktree.block import Block
+from repro.blocktree.block import Block, make_block
 from repro.blocktree.chain import Chain
 from repro.blocktree.selection import LongestChain, SelectionFunction
 from repro.blocktree.tree import BlockTree
@@ -58,6 +58,9 @@ class BlockchainNode(SimProcess):
     def __init__(self, name: str, scenario: ProtocolScenario) -> None:
         super().__init__(name)
         self.scenario = scenario
+        #: ``i`` of the replica name ``p<i>`` (its merit slot and the
+        #: ``creator`` of the blocks it authors).
+        self.index = int(name[1:])
         self.selection: SelectionFunction = LongestChain()
         # -- measurement apparatus: survives crashes, it belongs to the
         # history being measured, not to the replica --
@@ -79,9 +82,10 @@ class BlockchainNode(SimProcess):
         #: Cumulative fast-sync counters; the :class:`SyncManager` itself
         #: is RAM and writes through to these.
         self.sync_totals: Dict[str, Any] = SyncManager.fresh_totals()
-        #: Counters of authenticators lost to crashes (see :meth:`_boot`).
-        self._auth_carry: Dict[str, int] = {}
-        self.auth = None
+        #: Component → counters of its instances lost to crashes (see
+        #: :meth:`_boot` and :meth:`counters`).
+        self._carry: Dict[str, Dict[str, Any]] = {}
+        self.transport = self.pool = self.packer = self.auth = None
         # -- the replica: a tree persisting through the scenario's
         # block-store backend (the --store knob; with `prune_hot_cap`
         # set, finalized prefixes are checkpointed and evicted from the
@@ -95,7 +99,12 @@ class BlockchainNode(SimProcess):
     def _boot(self, tree: BlockTree) -> None:
         """Build every piece of RAM state a process start builds, around
         ``tree``: the constructor boots a fresh tree, a crash boots an
-        empty placeholder, recovery boots the replayed store."""
+        empty placeholder, recovery boots the replayed store.  What the
+        replaced components counted folds into the carry first: the
+        measurement apparatus outlives every crash."""
+        if self.transport is not None:
+            for component, counters in self._live_counters().items():
+                _fold(self._carry.setdefault(component, {}), counters, _CARRY_GAUGES)
         scenario = self.scenario
         self.tree = tree
         self.orphans: Dict[str, List[Block]] = {}
@@ -143,15 +152,13 @@ class BlockchainNode(SimProcess):
         self.sync = SyncManager(self)
         # Authenticated pipeline (scenario.auth): the per-replica
         # verifier/signer, its PKI rebuilt from the scenario seed.  Of
-        # the authenticator this one replaces, the counters fold into
-        # the carry and the signer-side slashing-protection journal is
-        # kept (real validators persist exactly that, so a recovered
-        # miner never signs a rival at a parent it already extended);
-        # bans and evidence are RAM — re-learned from peers (sync
-        # piggyback + refloods).
+        # the authenticator this one replaces, the signer-side
+        # slashing-protection journal is kept (real validators persist
+        # exactly that, so a recovered miner never signs a rival at a
+        # parent it already extended); bans and evidence are RAM —
+        # re-learned from peers (sync piggyback + refloods).
         old, self.auth = self.auth, scenario.build_auth()
         if old is not None:
-            _fold(self._auth_carry, old.counters)
             self.auth.signed_parents.update(old.signed_parents)
 
     def pipelines(self) -> List[Tuple[int, "BlockchainNode"]]:
@@ -248,16 +255,14 @@ class BlockchainNode(SimProcess):
         self.orphans = kept
 
     def schedule_periodic_reads(self) -> None:
-        """Start the periodic read loop (every ``scenario.read_interval``)."""
-        self.set_timer(self.scenario.read_interval, ("periodic-read",))
+        """Arm the next read of the periodic read loop (every
+        ``scenario.read_interval`` until ``scenario.duration``)."""
+        self.call_later(self.scenario.read_interval, self._periodic_read)
 
-    def _maybe_periodic_read(self, tag: Any) -> bool:
-        if isinstance(tag, tuple) and tag and tag[0] == "periodic-read":
-            if self.now < self.scenario.duration:
-                self.read()
-                self.set_timer(self.scenario.read_interval, ("periodic-read",))
-            return True
-        return False
+    def _periodic_read(self) -> None:
+        if self.now < self.scenario.duration:
+            self.read()
+            self.schedule_periodic_reads()
 
     # -- appends ------------------------------------------------------------------
 
@@ -302,10 +307,18 @@ class BlockchainNode(SimProcess):
         either way: LRC Validity requires the sender to deliver its own
         message.
         """
-        args = (block.parent_id, block.block_id, self.creator_name(block))
-        self.record_instant("send", args)
+        self.record_instant("send", self.block_event_args(block))
         self.transport.announce(block)
-        self.record_instant("receive", args)
+        self.record_receive(block)
+
+    def block_event_args(self, block: Block) -> Tuple[Any, str, str]:
+        """The arguments of a recorded §4.2 send/receive/update."""
+        return (block.parent_id, block.block_id, self.creator_name(block))
+
+    def record_receive(self, block: Block) -> None:
+        """Record the §4.2 ``receive`` of ``block`` and mark it, so that
+        :meth:`adopt_block` records no second one."""
+        self.record_instant("receive", self.block_event_args(block))
         self.received_marks.add(block.block_id)
 
     def validate_incoming(self, block: Block) -> bool:
@@ -357,14 +370,9 @@ class BlockchainNode(SimProcess):
         if block.block_id not in self.received_marks:
             # The block arrived through a consensus/commit message rather
             # than block gossip: that delivery is the §4.2 receive event.
-            self.record_instant(
-                "receive", (block.parent_id, block.block_id, self.creator_name(block))
-            )
-            self.received_marks.add(block.block_id)
+            self.record_receive(block)
         self.tree.add_block(block)
-        self.record_instant(
-            "update", (block.parent_id, block.block_id, self.creator_name(block))
-        )
+        self.record_instant("update", self.block_event_args(block))
         if relay and block.block_id not in self.seen_blocks:
             self.transport.relay_block(block)
         self.seen_blocks.add(block.block_id)
@@ -394,10 +402,7 @@ class BlockchainNode(SimProcess):
         if block_id in self.seen_blocks:
             return
         self.seen_blocks.add(block_id)
-        self.record_instant(
-            "receive", (block.parent_id, block_id, self.creator_name(block))
-        )
-        self.received_marks.add(block_id)
+        self.record_receive(block)
         adopted = self.adopt_block(block, relay=False)
         parked = (
             not adopted
@@ -639,11 +644,32 @@ class BlockchainNode(SimProcess):
 
     def auth_report(self) -> Dict[str, Any]:
         """Cumulative authenticator counters (crash carry included)."""
-        merged = dict(self._auth_carry)
+        if self.auth is None:
+            return {}
+        merged = self.counters("auth")
+        merged["evidence"] = len(self.auth.evidence)
+        merged["banned"] = len(self.auth.banned_ids)
+        return merged
+
+    # -- measurement carry --------------------------------------------------------
+
+    def _live_counters(self) -> Dict[str, Dict[str, Any]]:
+        """Component → counters of the RAM components a crash rebuilds."""
+        live = {"transport": self.transport.stats()}
+        if self.pool is not None:
+            live["pool"] = self.pool.stats()
+            live["packer"] = self.packer.stats()
         if self.auth is not None:
-            _fold(merged, self.auth.counters)
-            merged["evidence"] = len(self.auth.evidence)
-            merged["banned"] = len(self.auth.banned_ids)
+            live["auth"] = self.auth.counters
+        return live
+
+    def counters(self, component: str) -> Dict[str, Any]:
+        """One component's counters over every life of this replica (the
+        pool's current ``occupancy``/``pending`` are the live pool's)."""
+        live = self._live_counters()[component]
+        merged = dict(self._carry.get(component, {}))
+        _fold(merged, live, _CARRY_GAUGES)
+        merged.update((key, live[key]) for key in _LIVE_GAUGES if key in live)
         return merged
 
     # -- node lifecycle ---------------------------------------------------------------
@@ -685,14 +711,13 @@ class BlockchainNode(SimProcess):
         self.on_start()
 
     def lifecycle_crash(self) -> None:
-        """Lose all in-RAM state; only the block store survives.
+        """Suspend and lose all in-RAM state; only the block store survives.
 
         The store is flushed and closed (the crashed OS process's file
         handle is gone); a placeholder empty tree keeps end-of-run
         bookkeeping alive while the node is down.
         """
-        self.offline = True
-        self.lifecycle_epoch += 1
+        self.lifecycle_suspend()
         self.tree._store.flush()
         self.tree._store.close()
         self._boot(BlockTree())
@@ -745,6 +770,20 @@ class BlockchainNode(SimProcess):
             return payload
         return self.txgen.batch(self.scenario.tx_per_block)
 
+    def append_decided(self, tip: Block, label: str, payload: tuple) -> None:
+        """Append the block a consensus instance decided, built on ``tip``.
+
+        Every member builds the same block locally (``creator=None``, so
+        the id is content-derived) and seals its copy with its own key —
+        any registered signer verifies.  Every member records the append
+        too: the replicated records are echoes of one token consumption,
+        deduplicated by block id in the k-fork checker.
+        """
+        block = self.seal_block(make_block(parent=tip, label=label, payload=payload))
+        self.begin_append(block)
+        self.resolve_append(block.block_id, True)
+        self.adopt_block(block, relay=True)
+
     def selected_tip(self) -> Block:
         """The tip of ``f(bt)`` on the local replica."""
         return self.select_chain().tip
@@ -761,6 +800,12 @@ class PassiveNode(BlockchainNode):
 
     def on_message(self, src: str, message: Any) -> None:
         self.on_gossip(src, message)
+
+
+#: Crash-carry folding (see :meth:`BlockchainNode.counters`): the peak
+#: is a maximum over lives, current readings are the live pool's alone.
+_CARRY_GAUGES = ("peak_occupancy",)
+_LIVE_GAUGES = ("occupancy", "pending")
 
 
 def _fold(
@@ -942,7 +987,7 @@ class ProtocolRun:
         stats (the invariant the mempool bench gates).
 
         * ``per_node`` — pool lifecycle counters, packer totals and
-          gossip duplicate counts for every replica;
+          gossip duplicate counts for every replica (crash carry included);
         * ``committed`` — throughput over each shard's majority-view
           chain: unique committed transactions, committed tx per
           simulated second, and the confirmation-latency distribution
@@ -960,9 +1005,8 @@ class ProtocolRun:
         from repro.protocols.classify import majority_view
 
         def pool_stats(chain: BlockchainNode) -> Dict[str, int]:
-            stats = dict(chain.pool.stats())
-            stats["blocks_packed"] = chain.packer.blocks_packed
-            stats["txs_packed"] = chain.packer.txs_packed
+            stats = chain.counters("pool")
+            stats.update(chain.counters("packer"))
             stats["tx_gossip_received"] = chain.tx_gossip_received
             stats["tx_gossip_duplicates"] = chain.tx_gossip_duplicates
             return stats
@@ -1073,14 +1117,14 @@ class ProtocolRun:
     def gossip_stats(self) -> Dict[str, Any]:
         """Dissemination-transport measurements (both gossip kinds).
 
-        ``per_node`` carries each replica's transport counters (modelled
-        bytes by traffic class, and round/fetch counters under
-        reconciliation); ``totals`` sums the byte/message columns — the
+        ``per_node`` carries each replica's transport counters, crash
+        carry included (modelled bytes by traffic class, and round/fetch
+        counters under reconciliation); ``totals`` sums the byte/message columns — the
         numerator of the gossip bench's relayed-bytes-per-committed-tx
         metric.  Deterministic: byte costs are modelled from message
         structure, never wall clock.
         """
-        per_node = self._per_replica(lambda chain: chain.transport.stats())
+        per_node = self._per_replica(lambda chain: chain.counters("transport"))
         totals = {
             key: sum(stats[key] for stats in per_node.values())
             for key in ("messages_sent", "bytes_sent", "block_bytes_sent",

@@ -33,12 +33,17 @@ their blocks:
 * :class:`StolenIdentityRelay` — mines blocks claiming a victim's
   ``creator`` identity, sealed with its own key (it cannot produce the
   victim's digest); identity binding rejects them (``wrong-signer``).
+
+Each adversary overrides one step of :class:`BitcoinNode`'s mined-block
+path and inherits the rest: ``_solve_pow`` (forger), ``seal_block``
+(signature adversaries), ``publish_block`` (withholder) or the
+found-block action itself (the equivocator calls ``mine_block`` twice).
 """
 
 from __future__ import annotations
 
 from dataclasses import replace
-from typing import Any, List
+from typing import List
 
 from repro._util import prf_uint64
 from repro.blocktree.block import Block, make_block
@@ -81,32 +86,17 @@ class EquivocatingMiner(BitcoinNode):
         kp = self.auth.keypair_for(self.name)
         return replace(block, signature=kp.sign("block", block.block_id))
 
-    def _mine_block(self) -> None:
+    def on_block_found(self) -> None:
         tip = self.selected_tip()
         payload = self.make_payload()
-        variants = []
-        for tag in ("A", "B"):
-            block = make_block(
-                parent=tip,
-                label=f"{self.name}#{self.blocks_mined}{tag}",
-                payload=payload,
-                creator=int(self.name[1:]),
-                nonce=self._solve_pow(tip, payload) if tag == "A" else 0,
-            )
-            if self.scenario.pow_difficulty_bits > 0 and tag == "B":
-                # Each variant needs its own valid proof to pass P.
-                block = make_block(
-                    parent=tip,
-                    label=f"{self.name}#{self.blocks_mined}{tag}",
-                    payload=payload,
-                    creator=int(self.name[1:]),
-                    nonce=self._solve_pow(tip, payload),
-                )
-            # Both rivals are sealed with the equivocator's *real* key —
-            # each signature verifies in isolation; only the pair is
-            # provable misbehaviour (the equivocation index catches it).
-            block = self.seal_block(block)
-            variants.append(block)
+        # Both rivals are sealed with the equivocator's *real* key — each
+        # signature verifies in isolation; only the pair is provable
+        # misbehaviour (the equivocation index catches it).  Each carries
+        # its own valid proof, so both pass P.
+        variants = [
+            self.mine_block(tip, payload, f"{self.name}#{self.blocks_mined}{tag}")
+            for tag in ("A", "B")
+        ]
         self.blocks_mined += 1
         peers = [p for p in self.network.process_names() if p != self.name]
         half = len(peers) // 2
@@ -126,34 +116,15 @@ class WithholdingMiner(BitcoinNode):
         self.withhold_for: float = 2.0 * scenario.channel_delta
         self._private: List[Block] = []
 
-    def _mine_block(self) -> None:
-        tip = self.selected_tip()
-        payload = self.make_payload()
-        block = make_block(
-            parent=tip,
-            label=f"{self.name}#{self.blocks_mined}",
-            payload=payload,
-            creator=int(self.name[1:]),
-            nonce=self._solve_pow(tip, payload),
-        )
-        block = self.seal_block(block)
-        self.blocks_mined += 1
-        self.begin_append(block)
-        self.resolve_append(block.block_id, True)
+    def publish_block(self, block: Block) -> None:
+        """Adopt privately; announce only after ``withhold_for``."""
         self.adopt_block(block, relay=False)
         self._private.append(block)
-        self.set_timer(self.withhold_for, ("release", block.block_id))
-        self._schedule_mining()
+        self.call_later(self.withhold_for, self._release, block)
 
-    def on_timer(self, tag: Any) -> None:
-        if isinstance(tag, tuple) and tag and tag[0] == "release":
-            block_id = tag[1]
-            for block in list(self._private):
-                if block.block_id == block_id:
-                    self._private.remove(block)
-                    self.announce_block(block)
-            return
-        super().on_timer(tag)
+    def _release(self, block: Block) -> None:
+        self._private.remove(block)
+        self.announce_block(block)
 
 
 class ForgedSignatureMiner(BitcoinNode):
@@ -191,8 +162,7 @@ class StolenIdentityRelay(BitcoinNode):
 
     @property
     def victim_index(self) -> int:
-        mine = int(self.name[1:])
-        return 1 if mine == 0 else 0
+        return 1 if self.index == 0 else 0
 
     def seal_block(self, block: Block) -> Block:
         # Rebuild through make_block so the impersonating block's id is

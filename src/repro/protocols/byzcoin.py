@@ -8,11 +8,12 @@ selects the key block whose digest has the smallest least significant
 bits among the concurrent key blocks."
 
 :class:`CommitteePoWNode` implements the shared pattern (also used by
-PeerCensus): nodes mine *candidate* blocks for the next height in an
-exponential PoW race; candidates are flooded; the committee (the whole
-membership here — ByzCoin's window-of-recent-miners is a weighting
-detail, not a mechanism change) runs one PBFT instance per height to
-consume exactly one token.  ByzCoin's candidate-selection rule is the
+PeerCensus): nodes run Bitcoin's exponential PoW race
+(:class:`~repro.protocols.bitcoin.PoWRaceNode`), but a found block is a
+*candidate* for the next height, not an append; candidates are flooded;
+the committee (the whole membership here — ByzCoin's
+window-of-recent-miners is a weighting detail, not a mechanism change)
+runs one PBFT instance per height to consume exactly one token.  ByzCoin's candidate-selection rule is the
 paper's smallest-digest rule.  The committed block is adopted by all —
 Θ_F,k=1 behaviour, Strong consistency.
 """
@@ -24,7 +25,8 @@ from typing import Any, Dict, List, Optional
 from repro.blocktree.block import Block, make_block
 from repro.consensus.pbft import PBFTComponent
 from repro.consensus.relay import QuorumRelay
-from repro.protocols.base import BlockchainNode, ProtocolRun
+from repro.protocols.base import ProtocolRun
+from repro.protocols.bitcoin import PoWRaceNode
 from repro.workloads.scenarios import ProtocolScenario
 
 __all__ = ["CommitteePoWNode", "ByzCoinNode", "run_byzcoin"]
@@ -32,11 +34,12 @@ __all__ = ["CommitteePoWNode", "ByzCoinNode", "run_byzcoin"]
 CANDIDATE = "pow-candidate"
 
 
-class CommitteePoWNode(BlockchainNode):
+class CommitteePoWNode(PoWRaceNode):
     """PoW candidate production + per-height PBFT commitment.
 
-    Subclasses choose the candidate-selection rule via
-    :meth:`best_candidate`.
+    Keeps the base replica's longest-chain rule (the committed chain
+    never forks) and restarts its race on every commit.  Subclasses
+    choose the candidate-selection rule via :meth:`best_candidate`.
     """
 
     oracle_kind = "frugal-k1"
@@ -47,8 +50,6 @@ class CommitteePoWNode(BlockchainNode):
         self.candidates: Dict[int, List[Block]] = {}
         self.proposed_heights: set = set()
         self.committed_height = 0
-        self.blocks_mined = 0
-        self._mining_epoch = 0
         self.pbft = PBFTComponent(
             host=self,
             peers=list(scenario.node_names()),
@@ -73,51 +74,26 @@ class CommitteePoWNode(BlockchainNode):
 
     # -- mining -------------------------------------------------------------------
 
-    @property
-    def merit(self) -> float:
-        index = int(self.name[1:])
-        return self.scenario.merit_of(index)
-
-    def on_start(self) -> None:
-        self.schedule_periodic_reads()
-        self._schedule_mining()
-
-    def _schedule_mining(self) -> None:
-        if self.now >= self.scenario.duration:
-            return
-        rate = self.merit / self.scenario.block_interval_at(self.now)
-        delay = self.network.simulator.rng.expovariate(rate)
-        self._mining_epoch += 1
-        self.set_timer(delay, ("mine", self._mining_epoch))
-
     def on_timer(self, tag: Any) -> None:
-        if self._maybe_periodic_read(tag):
-            return
-        if self.pbft.on_timer(tag):
-            return
-        if isinstance(tag, tuple) and tag and tag[0] == "mine":
-            if tag[1] != self._mining_epoch or self.now >= self.scenario.duration:
-                return
-            self._mine_candidate()
+        if not self.pbft.on_timer(tag):
+            super().on_timer(tag)
 
-    def _mine_candidate(self) -> None:
+    def on_block_found(self) -> None:
         height = self.committed_height + 1
         tip = self.selected_tip()
         block = make_block(
             parent=tip,
             label=f"{self.name}@{height}",
             payload=self.make_payload(),
-            creator=int(self.name[1:]),
+            creator=self.index,
         )
         block = self.seal_block(block)
         self.blocks_mined += 1
         self.begin_append(block)
         # Candidate dissemination is a §4.2 send (with loopback receive).
-        args = (block.parent_id, block.block_id, self.creator_name(block))
-        self.record_instant("send", args)
+        self.record_instant("send", self.block_event_args(block))
         self._candidate_relay.broadcast((CANDIDATE, height, block))
-        self.record_instant("receive", args)
-        self.received_marks.add(block.block_id)
+        self.record_receive(block)
         self._register_candidate(height, block)
         self._schedule_mining()
 
@@ -157,11 +133,7 @@ class CommitteePoWNode(BlockchainNode):
         if isinstance(message, tuple) and message and message[0] == CANDIDATE:
             _tag, height, block = message
             if block.block_id not in self.received_marks:
-                self.record_instant(
-                    "receive",
-                    (block.parent_id, block.block_id, self.creator_name(block)),
-                )
-                self.received_marks.add(block.block_id)
+                self.record_receive(block)
             self._register_candidate(height, block)
             return
         self.pbft.on_message(src, message)
@@ -171,9 +143,6 @@ class ByzCoinNode(CommitteePoWNode):
     """ByzCoin: committee PoW with the smallest-digest selection rule."""
 
 
-def run_byzcoin(scenario: ProtocolScenario | None = None, **overrides) -> ProtocolRun:
+def run_byzcoin(scenario: ProtocolScenario) -> ProtocolRun:
     """Run the ByzCoin model."""
-    scenario = scenario or ProtocolScenario(
-        name="byzcoin", mean_block_interval=25.0, **overrides
-    )
     return ProtocolRun.execute(ByzCoinNode, scenario)

@@ -30,9 +30,6 @@ class EthereumNode(BitcoinNode):
         self.selection = GHOSTSelection()
 
 
-def run_ethereum(scenario: ProtocolScenario | None = None, **overrides) -> ProtocolRun:
+def run_ethereum(scenario: ProtocolScenario) -> ProtocolRun:
     """Run the Ethereum model (GHOST, fast blocks)."""
-    scenario = scenario or ProtocolScenario(
-        name="ethereum", mean_block_interval=8.0, **overrides
-    )
     return ProtocolRun.execute(EthereumNode, scenario)

@@ -9,16 +9,15 @@ The first ``orderer_count`` nodes form the CFT ordering cluster
 (:class:`~repro.consensus.ordering.OrderingService`); every node is also
 a peer.  Peers submit transaction batches; the service delivers a total
 order; at delivery sequence ``s`` every peer deterministically constructs
-block ``s`` (same content hash everywhere) and appends it — a unique
-chain, Θ_F,k=1, Strong consistency.  The append of sequence ``s`` is
-recorded by the cluster's current leader.
+block ``s`` (same content hash everywhere) and appends it
+(:meth:`~repro.protocols.base.BlockchainNode.append_decided`) — a unique
+chain, Θ_F,k=1, Strong consistency.
 """
 
 from __future__ import annotations
 
 from typing import Any
 
-from repro.blocktree.block import make_block
 from repro.consensus.ordering import DELIVER, OrderingService, SUBMIT
 from repro.consensus.relay import QuorumRelay
 from repro.protocols.base import BlockchainNode, ProtocolRun
@@ -66,21 +65,12 @@ class HyperledgerNode(BlockchainNode):
     def on_start(self) -> None:
         self.schedule_periodic_reads()
         if self.ordering is not None:
-            self.ordering.start()
-        self.set_timer(1.0 + 0.1 * int(self.name[1:]), ("hl-batch",))
-
-    def on_lifecycle_resume(self) -> None:
-        # ``on_start`` is not safely re-runnable here: ``ordering.start``
-        # is idempotent, so the watchdog that died with the old lifecycle
-        # epoch would never re-arm.  Restart it explicitly.
-        self.schedule_periodic_reads()
-        if self.ordering is not None:
+            # ``restart``, not the idempotent ``start``: on a lifecycle
+            # resume the watchdog died with the old epoch and must re-arm.
             self.ordering.restart()
-        self.set_timer(1.0 + 0.1 * int(self.name[1:]), ("hl-batch",))
+        self.set_timer(1.0 + 0.1 * self.index, ("hl-batch",))
 
     def on_timer(self, tag: Any) -> None:
-        if self._maybe_periodic_read(tag):
-            return
         if self.ordering is not None and self.ordering.on_timer(tag):
             return
         if isinstance(tag, tuple) and tag and tag[0] == "hl-batch":
@@ -109,17 +99,8 @@ class HyperledgerNode(BlockchainNode):
             b.label == f"blk{seq}" for b in self.tree.blocks()
         ):
             return  # already appended this sequence
-        submitter, counter, payload = batch
-        block = make_block(parent=tip, label=f"blk{seq}", payload=payload)
-        # Each peer materializes the same ordered block locally and seals
-        # its copy with its own key (creator=None: any registered signer
-        # verifies — there is no single author to bind to).
-        block = self.seal_block(block)
-        # Every peer records the append of the delivered block (replicated
-        # echoes of one consume; deduplicated by the k-fork checker).
-        self.begin_append(block)
-        self.resolve_append(block.block_id, True)
-        self.adopt_block(block, relay=True)
+        _submitter, _counter, payload = batch
+        self.append_decided(tip, f"blk{seq}", payload)
 
     def on_message(self, src: str, message: Any) -> None:
         if self.on_gossip(src, message):
@@ -141,9 +122,6 @@ class HyperledgerNode(BlockchainNode):
                 return
 
 
-def run_hyperledger(scenario: ProtocolScenario | None = None, **overrides) -> ProtocolRun:
+def run_hyperledger(scenario: ProtocolScenario) -> ProtocolRun:
     """Run the Hyperledger Fabric model."""
-    scenario = scenario or ProtocolScenario(
-        name="hyperledger", round_length=15.0, **overrides
-    )
     return ProtocolRun.execute(HyperledgerNode, scenario)

@@ -36,9 +36,6 @@ class PeerCensusNode(CommitteePoWNode):
         return pool[0] if pool else None  # first candidate seen
 
 
-def run_peercensus(scenario: ProtocolScenario | None = None, **overrides) -> ProtocolRun:
+def run_peercensus(scenario: ProtocolScenario) -> ProtocolRun:
     """Run the PeerCensus model."""
-    scenario = scenario or ProtocolScenario(
-        name="peercensus", mean_block_interval=25.0, **overrides
-    )
     return ProtocolRun.execute(PeerCensusNode, scenario)

@@ -9,16 +9,15 @@ contains a unique blockchain."
 Rounds are timer-driven: every member proposes a mini-batch of
 transactions; the :class:`~repro.consensus.superblock.SuperblockComponent`
 commits the deterministic union; every node then constructs the *same*
-superblock block (content-derived id) and adopts it — one block per
-round, Θ_F,k=1, Strong consistency.  Appends are recorded by the round's
-designated recorder (round-robin) so k-fork accounting stays 1:1.
+superblock block (content-derived id) and appends it
+(:meth:`~repro.protocols.base.BlockchainNode.append_decided`) — one
+block per round, Θ_F,k=1, Strong consistency.
 """
 
 from __future__ import annotations
 
 from typing import Any, Tuple
 
-from repro.blocktree.block import make_block
 from repro.consensus.superblock import SuperblockComponent
 from repro.protocols.base import BlockchainNode, ProtocolRun
 from repro.workloads.scenarios import ProtocolScenario
@@ -41,23 +40,15 @@ class RedBellyNode(BlockchainNode):
             collection_window=scenario.round_length / 4.0,
             pbft_timeout=scenario.round_length,
         )
-        #: Last round this replica's proposer timer ran (lifecycle resume
-        #: continues from the next one).
+        #: Last round this replica's proposer timer ran: a start (or a
+        #: lifecycle resume) proposes from the next one.
         self._rb_round = -1
 
     def on_start(self) -> None:
         self.schedule_periodic_reads()
-        self.set_timer(0.5, ("rb-round", 0))
-
-    def on_lifecycle_resume(self) -> None:
-        # Re-running ``on_start`` would re-propose round 0; continue
-        # from the round after the last one this replica proposed in.
-        self.schedule_periodic_reads()
         self.set_timer(0.5, ("rb-round", self._rb_round + 1))
 
     def on_timer(self, tag: Any) -> None:
-        if self._maybe_periodic_read(tag):
-            return
         if isinstance(tag, tuple) and tag and tag[0] == "rb-round":
             round_id = tag[1]
             self._rb_round = round_id
@@ -70,19 +61,8 @@ class RedBellyNode(BlockchainNode):
     def _on_superblock(self, round_id: int, union: Tuple[Tuple[str, Any], ...]) -> None:
         if not union:
             return  # empty round: nothing proposed in the window
-        tip = self.selected_tip()
         payload = tuple(tx for _proposer, batch in union for tx in batch)
-        block = make_block(parent=tip, label=f"sb{round_id}", payload=payload)
-        # Each committing member builds the same superblock locally and
-        # seals its copy with its own key (creator=None: any registered
-        # signer verifies).
-        block = self.seal_block(block)
-        # Every committing member records the (one) append: the replicated
-        # records are echoes of the same token consumption — the k-fork
-        # checker deduplicates by block id.
-        self.begin_append(block)
-        self.resolve_append(block.block_id, True)
-        self.adopt_block(block, relay=True)
+        self.append_decided(self.selected_tip(), f"sb{round_id}", payload)
 
     def on_message(self, src: str, message: Any) -> None:
         if self.on_gossip(src, message):
@@ -90,9 +70,6 @@ class RedBellyNode(BlockchainNode):
         self.sb.on_message(src, message)
 
 
-def run_redbelly(scenario: ProtocolScenario | None = None, **overrides) -> ProtocolRun:
+def run_redbelly(scenario: ProtocolScenario) -> ProtocolRun:
     """Run the Red Belly model."""
-    scenario = scenario or ProtocolScenario(
-        name="redbelly", round_length=30.0, n_nodes=4, **overrides
-    )
     return ProtocolRun.execute(RedBellyNode, scenario)

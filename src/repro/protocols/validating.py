@@ -7,13 +7,13 @@ spend a previous transaction)".  :class:`ValidatingBitcoinNode` applies
 exactly that rule on reception: a block must extend a known parent with a
 payload that is double-spend-free *in the context of the chain it
 extends*; :class:`DoubleSpendMiner` is the adversary minting conflicting
-spends, whose blocks honest validators refuse.
+spends, whose blocks honest validators refuse — it supplies only the
+payload, the rest of Bitcoin's mined-block path is inherited.
 """
 
 from __future__ import annotations
 
-
-from repro.blocktree.block import Block, make_block
+from repro.blocktree.block import Block
 from repro.protocols.bitcoin import BitcoinNode
 from repro.workloads.transactions import ChainValidator, Transaction
 
@@ -57,29 +57,14 @@ class DoubleSpendMiner(BitcoinNode):
     validation refuses.
     """
 
-    def _mine_block(self) -> None:
-        tip = self.selected_tip()
-        payload = (
+    def make_payload(self) -> tuple:
+        return (
             Transaction.make(
                 ("genesis-coin-0",),
                 (f"stolen-{self.blocks_mined}",),
                 issuer=self.name,
             ),
         )
-        block = make_block(
-            parent=tip,
-            label=f"{self.name}#{self.blocks_mined}",
-            payload=payload,
-            creator=int(self.name[1:]),
-            nonce=self._solve_pow(tip, payload),
-        )
-        block = self.seal_block(block)
-        self.blocks_mined += 1
-        self.begin_append(block)
-        self.resolve_append(block.block_id, True)  # the attacker believes so
-        self.announce_block(block)
-        self.adopt_block(block, relay=False)
-        self._schedule_mining()
 
     def validate_incoming(self, block: Block) -> bool:
         return True  # Byzantine: accepts anything, including its own forgeries

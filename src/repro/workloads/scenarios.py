@@ -917,7 +917,9 @@ class TreeScenario:
 
 
 def default_scenarios() -> Dict[str, ProtocolScenario]:
-    """The standard per-protocol scenarios used by the Table 1 bench."""
+    """The standard per-protocol scenarios used by the Table 1 bench —
+    the one home of each protocol's parameters, in the paper's row order
+    (the order of ``repro.protocols.classify.RUNNERS``)."""
     return {
         "bitcoin": ProtocolScenario(
             name="bitcoin", mean_block_interval=10.0, channel_delta=3.0
@@ -925,8 +927,8 @@ def default_scenarios() -> Dict[str, ProtocolScenario]:
         "ethereum": ProtocolScenario(
             name="ethereum", mean_block_interval=6.0, channel_delta=3.0
         ),
-        "byzcoin": ProtocolScenario(name="byzcoin", mean_block_interval=25.0),
         "algorand": ProtocolScenario(name="algorand", round_length=25.0),
+        "byzcoin": ProtocolScenario(name="byzcoin", mean_block_interval=25.0),
         "peercensus": ProtocolScenario(name="peercensus", mean_block_interval=25.0),
         "redbelly": ProtocolScenario(name="redbelly", round_length=30.0, n_nodes=4),
         "hyperledger": ProtocolScenario(name="hyperledger", round_length=15.0),

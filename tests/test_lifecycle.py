@@ -15,7 +15,7 @@ import pytest
 
 from repro.blocktree.block import GENESIS, make_block
 from repro.net import Network, Simulator, SynchronousChannel
-from repro.protocols.base import PassiveNode
+from repro.protocols.base import BlockchainNode, PassiveNode
 from repro.protocols.bitcoin import run_bitcoin
 from repro.protocols.classify import majority_view
 from repro.workloads.scenarios import (
@@ -184,7 +184,7 @@ class TestCrashRejoin:
             "rejected_blocks", "pool", "packer", "tx_seen", "transport", "sync",
             "auth",
         )
-        apparatus = ("sync_totals", "open_appends", "_auth_carry", "txgen")
+        apparatus = ("sync_totals", "open_appends", "_carry", "txgen")
         sealed = node.seal_block(make_block(GENESIS, label="mine", creator=0))
         node.begin_append(sealed)
         node.adopt_block(sealed, relay=False)
@@ -212,10 +212,37 @@ class TestCrashRejoin:
         # slashing journal came along, so the rival is refused.
         assert node.auth.counters["verified"] == 0
         assert node.auth_report()["verified"] == verified
+        # So are those of every other rebuilt component with counters.
+        assert sorted(node._carry) == ["auth", "packer", "pool", "transport"]
         rival = make_block(GENESIS, label="rival", creator=0)
         assert node.auth.sign_block(rival, node.name).signature is None
         assert node.seen_blocks == set(node.tree.iter_ids())
         assert (node._parked_ids.cap, node.rejected_blocks.cap) == (2048, 4096)
+
+    def test_crash_keeps_the_crashed_replicas_traffic_counters(self, monkeypatch):
+        """A crash rebuilds transport, pool and packer; what they counted
+        before it still shows in the run's per-node stats."""
+        scenario = preset(
+            "crash-rejoin",
+            duration=240.0,
+            traffic=traffic_presets(240.0)["steady"],
+            crashes=(CrashEvent(node="p3", at=120.0, recover_at=216.0),),
+        )
+        before_crash = {}
+        crash = BlockchainNode.lifecycle_crash
+
+        def sampling_crash(node):
+            before_crash["messages_sent"] = node.transport.messages_sent
+            before_crash["accepted"] = node.pool.accepted
+            crash(node)
+
+        monkeypatch.setattr(BlockchainNode, "lifecycle_crash", sampling_crash)
+        run = run_bitcoin(scenario)
+        assert before_crash["accepted"] > 0
+        sent = run.gossip_stats()["per_node"]["p3"]["messages_sent"]
+        accepted = run.mempool_stats()["per_node"]["p3"]["accepted"]
+        assert sent >= before_crash["messages_sent"]
+        assert accepted >= before_crash["accepted"]
 
     def test_crash_with_memory_store_recovers_empty(self):
         scenario = ProtocolScenario(name="crash-mem", n_nodes=2, duration=60.0)
@@ -232,6 +259,51 @@ class TestCrashRejoin:
         # correct degenerate recovery.
         assert len(node.tree) == 1
         assert node.sync_totals["syncs_started"] >= 1
+
+
+class TestGuardedTimers:
+    """``SimProcess.call_later`` is the replica's one timer guard: a
+    call armed in an earlier life never fires into a later one."""
+
+    def _pair(self, **overrides):
+        scenario = ProtocolScenario(name="timers", n_nodes=2, duration=60.0, **overrides)
+        sim = Simulator(seed=5)
+        net = Network(sim, channel=SynchronousChannel(delta=scenario.channel_delta))
+        nodes = [
+            net.register(PassiveNode(name, scenario))
+            for name in scenario.node_names()
+        ]
+        return sim, nodes
+
+    @pytest.mark.parametrize("outage", [None, "suspend/resume", "crash/recover"])
+    def test_call_later_fires_once_unless_an_outage_intervenes(self, outage):
+        sim, (node, _peer) = self._pair()
+        fired = []
+        node.call_later(10.0, fired.append, "before")
+        if outage is not None:
+            down, up = outage.split("/")
+            sim.schedule(1.0, lambda: node.apply_lifecycle(down))
+            sim.schedule(2.0, lambda: node.apply_lifecycle(up))
+            sim.schedule(3.0, lambda: node.call_later(10.0, fired.append, "after"))
+        sim.run(until=30.0)
+        assert fired == (["before"] if outage is None else ["after"])
+
+    @pytest.mark.parametrize("crash", [False, True])
+    def test_component_timers_of_a_crashed_life_never_run(self, crash):
+        """A reconcile tick and a sync timeout armed before a crash die
+        with the epoch, not in the recovered replica's fresh components."""
+        sim, (node, peer) = self._pair(gossip="reconcile")
+        runs = []
+        node.transport._tick = lambda: runs.append("tick")
+        node.sync._on_timeout = lambda: runs.append("timeout")
+        peer.offline = True  # nobody answers: the sync request times out
+        node.transport.on_start()
+        assert node.sync.start_sync()
+        if crash:
+            sim.schedule(1.0, node.lifecycle_crash)
+            sim.schedule(2.0, node.lifecycle_recover)
+        sim.run(until=30.0)
+        assert sorted(runs) == ([] if crash else ["tick", "timeout"])
 
 
 class TestLateJoin:

@@ -14,7 +14,7 @@ import pytest
 from repro.protocols.bitcoin import run_bitcoin
 from repro.protocols.classify import RUNNERS
 from repro.shard.run import ShardedRun
-from repro.workloads.scenarios import adversarial_scenarios
+from repro.workloads.scenarios import adversarial_scenarios, default_scenarios
 from repro.workloads.traffic import shard_traffic_presets
 
 
@@ -35,6 +35,18 @@ def crash_run():
     return run
 
 
+def _lifetime(facet, component, live):
+    """``live`` counters plus the carry the facet's crashed predecessor
+    components left (occupancy readings stay live, the peak is a max)."""
+    total = dict(live)
+    for key, value in facet._carry.get(component, {}).items():
+        if key == "peak_occupancy":
+            total[key] = max(total[key], value)
+        elif key not in ("occupancy", "pending", "kind"):
+            total[key] += value
+    return total
+
+
 def _summed(dicts, maxed=()):
     total = {}
     for stats in dicts:
@@ -49,12 +61,21 @@ def _summed(dicts, maxed=()):
 class TestFoldAgainstFacetOracle:
     def test_mempool_per_node_is_the_facet_sum(self, crash_run):
         per_node = crash_run.mempool_stats()["per_node"]
+        # The crashed replica's facets carry their pre-crash counters.
+        (crashed,) = [n for n in crash_run.nodes if n.facets[0]._carry]
+        assert all(f._carry["pool"]["accepted"] > 0 for f in crashed.facets.values())
         for node in crash_run.nodes:
             expected = _summed(
                 {
-                    **facet.pool.stats(),
-                    "blocks_packed": facet.packer.blocks_packed,
-                    "txs_packed": facet.packer.txs_packed,
+                    **_lifetime(facet, "pool", facet.pool.stats()),
+                    **_lifetime(
+                        facet,
+                        "packer",
+                        {
+                            "blocks_packed": facet.packer.blocks_packed,
+                            "txs_packed": facet.packer.txs_packed,
+                        },
+                    ),
                     "tx_gossip_received": facet.tx_gossip_received,
                     "tx_gossip_duplicates": facet.tx_gossip_duplicates,
                 }
@@ -128,7 +149,8 @@ class TestInheritedSurfacesHaveTheBenchShapes:
             assert stats.pop("kind") == "flood"
             assert all(isinstance(v, int) for v in stats.values())
             assert stats["messages_sent"] == sum(
-                f.transport.messages_sent for f in node.facets.values()
+                _lifetime(f, "transport", f.transport.stats())["messages_sent"]
+                for f in node.facets.values()
             )
         assert gossip["totals"]["messages_sent"] > 0
 
@@ -173,3 +195,13 @@ def test_selfish_withholding_sees_shard_envelopes():
     for gossip in ("flood", "reconcile"):
         run = run_bitcoin(_sharded("selfish-miner", duration=400.0, gossip=gossip))
         assert run.faults["selfish"].delayed > 0, gossip
+
+
+def test_runners_take_their_parameters_from_default_scenarios():
+    """Protocol parameters live in ``default_scenarios()`` alone: it
+    lists the seven systems in ``RUNNERS`` order, and no runner builds
+    a scenario of its own."""
+    assert list(RUNNERS) == list(default_scenarios())
+    for runner in RUNNERS.values():
+        with pytest.raises(TypeError):
+            runner()
