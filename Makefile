@@ -1,7 +1,7 @@
 PYTHON ?= python
 export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH))
 
-.PHONY: test identity-dump bench-selfcheck bench-smoke bench-perf bench-consistency bench-storage bench-campaign bench-mempool bench-gossip bench-sync bench-scale bench-shard bench-auth bench-check bench-all docs-test campaign
+.PHONY: test identity-dump bench-pairs bench-selfcheck bench-smoke bench-perf bench-consistency bench-storage bench-campaign bench-mempool bench-gossip bench-sync bench-scale bench-shard bench-auth bench-check bench-all docs-test campaign
 
 ## Tier-1: the full unit/property/differential suite (fast, no benches).
 test:
@@ -124,3 +124,12 @@ bench-all:
 identity-dump:
 	@test -n "$(OUT)" || (echo "usage: make identity-dump OUT=<file>" >&2; exit 2)
 	$(PYTHON) benchmarks/identity_dump.py $(OUT)
+
+## A claimed events_per_wall_s gain: PAIRS alternated parent/change runs
+## of bench/run.py on one workload (parent in a temporary git worktree),
+## bench/compare.py per pair, and the win count.
+PAIRS ?= 10
+WORKLOAD ?= table1-default
+bench-pairs:
+	@test -n "$(PARENT)" || (echo "usage: make bench-pairs PARENT=<rev> [PAIRS=10] [WORKLOAD=...]" >&2; exit 2)
+	$(PYTHON) benchmarks/bench_pairs.py $(PARENT) --pairs $(PAIRS) --workload $(WORKLOAD)

@@ -9,8 +9,10 @@ from __future__ import annotations
 
 import dataclasses
 import hashlib
+import math
 import struct
-from typing import Any, Iterable
+from operator import itemgetter
+from typing import Any, Callable, Dict, Iterable
 
 __all__ = [
     "sha256_hex",
@@ -22,60 +24,131 @@ __all__ = [
 ]
 
 _UINT64_MAX = 2**64 - 1
+#: The largest float below 1.0: the top of :func:`prf_unit`'s range.
+_UNIT_MAX = math.nextafter(1.0, 0.0)
+
+_pack_double = struct.Struct(">d").pack
+_first = itemgetter(0)
 
 
 def stable_repr(value: Any) -> bytes:
     """Return a deterministic byte encoding of ``value`` for hashing.
 
     Supports the small universe of types used by the library: ``None``,
-    ``bool``, ``int``, ``float``, ``str``, ``bytes`` and (nested) tuples /
-    lists / dicts / frozensets of those.  The encoding is injective on that
+    ``bool``, ``int``, ``float``, ``str``, ``bytes``, (nested) tuples /
+    lists / dicts / sets / frozensets of those, and dataclass instances
+    (class name + field items).  The encoding is injective on that
     universe (types are tagged), so two different values never collide at
     the encoding level.
+
+    The exact type picks the encoder in one dict lookup; a type seen for
+    the first time (a dataclass, or a subclass of a builtin such as an
+    ``IntEnum`` or a named tuple) is resolved once and added to that
+    dict.  A dataclass may segregate witness fields (signatures, which
+    must not perturb content ids) by listing them in
+    ``_STABLE_REPR_EXCLUDE``, and an immutable one may name an instance
+    attribute in ``_STABLE_REPR_MEMO`` under which its encoding is kept
+    after the first call (the class keeps that attribute out of its
+    pickled state).
     """
-    if value is None:
-        return b"N"
-    if isinstance(value, bool):
-        return b"B1" if value else b"B0"
-    if isinstance(value, int):
-        return b"I" + str(value).encode()
-    if isinstance(value, float):
-        return b"F" + struct.pack(">d", value)
-    if isinstance(value, str):
-        data = value.encode()
-        return b"S" + str(len(data)).encode() + b":" + data
-    if isinstance(value, bytes):
-        return b"Y" + str(len(value)).encode() + b":" + value
-    if isinstance(value, (tuple, list)):
-        inner = b"".join(stable_repr(v) for v in value)
-        return b"T(" + inner + b")"
-    if isinstance(value, dict):
-        items = sorted(value.items(), key=lambda kv: stable_repr(kv[0]))
-        inner = b"".join(stable_repr(k) + stable_repr(v) for k, v in items)
-        return b"D(" + inner + b")"
-    if isinstance(value, (set, frozenset)):
-        inner = b"".join(sorted(stable_repr(v) for v in value))
-        return b"Z(" + inner + b")"
-    if dataclasses.is_dataclass(value) and not isinstance(value, type):
-        # Encode as class name + field items so distinct types never collide.
-        # A class may segregate witness fields (e.g. signatures, which must
-        # not perturb content ids) by listing them in ``_STABLE_REPR_EXCLUDE``.
-        exclude = getattr(type(value), "_STABLE_REPR_EXCLUDE", ())
-        fields = tuple(
-            (f.name, getattr(value, f.name))
-            for f in dataclasses.fields(value)
-            if f.name not in exclude
-        )
-        return b"C" + type(value).__name__.encode() + stable_repr(fields)
-    raise TypeError(f"stable_repr does not support {type(value)!r}")
+    encode = _ENCODERS.get(type(value))
+    if encode is None:
+        encode = _ENCODERS[type(value)] = _resolve_encoder(type(value))
+    return encode(value)
+
+
+def _encode_str(value: str) -> bytes:
+    data = value.encode()
+    return b"S%d:%s" % (len(data), data)
+
+
+def _encode_bytes(value: bytes) -> bytes:
+    return b"Y%d:%s" % (len(value), value)
+
+
+def _encode_sequence(value: Any) -> bytes:
+    return b"T(" + b"".join([stable_repr(v) for v in value]) + b")"
+
+
+def _encode_dict(value: dict) -> bytes:
+    # Sorted by the key encodings; the sort is stable, like the key order.
+    items = sorted([(stable_repr(k), v) for k, v in value.items()], key=_first)
+    return b"D(" + b"".join([k + stable_repr(v) for k, v in items]) + b")"
+
+
+def _encode_set(value: Any) -> bytes:
+    return b"Z(" + b"".join(sorted([stable_repr(v) for v in value])) + b")"
+
+
+_ENCODERS: Dict[type, Callable[[Any], bytes]] = {
+    type(None): lambda value: b"N",
+    bool: lambda value: b"B1" if value else b"B0",
+    int: lambda value: b"I%d" % value,
+    float: lambda value: b"F" + _pack_double(value),
+    str: _encode_str,
+    bytes: _encode_bytes,
+    tuple: _encode_sequence,
+    list: _encode_sequence,
+    dict: _encode_dict,
+    set: _encode_set,
+    frozenset: _encode_set,
+}
+
+
+def _resolve_encoder(cls: type) -> Callable[[Any], bytes]:
+    """The encoder of a type with no entry in ``_ENCODERS`` yet.
+
+    A subclass of a builtin encodes as that builtin (the first one in
+    its MRO; dataclass bases are skipped, each dataclass is named by its
+    own class), except that int subclasses spell themselves with
+    ``str()``, which is how ``IntEnum`` members have always encoded.
+    """
+    if issubclass(cls, int):  # bool is exact: it cannot be subclassed
+        return lambda value: b"I" + str(value).encode()
+    for base in cls.__mro__[1:]:
+        if base in _ENCODERS and not dataclasses.is_dataclass(base):
+            return _ENCODERS[base]
+    if dataclasses.is_dataclass(cls):
+        return _dataclass_encoder(cls)
+    raise TypeError(f"stable_repr does not support {cls!r}")
+
+
+def _dataclass_encoder(cls: type) -> Callable[[Any], bytes]:
+    """The encoder of ``cls`` instances: ``C<name>`` + the encoded tuple
+    of ``(field name, value)`` pairs.  The field plan (names minus
+    ``_STABLE_REPR_EXCLUDE``, each with its pair prefix pre-encoded) is
+    computed here, once per class."""
+    exclude = getattr(cls, "_STABLE_REPR_EXCLUDE", ())
+    head = b"C" + cls.__name__.encode() + b"T("
+    plan = tuple(
+        (f.name, b"T(" + _encode_str(f.name))
+        for f in dataclasses.fields(cls)
+        if f.name not in exclude
+    )
+
+    def encode(value: Any) -> bytes:
+        pairs = [
+            prefix + stable_repr(getattr(value, name)) + b")" for name, prefix in plan
+        ]
+        return head + b"".join(pairs) + b")"
+
+    memo = getattr(cls, "_STABLE_REPR_MEMO", None)
+    if memo is None:
+        return encode
+
+    def encode_once(value: Any) -> bytes:
+        state = value.__dict__
+        data = state.get(memo)
+        if data is None:
+            data = state[memo] = encode(value)
+        return data
+
+    return encode_once
 
 
 def sha256_hex(*parts: Any) -> str:
     """SHA-256 of the :func:`stable_repr` of ``parts``, as a hex string."""
-    h = hashlib.sha256()
-    for part in parts:
-        h.update(stable_repr(part))
-    return h.hexdigest()
+    return hashlib.sha256(b"".join([stable_repr(p) for p in parts])).hexdigest()
 
 
 def prf_uint64(*parts: Any) -> int:
@@ -84,13 +157,18 @@ def prf_uint64(*parts: Any) -> int:
     This is the single source of pseudo-randomness for oracle tapes, VRFs
     and simulated signatures: SHA-256 in counter-less PRF mode.
     """
-    digest = hashlib.sha256(b"".join(stable_repr(p) for p in parts)).digest()
+    digest = hashlib.sha256(b"".join([stable_repr(p) for p in parts])).digest()
     return int.from_bytes(digest[:8], "big")
 
 
 def prf_unit(*parts: Any) -> float:
-    """A deterministic pseudo-random float in ``[0, 1)`` derived from ``parts``."""
-    return prf_uint64(*parts) / (_UINT64_MAX + 1)
+    """A deterministic pseudo-random float in ``[0, 1)`` derived from ``parts``.
+
+    The quotient by ``2**64`` rounds up to 1.0 for the top ~2**10 values;
+    those are clamped to the largest float below 1.0, so the oracle tape
+    rule ``prf_unit(...) < p`` reads a token at ``p = 1.0``.
+    """
+    return min(prf_uint64(*parts) / (_UINT64_MAX + 1), _UNIT_MAX)
 
 
 def require(condition: bool, message: str) -> None:

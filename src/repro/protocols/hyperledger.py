@@ -18,6 +18,8 @@ from __future__ import annotations
 
 from typing import Any
 
+from repro.blocktree.block import Block
+from repro.blocktree.tree import BlockTree
 from repro.consensus.ordering import DELIVER, OrderingService, SUBMIT
 from repro.consensus.relay import QuorumRelay
 from repro.protocols.base import BlockchainNode, ProtocolRun
@@ -58,6 +60,16 @@ class HyperledgerNode(BlockchainNode):
         )
         self.batch_counter = 0
 
+    def _boot(self, tree: BlockTree) -> None:
+        super()._boot(tree)
+        #: Labels of the blocks in ``tree`` — ``blk{seq}`` per delivered
+        #: sequence — kept by :meth:`on_new_block`, so a re-delivery is
+        #: recognised without scanning the tree.
+        self._labels = {block.label for block in tree.blocks()}
+
+    def on_new_block(self, block: Block) -> None:
+        self._labels.add(block.label)
+
     def _on_relayed_order(self, origin: str, message: Any) -> None:
         if self.ordering is not None:
             self.ordering.on_message(origin, message)
@@ -94,13 +106,11 @@ class HyperledgerNode(BlockchainNode):
                 self.send(peer, ("hl-block", seq, batch))
 
     def _append_block(self, seq: int, batch: Any) -> None:
-        tip = self.selected_tip()
-        if tip.label == f"blk{seq}" or any(
-            b.label == f"blk{seq}" for b in self.tree.blocks()
-        ):
+        label = f"blk{seq}"
+        if label in self._labels:
             return  # already appended this sequence
         _submitter, _counter, payload = batch
-        self.append_decided(tip, f"blk{seq}", payload)
+        self.append_decided(self.selected_tip(), label, payload)
 
     def on_message(self, src: str, message: Any) -> None:
         if self.on_gossip(src, message):

@@ -57,6 +57,13 @@ class Transaction:
     the content id when the scenario authenticates).  Like blocks, it is
     excluded from ``stable_repr`` so ``tx_id`` is identical whether or
     not the transaction is signed.
+
+    Every block id and consensus digest that covers a transaction
+    encodes it again, on every replica, so ``stable_repr`` memoizes the
+    encoding on the instance (``_STABLE_REPR_MEMO``).  The memo is a
+    per-process cache: it is no field, so ``==``, ``hash`` and
+    ``asdict`` never see it, and :meth:`__getstate__` keeps it out of
+    pickles (block stores, campaign workers).
     """
 
     tx_id: str
@@ -67,6 +74,14 @@ class Transaction:
     signature: Any = None
 
     _STABLE_REPR_EXCLUDE = ("signature",)
+    _STABLE_REPR_MEMO = "_stable_repr"
+
+    def __getstate__(self) -> dict:
+        state = self.__dict__
+        if self._STABLE_REPR_MEMO in state:
+            state = dict(state)
+            del state[self._STABLE_REPR_MEMO]
+        return state
 
     @staticmethod
     def make(

@@ -3,9 +3,13 @@
 import pytest
 
 from repro.blocktree import LengthScore
+from repro.blocktree.tree import BlockTree
+from repro.consensus.ordering import DELIVER
 from repro.consistency import BTEventualConsistency, BTStrongConsistency
+from repro.net import Network, Simulator, SynchronousChannel
 from repro.net.broadcast import check_lrc, check_update_agreement
 from repro.protocols import (
+    HyperledgerNode,
     run_algorand,
     run_bitcoin,
     run_byzcoin,
@@ -189,3 +193,58 @@ class TestHyperledger:
         # Non-orderer peers hold the same chain height as orderers.
         finals = run.final_chains()
         assert finals["p4"].height == finals["p0"].height >= 3
+
+    def test_redelivery_after_recovery_appends_nothing(self, tmp_path):
+        """The delivered-sequence index is rebuilt from the replayed tree:
+        a sequence already in it is not appended a second time, whichever
+        message re-delivers it."""
+        scenario = ProtocolScenario(
+            name="hyperledger", n_nodes=4, store="log", store_dir=str(tmp_path)
+        )
+        net = Network(Simulator(seed=1), channel=SynchronousChannel(delta=1.0))
+        nodes = [
+            net.register(HyperledgerNode(name, scenario))
+            for name in scenario.node_names()
+        ]
+        peer = nodes[3]
+        assert not peer.is_orderer
+        batches = [("p0", seq, (f"tx{seq}",)) for seq in range(3)]
+        peer.on_message("p0", ("hl-block", 0, batches[0]))
+        peer.on_message("p0", (DELIVER, 0, 1, batches[1]))
+        peer.lifecycle_crash()
+        peer.lifecycle_recover()
+        replayed = sorted(b.label for b in peer.tree.blocks())
+        assert replayed == ["b0", "blk0", "blk1"]
+        begun = peer.appends_begun
+        peer.on_message("p0", (DELIVER, 0, 0, batches[0]))
+        peer.on_message("p0", ("hl-block", 1, batches[1]))
+        assert (len(peer.tree), peer.appends_begun) == (3, begun)
+        peer.on_message("p0", ("hl-block", 2, batches[2]))
+        assert (len(peer.tree), peer.appends_begun) == (4, begun + 1)
+
+    def test_delivery_path_never_scans_the_tree(self, monkeypatch):
+        calls = {"deliveries": 0, "scans": 0}
+        delivering = []
+        blocks, append = BlockTree.blocks, HyperledgerNode._append_block
+
+        def counted_blocks(tree):
+            calls["scans"] += bool(delivering)
+            return blocks(tree)
+
+        def counted_append(node, seq, batch):
+            calls["deliveries"] += 1
+            delivering.append(seq)
+            try:
+                append(node, seq, batch)
+            finally:
+                delivering.pop()
+
+        monkeypatch.setattr(BlockTree, "blocks", counted_blocks)
+        monkeypatch.setattr(HyperledgerNode, "_append_block", counted_append)
+        run_hyperledger(
+            ProtocolScenario(
+                name="hyperledger", round_length=15.0, duration=80.0, seed=8
+            )
+        )
+        assert calls["deliveries"] > 0
+        assert calls["scans"] == 0
