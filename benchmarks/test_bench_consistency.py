@@ -1,9 +1,7 @@
 """Ancestry-index acceptance gates: batch checking and the prefix algebra.
 
-Not a paper figure — these gate the PR-2 perf claims and populate
-``BENCH_consistency.json`` (the bench trajectory consumed by
-``make bench-consistency`` / CI; schema documented in README.md
-§ Performance):
+Not a paper figure — these gate the ancestry index and the batch
+checkers built on it:
 
 * **batch gate** — Strong Prefix + Eventual Prefix checking on a
   100k-read scenario history must beat the retained pairwise reference
@@ -29,7 +27,6 @@ Not a paper figure — these gate the PR-2 perf claims and populate
 """
 
 import json
-import os
 import sys
 import time
 import tracemalloc
@@ -57,8 +54,6 @@ from repro.histories import (
 )
 
 SCORE = LengthScore()
-_RESULTS = {"bench": "consistency", "batch": [], "prefix_50k": {}, "memory": {}}
-_JSON_PATH = "BENCH_consistency.json"
 
 
 def _scenario_history(n_reads, depth=3000, n_procs=48):
@@ -197,7 +192,6 @@ def _run_batch_row(history, sample_reads, violating=False, **shape):
     }
     if violating:
         row["violating"] = True
-    _RESULTS["batch"].append(row)
     return row
 
 
@@ -275,12 +269,6 @@ def test_bench_prefix_algebra_50k_gate(report):
     assert fast_cp.block_ids() == oracle_cp.block_ids()
 
     speedup = old_s / new_s
-    _RESULTS["prefix_50k"] = {
-        "depth": 50_000,
-        "new_us": round(new_s * 1e6, 3),
-        "tuple_us": round(old_s * 1e6, 3),
-        "speedup": round(speedup, 1),
-    }
     report(
         "Chain.is_prefix_of on 50k-deep chains (gate: ≥20×)",
         f"ancestry index {new_s * 1e6:8.2f}µs   tuple walk {old_s * 1e6:10.1f}µs   "
@@ -313,11 +301,6 @@ def test_bench_block_memory(report):
     assert not hasattr(tip, "__dict__")
     # Interning: the tree's indices and the block share one id object.
     assert tree.get(tip.block_id).block_id is sys.intern(tip.block_id)
-    _RESULTS["memory"] = {
-        "blocks": n,
-        "traced_bytes_per_block": round(per_block, 1),
-        "block_sizeof": sys.getsizeof(tip),
-    }
     report(
         "Per-block memory, 200k-block tree (Block __slots__ + interned ids)",
         f"traced {per_block:7.1f} B/block (blocks + all tree indices)   "
@@ -326,21 +309,3 @@ def test_bench_block_memory(report):
     # Generous ceiling: catches a reintroduced __dict__ (+~100 B/block)
     # or accidental per-block chain materialization, not allocator noise.
     assert per_block < 1500, f"per-block memory {per_block:.0f} B looks regressed"
-
-
-def test_emit_bench_json():
-    """Write BENCH_consistency.json (schema: README.md § Performance)."""
-    # Refuse to emit a hollow trajectory: a partial run (-k filter, an
-    # earlier gate failure, reordered execution) must not overwrite the
-    # artifact with empty sections that look like a measured result.
-    passing = {r["n_reads"] for r in _RESULTS["batch"] if not r.get("violating")}
-    assert passing == {10_000, 100_000} and len(_RESULTS["batch"]) == 3, (
-        "batch rows missing — run the whole file, not a subset"
-    )
-    assert _RESULTS["prefix_50k"] and _RESULTS["memory"], (
-        "prefix/memory sections missing — run the whole file, not a subset"
-    )
-    payload = dict(_RESULTS, emitted_by="benchmarks/test_bench_consistency.py")
-    with open(_JSON_PATH, "w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-    assert os.path.getsize(_JSON_PATH) > 0

@@ -1,143 +1,25 @@
-"""Library micro-benchmarks: the substrate's own throughput.
+"""Incremental fork-choice gates: repeated ``read()`` on a growing tree.
 
-Not a paper figure — these track the cost of the structures every
-experiment leans on (BlockTree appends, selection functions, consistency
-checking, the event loop, PoW hashing, Merkle trees), so performance
-regressions in the reproduction are visible.
-
-The ``test_bench_incremental_*`` benches are the incremental
-fork-choice engine's acceptance gates: repeated ``read()`` on a growing
-100k-block scenario tree must beat the full-rescan baseline (kept in
-:mod:`repro.blocktree.reference`) by at least 5× while returning
-byte-identical chains.
+Not a paper figure — repeated ``read()`` on a growing 100k-block
+scenario tree must beat the full-rescan baseline (kept in
+:mod:`repro.blocktree.reference`) by at least 5× (longest, heaviest) or
+2× (GHOST) while returning byte-identical chains.  Per-layer timings of
+the substrate (tree appends, selection, checkers, the event loop) come
+from ``python3 bench/run.py --trace 1``.
 """
 
-import random
 import time
 
 from repro.blocktree import (
     BlockTree,
-    GENESIS,
     GHOSTSelection,
     HeaviestChain,
-    LengthScore,
     LongestChain,
-    make_block,
     rescan_ghost,
     rescan_heaviest,
     rescan_longest,
 )
 from repro.workloads.scenarios import tree_scenarios
-from repro.consistency import BTStrongConsistency
-from repro.crypto import MerkleTree, PoWPuzzle
-from repro.histories import ContinuationModel, HistoryRecorder
-from repro.net import Network, SimProcess, Simulator
-
-
-def build_linear_tree(n):
-    tree = BlockTree()
-    parent = GENESIS
-    for i in range(n):
-        block = make_block(parent, label=str(i))
-        tree.add_block(block)
-        parent = block
-    return tree
-
-
-def build_bushy_tree(n, fanout_every=5, seed=3):
-    rng = random.Random(seed)
-    tree = BlockTree()
-    tips = [GENESIS]
-    for i in range(n):
-        parent = tips[-1] if i % fanout_every else rng.choice(tips)
-        block = make_block(parent, label=str(i))
-        tree.add_block(block)
-        tips.append(block)
-    return tree
-
-
-def test_bench_blocktree_append(benchmark):
-    benchmark(build_linear_tree, 500)
-
-
-def test_bench_selection_longest(benchmark):
-    tree = build_bushy_tree(400)
-    benchmark(lambda: LongestChain().select(tree))
-
-
-def test_bench_selection_heaviest(benchmark):
-    tree = build_bushy_tree(400)
-    benchmark(lambda: HeaviestChain().select(tree))
-
-
-def test_bench_selection_ghost(benchmark):
-    tree = build_bushy_tree(400)
-    benchmark(lambda: GHOSTSelection().select(tree))
-
-
-def _history_for_checking(n_reads=120):
-    tree = build_linear_tree(40)
-    chain = LongestChain().select(tree)
-    rec = HistoryRecorder()
-    for b in chain.non_genesis():
-        op = rec.begin("env", "append", (b.block_id, b.parent_id))
-        rec.end("env", op, "append", True)
-    from repro.blocktree import Chain
-
-    for i in range(n_reads):
-        prefix = Chain.of(chain.blocks[: 1 + (i % chain.height)])
-        rec.record_read(f"p{i % 3}", prefix)
-    return rec.history(ContinuationModel.all_growing(["p0", "p1", "p2"]))
-
-
-def test_bench_consistency_checker(benchmark):
-    history = _history_for_checking()
-    checker = BTStrongConsistency(score=LengthScore())
-    benchmark(lambda: checker.check(history))
-
-
-class _Pinger(SimProcess):
-    def __init__(self, name, count):
-        super().__init__(name)
-        self.count = count
-
-    def on_start(self):
-        self.set_timer(0.1, "tick")
-
-    def on_timer(self, tag):
-        if self.count > 0:
-            self.count -= 1
-            self.broadcast(("ping", self.count))
-            self.set_timer(0.1, "tick")
-
-    def on_message(self, src, message):
-        pass
-
-
-def run_simulator(n_procs=5, pings=100):
-    sim = Simulator(seed=1)
-    net = Network(sim)
-    for i in range(n_procs):
-        net.register(_Pinger(f"p{i}", pings))
-    net.start()
-    sim.run()
-    return sim.events_executed
-
-
-def test_bench_simulator_event_loop(benchmark):
-    events = benchmark(run_simulator)
-    assert events > 1000
-
-
-def test_bench_tree_scenario_builds(benchmark):
-    """Growing a 10k-block adversarial scenario tree (O(1) appends)."""
-    scenarios = tree_scenarios()
-
-    def build_all():
-        return sum(len(scenario.build()) for scenario in scenarios.values())
-
-    total = benchmark(build_all)
-    assert total == sum(s.n_blocks + 1 for s in scenarios.values())
 
 
 def _grow_and_time_reads(tree, blocks, select, read_every):
@@ -227,14 +109,3 @@ def test_bench_incremental_ghost_read_growing_100k(report):
         f"rescan {rescan_avg * 1e3:7.2f}ms/read   speedup {speedup:5.1f}×",
     )
     assert speedup >= 2.0, f"GHOST speedup {speedup:.1f}× below the 2× gate"
-
-
-def test_bench_pow_mining(benchmark):
-    puzzle = PoWPuzzle("parent", "commitment", "miner", difficulty_bits=10)
-    solution = benchmark(lambda: puzzle.mine())
-    assert solution is not None
-
-
-def test_bench_merkle_root(benchmark):
-    leaves = [f"tx-{i}" for i in range(256)]
-    benchmark(lambda: MerkleTree(leaves).root)

@@ -1,8 +1,6 @@
-"""Storage-subsystem acceptance gates: backends, prune lifecycle, 1M run.
+"""Storage-subsystem gates: backends, prune lifecycle, bounded hot set.
 
-Not a paper figure — these gate the PR-3 storage claims and populate
-``BENCH_storage.json`` (schema documented in ``docs/benchmarks.md``;
-regenerated by ``make bench-storage``):
+Not a paper figure — these gate the block-store layer:
 
 * **append gate** — raw ``put`` throughput per backend (pre-generated
   blocks, one flush at the end).  Floors are ~5-10× below measured dev
@@ -12,16 +10,11 @@ regenerated by ``make bench-storage``):
   one seek + CRC-checked decode (log) / one indexed SELECT (sqlite).
 * **replay gate** — crash-recovery speed: reopen a 100k-block log
   (index rebuild) and ``BlockTree.replay`` it back into a full tree.
-* **bounded-hot-set gate** (the acceptance criterion) — a 1M-block
-  ``TreeScenario`` on ``AppendOnlyLogStore`` with a ``PrunePolicy``
-  completes with ``peak_resident ≤ hot_cap`` while its fork-choice
-  reads stay **byte-identical** to the all-in-RAM ``InMemoryStore``
-  run, sampled every ~1k blocks.  ``BENCH_STORAGE_SCALE`` rescales the
-  run (CI uses a smaller tier; the committed JSON is the 1M run).
-
-The parametrized benches honor the ``--store`` knob
-(``pytest benchmarks/ --store log``); the JSON artifact is only emitted
-on unfiltered runs so a partial pass never overwrites the trajectory.
+* **bounded-hot-set gate** — a 200k-block ``TreeScenario`` on
+  ``AppendOnlyLogStore`` with a ``PrunePolicy`` completes with
+  ``peak_resident ≤ hot_cap`` while its fork-choice reads stay
+  **byte-identical** to the all-in-RAM ``InMemoryStore`` run, sampled
+  every ~1k blocks.
 """
 
 import json
@@ -35,15 +28,7 @@ from repro.blocktree import GENESIS, BlockTree, LongestChain, PrunePolicy, make_
 from repro.storage import AppendOnlyLogStore, InMemoryStore, open_store
 from repro.workloads.scenarios import TreeScenario
 
-_RESULTS = {
-    "bench": "storage",
-    "append": [],
-    "cold_read": [],
-    "recovery": {},
-    "bounded_hot_set": {},
-}
-_JSON_PATH = "BENCH_storage.json"
-_SCALE = int(os.environ.get("BENCH_STORAGE_SCALE", "1000000"))
+_SCALE = 200_000
 
 #: Raw-append floors (blocks/s), ~5-10× below measured dev-box numbers.
 _APPEND_GATES = {"memory": 200_000, "log": 50_000, "sqlite": 10_000}
@@ -69,6 +54,7 @@ def _open(store_kind, tmp_path, name):
     return open_store(store_kind, path=str(tmp_path / f"{name}.{suffix}"))
 
 
+@pytest.mark.parametrize("store_kind", ("memory", "log", "sqlite"))
 def test_bench_append_throughput(report, store_kind, tmp_path):
     """Gate: raw put throughput per backend (floors in _APPEND_GATES)."""
     n = 50_000
@@ -88,7 +74,6 @@ def test_bench_append_throughput(report, store_kind, tmp_path):
         "blocks_per_s": round(rate),
         "gate_blocks_per_s": _APPEND_GATES[store_kind],
     }
-    _RESULTS["append"].append(row)
     report(
         f"Append throughput, {store_kind} store "
         f"(gate: ≥{_APPEND_GATES[store_kind]:,}/s)",
@@ -99,10 +84,9 @@ def test_bench_append_throughput(report, store_kind, tmp_path):
     )
 
 
+@pytest.mark.parametrize("store_kind", ("log", "sqlite"))
 def test_bench_cold_read_latency(report, store_kind, tmp_path):
     """Gate: mean cold ``get`` after reopen ≤ 1 ms (durable backends)."""
-    if store_kind == "memory":
-        pytest.skip("cold reads need a durable backend")
     n, probes = 100_000, 2_000
     blocks = _linear_blocks(n)
     store = _open(store_kind, tmp_path, "cold")
@@ -125,7 +109,6 @@ def test_bench_cold_read_latency(report, store_kind, tmp_path):
         "mean_us": round(mean_us, 2),
         "gate_us": _COLD_READ_GATE_US,
     }
-    _RESULTS["cold_read"].append(row)
     report(
         f"Cold-read latency, {store_kind} store (gate: ≤{_COLD_READ_GATE_US:.0f}µs mean)",
         json.dumps(row, indent=2),
@@ -159,7 +142,6 @@ def test_bench_replay_recovery(report, tmp_path):
         "blocks_per_s": round(rate),
         "gate_blocks_per_s": _REPLAY_GATE,
     }
-    _RESULTS["recovery"] = row
     report(
         f"Crash-recovery replay, 100k-block log (gate: ≥{_REPLAY_GATE:,}/s)",
         json.dumps(row, indent=2),
@@ -168,7 +150,7 @@ def test_bench_replay_recovery(report, tmp_path):
 
 
 def test_bench_bounded_hotset_gate(report, tmp_path):
-    """THE acceptance gate: 1M blocks, bounded hot set, identical reads.
+    """Gate: 200k blocks, bounded hot set, identical reads.
 
     Runs the same forky ``TreeScenario`` twice — all-in-RAM
     ``InMemoryStore`` vs ``AppendOnlyLogStore`` under a ``PrunePolicy``
@@ -221,7 +203,6 @@ def test_bench_bounded_hotset_gate(report, tmp_path):
         "log_overhead": round(log_s / ram_s, 2),
         "log_mb": round(log_bytes / 1e6, 1),
     }
-    _RESULTS["bounded_hot_set"] = row
     report(
         f"Bounded hot set, {n:,}-block TreeScenario on the log store "
         f"(gate: peak resident ≤ {cap:,}, byte-identical reads)",
@@ -233,21 +214,3 @@ def test_bench_bounded_hotset_gate(report, tmp_path):
     )
     assert stats["evicted_total"] > 0, "prune lifecycle never ran"
     assert stored == n, f"log store holds {stored:,} of {n:,} blocks"
-
-
-def test_emit_bench_json(pytestconfig):
-    """Write BENCH_storage.json (schema: docs/benchmarks.md)."""
-    if pytestconfig.getoption("--store") != "all":
-        pytest.skip("--store filter active: not overwriting the trajectory")
-    # Refuse to emit a hollow trajectory: a partial run (-k filter, an
-    # earlier gate failure) must not overwrite the artifact with empty
-    # sections that look like a measured result.
-    assert {row["store"] for row in _RESULTS["append"]} == {"memory", "log", "sqlite"}
-    assert {row["store"] for row in _RESULTS["cold_read"]} == {"log", "sqlite"}
-    assert _RESULTS["recovery"] and _RESULTS["bounded_hot_set"], (
-        "recovery/bounded sections missing — run the whole file, not a subset"
-    )
-    payload = dict(_RESULTS, emitted_by="benchmarks/test_bench_storage.py")
-    with open(_JSON_PATH, "w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-    assert os.path.getsize(_JSON_PATH) > 0

@@ -1,40 +1,32 @@
-"""Fast-sync acceptance gates: catch-up speedup, lifecycle matrix, determinism.
+"""Fast-sync gates: catch-up speedup and the lifecycle classification matrix.
 
-Not a paper figure — these gate the frontier-sync subsystem claims and
-populate ``BENCH_sync.json`` (schema registered in
-:mod:`repro.analysis.bench_schema`, documented in ``docs/benchmarks.md``,
-regenerated by ``make bench-sync``):
+Not a paper figure — these gate the frontier-sync subsystem:
 
-* **fast-sync gate** — a replica joining with a ``BENCH_SYNC_GAP``
-  (default 50k) block deficit must catch up through the frontier
-  protocol (:mod:`repro.net.sync`) ≥10× faster wall-clock than naive
-  gossip replay.  Both paths run in the *same* 16-node flood network:
-  the naive baseline re-floods each historical block as its own gossip
-  message (the server broadcasts to every peer, the joiner adopts and
-  re-relays, every bystander dedups the redundant copies — the
-  O(degree) dissemination cost a block normally pays once, paid again
-  per replayed block), while fast sync pulls point-to-point batched
-  ranges and relays nothing.  The naive baseline is timed on an
-  evenly-sized sample and extrapolated linearly; both timed sections
-  run with the GC paused so neither path is charged the other's
-  garbage.  The synced tree must be byte-identical to the server's and
-  select the same fork-choice chain.
+* **fast-sync gate** — a replica joining with a 50k-block deficit must
+  catch up through the frontier protocol (:mod:`repro.net.sync`) ≥10×
+  faster wall-clock than naive gossip replay.  Both paths run in the
+  *same* 16-node flood network: the naive baseline re-floods each
+  historical block as its own gossip message (the server broadcasts to
+  every peer, the joiner adopts and re-relays, every bystander dedups
+  the redundant copies — the O(degree) dissemination cost a block
+  normally pays once, paid again per replayed block), while fast sync
+  pulls point-to-point batched ranges and relays nothing.  The naive
+  baseline is timed on an evenly-sized sample and extrapolated
+  linearly; both timed sections run with the GC paused so neither path
+  is charged the other's garbage.  The synced tree must be
+  byte-identical to the server's and select the same fork-choice chain.
 * **lifecycle matrix gate** — the three node-lifecycle presets
   (``crash-rejoin``/``late-join``/``eclipse-heal``) run for bitcoin and
   hyperledger on *both* transports (flood and reconcile); every cell
   must classify consistently (a measured SC or EC refinement, never
-  ``inconsistent``) and report non-empty ``sync_stats``.
-* **determinism gate** — each transport's lifecycle grid run serially
-  and on a 2-worker pool must fold into identical matrices *including
-  per-cell ``sync`` stats* (timing excluded).
+  ``inconsistent``) and complete at least one sync.
 
-``BENCH_SYNC_GAP`` rescales the catch-up gate; the committed JSON is
-the 50k run.
+Serial ≡ parallel lifecycle campaigns are a tier-1 test
+(``tests/test_campaign.py``).
 """
 
 import gc
 import json
-import os
 import time
 
 from repro.blocktree import LongestChain
@@ -44,10 +36,8 @@ from repro.net import Network, Simulator, SynchronousChannel
 from repro.protocols.base import PassiveNode
 from repro.workloads.scenarios import ProtocolScenario, TreeScenario
 
-_RESULTS = {"bench": "sync"}
-_JSON_PATH = "BENCH_sync.json"
-_GAP = int(os.environ.get("BENCH_SYNC_GAP", "50000"))
-_DURATION = float(os.environ.get("BENCH_SYNC_DURATION", "240"))
+_GAP = 50_000
+_DURATION = 240.0
 
 _SPEEDUP_GATE = 10.0
 _NAIVE_SAMPLE = 4000
@@ -154,34 +144,22 @@ def test_bench_fast_sync_vs_naive_replay(report):
     assert speedup >= _SPEEDUP_GATE, (
         f"fast-sync speedup {speedup:.1f}× below the {_SPEEDUP_GATE}× gate"
     )
-    _RESULTS["fast_sync"] = row
 
 
-def _lifecycle_grid(gossip):
-    return CampaignGrid(
-        protocols=("bitcoin", "hyperledger"),
-        scenarios=("crash-rejoin", "late-join", "eclipse-heal"),
-        seeds=(2024,),
-        n_nodes=4,
-        duration=_DURATION,
-        gossip=gossip,
-    )
-
-
-def test_bench_lifecycle_matrix_and_determinism(report):
-    """Gate: every lifecycle cell classifies SC/EC on both transports,
-    with serial ≡ parallel matrices including sync stats."""
+def test_bench_lifecycle_matrix(report):
+    """Gate: every lifecycle cell classifies SC or EC on both transports."""
     matrix_rows = {}
-    determinism = {}
     for gossip in ("flood", "reconcile"):
-        grid = _lifecycle_grid(gossip)
-        serial = run_campaign(grid, workers=1)
-        parallel = run_campaign(grid, workers=2)
-        determinism[gossip] = serial.to_dict(include_timing=False) == parallel.to_dict(
-            include_timing=False
+        grid = CampaignGrid(
+            protocols=("bitcoin", "hyperledger"),
+            scenarios=("crash-rejoin", "late-join", "eclipse-heal"),
+            seeds=(2024,),
+            n_nodes=4,
+            duration=_DURATION,
+            gossip=gossip,
         )
         cells = []
-        for cell in serial.cells:
+        for cell in run_campaign(grid).cells:
             assert cell.sync is not None, f"{cell.cell_id} carries no sync stats"
             cells.append(
                 {
@@ -193,16 +171,10 @@ def test_bench_lifecycle_matrix_and_determinism(report):
                 }
             )
         matrix_rows[gossip] = cells
-    row = {
-        "protocols": ["bitcoin", "hyperledger"],
-        "presets": ["crash-rejoin", "late-join", "eclipse-heal"],
-        "duration": _DURATION,
-        "cells": matrix_rows,
-    }
     report(
         "Lifecycle classification matrix, flood + reconcile "
-        "(gate: every cell SC or EC, serial ≡ parallel)",
-        json.dumps({"matrix": row, "determinism": determinism}, indent=2),
+        "(gate: every cell SC or EC)",
+        json.dumps(matrix_rows, indent=2),
     )
     for gossip, cells in matrix_rows.items():
         for cell in cells:
@@ -212,27 +184,7 @@ def test_bench_lifecycle_matrix_and_determinism(report):
             assert cell["syncs_completed"] >= 1, (
                 f"{gossip}/{cell['cell']} never completed a sync"
             )
-        assert determinism[gossip], f"{gossip} serial and parallel matrices diverged"
     # The rebuilt/late replicas actually shipped blocks somewhere.
     assert any(
         c["blocks_synced"] > 0 for cells in matrix_rows.values() for c in cells
     )
-    _RESULTS["lifecycle_matrix"] = row
-    _RESULTS["determinism"] = determinism
-
-
-def test_emit_bench_json():
-    """Write BENCH_sync.json (schema: repro.analysis.bench_schema)."""
-    # Refuse to emit a hollow trajectory: a partial run (-k filter, an
-    # earlier gate failure) must not overwrite the artifact.
-    required = {"fast_sync", "lifecycle_matrix", "determinism"}
-    assert required <= set(_RESULTS), (
-        "sections missing — run the whole file, not a subset"
-    )
-    payload = dict(_RESULTS, emitted_by="benchmarks/test_bench_sync.py")
-    from repro.analysis.bench_schema import validate_payload
-
-    assert validate_payload("BENCH_sync.json", payload) == []
-    with open(_JSON_PATH, "w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True, ensure_ascii=False)
-    assert os.path.getsize(_JSON_PATH) > 0

@@ -12,8 +12,8 @@ sharded workload (the ``shard-uniform`` campaign preset; the client
 rate is *per shard*, so the offered load scales with K too) and prints
 the aggregate committed tx/s curve next to the cross-shard
 lock/commit/abort counters.  Because each shard chain runs at the full
-block tempo, throughput should scale near-linearly — the benched gate
-(``make bench-shard``) requires K=8 to clear 0.7× ideal — while the
+block tempo, throughput should scale near-linearly — the gate in
+``benchmarks/test_bench_shard.py`` requires K=8 to clear 0.7× ideal — while the
 composed atomicity check stays clean at every K.
 
 Run:  python examples/shard_scaling.py          (four runs, ~seconds)

@@ -333,17 +333,20 @@ def check_strong_prefix(
 ) -> PropertyCheck:
     """Strong Prefix (Definition 3.2): all returned chains pairwise comparable.
 
-    With a continuation, the declared limit chains must also be pairwise
-    comparable with each other and with every returned chain (a growing
-    group's branch must extend every observed chain or be extended by it;
-    chains that diverge in the limit witness a violation).
+    With a continuation, every declared limit chain must also be
+    comparable with every returned chain, and a growing group's branch
+    must extend every observed chain (chains that diverge in the limit
+    witness a violation).
 
-    Three clauses, in order: the reads in history order and the limit
-    chains sorted by process are each one :func:`_first_divergence` scan
-    (growing processes of one group share their branch, so the pair found
-    is never a same-group pair); reads × limits then tests the maximum
-    read alone against each limit — every read is a prefix of it, ``⊑``
-    is transitive, and being a read itself it is the witness.
+    The reads are one :func:`_first_divergence` scan in history order.
+    Once it passes they are totally ordered by ``⊑`` with maximum ``top``.
+    Every limit chain is then a prefix of ``top``: :func:`_limit_chains`
+    returns only ``history.last_chain_of(p)`` values (or genesis), and
+    those come from the same completed-read list as ``history.reads()``.
+    So limits are pairwise comparable and comparable with every read, and
+    the only clause left is the growing one: ``top`` itself must be a
+    prefix of each growing branch (``⊑`` is transitive, so ``top`` is the
+    witness read).
     """
     reads = history.reads()
     chain_of = history.returned_chain
@@ -357,39 +360,19 @@ def check_strong_prefix(
             f"diverging chains [{chain_of(r1).describe()}] vs "
             f"[{chain_of(r2).describe()}]",
         )
-    if continuation is None:
+    if continuation is None or m is None:
         return PropertyCheck("strong-prefix", True)
-    limit_items = sorted(_limit_chains(history, continuation).items())
-    limit_chains = [limit for _proc, (_group, limit) in limit_items]
-    lm, lj = _first_divergence(limit_chains)
-    if lj is not None:
-        return PropertyCheck(
-            "strong-prefix",
-            False,
-            f"limit chains of {limit_items[lm][0]} and {limit_items[lj][0]} diverge: "
-            f"[{limit_chains[lm].describe()}] vs [{limit_chains[lj].describe()}]",
-        )
-    if m is not None:
-        read, top = reads[m], chain_of(reads[m])
-        for proc, (group, limit) in limit_items:
-            if group != "<frozen>":
-                # A growing branch extends forever: the observed chain
-                # must be a prefix of (or equal to) the branch.
-                if not top.is_prefix_of(limit):
-                    return PropertyCheck(
-                        "strong-prefix",
-                        False,
-                        f"read {read.op_id}@{read.proc} chain "
-                        f"[{top.describe()}] diverges from growing branch "
-                        f"of {proc}",
-                    )
-            elif not top.comparable(limit):
-                return PropertyCheck(
-                    "strong-prefix",
-                    False,
-                    f"read {read.op_id}@{read.proc} chain diverges from "
-                    f"frozen limit of {proc}",
-                )
+    read, top = reads[m], chain_of(reads[m])
+    for proc, (group, limit) in sorted(_limit_chains(history, continuation).items()):
+        # A growing branch extends forever: the observed chain must be a
+        # prefix of (or equal to) the branch.
+        if group != "<frozen>" and not top.is_prefix_of(limit):
+            return PropertyCheck(
+                "strong-prefix",
+                False,
+                f"read {read.op_id}@{read.proc} chain [{top.describe()}] "
+                f"diverges from growing branch of {proc}",
+            )
     return PropertyCheck("strong-prefix", True)
 
 

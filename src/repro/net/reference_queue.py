@@ -3,9 +3,7 @@
 This is the original ``repro.net.simulator.Simulator`` — one global
 ``heapq`` of ``(time, sequence, callback)`` entries — kept verbatim so
 the calendar-queue rewrite can be checked *event for event* against it
-(``tests/test_queue_differential.py``) and so ``BENCH_scale.json`` can
-measure the new engine against the exact pre-PR baseline rather than a
-remembered number.
+(``tests/test_queue_differential.py``), its only user.
 
 Do not "improve" this module: its value is that it does not change.
 The only addition over the historical code is :meth:`schedule_call`,

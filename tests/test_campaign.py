@@ -15,7 +15,7 @@ from repro.campaign import (
 )
 from repro.campaign.__main__ import main as campaign_main
 from repro.campaign.grid import AUTH_SCENARIO_PRESETS, SHARD_SCENARIO_PRESETS
-from repro.protocols import classify_protocol
+from repro.protocols import classify_all, classify_protocol
 from repro.protocols.classify import majority_view
 from repro.workloads import default_scenarios
 from repro.workloads.scenarios import TreeScenario, derive_seed
@@ -195,9 +195,54 @@ class TestSeedHygiene:
         assert run.row.blocks_committed == 0
 
 
+LIFECYCLE = dict(
+    protocols=("bitcoin", "hyperledger"),
+    scenarios=("crash-rejoin", "late-join", "eclipse-heal"),
+    duration=120.0,
+)
+
+
 class TestCampaignDeterminism:
-    def test_serial_and_parallel_matrices_identical(self):
-        grid = quick_grid()
+    @pytest.mark.parametrize(
+        "overrides",
+        [
+            pytest.param({}, id="default"),
+            pytest.param(
+                dict(
+                    protocols=("bitcoin", "byzcoin"),
+                    scenarios=("client-steady", "partition-heal"),
+                    duration=120.0,
+                    gossip="reconcile",
+                ),
+                id="reconcile",
+            ),
+            pytest.param(
+                dict(
+                    protocols=("bitcoin",),
+                    scenarios=AUTH_SCENARIO_PRESETS,
+                    duration=240.0,
+                ),
+                id="auth",
+            ),
+            pytest.param(dict(LIFECYCLE, gossip="flood"), id="lifecycle-flood"),
+            pytest.param(dict(LIFECYCLE, gossip="reconcile"), id="lifecycle-reconcile"),
+            # n=10 is the smallest fleet a degree-8 overlay leaves sparse;
+            # the partition-heal cell still classifies EC there.
+            pytest.param(
+                dict(
+                    protocols=("bitcoin",),
+                    scenarios=("partition-heal",),
+                    n_nodes=10,
+                    duration=240.0,
+                    topology="small-world",
+                    topology_degree=8,
+                ),
+                id="small-world",
+            ),
+        ],
+    )
+    def test_serial_and_parallel_matrices_identical(self, overrides):
+        grid = quick_grid(**overrides)
         serial = run_campaign(grid)
         parallel = run_campaign(grid, workers=2)
         assert serial.to_dict(include_timing=False) == parallel.to_dict(
@@ -295,6 +340,18 @@ class TestSingleCellParity:
         )
         (cell_row,) = [c.row for c in run_campaign(grid).cells]
         assert cell_row == classify_protocol("byzcoin", scenario)
+
+    def test_default_column_reproduces_classify_all(self):
+        """Table 1: the default column equals ``classify_all``, row for row."""
+        cap = 250.0
+        scenarios = {
+            name: replace(s, duration=min(s.duration, cap))
+            for name, s in default_scenarios().items()
+        }
+        grid = CampaignGrid(scenarios=("default",), seeds=(None,), duration=cap)
+        measured = run_campaign(grid).default_rows()
+        assert len(measured) == 7
+        assert measured == classify_all(scenarios)
 
 
 class TestMatrixAggregation:

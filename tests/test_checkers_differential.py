@@ -40,13 +40,12 @@ from repro.consistency import (
     pairwise_check_strong_prefix,
     random_refinement_history,
 )
-from repro.consistency import properties, reference
 from repro.consistency.properties import _first_divergence
 from repro.histories import Continuation, ContinuationModel, GrowthMode, HistoryRecorder
 
 SCORE = LengthScore()
 #: How each failing Strong Prefix clause opens its witness.
-STRONG_PREFIX_CLAUSES = ("reads ", "limit chains of", "read ")
+STRONG_PREFIX_CLAUSES = ("reads ", "read ")
 
 
 def _clause(check):
@@ -193,6 +192,39 @@ class TestRandomRefinementHistories:
         assert sc.ok == (rest_ok and strong.ok)
         assert ec.ok == (rest_ok and eventual.ok)
 
+    @settings(max_examples=200, deadline=None)
+    @given(
+        parents=st.lists(st.integers(0, 30), max_size=20),
+        tips=st.lists(st.integers(0, 30), min_size=1, max_size=12),
+        modes=st.lists(
+            st.sampled_from(["frozen", "main", "side", "none"]), min_size=3, max_size=3
+        ),
+    )
+    def test_limit_clauses_agree_once_reads_pass(self, parents, tips, modes):
+        """Limits are final reads, so once the reads clause passes only the
+        growing-branch clause can fail — in the batch checker and the
+        oracle alike, whatever the declared continuation."""
+        chains = _tree_views(parents, tips)
+        history = _record([(f"p{i % 3}", c) for i, c in enumerate(chains)])
+        if not check_strong_prefix(history).ok:
+            return
+        model = ContinuationModel(
+            {
+                f"p{i}": Continuation(
+                    mode != "none",
+                    GrowthMode.FROZEN if mode == "frozen" else GrowthMode.GROWING,
+                    mode,
+                )
+                for i, mode in enumerate(modes)
+            }
+        )
+        fast = check_strong_prefix(history, model)
+        slow = pairwise_check_strong_prefix(history, model)
+        assert fast.ok == slow.ok
+        if not fast.ok:
+            assert "diverges from growing branch" in fast.witness
+            assert "diverges from growing branch" in slow.witness
+
 
 class TestCraftedViolations:
     """Hand-built histories hitting every failing verdict, witnesses included."""
@@ -259,30 +291,6 @@ class TestCraftedViolations:
             False,
             "read 1@p1 chain [b0 ⌢ 1 ⌢ 2] diverges from growing branch of p0",
         )
-
-    def test_declared_limit_clauses(self, monkeypatch):
-        """The two limit templates ``_limit_chains`` cannot reach today
-        (its limits are always reads): drive them with declared limits."""
-        left, right = build_chain("1", "2", "3"), build_chain("1", "2", "4")
-        history = _record([("p0", build_chain("1")), ("p1", build_chain("1", "2"))])
-        for limits, witness in [
-            (  # the oracle skips the same-group pair and names p0 and p2
-                {"p0": ("main", left), "p1": ("main", left), "p2": ("<frozen>", right)},
-                "limit chains of p1 and p2 diverge: "
-                "[b0 ⌢ 1 ⌢ 2 ⌢ 3] vs [b0 ⌢ 1 ⌢ 2 ⌢ 4]",
-            ),
-            (
-                {"p1": ("<frozen>", build_chain("1", "9"))},
-                "read 1@p1 chain diverges from frozen limit of p1",
-            ),
-        ]:
-            for module in (properties, reference):
-                monkeypatch.setattr(module, "_limit_chains", lambda h, m, _l=limits: _l)
-            model = ContinuationModel.all_growing(["p0", "p1"])
-            fast = check_strong_prefix(history, model)
-            slow = pairwise_check_strong_prefix(history, model)
-            assert fast == PropertyCheck("strong-prefix", False, witness)
-            assert not slow.ok and _clause(slow) == _clause(fast)
 
     def test_strong_prefix_failure_needs_no_block_id_tuples(self, monkeypatch):
         """Deciding and naming a fork costs two ``describe()`` calls — no
