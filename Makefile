@@ -1,7 +1,7 @@
 PYTHON ?= python
 export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH))
 
-.PHONY: test identity-dump bench bench-gates bench-pairs bench-selfcheck docs-test campaign
+.PHONY: test identity-dump identity-check bench bench-gates bench-pairs bench-selfcheck docs-test campaign
 
 ## Tier-1: the full unit/property/differential suite (fast, no benches).
 test:
@@ -43,6 +43,13 @@ docs-test:
 identity-dump:
 	@test -n "$(OUT)" || (echo "usage: make identity-dump OUT=<file>" >&2; exit 2)
 	$(PYTHON) benchmarks/identity_dump.py $(OUT)
+
+## The identity dump of PARENT (checked out in a temporary git worktree)
+## and of the working tree, compared byte for byte: exit 1 and the
+## differing line numbers when they differ.
+identity-check:
+	@test -n "$(PARENT)" || (echo "usage: make identity-check PARENT=<rev>" >&2; exit 2)
+	$(PYTHON) benchmarks/identity_check.py $(PARENT)
 
 ## A claimed events_per_wall_s gain: PAIRS alternated parent/change runs
 ## of bench/run.py on one workload (parent in a temporary git worktree),

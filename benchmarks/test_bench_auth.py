@@ -161,8 +161,8 @@ def test_bench_batched_verify(report):
         "batched_seconds": round(fast, 4),
         "naive_us_per_check": round(naive / checks * 1e6, 3),
         "batched_us_per_check": round(fast / checks * 1e6, 3),
-        "cache_hits": fast_auth.counters["cache_hits"],
-        "batch_primed": fast_auth.counters["batch_primed"],
+        "cache_hits": fast_auth.counts["cache_hits"],
+        "batch_primed": fast_auth.counts["batch_primed"],
         "speedup": round(naive / fast, 2),
     }
     report(

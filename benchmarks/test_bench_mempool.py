@@ -115,8 +115,8 @@ def test_bench_batched_ingest_speedup(report):
         "speedup": round(speedup, 1),
         "gate": _INGEST_GATE,
         "accepted": len(accepted),
-        "rejected_duplicate": pool.rejected_duplicate,
-        "rejected_invalid": pool.rejected_invalid,
+        "rejected_duplicate": pool.counts["rejected_duplicate"],
+        "rejected_invalid": pool.counts["rejected_invalid"],
         "tx_per_s_batched": round(len(txs) / batched_s) if batched_s else 0,
     }
     report(
@@ -125,7 +125,7 @@ def test_bench_batched_ingest_speedup(report):
         json.dumps(row, indent=2),
     )
     assert ref_ids == sample_ids, "paths diverged on accepted transactions"
-    assert pool.rejected_duplicate > 0 and pool.rejected_invalid > 0
+    assert pool.counts["rejected_duplicate"] > 0 and pool.counts["rejected_invalid"] > 0
     assert speedup >= _INGEST_GATE, (
         f"batched ingest speedup {speedup:.1f}× below the {_INGEST_GATE}× gate"
     )

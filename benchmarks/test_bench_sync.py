@@ -114,7 +114,7 @@ def test_bench_fast_sync_vs_naive_replay(report):
     fast_s = _timed(sim.run)
 
     assert client.sync.state == "done"
-    assert client.sync_totals["blocks_synced"] == _GAP
+    assert client.metrics["sync"]["blocks_synced"] == _GAP
     # Byte-identity: same tree, and the same fork-choice verdict.
     assert client.tree.freeze() == server.tree.freeze()
     select = LongestChain().select
@@ -130,10 +130,10 @@ def test_bench_fast_sync_vs_naive_replay(report):
         "fast_s": round(fast_s, 4),
         "speedup": round(speedup, 1),
         "gate": _SPEEDUP_GATE,
-        "sync_messages": client.sync_totals["messages_sent"]
-        + server.sync_totals["messages_sent"],
-        "bytes_received": client.sync_totals["bytes_received"],
-        "catch_up_sim_s": round(client.sync_totals["catch_up_s"], 2),
+        "sync_messages": client.metrics["sync"]["messages_sent"]
+        + server.metrics["sync"]["messages_sent"],
+        "bytes_received": client.metrics["sync"]["bytes_received"],
+        "catch_up_sim_s": round(client.metrics["sync"]["catch_up_s"], 2),
         "fork_choice_identical": True,
     }
     report(

@@ -127,7 +127,7 @@ def demo_store_backends() -> None:
     # Deep ancestry still answers — evicted blocks fault back from the log.
     deep = b[1]  # height-1 block, long since evicted
     print(f"  deep fault works    : {pruned.get(deep.block_id) == plain.get(deep.block_id)}"
-          f"  (faults so far: {pruned.fault_count})")
+          f"  (faults so far: {pruned.stats()['fault_count']})")
     pruned._store.close()
 
 

@@ -12,7 +12,7 @@ import hashlib
 import math
 import struct
 from operator import itemgetter
-from typing import Any, Callable, Dict, Iterable
+from typing import Any, Callable, Dict, Iterable, Optional
 
 __all__ = [
     "sha256_hex",
@@ -20,6 +20,7 @@ __all__ = [
     "prf_unit",
     "stable_repr",
     "require",
+    "counter_row",
     "BoundedSet",
 ]
 
@@ -175,6 +176,22 @@ def require(condition: bool, message: str) -> None:
     """Raise :class:`ValueError` with ``message`` unless ``condition`` holds."""
     if not condition:
         raise ValueError(message)
+
+
+def counter_row(
+    counts: Optional[Dict[str, Any]], zero: Dict[str, Any]
+) -> Dict[str, Any]:
+    """A component's row of a replica's counter table.
+
+    ``counts`` is the row the replica hands every incarnation of the
+    component (``None`` for a component built standalone gets a fresh
+    one).  Keys of ``zero`` the row lacks start at their zero value;
+    keys it has keep counting from where an earlier life left them.
+    """
+    row = {} if counts is None else counts
+    for key, value in zero.items():
+        row.setdefault(key, value)
+    return row
 
 
 class BoundedSet:

@@ -114,6 +114,7 @@ from collections import OrderedDict, deque
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Deque, Dict, Iterator, List, Optional, Set, Tuple
 
+from repro._util import counter_row
 from repro.blocktree.block import GENESIS, Block
 from repro.blocktree.chain import Chain
 
@@ -121,6 +122,10 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.storage.base import BlockStore, CheckpointRecord
 
 __all__ = ["BlockTree", "PrunePolicy"]
+
+#: The tree's row of a replica's counter table, at zero (genesis is
+#: always resident, so the peak starts at one).
+_ZERO = {"peak_resident": 1, "fault_count": 0, "prune_count": 0, "evicted_total": 0}
 
 
 class _RevKey:
@@ -149,7 +154,7 @@ class PrunePolicy:
 
     ``hot_cap`` is the resident-Block ceiling that triggers a prune
     attempt — and, because eviction runs inside the same append, the
-    bound the 1M-block bench gates ``BlockTree.peak_resident`` against.
+    bound the bench gates ``BlockTree.stats()["peak_resident"]`` against.
     ``recent_reads`` sizes the read-tip window whose collective LCA is
     the stable finalized prefix; ``finality_margin`` holds the
     checkpoint that many blocks further back (confirmation depth).
@@ -202,6 +207,7 @@ class BlockTree:
         genesis: Block = GENESIS,
         store: Optional["BlockStore"] = None,
         prune: Optional[PrunePolicy] = None,
+        counts: Optional[Dict[str, int]] = None,
     ) -> None:
         if not genesis.is_genesis:
             raise ValueError("BlockTree root must be a genesis block")
@@ -257,11 +263,9 @@ class BlockTree:
         self._checkpoint_id: str = gid
         self._checkpoint_height: int = 0
         self._prune_cooldown: int = 0
-        #: Lifecycle counters (inspected by benches and ``stats()``).
-        self.fault_count: int = 0
-        self.prune_count: int = 0
-        self.evicted_total: int = 0
-        self.peak_resident: int = 1
+        #: Lifecycle counters (see :meth:`stats`): the tree's row of the
+        #: replica's counter table, shared by every tree the replica boots.
+        self.counts = counter_row(counts, _ZERO)
 
     # -- queries ----------------------------------------------------------
 
@@ -300,7 +304,7 @@ class BlockTree:
         cache[bid] = block
         if len(cache) > self._FAULT_CACHE_LIMIT:
             cache.popitem(last=False)
-        self.fault_count += 1
+        self.counts["fault_count"] += 1
         return block
 
     def blocks(self) -> Iterator[Block]:
@@ -609,8 +613,8 @@ class BlockTree:
         self._leaves.discard(parent_id)
         self._leaves.add(bid)
         resident = len(self._nodes)
-        if resident > self.peak_resident:
-            self.peak_resident = resident
+        if resident > self.counts["peak_resident"]:
+            self.counts["peak_resident"] = resident
         policy = self._prune
         if policy is not None and resident >= policy.hot_cap:
             if self._prune_cooldown > 0:
@@ -732,19 +736,17 @@ class BlockTree:
             # The fault cache stays: blocks are immutable and the store
             # is append-only, so its (bounded) entries never go stale.
             self._chain_cache.clear()
-            self.prune_count += 1
-            self.evicted_total += len(evict)
+            self.counts["prune_count"] += 1
+            self.counts["evicted_total"] += len(evict)
         return len(evict)
 
     def stats(self) -> Dict[str, int]:
-        """Lifecycle counters: residency, faults, prunes, checkpoint height."""
+        """The lifecycle counters plus the tree's size, residency and
+        checkpoint height now."""
         return {
             "blocks": len(self._height),
             "resident": len(self._nodes),
-            "peak_resident": self.peak_resident,
-            "fault_count": self.fault_count,
-            "prune_count": self.prune_count,
-            "evicted_total": self.evicted_total,
+            **self.counts,
             "checkpoint_height": self._checkpoint_height,
         }
 
@@ -754,6 +756,7 @@ class BlockTree:
         store: "BlockStore",
         genesis: Block = GENESIS,
         prune: Optional[PrunePolicy] = None,
+        counts: Optional[Dict[str, int]] = None,
     ) -> "BlockTree":
         """Rebuild a tree from a store's append-ordered scan.
 
@@ -769,7 +772,7 @@ class BlockTree:
         the original run had, instead of faulting the whole tree
         resident.
         """
-        tree = cls(genesis, store=store, prune=prune)
+        tree = cls(genesis, store=store, prune=prune, counts=counts)
         reads = tree._recent_reads
         for block in store.scan():
             if block.is_genesis:

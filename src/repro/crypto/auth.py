@@ -51,7 +51,7 @@ import hashlib
 from dataclasses import dataclass, replace
 from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
 
-from repro._util import prf_uint64, sha256_hex, stable_repr
+from repro._util import counter_row, prf_uint64, sha256_hex, stable_repr
 from repro.blocktree.block import Block
 from repro.crypto.hashing import hash_hex
 from repro.crypto.signatures import KeyPair, Signature, SignatureRegistry
@@ -85,6 +85,15 @@ AUTH_REJECT_REASONS = (
 XSHARD_ISSUER_PREFIX = "xshard-"
 
 _CACHE_CAP_DEFAULT = 1 << 16
+
+#: The authenticator's row of a replica's counter table, at zero.
+_ZERO = dict.fromkeys(
+    ("verified", "cache_hits", "batch_primed", "evidence_accepted")
+    + tuple(
+        f"{kind}:{reason}" for reason in AUTH_REJECT_REASONS for kind in ("block", "tx")
+    ),
+    0,
+)
 
 
 def auth_key_seed(seed: int, owner: str) -> int:
@@ -158,9 +167,9 @@ class BlockAuthenticator:
 
     Holds the scenario PKI, the midstate table, the verified-pair cache,
     the equivocation index and the ban set.  One instance per replica
-    (shard facets each get their own); all state is RAM — a crash drops
-    it, and the replica re-learns bans from evidence piggybacked on
-    fast-sync batches.
+    (shard facets each get their own); all state but ``counts`` is RAM —
+    a crash drops it, and the replica re-learns bans from evidence
+    piggybacked on fast-sync batches.
     """
 
     def __init__(
@@ -168,6 +177,7 @@ class BlockAuthenticator:
         registry: SignatureRegistry,
         cache_cap: int = _CACHE_CAP_DEFAULT,
         amortize: bool = True,
+        counts: Optional[Dict[str, int]] = None,
     ) -> None:
         self.registry = registry
         self.cache_cap = cache_cap
@@ -194,15 +204,9 @@ class BlockAuthenticator:
         self.evidence: Dict[str, EquivocationEvidence] = {}
         self.banned_ids: set = set()
         self._fresh_evidence: List[EquivocationEvidence] = []
-        self.counters: Dict[str, int] = {
-            "verified": 0,
-            "cache_hits": 0,
-            "batch_primed": 0,
-            "evidence_accepted": 0,
-        }
-        for reason in AUTH_REJECT_REASONS:
-            self.counters[f"block:{reason}"] = 0
-            self.counters[f"tx:{reason}"] = 0
+        #: Verification counters and typed rejects: the authenticator's
+        #: row of the replica's counter table.
+        self.counts = counter_row(counts, _ZERO)
 
     # -- signing -------------------------------------------------------------
 
@@ -262,14 +266,14 @@ class BlockAuthenticator:
         ``"bad-digest"`` (the same verdicts as ``Registry.verify_detailed``)."""
         key = (content_id, sig.signer)
         if key in self._verified:
-            self.counters["cache_hits"] += 1
+            self.counts["cache_hits"] += 1
             return "ok"
         kp = self.registry.keys.get(sig.signer)
         if kp is None:
             return "unknown-signer"
         if sig.digest != self._digest(kp, kind, content_id):
             return "bad-digest"
-        self.counters["verified"] += 1
+        self.counts["verified"] += 1
         self._remember(key)
         return "ok"
 
@@ -292,7 +296,7 @@ class BlockAuthenticator:
             # reaches here (it is never primed or remembered).
             if block_id in self.banned_ids:
                 return self._reject("block", "equivocation")
-            self.counters["cache_hits"] += 1
+            self.counts["cache_hits"] += 1
             creator = block.creator
             if creator is not None and sig.signer != f"p{creator}":
                 return self._reject("block", "wrong-signer")
@@ -337,7 +341,7 @@ class BlockAuthenticator:
         return "ok"
 
     def _reject(self, kind: str, reason: str) -> str:
-        self.counters[f"{kind}:{reason}"] += 1
+        self.counts[f"{kind}:{reason}"] += 1
         return reason
 
     # -- batched verification ------------------------------------------------
@@ -390,8 +394,8 @@ class BlockAuthenticator:
             if digest == expected[key]:
                 self._remember(key)
                 primed += 1
-        self.counters["batch_primed"] += primed
-        self.counters["verified"] += primed
+        self.counts["batch_primed"] += primed
+        self.counts["verified"] += primed
         return primed
 
     # -- equivocation --------------------------------------------------------
@@ -447,7 +451,7 @@ class BlockAuthenticator:
             return False
         self.evidence[eid] = evidence
         self.banned_ids.update(evidence.banned_ids)
-        self.counters["evidence_accepted"] += 1
+        self.counts["evidence_accepted"] += 1
         return True
 
     def ingest_evidence(self, evidence: EquivocationEvidence) -> bool:
@@ -459,6 +463,11 @@ class BlockAuthenticator:
         fresh = tuple(self._fresh_evidence)
         self._fresh_evidence.clear()
         return fresh
+
+    def stats(self) -> Dict[str, int]:
+        """The counters plus the evidence held and the ids banned now."""
+        evidence, banned = len(self.evidence), len(self.banned_ids)
+        return {**self.counts, "evidence": evidence, "banned": banned}
 
 
 def sign_submissions(submissions: Sequence[Any], registry: SignatureRegistry):

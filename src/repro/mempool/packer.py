@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Set, Tuple
 
+from repro._util import counter_row
 from repro.blocktree.chain import Chain
 from repro.mempool.pool import Mempool
 from repro.workloads.transactions import Transaction
@@ -24,14 +25,10 @@ __all__ = ["BlockPacker"]
 class BlockPacker:
     """Fills block payloads from a :class:`Mempool` (see module docstring)."""
 
-    def __init__(self, pool: Mempool) -> None:
+    def __init__(self, pool: Mempool, counts: Optional[Dict[str, int]] = None) -> None:
         self.pool = pool
-        self.blocks_packed = 0
-        self.txs_packed = 0
-
-    def stats(self) -> Dict[str, int]:
-        """Packing totals."""
-        return {"blocks_packed": self.blocks_packed, "txs_packed": self.txs_packed}
+        #: Packing totals: the packer's row of the replica's counter table.
+        self.counts = counter_row(counts, {"blocks_packed": 0, "txs_packed": 0})
 
     def pack(
         self, chain: Chain, limit: int, now: Optional[float] = None
@@ -78,6 +75,6 @@ class BlockPacker:
         if payload:
             if self.pool.check_invariants:
                 assert view.payload_valid(payload), "packed payload double spends"
-            self.blocks_packed += 1
-            self.txs_packed += len(payload)
+            self.counts["blocks_packed"] += 1
+            self.counts["txs_packed"] += len(payload)
         return tuple(payload)

@@ -25,11 +25,20 @@ from __future__ import annotations
 import heapq
 from typing import Dict, Iterable, List, Optional, Set, Tuple
 
+from repro._util import counter_row
 from repro.blocktree.chain import Chain
 from repro.mempool.utxo import UTXOView
 from repro.workloads.transactions import ChainValidator, Transaction
 
 __all__ = ["Mempool", "ingest_per_tx"]
+
+#: The pool's row of a replica's counter table, at zero.
+_ZERO = dict.fromkeys(
+    ("ingested", "accepted", "rejected_duplicate", "rejected_invalid",
+     "rejected_fee", "evicted", "reaped", "reorg_returns", "conflict_evicted",
+     "parked", "unparked", "parked_expired", "peak_occupancy"),
+    0,
+)
 
 
 class Mempool:
@@ -38,7 +47,8 @@ class Mempool:
     ``capacity`` bounds the held-transaction count (0 disables the
     bound); ``min_fee`` rejects dust below the floor on ingest;
     ``check_invariants`` turns on internal assertions (used by the
-    property-based suite).
+    property-based suite); ``counts`` is the row of the replica's counter
+    table the pool counts into (see :func:`repro._util.counter_row`).
     """
 
     def __init__(
@@ -47,6 +57,7 @@ class Mempool:
         capacity: int = 0,
         min_fee: float = 0.0,
         check_invariants: bool = False,
+        counts: Optional[Dict[str, int]] = None,
     ) -> None:
         if capacity < 0:
             raise ValueError("capacity must be >= 0 (0 disables the bound)")
@@ -79,20 +90,9 @@ class Mempool:
         #: sim-time each committed transaction was reaped at (first
         #: observation on this replica's selected chain).
         self.committed_at: Dict[str, float] = {}
-        # lifecycle counters (all deterministic)
-        self.ingested = 0
-        self.accepted = 0
-        self.rejected_duplicate = 0
-        self.rejected_invalid = 0
-        self.rejected_fee = 0
-        self.evicted = 0
-        self.reaped = 0
-        self.reorg_returns = 0
-        self.conflict_evicted = 0
-        self.parked = 0
-        self.unparked = 0
-        self.parked_expired = 0
-        self.peak_occupancy = 0
+        #: Lifecycle counters (all deterministic): the pool's row of the
+        #: replica's counter table, shared by every pool the replica boots.
+        self.counts = counter_row(counts, _ZERO)
 
     # -- introspection -------------------------------------------------------
 
@@ -153,24 +153,8 @@ class Mempool:
         )
 
     def stats(self) -> Dict[str, int]:
-        """Lifecycle counters plus current/peak occupancy."""
-        return {
-            "ingested": self.ingested,
-            "accepted": self.accepted,
-            "rejected_duplicate": self.rejected_duplicate,
-            "rejected_invalid": self.rejected_invalid,
-            "rejected_fee": self.rejected_fee,
-            "evicted": self.evicted,
-            "reaped": self.reaped,
-            "reorg_returns": self.reorg_returns,
-            "conflict_evicted": self.conflict_evicted,
-            "parked": self.parked,
-            "unparked": self.unparked,
-            "parked_expired": self.parked_expired,
-            "pending": len(self._parked),
-            "occupancy": self.occupancy,
-            "peak_occupancy": self.peak_occupancy,
-        }
+        """Lifecycle counters plus the current occupancy and parked count."""
+        return {**self.counts, "pending": len(self._parked), "occupancy": len(self)}
 
     # -- ingestion -----------------------------------------------------------
 
@@ -257,31 +241,32 @@ class Mempool:
         """
         if chain is not None:
             self.observe_chain(chain, now=now)
+        counts = self.counts
         accepted: List[Transaction] = []
         for tx in txs:
-            self.ingested += 1
+            counts["ingested"] += 1
             if (
                 tx.tx_id in self._txs
                 or tx.tx_id in self._parked
                 or tx.tx_id in self.view.committed
             ):
-                self.rejected_duplicate += 1
+                counts["rejected_duplicate"] += 1
                 continue
             if tx.fee < self.min_fee:
-                self.rejected_fee += 1
+                counts["rejected_fee"] += 1
                 continue
             verdict, missing = self._judge(tx)
             if verdict == "missing":
                 self._park(tx, missing)
                 continue
             if verdict == "invalid":
-                self.rejected_invalid += 1
+                counts["rejected_invalid"] += 1
                 continue
             self._admit(tx)
-            self.accepted += 1
+            counts["accepted"] += 1
             accepted.append(tx)
             self._retry_waiters(tx.outputs)
-        self.peak_occupancy = max(self.peak_occupancy, self.occupancy)
+        counts["peak_occupancy"] = max(counts["peak_occupancy"], self.occupancy)
         self._enforce_capacity()
         return accepted
 
@@ -293,12 +278,12 @@ class Mempool:
         self._parked_waits[tx.tx_id] = missing
         for coin in missing:
             self._waiting_on.setdefault(coin, []).append(tx.tx_id)
-        self.parked += 1
+        self.counts["parked"] += 1
         cap = self.capacity
         while cap and len(self._parked) > cap:
             oldest = next(iter(self._parked))
             self._unpark(oldest)
-            self.parked_expired += 1
+            self.counts["parked_expired"] += 1
 
     def _unpark(self, tx_id: str) -> Optional[Transaction]:
         """Remove one parked transaction and its wait registrations."""
@@ -332,13 +317,13 @@ class Mempool:
                 verdict, missing = self._judge(tx)
                 if verdict == "missing":
                     self._park(tx, missing)
-                    self.parked -= 1  # a re-park, not a new arrival
+                    self.counts["parked"] -= 1  # a re-park, not a new arrival
                 elif verdict == "invalid":
-                    self.rejected_invalid += 1
+                    self.counts["rejected_invalid"] += 1
                 else:
                     self._admit(tx)
-                    self.accepted += 1
-                    self.unparked += 1
+                    self.counts["accepted"] += 1
+                    self.counts["unparked"] += 1
                     self._unparked_ready.append(tx)
                     queue.extend(tx.outputs)
 
@@ -382,7 +367,7 @@ class Mempool:
                     "eviction would orphan a pooled dependent"
                 )
             self._remove(evicted_id)
-            self.evicted += 1
+            self.counts["evicted"] += 1
 
     # -- chain lifecycle -----------------------------------------------------
 
@@ -397,6 +382,7 @@ class Mempool:
         applied, unapplied = self.view.sync(chain)
         if not applied and not unapplied:
             return
+        counts = self.counts
         returned: List[Transaction] = []
         for block in unapplied:  # tip-first: dependents before parents
             for tx in reversed(block.payload):
@@ -406,7 +392,7 @@ class Mempool:
             for tx in block.payload:
                 if tx.tx_id in self._txs:
                     self._remove(tx.tx_id)
-                    self.reaped += 1
+                    counts["reaped"] += 1
                 elif tx.tx_id in self._parked:
                     self._unpark(tx.tx_id)
                 if now is not None and tx.tx_id not in self.committed_at:
@@ -422,7 +408,7 @@ class Mempool:
             for tx in list(self._txs.values()):
                 if any(coin in minted_now for coin in tx.outputs):
                     self._remove(tx.tx_id)
-                    self.conflict_evicted += 1
+                    counts["conflict_evicted"] += 1
         # Parent-first re-admission so intra-reorg dependencies resolve;
         # a returned transaction whose input is unknown on the new
         # branch parks like any other orphan.
@@ -436,13 +422,13 @@ class Mempool:
             verdict, missing = self._judge(tx)
             if verdict == "ok":
                 self._admit(tx)
-                self.reorg_returns += 1
+                counts["reorg_returns"] += 1
                 self._retry_waiters(tx.outputs)
             elif verdict == "missing":
                 self._park(tx, missing)
         # Freshly committed coins may satisfy parked dependents.
         self._retry_waiters(committed_coins)
-        self.peak_occupancy = max(self.peak_occupancy, self.occupancy)
+        counts["peak_occupancy"] = max(counts["peak_occupancy"], self.occupancy)
         self._enforce_capacity()
         if self.check_invariants:
             self._check_consistency()

@@ -47,9 +47,9 @@ transports.
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Tuple
+from typing import Any, Dict, List, Optional, Tuple
 
-from repro._util import prf_uint64, prf_unit
+from repro._util import counter_row, prf_uint64, prf_unit
 from repro.mempool import TX_GOSSIP_TAG
 from repro.net.sketch import BloomFilter, IBLT, iblt_cells_for, key_digest
 from repro.workloads.scenarios import GOSSIP_TAG
@@ -65,6 +65,7 @@ __all__ = [
     "RECON_FULLREQ",
     "RECON_TXS",
     "RECON_PUSH",
+    "ROUND_COUNTERS",
     "wire_size",
     "GossipTransport",
     "FloodTransport",
@@ -106,6 +107,13 @@ _FETCH_MAX_ATTEMPTS = 8
 _IBLT_CELL_CAP = 4096
 _DIFF_SLACK = 4
 
+#: The reconciliation round and fetch counters: kept per replica, but
+#: not part of the byte/message totals both transports report.
+ROUND_COUNTERS = (
+    "rounds_started", "rounds_completed", "rounds_retried", "full_fallbacks",
+    "blocks_requested",
+)
+
 
 def wire_size(message: Any) -> int:
     """A deterministic modelled byte cost for a message.
@@ -144,13 +152,14 @@ class GossipTransport:
     """
 
     kind = "none"
+    #: The transport's row of the replica's counter table, at zero.
+    ZERO: Dict[str, int] = dict.fromkeys(
+        ("messages_sent", "bytes_sent", "block_bytes_sent", "tx_bytes_sent"), 0
+    )
 
-    def __init__(self, node: Any) -> None:
+    def __init__(self, node: Any, counts: Optional[Dict[str, int]] = None) -> None:
         self.node = node
-        self.bytes_sent = 0
-        self.block_bytes_sent = 0
-        self.tx_bytes_sent = 0
-        self.messages_sent = 0
+        self.counts = counter_row(counts, self.ZERO)
 
     # -- lifecycle ---------------------------------------------------------
 
@@ -179,13 +188,14 @@ class GossipTransport:
 
     def _account(self, message: Any, copies: int = 1) -> None:
         size = wire_size(message) * copies
-        self.bytes_sent += size
-        self.messages_sent += copies
+        counts = self.counts
+        counts["bytes_sent"] += size
+        counts["messages_sent"] += copies
         tag = message[0] if isinstance(message, tuple) and message else None
         if tag in _BLOCK_TAGS:
-            self.block_bytes_sent += size
+            counts["block_bytes_sent"] += size
         else:
-            self.tx_bytes_sent += size
+            counts["tx_bytes_sent"] += size
 
     def _send(self, dst: str, message: Any) -> None:
         self._account(message)
@@ -197,13 +207,8 @@ class GossipTransport:
         self.node.broadcast(message)
 
     def stats(self) -> Dict[str, Any]:
-        return {
-            "kind": self.kind,
-            "messages_sent": self.messages_sent,
-            "bytes_sent": self.bytes_sent,
-            "block_bytes_sent": self.block_bytes_sent,
-            "tx_bytes_sent": self.tx_bytes_sent,
-        }
+        """The transport's counters, labelled with its kind."""
+        return {"kind": self.kind, **self.counts}
 
 
 class FloodTransport(GossipTransport):
@@ -239,9 +244,12 @@ class ReconcileTransport(GossipTransport):
     round protocol and the gating/repair invariants)."""
 
     kind = "reconcile"
+    ZERO = {**GossipTransport.ZERO, **dict.fromkeys(ROUND_COUNTERS, 0)}
 
-    def __init__(self, node: Any, interval: float = 10.0) -> None:
-        super().__init__(node)
+    def __init__(
+        self, node: Any, interval: float = 10.0, counts: Optional[Dict[str, int]] = None
+    ) -> None:
+        super().__init__(node, counts)
         if interval <= 0:
             raise ValueError("reconciliation interval must be positive")
         self.interval = interval
@@ -262,12 +270,6 @@ class ReconcileTransport(GossipTransport):
         #: later announcement or tip exchange re-triggers the fetch).
         self._pending_fetch: Dict[str, Tuple[int, float]] = {}
         self._fetch_depth: Dict[str, int] = {}
-        # round/fetch counters for stats()
-        self.rounds_started = 0
-        self.rounds_completed = 0
-        self.rounds_retried = 0
-        self.full_fallbacks = 0
-        self.blocks_requested = 0
 
     # -- lifecycle ---------------------------------------------------------
 
@@ -328,7 +330,7 @@ class ReconcileTransport(GossipTransport):
             return
         self._pending_fetch[block_id] = (0, self.node.now)
         self._fetch_depth[block_id] = depth
-        self.blocks_requested += 1
+        self.counts["blocks_requested"] += 1
         self._send(src, (RECON_BLK_GET, block_id, depth))
 
     def _retry_fetches(self, now: float) -> None:
@@ -401,7 +403,7 @@ class ReconcileTransport(GossipTransport):
         if pending is not None:
             if now - pending[2] < 2 * self.interval:
                 return  # round still in flight
-            self.rounds_retried += 1  # lost in transit: start over
+            self.counts["rounds_retried"] += 1  # lost in transit: start over
         elif self._done_clock.get(peer) == self._clock:
             return  # nothing changed since the last completed round
         self._round_seq += 1
@@ -409,7 +411,7 @@ class ReconcileTransport(GossipTransport):
         ids = self._held_ids()
         bloom = BloomFilter.for_items(ids, salt=self._salt)
         self._pending_round[peer] = (round_id, self._clock, now)
-        self.rounds_started += 1
+        self.counts["rounds_started"] += 1
         self._send(peer, (RECON_REQ, round_id, len(ids), bloom, self._tips()))
 
     @staticmethod
@@ -444,7 +446,7 @@ class ReconcileTransport(GossipTransport):
         mine = IBLT.for_items(ids, cells=theirs.cells, salt=theirs.salt, k=theirs.k)
         only_mine, only_theirs, ok = mine.subtract(theirs).decode()
         if not ok:
-            self.full_fallbacks += 1
+            self.counts["full_fallbacks"] += 1
             self._send(src, (RECON_FULLREQ, round_id, ids))
             return
         by_digest = self._bodies_by_digest(ids)
@@ -480,7 +482,7 @@ class ReconcileTransport(GossipTransport):
         if pending is not None and pending[0] == round_id:
             del self._pending_round[src]
             self._done_clock[src] = pending[1]
-            self.rounds_completed += 1
+            self.counts["rounds_completed"] += 1
         if want_ids:
             out = self._held_bodies(want_ids)
             if out:
@@ -529,24 +531,17 @@ class ReconcileTransport(GossipTransport):
             return True
         return False
 
-    def stats(self) -> Dict[str, Any]:
-        base = super().stats()
-        base.update(
-            {
-                "rounds_started": self.rounds_started,
-                "rounds_completed": self.rounds_completed,
-                "rounds_retried": self.rounds_retried,
-                "full_fallbacks": self.full_fallbacks,
-                "blocks_requested": self.blocks_requested,
-            }
-        )
-        return base
 
-
-def build_transport(kind: str, node: Any, interval: float = 10.0) -> GossipTransport:
-    """The transport for ``scenario.gossip`` (``"flood"``/``"reconcile"``)."""
+def build_transport(
+    kind: str,
+    node: Any,
+    interval: float = 10.0,
+    counts: Optional[Dict[str, int]] = None,
+) -> GossipTransport:
+    """The transport for ``scenario.gossip`` (``"flood"``/``"reconcile"``),
+    counting into ``counts`` (the replica's transport row)."""
     if kind == "flood":
-        return FloodTransport(node)
+        return FloodTransport(node, counts)
     if kind == "reconcile":
-        return ReconcileTransport(node, interval=interval)
+        return ReconcileTransport(node, interval=interval, counts=counts)
     raise ValueError(f"unknown gossip kind {kind!r}; expected one of {GOSSIP_KINDS}")

@@ -57,7 +57,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Set, Tuple
 
-from repro._util import prf_uint64
+from repro._util import counter_row, prf_uint64
 from repro.net.reconcile import wire_size
 
 __all__ = [
@@ -100,6 +100,20 @@ MAX_ATTEMPTS = 6
 #: repeated RANGE requests of one round hit the memo instead of
 #: rescanning the tree per batch.
 _DIFF_CACHE_SLOTS = 8
+
+#: The sync manager's row of a replica's counter table, at zero
+#: (``catch_up_s`` is accumulated simulated time, ``last_catch_up_s`` the
+#: most recent sync's).
+_ZERO: Dict[str, Any] = {
+    **dict.fromkeys(
+        ("syncs_started", "syncs_completed", "syncs_failed", "blocks_synced",
+         "blocks_served", "bytes_sent", "bytes_received", "messages_sent",
+         "retries", "timeouts"),
+        0,
+    ),
+    "catch_up_s": 0.0,
+    "last_catch_up_s": 0.0,
+}
 
 
 @dataclass(frozen=True)
@@ -194,8 +208,11 @@ class SyncManager:
     lifecycle events can fire it eagerly.
     """
 
-    def __init__(self, node: Any) -> None:
+    def __init__(self, node: Any, counts: Optional[Dict[str, Any]] = None) -> None:
         self.node = node
+        #: Cumulative sync counters: the manager's row of the replica's
+        #: counter table, so they outlive the manager a crash replaces.
+        self.counts = counter_row(counts, _ZERO)
         scenario = node.scenario
         self.batch = scenario.sync_batch
         # Per-request timeout and retry backoff base, in simulated
@@ -234,11 +251,6 @@ class SyncManager:
     # -- plumbing ----------------------------------------------------------
 
     @property
-    def totals(self) -> Dict[str, Any]:
-        """The node-level cumulative counters (survive crash rebuilds)."""
-        return self.node.sync_totals
-
-    @property
     def syncing(self) -> bool:
         return self.state in ("frontier", "range")
 
@@ -255,8 +267,8 @@ class SyncManager:
 
     def _send(self, dst: str, message: tuple) -> None:
         size = wire_size(message)
-        self.totals["messages_sent"] += 1
-        self.totals["bytes_sent"] += size
+        self.counts["messages_sent"] += 1
+        self.counts["bytes_sent"] += size
         self.node.send(dst, message)
 
     # -- client side -------------------------------------------------------
@@ -273,7 +285,7 @@ class SyncManager:
         peers = self._peers()
         if not peers:
             return False
-        self.totals["syncs_started"] += 1
+        self.counts["syncs_started"] += 1
         self.state = "frontier"
         self.attempts = 0
         self.rounds = 0
@@ -283,7 +295,7 @@ class SyncManager:
             "sync-peer",
             self.node.scenario.seed,
             self.node.name,
-            self.totals["syncs_started"],
+            self.counts["syncs_started"],
         ) % len(peers)
         self._send_frontier()
         return True
@@ -311,12 +323,12 @@ class SyncManager:
             self._on_timeout()
 
     def _on_timeout(self) -> None:
-        self.totals["timeouts"] += 1
+        self.counts["timeouts"] += 1
         self.attempts += 1
         if self.attempts >= self.max_attempts:
             self._fail()
             return
-        self.totals["retries"] += 1
+        self.counts["retries"] += 1
         self._peer_cursor += 1  # rotate: maybe the peer is down/eclipsed
         backoff = min(
             BACKOFF_CAP, self.backoff_base * (2 ** (self.attempts - 1))
@@ -332,15 +344,15 @@ class SyncManager:
     def _fail(self) -> None:
         """Degrade to normal gossip: stop asking, keep listening."""
         self.state = "failed"
-        self.totals["syncs_failed"] += 1
+        self.counts["syncs_failed"] += 1
 
     def _complete(self) -> None:
         self.state = "done"
-        self.totals["syncs_completed"] += 1
+        self.counts["syncs_completed"] += 1
         if self.started_at is not None:
             elapsed = self.node.now - self.started_at
-            self.totals["catch_up_s"] += elapsed
-            self.totals["last_catch_up_s"] = elapsed
+            self.counts["catch_up_s"] += elapsed
+            self.counts["last_catch_up_s"] = elapsed
 
     def _on_diff(self, message: tuple) -> None:
         _tag, req_id, lo, hi, count = message
@@ -374,9 +386,9 @@ class SyncManager:
             if ingest is not None:
                 ingest(message[4])
         self.attempts = 0
-        self.totals["bytes_received"] += wire_size(blocks)
+        self.counts["bytes_received"] += wire_size(blocks)
         adopted = self.node.adopt_synced_blocks(src, blocks)
-        self.totals["blocks_synced"] += adopted
+        self.counts["blocks_synced"] += adopted
         self.round_adopted += adopted
         self.offset += len(blocks)
         if remaining > 0:
@@ -443,7 +455,7 @@ class SyncManager:
         band = self._band_for(frontier, lo, hi)
         batch = band[offset : offset + self.batch]
         blocks = tuple(tree.get(bid) for bid in batch)
-        self.totals["blocks_served"] += len(blocks)
+        self.counts["blocks_served"] += len(blocks)
         remaining = max(0, len(band) - offset - len(batch))
         reply = (SYNC_BLOCKS, req_id, blocks, remaining)
         # Piggyback equivocation evidence so a syncing replica learns the
@@ -473,21 +485,3 @@ class SyncManager:
             self._on_blocks(src, message)
             return True
         return False
-
-    @staticmethod
-    def fresh_totals() -> Dict[str, Any]:
-        """The per-node cumulative counter block (one per replica life)."""
-        return {
-            "syncs_started": 0,
-            "syncs_completed": 0,
-            "syncs_failed": 0,
-            "blocks_synced": 0,
-            "blocks_served": 0,
-            "bytes_sent": 0,
-            "bytes_received": 0,
-            "messages_sent": 0,
-            "retries": 0,
-            "timeouts": 0,
-            "catch_up_s": 0.0,
-            "last_catch_up_s": 0.0,
-        }

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import time as _time
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional, Tuple, Type
+from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple, Type
 
 from repro._util import BoundedSet, prf_uint64
 from repro.blocktree.block import Block, make_block
@@ -28,7 +28,7 @@ from repro.histories.history import ConcurrentHistory
 from repro.mempool import BlockPacker, Mempool
 from repro.net.channels import ChannelModel
 from repro.net.process import Network, SimProcess
-from repro.net.reconcile import build_transport
+from repro.net.reconcile import ROUND_COUNTERS, build_transport
 from repro.net.simulator import Simulator
 from repro.net.sync import SyncManager
 from repro.storage import open_store
@@ -65,27 +65,23 @@ class BlockchainNode(SimProcess):
         # -- measurement apparatus: survives crashes, it belongs to the
         # history being measured, not to the replica --
         self.open_appends: Dict[str, Tuple[int, str]] = {}  # block_id → (op_id, name)
-        self.appends_begun = 0
-        self.appends_resolved = 0
-        #: resolve_append calls whose block_id had no open append — each
-        #: one is a double resolution or a never-begun append at the call
-        #: site (previously dropped silently, masking protocol bugs).
-        self.unknown_append_resolutions = 0
+        #: The replica's counter table: component → its row of counters.
+        #: Every component :meth:`_boot` builds counts into its row, so a
+        #: crash loses no count (:data:`MERGE` says how runs fold rows).
+        #: ``unknown_resolutions`` counts resolve_append calls whose
+        #: block_id had no open append — a double resolution or a
+        #: never-begun append at the call site.
+        self.metrics: Dict[str, Dict[str, Any]] = {
+            "appends": {"begun": 0, "resolved": 0, "unknown_resolutions": 0},
+            "tx_gossip": {"tx_gossip_received": 0, "tx_gossip_duplicates": 0},
+        }
         # Per-replica transaction stream: derived through the SHA-256 PRF
         # so replicas of different scenarios/cells never share a stream
         # (the old ``seed * 1000 + index`` collided across campaign cells).
         self.txgen = TransactionGenerator(
             seed=prf_uint64("txgen", scenario.seed, scenario.name, name)
         )
-        self.tx_gossip_received = 0
-        self.tx_gossip_duplicates = 0
-        #: Cumulative fast-sync counters; the :class:`SyncManager` itself
-        #: is RAM and writes through to these.
-        self.sync_totals: Dict[str, Any] = SyncManager.fresh_totals()
-        #: Component → counters of its instances lost to crashes (see
-        #: :meth:`_boot` and :meth:`counters`).
-        self._carry: Dict[str, Dict[str, Any]] = {}
-        self.transport = self.pool = self.packer = self.auth = None
+        self.auth = None  # _boot hands a predecessor's journal on
         # -- the replica: a tree persisting through the scenario's
         # block-store backend (the --store knob; with `prune_hot_cap`
         # set, finalized prefixes are checkpointed and evicted from the
@@ -94,18 +90,21 @@ class BlockchainNode(SimProcess):
         #: The store's ``(kind, path)`` (path None for memory) — crash
         #: recovery reopens the same file, like a restarted OS process.
         self._store_at = (store.kind, getattr(store, "path", None))
-        self._boot(BlockTree(store=store, prune=scenario.build_prune()))
+        self._boot(
+            BlockTree(
+                store=store, prune=scenario.build_prune(), counts=self._row("tree")
+            )
+        )
 
     def _boot(self, tree: BlockTree) -> None:
         """Build every piece of RAM state a process start builds, around
         ``tree``: the constructor boots a fresh tree, a crash boots an
-        empty placeholder, recovery boots the replayed store.  What the
-        replaced components counted folds into the carry first: the
-        measurement apparatus outlives every crash."""
-        if self.transport is not None:
-            for component, counters in self._live_counters().items():
-                _fold(self._carry.setdefault(component, {}), counters, _CARRY_GAUGES)
+        empty placeholder, recovery boots the replayed store.  Each
+        component counts into its row of :attr:`metrics`, the row its
+        predecessors counted into: the measurement apparatus outlives
+        every crash."""
         scenario = self.scenario
+        row = self._row
         self.tree = tree
         self.orphans: Dict[str, List[Block]] = {}
         #: Ids currently parked in ``orphans`` — FIFO-bounded, so a peer
@@ -135,21 +134,25 @@ class BlockchainNode(SimProcess):
                 genesis_coins=scenario.traffic.genesis_coins(),
                 capacity=scenario.traffic.pool_capacity,
                 min_fee=scenario.traffic.min_fee,
+                counts=row("pool"),
             )
-            self.packer = BlockPacker(self.pool)
+            self.packer = BlockPacker(self.pool, counts=row("packer"))
         # The dissemination transport (scenario.gossip): forward-once
         # flooding or Erlay-style set reconciliation.  Both implement
         # LRC; the recorded send/receive/update events let check_lrc /
         # check_update_agreement verify the refinement post-hoc.
         self.transport = build_transport(
-            scenario.gossip, self, interval=scenario.recon_interval
+            scenario.gossip,
+            self,
+            interval=scenario.recon_interval,
+            counts=row("transport"),
         )
         # Fast-sync (repro.net.sync): every replica answers sync
         # requests; the client side is driven by lifecycle events.
         # ``_bulk_sync`` marks batch adoption: per-block application
         # reads are suppressed (one read per batch instead).
         self._bulk_sync = False
-        self.sync = SyncManager(self)
+        self.sync = SyncManager(self, counts=row("sync"))
         # Authenticated pipeline (scenario.auth): the per-replica
         # verifier/signer, its PKI rebuilt from the scenario seed.  Of
         # the authenticator this one replaces, the signer-side
@@ -157,9 +160,21 @@ class BlockchainNode(SimProcess):
         # exactly that, so a recovered miner never signs a rival at a
         # parent it already extended); bans and evidence are RAM —
         # re-learned from peers (sync piggyback + refloods).
-        old, self.auth = self.auth, scenario.build_auth()
+        old = self.auth
+        self.auth = scenario.build_auth(row("auth")) if scenario.auth else None
         if old is not None:
             self.auth.signed_parents.update(old.signed_parents)
+
+    def _row(self, component: str) -> Dict[str, Any]:
+        """``component``'s row of :attr:`metrics` (empty until it counts)."""
+        return self.metrics.setdefault(component, {})
+
+    def report(self, component: str) -> Dict[str, Any]:
+        """``component``'s row as runs report it: through the live
+        component's ``stats()`` where it has readings of its own (pool
+        occupancy, tree size, auth evidence, transport kind)."""
+        live = getattr(self, component, None)
+        return live.stats() if hasattr(live, "stats") else self.metrics[component]
 
     def pipelines(self) -> List[Tuple[int, "BlockchainNode"]]:
         """The ``(shard, chain pipeline)`` pairs this host runs.
@@ -273,23 +288,24 @@ class BlockchainNode(SimProcess):
             self.name, "append", (block.block_id, block.parent_id), time=self.now
         )
         self.open_appends[block.block_id] = (op_id, self.name)
-        self.appends_begun += 1
+        self.metrics["appends"]["begun"] += 1
 
     def resolve_append(self, block_id: str, ok: bool) -> None:
         """Record the response of a previously begun append.
 
         An unknown ``block_id`` (double resolution, or a resolve for an
-        append that was never begun) is counted in
-        :attr:`unknown_append_resolutions` instead of being silently
-        dropped — ``ProtocolRun.append_stats`` surfaces the counter and
-        the campaign/regression tests assert it stays zero.
+        append that was never begun) is counted as an
+        ``unknown_resolutions`` append instead of being silently dropped
+        — ``ProtocolRun.append_stats`` surfaces the counter and the
+        campaign/regression tests assert it stays zero.
         """
+        counts = self.metrics["appends"]
         entry = self.open_appends.pop(block_id, None)
         if entry is None:
-            self.unknown_append_resolutions += 1
+            counts["unknown_resolutions"] += 1
             return
         op_id, _ = entry
-        self.appends_resolved += 1
+        counts["resolved"] += 1
         self.network.recorder.end(self.name, op_id, "append", ok, time=self.now)
 
     # -- block dissemination ---------------------------------------------------------
@@ -517,13 +533,11 @@ class BlockchainNode(SimProcess):
         """
         if self.pool is None:
             return
-        fresh = []
-        for tx in txs:
-            self.tx_gossip_received += 1
-            if tx.tx_id in self.tx_seen or self.pool.is_known(tx.tx_id):
-                self.tx_gossip_duplicates += 1
-                continue
-            fresh.append(tx)
+        seen, known = self.tx_seen, self.pool.is_known
+        fresh = [tx for tx in txs if tx.tx_id not in seen and not known(tx.tx_id)]
+        counts = self.metrics["tx_gossip"]
+        counts["tx_gossip_received"] += len(txs)
+        counts["tx_gossip_duplicates"] += len(txs) - len(fresh)
         if fresh:
             self._pool_txs(tuple(fresh))
 
@@ -642,36 +656,6 @@ class BlockchainNode(SimProcess):
         if not self.offline:
             self.broadcast((AUTH_EVID, ev))
 
-    def auth_report(self) -> Dict[str, Any]:
-        """Cumulative authenticator counters (crash carry included)."""
-        if self.auth is None:
-            return {}
-        merged = self.counters("auth")
-        merged["evidence"] = len(self.auth.evidence)
-        merged["banned"] = len(self.auth.banned_ids)
-        return merged
-
-    # -- measurement carry --------------------------------------------------------
-
-    def _live_counters(self) -> Dict[str, Dict[str, Any]]:
-        """Component → counters of the RAM components a crash rebuilds."""
-        live = {"transport": self.transport.stats()}
-        if self.pool is not None:
-            live["pool"] = self.pool.stats()
-            live["packer"] = self.packer.stats()
-        if self.auth is not None:
-            live["auth"] = self.auth.counters
-        return live
-
-    def counters(self, component: str) -> Dict[str, Any]:
-        """One component's counters over every life of this replica (the
-        pool's current ``occupancy``/``pending`` are the live pool's)."""
-        live = self._live_counters()[component]
-        merged = dict(self._carry.get(component, {}))
-        _fold(merged, live, _CARRY_GAUGES)
-        merged.update((key, live[key]) for key in _LIVE_GAUGES if key in live)
-        return merged
-
     # -- node lifecycle ---------------------------------------------------------------
 
     def apply_lifecycle(self, action: str) -> None:
@@ -720,7 +704,7 @@ class BlockchainNode(SimProcess):
         self.lifecycle_suspend()
         self.tree._store.flush()
         self.tree._store.close()
-        self._boot(BlockTree())
+        self._boot(BlockTree(counts=self._row("tree")))
 
     def lifecycle_recover(self) -> None:
         """Rebuild from the durable store, then resume and fast-sync.
@@ -737,6 +721,7 @@ class BlockchainNode(SimProcess):
             BlockTree.replay(
                 open_store(*self._store_at),
                 prune=self.scenario.build_prune(),
+                counts=self._row("tree"),
             )
         )
         self.lifecycle_resume()
@@ -802,24 +787,48 @@ class PassiveNode(BlockchainNode):
         self.on_gossip(src, message)
 
 
-#: Crash-carry folding (see :meth:`BlockchainNode.counters`): the peak
-#: is a maximum over lives, current readings are the live pool's alone.
-_CARRY_GAUGES = ("peak_occupancy",)
-_LIVE_GAUGES = ("occupancy", "pending")
+#: How every view folds rows of the counter table, declared once.  Over
+#: one replica's lives nothing folds: a component counts into the row
+#: its predecessor counted into and writes its peaks (``peak_occupancy``,
+#: ``peak_resident``) through as a maximum.  Over a replica's shard
+#: facets (``per_node``) and over replicas (``totals``), a string is a
+#: label — kept per node, left out of totals — a key in ``max`` takes
+#: the maximum, a key in ``omit`` is left out, and every other value is
+#: summed (so a replica's ``peak_occupancy`` is the sum of its facets').
+MERGE: Dict[str, Dict[str, Any]] = {
+    "per_node": {
+        "labels": True,
+        "max": {"checkpoint_height", "last_catch_up_s"},
+        "omit": set(),
+    },
+    "totals": {
+        # Evidence replicates between replicas, it does not add up.
+        "labels": False,
+        "max": {"evidence", "banned"},
+        # Totals are the byte/message columns of either transport.
+        "omit": {"last_catch_up_s", *ROUND_COUNTERS},
+    },
+}
 
 
-def _fold(
-    into: Dict[str, Any], stats: Dict[str, Any], gauges: Tuple[str, ...] = ()
-) -> None:
-    """Fold one stats dict into an aggregate: counters add up,
-    ``gauges`` take the maximum, labels (strings) are kept."""
-    for key, value in stats.items():
-        if key not in into or isinstance(value, str):
-            into[key] = value
-        elif key in gauges:
-            into[key] = max(into[key], value)
-        else:
-            into[key] += value
+def _merge(rows: Iterable[Dict[str, Any]], level: str) -> Dict[str, Any]:
+    """Fold counter-table rows by the :data:`MERGE` rules of ``level``."""
+    rules = MERGE[level]
+    merged: Dict[str, Any] = {}
+    for row in rows:
+        for key, value in row.items():
+            if key in rules["omit"]:
+                continue
+            if isinstance(value, str):
+                if rules["labels"]:
+                    merged[key] = value
+            elif key not in merged:
+                merged[key] = value
+            elif key in rules["max"]:
+                merged[key] = max(merged[key], value)
+            else:
+                merged[key] += value
+    return merged
 
 
 def _pipelines(hosts: List[Any]) -> List[Tuple[str, int, BlockchainNode]]:
@@ -890,16 +899,13 @@ class ProtocolRun:
         """Every ``(replica name, shard, chain pipeline)`` of the run."""
         return _pipelines(self.nodes)
 
-    def _per_replica(
-        self,
-        stats_of: Callable[[BlockchainNode], Dict[str, Any]],
-        gauges: Tuple[str, ...] = (),
-    ) -> Dict[str, Dict[str, Any]]:
-        """``stats_of(pipeline)`` folded per replica (see :func:`_fold`)."""
-        per_node: Dict[str, Dict[str, Any]] = {}
+    def _per_replica(self, *components: str) -> Dict[str, Dict[str, Any]]:
+        """The rows of ``components`` (:meth:`BlockchainNode.report`),
+        folded over each replica's pipelines by :data:`MERGE`."""
+        rows: Dict[str, List[Dict[str, Any]]] = {}
         for name, _, chain in self.pipelines():
-            _fold(per_node.setdefault(name, {}), stats_of(chain), gauges)
-        return per_node
+            rows.setdefault(name, []).extend(chain.report(c) for c in components)
+        return {name: _merge(node_rows, "per_node") for name, node_rows in rows.items()}
 
     def _max_per_replica(
         self, value_of: Callable[[BlockchainNode], int]
@@ -950,9 +956,7 @@ class ProtocolRun:
 
     def storage_stats(self) -> Dict[str, Dict[str, int]]:
         """Per-node block-store lifecycle counters (``BlockTree.stats``)."""
-        return self._per_replica(
-            lambda chain: chain.tree.stats(), gauges=("checkpoint_height",)
-        )
+        return self._per_replica("tree")
 
     def append_stats(self) -> Dict[str, Dict[str, Any]]:
         """Per-node append bookkeeping (begun/resolved/unknown-resolution).
@@ -961,22 +965,15 @@ class ProtocolRun:
         typed signature-rejection counters (``auth``) — forged vs
         unregistered vs misbound rejections are separately observable.
         """
-        stats = self._per_replica(
-            lambda chain: {
-                "begun": chain.appends_begun,
-                "resolved": chain.appends_resolved,
-                "unknown_resolutions": chain.unknown_append_resolutions,
-            }
-        )
+        stats = self._per_replica("appends")
         for name, report in self.auth_stats().get("per_node", {}).items():
             stats[name]["auth"] = report
         return stats
 
     def unknown_append_resolutions(self) -> int:
         """Total resolve-without-begin events across all pipelines."""
-        return sum(
-            chain.unknown_append_resolutions for _, _, chain in self.pipelines()
-        )
+        per_node = self._per_replica("appends")
+        return _merge(per_node.values(), "totals")["unknown_resolutions"]
 
     def mempool_stats(self) -> Dict[str, Any]:
         """Transaction-pipeline measurements (empty without traffic).
@@ -987,7 +984,7 @@ class ProtocolRun:
         stats (the invariant the mempool bench gates).
 
         * ``per_node`` — pool lifecycle counters, packer totals and
-          gossip duplicate counts for every replica (crash carry included);
+          gossip duplicate counts for every replica, over all its lives;
         * ``committed`` — throughput over each shard's majority-view
           chain: unique committed transactions, committed tx per
           simulated second, and the confirmation-latency distribution
@@ -1004,14 +1001,7 @@ class ProtocolRun:
             return {}
         from repro.protocols.classify import majority_view
 
-        def pool_stats(chain: BlockchainNode) -> Dict[str, int]:
-            stats = chain.counters("pool")
-            stats.update(chain.counters("packer"))
-            stats["tx_gossip_received"] = chain.tx_gossip_received
-            stats["tx_gossip_duplicates"] = chain.tx_gossip_duplicates
-            return stats
-
-        per_node = self._per_replica(pool_stats)
+        per_node = self._per_replica("pool", "packer", "tx_gossip")
         sharded = self.shards > 1
         first_submit: Dict[str, float] = {}
         for subs in self.submissions.values() if sharded else (self.submissions,):
@@ -1069,71 +1059,59 @@ class ProtocolRun:
             stats["per_shard"] = per_shard
         else:
             committed["majority_node"] = per_shard["0"]["majority_node"]
-        received = sum(s["tx_gossip_received"] for s in per_node.values())
-        duplicates = sum(s["tx_gossip_duplicates"] for s in per_node.values())
+        totals = _merge(per_node.values(), "totals")
+        received = totals["tx_gossip_received"]
         stats["committed"] = committed
-        stats["duplicate_relay_ratio"] = duplicates / received if received else 0.0
+        stats["duplicate_relay_ratio"] = (
+            totals["tx_gossip_duplicates"] / received if received else 0.0
+        )
         return stats
 
     def auth_stats(self) -> Dict[str, Any]:
         """Authenticated-pipeline measurements (empty when auth is off).
 
-        ``per_node`` carries each replica's cumulative authenticator
-        counters (crash carry included); ``totals`` sums every numeric
-        column except the per-replica gauges (``evidence``/``banned``,
-        reported as maxima — evidence replicates, it doesn't add up).
+        ``per_node`` carries each replica's authenticator counters over
+        all its lives, with the evidence it holds and the ids it bans
+        now; ``totals`` folds them over replicas (:data:`MERGE`).
         Deterministic: all counters derive from message flow, never wall
         clock, so serial and parallel campaign executions agree.
         """
         if not self.scenario.auth:
             return {}
-        per_node = self._per_replica(lambda chain: chain.auth_report())
-        totals: Dict[str, int] = {}
-        for stats in per_node.values():
-            _fold(totals, stats, gauges=("evidence", "banned"))
-        return {"per_node": per_node, "totals": totals}
+        per_node = self._per_replica("auth")
+        return {"per_node": per_node, "totals": _merge(per_node.values(), "totals")}
 
     def sync_stats(self) -> Dict[str, Any]:
         """Fast-sync measurements (empty when no replica ever synced).
 
         ``per_node`` carries each replica's cumulative sync counters
-        (they survive crash rebuilds); ``totals`` sums them —
-        ``catch_up_s`` is accumulated *simulated* catch-up time, so the
-        numbers replay identically serial or parallel.  Runs without
-        lifecycle events report ``{}``, keeping default campaign cells
-        byte-identical to their pre-sync serialization.
+        (they survive crash rebuilds); ``totals`` folds them over
+        replicas (:data:`MERGE`) — ``catch_up_s`` is accumulated
+        *simulated* catch-up time, so the numbers replay identically
+        serial or parallel.  Runs without lifecycle events report ``{}``,
+        keeping default campaign cells byte-identical to their pre-sync
+        serialization.
         """
-        per_node = self._per_replica(
-            lambda chain: chain.sync_totals, gauges=("last_catch_up_s",)
-        )
+        per_node = self._per_replica("sync")
         if not any(stats["syncs_started"] for stats in per_node.values()):
             return {}
-        keys = [k for k in next(iter(per_node.values())) if k != "last_catch_up_s"]
-        totals = {
-            key: sum(stats[key] for stats in per_node.values()) for key in keys
-        }
-        return {"per_node": per_node, "totals": totals}
+        return {"per_node": per_node, "totals": _merge(per_node.values(), "totals")}
 
     def gossip_stats(self) -> Dict[str, Any]:
         """Dissemination-transport measurements (both gossip kinds).
 
-        ``per_node`` carries each replica's transport counters, crash
-        carry included (modelled bytes by traffic class, and round/fetch
-        counters under reconciliation); ``totals`` sums the byte/message columns — the
-        numerator of the gossip bench's relayed-bytes-per-committed-tx
-        metric.  Deterministic: byte costs are modelled from message
-        structure, never wall clock.
+        ``per_node`` carries each replica's transport counters over all
+        its lives (modelled bytes by traffic class, and round/fetch
+        counters under reconciliation); ``totals`` sums the byte/message
+        columns (:data:`MERGE`) — the numerator of the gossip bench's
+        relayed-bytes-per-committed-tx metric.  Deterministic: byte costs
+        are modelled from message structure, never wall clock.
         """
-        per_node = self._per_replica(lambda chain: chain.counters("transport"))
-        totals = {
-            key: sum(stats[key] for stats in per_node.values())
-            for key in ("messages_sent", "bytes_sent", "block_bytes_sent",
-                        "tx_bytes_sent")
-        }
+        per_node = self._per_replica("transport")
         return {
             "transport": self.scenario.gossip,
             "per_node": per_node,
-            "totals": totals,
+            "totals": _merge(per_node.values(), "totals"),
         }
 
     def parent_map(self) -> Dict[str, str]:

@@ -177,12 +177,6 @@ class ShardedNode(SimProcess):
         self._src_releases: Dict[str, Transaction] = {}
         #: Per-shard scan cursor (chain height already processed).
         self._scan_height = {k: 0 for k in self.subscribed}
-        # -- counters --
-        self.foreign_shard_msgs = 0
-        self.notices_sent = 0
-        self.commits_injected = 0
-        self.aborts_injected = 0
-        self.releases_injected = 0
 
     # -- facet plumbing ------------------------------------------------------
 
@@ -211,7 +205,6 @@ class ShardedNode(SimProcess):
             if facet is None:
                 # A neighbour subscribed to a shard this replica is not:
                 # its facet gossip is noise here, not an error.
-                self.foreign_shard_msgs += 1
                 return
             facet.on_message(src, message[2])
         elif tag == XNOTICE:
@@ -286,7 +279,6 @@ class ShardedNode(SimProcess):
                     self._on_notice(self.name, lock)
                 else:
                     self.send(member, (XNOTICE, lock))
-                    self.notices_sent += 1
 
     def _on_notice(self, src: str, lock: Transaction) -> None:
         """A destination member decides a noticed LOCK (idempotently)."""
@@ -311,11 +303,7 @@ class ShardedNode(SimProcess):
             # destination after the LOCK expired is declined, so a
             # stalled destination shard cannot wedge the source.
             decision = commit if self.now < meta.expiry else abort
-            if facet.submit_transactions((decision,)):
-                if decision is commit:
-                    self.commits_injected += 1
-                else:
-                    self.aborts_injected += 1
+            facet.submit_transactions((decision,))
         if decision is not None and decision.tx_id not in pool.view.committed:
             # Pin the decided record until the scan sees it on-chain, so
             # the tick re-asserts it past crashes and reorg drops.  The
@@ -348,8 +336,7 @@ class ShardedNode(SimProcess):
             return
         release = make_release(self._lock_surrogate(meta))
         if not facet.pool.is_known(release.tx_id):
-            if facet.submit_transactions((release,)):
-                self.releases_injected += 1
+            facet.submit_transactions((release,))
         if release.tx_id not in facet.pool.view.committed:
             self._src_releases.setdefault(meta.tid, release)
         if src != self.name:

@@ -277,9 +277,10 @@ class ProtocolScenario:
             signers.append("spammer")
         return tuple(signers)
 
-    def build_auth(self):
+    def build_auth(self, counts: Optional[Dict[str, int]] = None):
         """A fresh :class:`~repro.crypto.auth.BlockAuthenticator` for one
-        replica, or ``None`` when the scenario runs unsigned.
+        replica, counting into ``counts``, or ``None`` when the scenario
+        runs unsigned.
 
         Keys derive from ``(seed, owner)`` only, so every replica — and
         every shard facet built from a facet-scoped scenario copy with
@@ -289,7 +290,9 @@ class ProtocolScenario:
             return None
         from repro.crypto.auth import BlockAuthenticator, build_registry
 
-        return BlockAuthenticator(build_registry(self.seed, self.auth_signers()))
+        return BlockAuthenticator(
+            build_registry(self.seed, self.auth_signers()), counts=counts
+        )
 
     def byzantine_map(self) -> Dict[str, str]:
         """Node name → adversary kind (empty for fault-free scenarios)."""

@@ -106,7 +106,7 @@ class TestCheckBlock:
     def test_unsigned_rejected(self):
         auth = fresh_auth()
         assert auth.check_block(make_block(GENESIS, label="x", creator=0)) == "unsigned"
-        assert auth.counters["block:unsigned"] == 1
+        assert auth.counts["block:unsigned"] == 1
 
     def test_forged_key_rejected(self):
         auth = fresh_auth()
@@ -146,7 +146,7 @@ class TestCheckBlock:
         sealed = auth.sign_block(block, "p0")
         assert auth.check_block(sealed) == "ok"
         assert auth.check_block(sealed) == "ok"
-        assert auth.counters["cache_hits"] >= 1
+        assert auth.counts["cache_hits"] >= 1
         # Same id re-sealed by a different signer: the digest cache must
         # not bypass identity binding.
         resealed = replace(
@@ -185,7 +185,7 @@ class TestCheckTx:
         auth = fresh_auth()
         tx = Transaction.make(("a",), ("b",), issuer="client0")
         auth.check_tx(tx)
-        assert auth.counters["tx:unsigned"] == 1
+        assert auth.counts["tx:unsigned"] == 1
         assert set(AUTH_REJECT_REASONS) == {
             "unsigned",
             "unknown-signer",
@@ -235,12 +235,13 @@ class TestSlashingProtection:
         node = BitcoinNode("p0", scenario)
         sealed = node.auth.sign_block(make_block(GENESIS, label="a", creator=1), "p1")
         assert node.auth.check_block(sealed) == "ok"
-        before = node.auth_report()["verified"]
+        before = node.metrics["auth"]["verified"]
         assert before >= 1
         node.network = type("N", (), {"simulator": None})()
         node.lifecycle_crash()
-        assert node.auth_report()["verified"] == before
-        assert node.auth.counters["verified"] == 0
+        # The new authenticator counts on in the row the lost one filled.
+        assert node.auth.counts is node.metrics["auth"]
+        assert node.auth.stats()["verified"] == before
 
 
 class TestEquivocationEvidence:
@@ -349,10 +350,10 @@ class TestBatchPriming:
             blocks.append(signer.sign_block(parent, "p0"))
         primed = verifier.prime_batch(blocks)
         assert primed == 20
-        hits_before = verifier.counters["cache_hits"]
+        hits_before = verifier.counts["cache_hits"]
         for block in blocks:
             assert verifier.check_block(block) == "ok"
-        assert verifier.counters["cache_hits"] == hits_before + 20
+        assert verifier.counts["cache_hits"] == hits_before + 20
 
     def test_prime_batch_skips_bad_digests(self):
         verifier = fresh_auth()
@@ -368,8 +369,8 @@ class TestBatchPriming:
         block = auth.sign_block(make_block(GENESIS, label="x", creator=0), "p0")
         assert auth.check_block(block) == "ok"
         assert auth.check_block(block) == "ok"
-        assert auth.counters["cache_hits"] == 0
-        assert auth.counters["verified"] == 2
+        assert auth.counts["cache_hits"] == 0
+        assert auth.counts["verified"] == 2
 
     def test_midstate_digest_matches_reference(self):
         auth = fresh_auth()

@@ -62,9 +62,9 @@ class TestAppendResolutionAccounting:
     def test_unknown_resolution_is_counted_not_dropped(self):
         run = run_hyperledger(replace(default_scenarios()["hyperledger"], duration=40.0))
         node = run.nodes[0]
-        before = node.unknown_append_resolutions
+        before = node.metrics["appends"]["unknown_resolutions"]
         node.resolve_append("no-such-block", True)  # never begun
-        assert node.unknown_append_resolutions == before + 1
+        assert node.metrics["appends"]["unknown_resolutions"] == before + 1
         assert run.unknown_append_resolutions() == before + 1
 
     def test_double_resolution_is_counted(self):
@@ -75,9 +75,9 @@ class TestAppendResolutionAccounting:
         block = make_block(node.tree.genesis, label="dup")
         node.begin_append(block)
         node.resolve_append(block.block_id, True)
-        before = node.unknown_append_resolutions
+        before = node.metrics["appends"]["unknown_resolutions"]
         node.resolve_append(block.block_id, True)  # second resolution
-        assert node.unknown_append_resolutions == before + 1
+        assert node.metrics["appends"]["unknown_resolutions"] == before + 1
 
     @pytest.mark.parametrize("runner", [run_bitcoin, run_hyperledger])
     def test_clean_runs_have_zero_unknown_resolutions(self, runner):

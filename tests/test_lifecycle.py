@@ -9,6 +9,7 @@ bounded orphan parking with stale-orphan discard.
 
 from __future__ import annotations
 
+import copy
 import dataclasses
 
 import pytest
@@ -184,14 +185,10 @@ class TestCrashRejoin:
             "rejected_blocks", "pool", "packer", "tx_seen", "transport", "sync",
             "auth",
         )
-        apparatus = ("sync_totals", "open_appends", "_carry", "txgen")
+        apparatus = ("metrics", "open_appends", "txgen")
         sealed = node.seal_block(make_block(GENESIS, label="mine", creator=0))
         node.begin_append(sealed)
         node.adopt_block(sealed, relay=False)
-        node.tx_gossip_received = 7
-        node.sync_totals["syncs_started"] = 3
-        verified = node.auth_report()["verified"]
-        assert verified >= 1
         kept = {name: getattr(node, name) for name in apparatus}
         generations = [{name: getattr(node, name) for name in ram}]
         node.lifecycle_crash()
@@ -205,15 +202,11 @@ class TestCrashRejoin:
             assert len({id(obj) for obj in objects}) == 3, name
         for name in apparatus:
             assert getattr(node, name) is kept[name], name
-        assert node.tx_gossip_received == 7
         assert sealed.block_id in node.open_appends
-        assert node.sync_totals["syncs_started"] == 3 + 1  # + the recovery sync
-        # Counters of both lost authenticators are in the carry; the
-        # slashing journal came along, so the rival is refused.
-        assert node.auth.counters["verified"] == 0
-        assert node.auth_report()["verified"] == verified
-        # So are those of every other rebuilt component with counters.
-        assert sorted(node._carry) == ["auth", "packer", "pool", "transport"]
+        # Every rebuilt component counts into the row its predecessor
+        # filled; the slashing journal came along, so the rival is refused.
+        for component in ("tree", "pool", "packer", "transport", "sync", "auth"):
+            assert getattr(node, component).counts is node.metrics[component]
         rival = make_block(GENESIS, label="rival", creator=0)
         assert node.auth.sign_block(rival, node.name).signature is None
         assert node.seen_blocks == set(node.tree.iter_ids())
@@ -232,8 +225,8 @@ class TestCrashRejoin:
         crash = BlockchainNode.lifecycle_crash
 
         def sampling_crash(node):
-            before_crash["messages_sent"] = node.transport.messages_sent
-            before_crash["accepted"] = node.pool.accepted
+            before_crash["messages_sent"] = node.transport.counts["messages_sent"]
+            before_crash["accepted"] = node.pool.counts["accepted"]
             crash(node)
 
         monkeypatch.setattr(BlockchainNode, "lifecycle_crash", sampling_crash)
@@ -243,6 +236,31 @@ class TestCrashRejoin:
         accepted = run.mempool_stats()["per_node"]["p3"]["accepted"]
         assert sent >= before_crash["messages_sent"]
         assert accepted >= before_crash["accepted"]
+
+    def test_crash_keeps_the_trees_lifecycle_counters(self, monkeypatch, tmp_path):
+        """Recovery replays the store into a new tree; the prunes and
+        evictions of the tree the crash lost still count."""
+        scenario = preset(
+            "crash-rejoin",
+            duration=900.0,
+            store="log",
+            store_dir=str(tmp_path),
+            prune_hot_cap=8,
+            mean_block_interval=5.0,
+            crashes=(CrashEvent(node="p3", at=700.0, recover_at=760.0),),
+        )
+        before_crash = {}
+        crash = BlockchainNode.lifecycle_crash
+
+        def sampling_crash(node):
+            before_crash.update(node.tree.stats())
+            crash(node)
+
+        monkeypatch.setattr(BlockchainNode, "lifecycle_crash", sampling_crash)
+        final = run_bitcoin(scenario).storage_stats()["p3"]
+        assert before_crash["evicted_total"] > 0
+        for key in ("peak_resident", "prune_count", "evicted_total", "fault_count"):
+            assert final[key] >= before_crash[key], key
 
     def test_crash_with_memory_store_recovers_empty(self):
         scenario = ProtocolScenario(name="crash-mem", n_nodes=2, duration=60.0)
@@ -258,7 +276,52 @@ class TestCrashRejoin:
         # Nothing survives an in-memory store: full resync is the
         # correct degenerate recovery.
         assert len(node.tree) == 1
-        assert node.sync_totals["syncs_started"] >= 1
+        assert node.metrics["sync"]["syncs_started"] >= 1
+
+
+@pytest.mark.parametrize("auth", [False, True], ids=["unsigned", "signed"])
+@pytest.mark.parametrize("gossip", ["flood", "reconcile"])
+def test_no_count_in_the_table_falls_across_a_crash(
+    gossip, auth, monkeypatch, tmp_path
+):
+    """For every row of ``node.metrics`` and every numeric key in it —
+    peaks included — the value right after ``lifecycle_crash()`` and
+    ``lifecycle_recover()`` is at least the value before: every
+    component a crash rebuilds counts on where its predecessor stopped."""
+    scenario = preset(
+        "crash-rejoin",
+        duration=600.0,
+        gossip=gossip,
+        auth=auth,
+        store="log",
+        store_dir=str(tmp_path),
+        prune_hot_cap=8,
+        mean_block_interval=5.0,
+        traffic=traffic_presets(600.0)["steady"],
+        crashes=(CrashEvent(node="p3", at=500.0, recover_at=560.0),),
+    )
+    tables = []
+    crash, recover = BlockchainNode.lifecycle_crash, BlockchainNode.lifecycle_recover
+
+    def crash_and_recover(node):
+        before = copy.deepcopy(node.metrics)
+        crash(node)
+        recover(node)
+        tables.append((before, node.metrics))
+
+    monkeypatch.setattr(BlockchainNode, "lifecycle_crash", crash_and_recover)
+    monkeypatch.setattr(BlockchainNode, "lifecycle_recover", lambda node: None)
+    run_bitcoin(scenario)
+    ((before, after),) = tables
+    components = {"appends", "tx_gossip", "tree", "pool", "packer", "transport", "sync"}
+    assert set(before) == components | ({"auth"} if auth else set())
+    assert before["pool"]["accepted"] > 0 and before["packer"]["txs_packed"] > 0
+    assert before["transport"]["messages_sent"] > 0
+    assert before["tree"]["evicted_total"] > 0
+    assert before["pool"]["peak_occupancy"] > 0 and before["tree"]["peak_resident"] > 1
+    for component, row in before.items():
+        for key, value in row.items():
+            assert after[component][key] >= value, (component, key)
 
 
 class TestGuardedTimers:

@@ -96,15 +96,15 @@ class TestMempool:
         conflict = tx(("g0",), ("other",))
         accepted = pool.add_batch([t1, t1, conflict])
         assert [t.tx_id for t in accepted] == [t1.tx_id]
-        assert pool.rejected_duplicate == 1
-        assert pool.rejected_invalid == 1
+        assert pool.counts["rejected_duplicate"] == 1
+        assert pool.counts["rejected_invalid"] == 1
 
     def test_committed_tx_rejected_as_duplicate(self):
         t1 = tx(("g0",), ("x",))
         pool = self.pool()
         pool.observe_chain(block_chain([t1]), now=1.0)
         assert pool.add_batch([t1]) == []
-        assert pool.rejected_duplicate == 1
+        assert pool.counts["rejected_duplicate"] == 1
 
     def test_min_fee_floor(self):
         pool = self.pool(min_fee=1.0)
@@ -112,7 +112,7 @@ class TestMempool:
         paying = tx(("g1",), ("y",), fee=2.0)
         accepted = pool.add_batch([dust, paying])
         assert [t.tx_id for t in accepted] == [paying.tx_id]
-        assert pool.rejected_fee == 1
+        assert pool.counts["rejected_fee"] == 1
 
     def test_priority_order_is_fee_then_arrival(self):
         pool = self.pool()
@@ -130,7 +130,7 @@ class TestMempool:
         pool = self.pool(capacity=2)
         txs = [tx((f"g{i}",), (f"o{i}",), fee=float(i)) for i in range(4)]
         pool.add_batch(txs)
-        assert pool.evicted == 2
+        assert pool.counts["evicted"] == 2
         kept = {t.fee for t in pool.transactions()}
         assert kept == {2.0, 3.0}
 
@@ -143,7 +143,7 @@ class TestMempool:
         child = tx(("pc",), ("cc",), fee=9.0)
         loner = tx(("g1",), ("lc",), fee=1.0)
         pool.add_batch([parent, child, loner])
-        assert pool.evicted == 1
+        assert pool.counts["evicted"] == 1
         ids = {t.tx_id for t in pool.transactions()}
         assert ids == {parent.tx_id, child.tx_id}
 
@@ -158,7 +158,7 @@ class TestMempool:
         rival = tx((), ("xdec-1", "xc-1"))
         pool.observe_chain(block_chain([rival]), now=1.0)
         assert held.tx_id not in pool
-        assert pool.conflict_evicted == 1
+        assert pool.counts["conflict_evicted"] == 1
         assert pool.stats()["conflict_evicted"] == 1
 
     def test_reap_on_commit_and_return_on_reorg(self):
@@ -178,7 +178,7 @@ class TestMempool:
         # Reorg to the b-branch: t1 returns to the pool, t2 is reaped.
         pool.observe_chain(Chain.view(tree, b2.block_id), now=9.0)
         assert t1.tx_id in pool and t2.tx_id not in pool
-        assert pool.reorg_returns == 1
+        assert pool.counts["reorg_returns"] == 1
         # The commit stamp of t1 survives (first observation).
         assert pool.committed_at[t1.tx_id] == 5.0
 
@@ -203,7 +203,7 @@ class TestMempool:
         assert parent.tx_id in pool  # returned by the reorg
         filler = tx(("g1",), ("fc",), fee=5.0)
         pool.add_batch([filler])
-        assert pool.evicted == 1
+        assert pool.counts["evicted"] == 1
         ids = {t.tx_id for t in pool.transactions()}
         assert ids == {parent.tx_id, child.tx_id}
 
@@ -213,7 +213,7 @@ class TestMempool:
         child = tx(("pc",), ("cc",), fee=2.0)
         grandchild = tx(("cc",), ("gc",), fee=3.0)
         assert pool.add_batch([grandchild, child]) == []  # both orphans
-        assert pool.occupancy == 0 and pool.parked == 2
+        assert pool.occupancy == 0 and pool.counts["parked"] == 2
         accepted = pool.add_batch([parent])
         assert [t.tx_id for t in accepted] == [parent.tx_id]
         # The unpark cascade admitted child then grandchild.
@@ -221,13 +221,13 @@ class TestMempool:
             child.tx_id,
             grandchild.tx_id,
         }
-        assert pool.occupancy == 3 and pool.unparked == 2
+        assert pool.occupancy == 3 and pool.counts["unparked"] == 2
 
     def test_parked_orphans_expire_fifo_at_capacity(self):
         pool = self.pool(capacity=2)
         orphans = [tx((f"never-{i}",), (f"o{i}",)) for i in range(3)]
         pool.add_batch(orphans)
-        assert pool.parked == 3 and pool.parked_expired == 1
+        assert pool.counts["parked"] == 3 and pool.counts["parked_expired"] == 1
         assert pool.stats()["pending"] == 2
 
     def test_conflicting_orphans_first_arrival_wins(self):
@@ -239,7 +239,7 @@ class TestMempool:
         pool.add_batch([parent])
         pooled = {t.tx_id for t in pool.transactions()}
         assert first.tx_id in pooled and second.tx_id not in pooled
-        assert pool.rejected_invalid == 1
+        assert pool.counts["rejected_invalid"] == 1
 
     def test_commit_unparks_waiting_dependent(self):
         # The missing parent never reaches this pool; its *block* does.
@@ -247,7 +247,7 @@ class TestMempool:
         child = tx(("pc",), ("cc",))
         pool = self.pool()
         pool.add_batch([child])
-        assert pool.occupancy == 0 and pool.parked == 1
+        assert pool.occupancy == 0 and pool.counts["parked"] == 1
         pool.observe_chain(block_chain([parent]), now=4.0)
         assert child.tx_id in pool
         assert [t.tx_id for t in pool.drain_unparked()] == [child.tx_id]

@@ -413,7 +413,7 @@ class TestBoundedSeenSets:
         assert len(node.seen_blocks) < updates
         # tx_seen was intersected with the held set at the checkpoint:
         # it holds fewer ids than the node ever marked.
-        marked_ever = node.pool.reaped + len(node.pool.held_ids())
+        marked_ever = node.pool.counts["reaped"] + len(node.pool.held_ids())
         assert len(node.tx_seen) < marked_ever
         assert node.rejected_blocks.cap == 4096
 

@@ -35,16 +35,10 @@ def crash_run():
     return run
 
 
-def _lifetime(facet, component, live):
-    """``live`` counters plus the carry the facet's crashed predecessor
-    components left (occupancy readings stay live, the peak is a max)."""
-    total = dict(live)
-    for key, value in facet._carry.get(component, {}).items():
-        if key == "peak_occupancy":
-            total[key] = max(total[key], value)
-        elif key not in ("occupancy", "pending", "kind"):
-            total[key] += value
-    return total
+def _lifetime(facet, component, **live):
+    """The facet's table row for ``component`` — every life's counts —
+    with the ``live`` readings of the component it runs now."""
+    return {**facet.metrics[component], **live}
 
 
 def _summed(dicts, maxed=()):
@@ -61,23 +55,17 @@ def _summed(dicts, maxed=()):
 class TestFoldAgainstFacetOracle:
     def test_mempool_per_node_is_the_facet_sum(self, crash_run):
         per_node = crash_run.mempool_stats()["per_node"]
-        # The crashed replica's facets carry their pre-crash counters.
-        (crashed,) = [n for n in crash_run.nodes if n.facets[0]._carry]
-        assert all(f._carry["pool"]["accepted"] > 0 for f in crashed.facets.values())
         for node in crash_run.nodes:
             expected = _summed(
                 {
-                    **_lifetime(facet, "pool", facet.pool.stats()),
                     **_lifetime(
                         facet,
-                        "packer",
-                        {
-                            "blocks_packed": facet.packer.blocks_packed,
-                            "txs_packed": facet.packer.txs_packed,
-                        },
+                        "pool",
+                        pending=len(facet.pool._parked),
+                        occupancy=len(facet.pool),
                     ),
-                    "tx_gossip_received": facet.tx_gossip_received,
-                    "tx_gossip_duplicates": facet.tx_gossip_duplicates,
+                    **facet.metrics["packer"],
+                    **facet.metrics["tx_gossip"],
                 }
                 for facet in node.facets.values()
             )
@@ -88,7 +76,7 @@ class TestFoldAgainstFacetOracle:
         sync = crash_run.sync_stats()
         for node in crash_run.nodes:
             expected = _summed(
-                (facet.sync_totals for facet in node.facets.values()),
+                (facet.metrics["sync"] for facet in node.facets.values()),
                 maxed=("last_catch_up_s",),
             )
             assert sync["per_node"][node.name] == expected
@@ -99,7 +87,15 @@ class TestFoldAgainstFacetOracle:
     def test_auth_per_node_is_the_facet_sum(self, crash_run):
         auth = crash_run.auth_stats()
         for node in crash_run.nodes:
-            expected = _summed(f.auth_report() for f in node.facets.values())
+            expected = _summed(
+                _lifetime(
+                    f,
+                    "auth",
+                    evidence=len(f.auth.evidence),
+                    banned=len(f.auth.banned_ids),
+                )
+                for f in node.facets.values()
+            )
             assert auth["per_node"][node.name] == expected
         assert auth["totals"]["verified"] == sum(
             stats["verified"] for stats in auth["per_node"].values()
@@ -149,7 +145,7 @@ class TestInheritedSurfacesHaveTheBenchShapes:
             assert stats.pop("kind") == "flood"
             assert all(isinstance(v, int) for v in stats.values())
             assert stats["messages_sent"] == sum(
-                _lifetime(f, "transport", f.transport.stats())["messages_sent"]
+                f.metrics["transport"]["messages_sent"]
                 for f in node.facets.values()
             )
         assert gossip["totals"]["messages_sent"] > 0
@@ -167,7 +163,7 @@ class TestInheritedSurfacesHaveTheBenchShapes:
         for node in crash_run.nodes:
             entry = appends[node.name]
             assert entry["begun"] == sum(
-                f.appends_begun for f in node.facets.values()
+                f.metrics["appends"]["begun"] for f in node.facets.values()
             )
             assert entry["begun"] == entry["resolved"]
             assert entry["unknown_resolutions"] == 0

@@ -216,8 +216,8 @@ def _pruned_pair(tmp_path, n=4000, cap=400, margin=16):
 
 def test_prune_bounds_hot_set_and_preserves_reads(tmp_path):
     reference, pruned = _pruned_pair(tmp_path)
-    assert pruned.prune_count > 0 and pruned.evicted_total > 0
-    assert pruned.peak_resident <= 400
+    assert pruned.stats()["prune_count"] > 0 and pruned.stats()["evicted_total"] > 0
+    assert pruned.stats()["peak_resident"] <= 400
     assert pruned.resident_count < len(pruned)
     assert len(pruned) == len(reference)
     ref_chain = LongestChain().select(reference)
@@ -226,7 +226,7 @@ def test_prune_bounds_hot_set_and_preserves_reads(tmp_path):
     # Materializing across the evicted prefix faults value-identical blocks.
     assert got_chain.block_ids() == ref_chain.block_ids()
     assert list(got_chain) == list(ref_chain)
-    assert pruned.fault_count > 0
+    assert pruned.stats()["fault_count"] > 0
     pruned._store.close()
 
 
@@ -280,7 +280,7 @@ def test_failed_chain_to_does_not_poison_prune_lifecycle(tmp_path):
         tree.add_block(block)
         select(tree)
         parent = block
-    assert tree.prune_count > 0
+    assert tree.stats()["prune_count"] > 0
     tree._store.close()
 
 
@@ -359,7 +359,7 @@ def test_ghost_selection_survives_pruning(tmp_path):
         prune=PrunePolicy(hot_cap=300, finality_margin=8),
         on_block=lambda t, b: long_select(t),
     )
-    assert pruned.evicted_total > 0
+    assert pruned.stats()["evicted_total"] > 0
     # The first GHOST read flushes the whole backlog post-eviction.
     ref_chain = select(reference)
     got_chain = select(pruned)

@@ -65,7 +65,7 @@ def test_kill_and_reopen_matches_uninterrupted_run(tmp_path, uninterrupted):
     # Recovery itself runs under the bounded hot set (synthetic reads
     # during replay drive the prune lifecycle) — a replica sized for the
     # cap must not need the whole tree resident just to reboot.
-    assert rebuilt.peak_resident <= 300
+    assert rebuilt.stats()["peak_resident"] <= 300
     chain = LongestChain().select(rebuilt)
     assert (chain.tip_id, chain.height) == uninterrupted[KILL_AT - 1]
     # The checkpoint marker survives the crash too.
@@ -226,8 +226,8 @@ def test_crash_mid_sync_resumes_byte_identical(tmp_path):
         tmp_path / "crashed", crash_at=9.5, recover_at=20.0
     )
     assert 0 < at_crash["blocks"] < 60  # the sync really was in flight
-    assert client.sync_totals["syncs_started"] >= 2  # join + post-recovery
-    assert client.sync_totals["syncs_completed"] >= 1
+    assert client.metrics["sync"]["syncs_started"] >= 2  # join + post-recovery
+    assert client.metrics["sync"]["syncs_completed"] >= 1
     assert client.tree.freeze() == server.tree.freeze()
     assert client.tree.freeze() == oracle.tree.freeze()
     # The durable log carried the pre-crash prefix across the restart

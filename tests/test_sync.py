@@ -153,12 +153,12 @@ class TestSyncEndToEnd:
         sim.run(until=120.0)
         assert client.tree.freeze() == server.tree.freeze()
         assert client.sync.state == "done"
-        assert client.sync_totals["syncs_started"] == 1
-        assert client.sync_totals["syncs_completed"] == 1
-        assert client.sync_totals["blocks_synced"] == 300
-        assert client.sync_totals["catch_up_s"] > 0
-        assert client.sync_totals["bytes_received"] > 0
-        assert server.sync_totals["blocks_served"] == 300
+        assert client.metrics["sync"]["syncs_started"] == 1
+        assert client.metrics["sync"]["syncs_completed"] == 1
+        assert client.metrics["sync"]["blocks_synced"] == 300
+        assert client.metrics["sync"]["catch_up_s"] > 0
+        assert client.metrics["sync"]["bytes_received"] > 0
+        assert server.metrics["sync"]["blocks_served"] == 300
 
     def test_batches_are_bounded_by_sync_batch(self):
         sim, net, (server, client) = sync_network(sync_batch=10)
@@ -169,9 +169,9 @@ class TestSyncEndToEnd:
         sim.run(until=120.0)
         assert client.tree.freeze() == server.tree.freeze()
         # 45 blocks in batches of 10: FRONTIER, 5×RANGE, confirm FRONTIER.
-        assert client.sync_totals["messages_sent"] == 7
-        assert client.sync_totals["blocks_synced"] == 45
-        assert server.sync_totals["blocks_served"] == 45
+        assert client.metrics["sync"]["messages_sent"] == 7
+        assert client.metrics["sync"]["blocks_synced"] == 45
+        assert server.metrics["sync"]["blocks_served"] == 45
 
     def test_sync_converges_while_the_chain_grows(self):
         sim, net, (server, client) = sync_network(sync_batch=16)
@@ -185,7 +185,7 @@ class TestSyncEndToEnd:
         sim.run(until=200.0)
         assert client.tree.freeze() == server.tree.freeze()
         assert client.sync.state == "done"
-        assert client.sync_totals["blocks_synced"] == 100
+        assert client.metrics["sync"]["blocks_synced"] == 100
         assert client.sync.rounds >= 2
 
     def test_start_sync_is_single_flight(self):
@@ -195,8 +195,8 @@ class TestSyncEndToEnd:
         assert client.sync.start_sync() is True
         assert client.sync.start_sync() is False  # already in flight
         sim.run(until=60.0)
-        assert client.sync_totals["syncs_started"] == 1
-        assert client.sync_totals["syncs_completed"] == 1
+        assert client.metrics["sync"]["syncs_started"] == 1
+        assert client.metrics["sync"]["syncs_completed"] == 1
 
     def test_timeouts_exhaust_then_degrade_to_gossip(self):
         # channel_delta=0.5 derives a 2.0 s timeout and a 1.0 s backoff.
@@ -208,9 +208,9 @@ class TestSyncEndToEnd:
         sim.schedule_at(1.0, client.sync.start_sync)
         sim.run(until=100.0)
         assert client.sync.state == "failed"
-        assert client.sync_totals["syncs_failed"] == 1
-        assert client.sync_totals["timeouts"] == 3
-        assert client.sync_totals["retries"] == 2
+        assert client.metrics["sync"]["syncs_failed"] == 1
+        assert client.metrics["sync"]["timeouts"] == 3
+        assert client.metrics["sync"]["retries"] == 2
         # Graceful degradation: the replica still listens to gossip.
         block = make_block(GENESIS, label="gossiped")
         client.deliver_block_body("p0", block)
@@ -231,8 +231,8 @@ class TestSyncEndToEnd:
         sim.schedule_at(1.0, client.sync.start_sync)
         sim.run(until=200.0)
         assert client.sync.state == "done"
-        assert client.sync_totals["timeouts"] >= 1
-        assert client.sync_totals["syncs_completed"] == 1
+        assert client.metrics["sync"]["timeouts"] >= 1
+        assert client.metrics["sync"]["syncs_completed"] == 1
         live = [s for s in servers if s is not dead][0]
         assert client.tree.freeze() == live.tree.freeze()
 
@@ -252,7 +252,7 @@ class TestSyncStatsPlumbing:
         net.start()
         sim.schedule_at(1.0, client.lifecycle_join)
         sim.run(until=120.0)
-        per_node = {n.name: dict(n.sync_totals) for n in (server, client)}
+        per_node = {n.name: dict(n.metrics["sync"]) for n in (server, client)}
         assert per_node[client.name]["syncs_completed"] == 1
         total_msgs = sum(s["messages_sent"] for s in per_node.values())
         assert total_msgs == (
