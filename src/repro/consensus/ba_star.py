@@ -42,6 +42,9 @@ PROPOSAL = "ba-proposal"
 SOFTVOTE = "ba-soft"
 CERTVOTE = "ba-cert"
 
+#: The BA* message kinds: tag → message length.
+_LENGTHS = {PROPOSAL: 5, SOFTVOTE: 5, CERTVOTE: 5}
+
 
 @dataclass
 class _Period:
@@ -54,6 +57,10 @@ class _Period:
     cert_votes: Dict[str, Set[str]] = field(default_factory=dict)
     cert_sent: bool = False
     decided: bool = False
+
+
+def _fence() -> None:
+    """A timer that only marks a step boundary."""
 
 
 class BAStarComponent:
@@ -85,7 +92,8 @@ class BAStarComponent:
         self.max_attempts = max_attempts
         self.periods: Dict[Tuple[Any, int], _Period] = {}
         self.decided_instances: Dict[Any, Any] = {}
-        self.relay = QuorumRelay(host, tag="ba-relay", deliver=self._dispatch)
+        self.relay = QuorumRelay(host, tag="ba-relay")
+        host.route(self.on_message, _LENGTHS)
 
     def _bcast(self, message: tuple) -> None:
         """Committee-wide vote broadcast, self included (relay-flooded
@@ -142,53 +150,43 @@ class BAStarComponent:
         selected, priority = self._selected(instance_id, attempt, "proposer")
         if selected:
             self._bcast((PROPOSAL, instance_id, attempt, priority, value))
-        self.host.set_timer(self.step_time, ("ba-soft", instance_id, attempt))
-        self.host.set_timer(2 * self.step_time, ("ba-cert", instance_id, attempt))
-        self.host.set_timer(3 * self.step_time, ("ba-next", instance_id, attempt))
+        self.host.call_later(self.step_time, self.on_timer, instance_id, attempt)
+        # The cert step (2λ) is only a liveness fence: cert votes go out
+        # reactively in _on_soft when the soft quorum arrives.
+        self.host.call_later(2 * self.step_time, _fence)
+        self.host.call_later(
+            3 * self.step_time, self._next_period, instance_id, attempt
+        )
 
-    def on_timer(self, tag: Any) -> bool:
-        """Drive the period's steps; True when the tag was BA*'s."""
-        if not (isinstance(tag, tuple) and tag and str(tag[0]).startswith("ba-")):
-            return False
-        kind, instance_id, attempt = tag
+    def on_timer(self, instance_id: Any, attempt: int) -> None:
+        """The soft-vote step (λ): vote for the best proposal seen."""
         if instance_id in self.decided_instances:
-            return True
+            return
         period = self._period(instance_id, attempt)
-        if kind == "ba-soft":
-            if period.best is not None:
-                _prio, _who, value = period.best
-                selected, _ = self._selected(instance_id, attempt, "soft")
-                if selected:
-                    digest = hash_hex("ba-digest", value)
-                    self._bcast((SOFTVOTE, instance_id, attempt, digest, value))
-        elif kind == "ba-cert":
-            # cert votes are emitted reactively in _on_soft when the quorum
-            # arrives; this timer is only a liveness fence (no-op).
-            pass
-        elif kind == "ba-next":
-            if attempt + 1 < self.max_attempts and period.proposal is not None:
-                self.propose(instance_id, period.proposal, attempt + 1)
-        return True
+        if period.best is not None:
+            _prio, _who, value = period.best
+            selected, _ = self._selected(instance_id, attempt, "soft")
+            if selected:
+                digest = hash_hex("ba-digest", value)
+                self._bcast((SOFTVOTE, instance_id, attempt, digest, value))
 
-    def on_message(self, src: str, message: Any) -> bool:
-        """Handle a BA* network message; True when consumed."""
-        if self.relay.on_message(src, message):
-            return True
-        return self._dispatch(src, message)
+    def _next_period(self, instance_id: Any, attempt: int) -> None:
+        """The period's end (3λ): undecided, retry with a fresh seed."""
+        if instance_id in self.decided_instances:
+            return
+        period = self._period(instance_id, attempt)
+        if attempt + 1 < self.max_attempts and period.proposal is not None:
+            self.propose(instance_id, period.proposal, attempt + 1)
 
-    def _dispatch(self, src: str, message: Any) -> bool:
-        if not (isinstance(message, tuple) and message):
-            return False
+    def on_message(self, src: str, message: tuple) -> None:
+        """Handle a BA* message (relayed ones arrive unwrapped)."""
         tag = message[0]
         if tag == PROPOSAL:
             self._on_proposal(src, *message[1:])
         elif tag == SOFTVOTE:
             self._on_soft(src, *message[1:])
-        elif tag == CERTVOTE:
-            self._on_cert(src, *message[1:])
         else:
-            return False
-        return True
+            self._on_cert(src, *message[1:])  # CERTVOTE
 
     # -- steps ------------------------------------------------------------------
 

@@ -34,6 +34,9 @@ ACK = "ord-ack"
 DELIVER = "ord-deliver"
 TERMCHANGE = "ord-termchange"
 
+#: The ordering message kinds: tag → message length.
+_LENGTHS = {SUBMIT: 2, ORDER: 4, ACK: 3, DELIVER: 4, TERMCHANGE: 3}
+
 
 class OrderingService:
     """One ordering node; a cluster of these provides total-order broadcast.
@@ -71,6 +74,7 @@ class OrderingService:
         self.unordered: List[Any] = []
         self._progress_marker = 0
         self._started = False
+        host.route(self.on_message, _LENGTHS)
 
     def start(self) -> None:
         """Arm the failure-detector watchdog.
@@ -80,7 +84,7 @@ class OrderingService:
         """
         if not self._started:
             self._started = True
-            self.host.set_timer(self.timeout, ("ord-watchdog", self.term, 0))
+            self.host.call_later(self.timeout, self.on_timer, self.term, 0)
 
     def restart(self) -> None:
         """Re-arm the watchdog after a lifecycle suspend/recover.
@@ -129,45 +133,37 @@ class OrderingService:
 
     # -- message handling ---------------------------------------------------------
 
-    def on_message(self, src: str, message: Any) -> bool:
-        if not (isinstance(message, tuple) and message):
-            return False
+    def on_message(self, src: str, message: tuple) -> None:
         tag = message[0]
         if tag == SUBMIT:
             if self.is_leader:
                 self._order(message[1])
             else:
                 self.host.send(self.leader, message)  # forward to current leader
-            return True
-        if tag == ORDER:
+        elif tag == ORDER:
             _t, term, seq, batch = message
             if term == self.term and src == self.leader:
                 self.host.send(src, (ACK, term, seq))
-            return True
-        if tag == ACK:
+        elif tag == ACK:
             _t, term, seq = message
             if term != self.term or not self.is_leader:
-                return True
+                return
             votes = self.acks.setdefault((term, seq), set())
             votes.add(src)
             if len(votes) >= self.majority() and seq in self.pending_order:
                 batch = self.pending_order.pop(seq)
                 self._bcast((DELIVER, term, seq, batch))
-            return True
-        if tag == DELIVER:
+        elif tag == DELIVER:
             _t, term, seq, batch = message
             self._deliver(seq, batch)
-            return True
-        if tag == TERMCHANGE:
+        else:  # TERMCHANGE
             _t, new_term, cursor = message
             if new_term <= self.term:
-                return True
+                return
             votes = self.term_votes.setdefault(new_term, set())
             votes.add(src)
             if len(votes) >= self.majority():
                 self._enter_term(new_term)
-            return True
-        return False
 
     def _deliver(self, seq: int, batch: Any) -> None:
         if seq in self.delivered:
@@ -185,16 +181,19 @@ class OrderingService:
 
     # -- term changes ---------------------------------------------------------------
 
-    def on_timer(self, tag: Any) -> bool:
-        if not (isinstance(tag, tuple) and tag and tag[0] == "ord-watchdog"):
-            return False
-        _t, term, marker = tag
+    def on_timer(self, term: int, marker: int) -> None:
+        """The failure-detector watchdog armed in ``term`` at progress
+        ``marker``."""
         if term == self.term and marker == self._progress_marker:
             # No progress during a whole timeout in this term → vote next.
             new_term = self.term + 1
             self._bcast((TERMCHANGE, new_term, self.deliver_cursor))
-        self.host.set_timer(self.timeout, ("ord-watchdog", self.term, self._progress_marker))
-        return True
+        self._arm_watchdog()
+
+    def _arm_watchdog(self) -> None:
+        self.host.call_later(
+            self.timeout, self.on_timer, self.term, self._progress_marker
+        )
 
     def _enter_term(self, new_term: int) -> None:
         self.term = new_term
@@ -206,7 +205,7 @@ class OrderingService:
                 if batch not in self.delivered.values():
                     self._order(batch)
             self.unordered = []
-        self.host.set_timer(self.timeout, ("ord-watchdog", self.term, self._progress_marker))
+        self._arm_watchdog()
 
 
 class OrderingClient:

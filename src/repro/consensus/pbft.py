@@ -40,6 +40,9 @@ PREPARE = "pbft-prepare"
 COMMIT = "pbft-commit"
 VIEWCHANGE = "pbft-viewchange"
 
+#: The PBFT message kinds: tag → message length.
+_LENGTHS = {PREPREPARE: 4, PREPARE: 5, COMMIT: 5, VIEWCHANGE: 4}
+
 
 @dataclass
 class _Instance:
@@ -95,7 +98,8 @@ class PBFTComponent:
         self.timeout = timeout
         self.byzantine_equivocate = byzantine_equivocate
         self.instances: Dict[Any, _Instance] = {}
-        self.relay = QuorumRelay(host, tag="pbft-relay", deliver=self._dispatch)
+        self.relay = QuorumRelay(host, tag="pbft-relay")
+        host.route(self.on_message, _LENGTHS)
 
     # -- helpers -----------------------------------------------------------
 
@@ -114,7 +118,7 @@ class PBFTComponent:
         self.relay.broadcast(message, include_self=True)
 
     def _arm_timer(self, instance_id: Any, view: int) -> None:
-        self.host.set_timer(self.timeout, ("pbft-timeout", instance_id, view))
+        self.host.call_later(self.timeout, self.on_timer, instance_id, view)
 
     # -- API ---------------------------------------------------------------
 
@@ -135,27 +139,16 @@ class PBFTComponent:
             return
         self._bcast((PREPREPARE, instance_id, view, value))
 
-    def on_timer(self, tag: Any) -> bool:
-        """Handle a host timer; returns True when the tag was PBFT's."""
-        if not (isinstance(tag, tuple) and tag and tag[0] == "pbft-timeout"):
-            return False
-        _t, instance_id, view = tag
+    def on_timer(self, instance_id: Any, view: int) -> None:
+        """The view-``view`` timeout: vote for the next view unless the
+        instance decided or already moved on."""
         inst = self._inst(instance_id)
         if inst.decided or inst.view != view:
-            return True
-        new_view = view + 1
-        self._bcast((VIEWCHANGE, instance_id, new_view, inst.prepared_cert))
-        return True
+            return
+        self._bcast((VIEWCHANGE, instance_id, view + 1, inst.prepared_cert))
 
-    def on_message(self, src: str, message: Any) -> bool:
-        """Handle a network message; returns True when consumed."""
-        if self.relay.on_message(src, message):
-            return True
-        return self._dispatch(src, message)
-
-    def _dispatch(self, src: str, message: Any) -> bool:
-        if not (isinstance(message, tuple) and message):
-            return False
+    def on_message(self, src: str, message: tuple) -> None:
+        """Handle a PBFT message (relayed ones arrive unwrapped)."""
         tag = message[0]
         if tag == PREPREPARE:
             self._on_preprepare(src, *message[1:])
@@ -163,11 +156,8 @@ class PBFTComponent:
             self._on_prepare(src, *message[1:])
         elif tag == COMMIT:
             self._on_commit(src, *message[1:])
-        elif tag == VIEWCHANGE:
-            self._on_viewchange(src, *message[1:])
         else:
-            return False
-        return True
+            self._on_viewchange(src, *message[1:])  # VIEWCHANGE
 
     # -- phases --------------------------------------------------------------
 

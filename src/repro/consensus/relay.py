@@ -24,7 +24,7 @@ independently.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Set, Tuple
+from typing import Any, Callable, Optional, Set, Tuple
 
 from repro.net.process import SimProcess
 
@@ -38,25 +38,28 @@ class QuorumRelay:
     ----------
     host:
         The owning simulated process (used for sends and neighbour
-        lookup).
+        lookup); the relay routes its envelope ``tag`` to itself there.
     tag:
         Envelope discriminator, unique per protocol layer on a host.
     deliver:
         Callback ``(origin, inner)`` invoked once per envelope on this
-        member, with the *origin* replica as the sender identity.
+        member, with the *origin* replica as the sender identity.  By
+        default the inner message re-enters the host's decode boundary,
+        exactly as if the origin had sent it directly.
     """
 
     def __init__(
         self,
         host: SimProcess,
         tag: str,
-        deliver: Callable[[str, Any], None],
+        deliver: Optional[Callable[[str, Any], None]] = None,
     ) -> None:
         self.host = host
         self.tag = tag
-        self.deliver = deliver
+        self.deliver = deliver or host.on_message
         self._seq = 0
         self._seen: Set[Tuple[str, int]] = set()
+        host.route(self.on_message, {tag: 4})
 
     @property
     def active(self) -> bool:
@@ -85,25 +88,20 @@ class QuorumRelay:
         if include_self:
             self.host.send(origin, message)
 
-    def on_message(self, src: str, message: Any) -> bool:
-        """Intercept relay envelopes; returns True when consumed.
+    def on_message(self, src: str, message: tuple) -> None:
+        """Handle an envelope ``(tag, origin, seq, inner)``.
 
         First sight forwards the envelope to every neighbour except the
         one it arrived from (the dedup set, not the exclusion, is what
         makes cyclic topologies terminate) and delivers ``inner``
         attributed to the origin.  Repeats are dropped silently.
         """
-        if not (
-            isinstance(message, tuple) and len(message) == 4 and message[0] == self.tag
-        ):
-            return False
         _tag, origin, seq, inner = message
         key = (origin, seq)
         if key in self._seen:
-            return True
+            return
         self._seen.add(key)
         for peer in self.host.network.neighbors_of(self.host.name):
             if peer != src:
                 self.host.send(peer, message)
         self.deliver(origin, inner)
-        return True

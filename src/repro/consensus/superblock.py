@@ -57,7 +57,8 @@ class SuperblockComponent:
             on_decide=self._pbft_decided,
             timeout=pbft_timeout,
         )
-        self.relay = QuorumRelay(host, tag="sb-relay", deliver=self._on_proposal)
+        self.relay = QuorumRelay(host, tag="sb-relay")
+        host.route(self._on_proposal, {SB_PROPOSAL: 3})
 
     # -- API -------------------------------------------------------------------
 
@@ -68,34 +69,23 @@ class SuperblockComponent:
         # of the collected set, so missing members would decide a
         # different union).
         self.relay.broadcast((SB_PROPOSAL, round_id, value), include_self=True)
+        self._collect(round_id)
+
+    def _on_proposal(self, src: str, message: tuple) -> None:
+        _tag, round_id, value = message
+        self.collected.setdefault(round_id, {})[src] = value
+        self._collect(round_id)
+
+    def _collect(self, round_id: Any) -> None:
+        """Open ``round_id``'s collection window on its first proposal."""
         if round_id not in self.started:
             self.started.add(round_id)
-            self.host.set_timer(self.collection_window, ("sb-assemble", round_id))
+            self.host.call_later(self.collection_window, self._assemble, round_id)
 
-    def _on_proposal(self, src: str, message: Any) -> None:
-        self.on_message(src, message)
-
-    def on_message(self, src: str, message: Any) -> bool:
-        """Handle proposals and the inner PBFT traffic."""
-        if self.relay.on_message(src, message):
-            return True
-        if isinstance(message, tuple) and message and message[0] == SB_PROPOSAL:
-            _tag, round_id, value = message
-            self.collected.setdefault(round_id, {})[src] = value
-            if round_id not in self.started:
-                self.started.add(round_id)
-                self.host.set_timer(self.collection_window, ("sb-assemble", round_id))
-            return True
-        return self.pbft.on_message(src, message)
-
-    def on_timer(self, tag: Any) -> bool:
+    def _assemble(self, round_id: Any) -> None:
         """Assemble the superblock at the end of the collection window."""
-        if isinstance(tag, tuple) and tag and tag[0] == "sb-assemble":
-            round_id = tag[1]
-            union = tuple(sorted(self.collected.get(round_id, {}).items()))
-            self.pbft.propose(("superblock", round_id), union)
-            return True
-        return self.pbft.on_timer(tag)
+        union = tuple(sorted(self.collected.get(round_id, {}).items()))
+        self.pbft.propose(("superblock", round_id), union)
 
     def _pbft_decided(self, instance_id: Any, value: Any) -> None:
         _tag, round_id = instance_id

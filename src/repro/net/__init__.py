@@ -36,7 +36,7 @@ from repro.net.channels import (
     WeaklySynchronousChannel,
 )
 from repro.net.process import Network, SimProcess
-from repro.net.broadcast import FloodingGossip, check_update_agreement, check_lrc
+from repro.net.broadcast import check_update_agreement, check_lrc
 from repro.net.faults import MessageDropAdversary, PartitionAdversary
 from repro.net.sketch import BloomFilter, IBLT
 from repro.net.reconcile import (
@@ -67,7 +67,6 @@ __all__ = [
     "DROP",
     "Network",
     "SimProcess",
-    "FloodingGossip",
     "check_update_agreement",
     "check_lrc",
     "MessageDropAdversary",

@@ -1,4 +1,4 @@
-"""Flooding gossip, the LRC abstraction, and Update Agreement checking.
+"""The LRC abstraction and Update Agreement, checked on recorded histories.
 
 **Light Reliable Communication** (Definition 4.4) requires
 
@@ -6,11 +6,12 @@
 * *Agreement*: if any correct process receives ``m``, every correct
   process eventually receives ``m``.
 
-:class:`FloodingGossip` implements LRC in the crash model over reliable
-channels: the sender self-delivers immediately and every first reception
-is re-forwarded to all peers, so any message reaching one correct process
-reaches all (complete graph, no drops).  Under a dropping adversary the
-relay chain can be severed — which is exactly the Theorem 4.7 experiment.
+The gossip transports of :mod:`repro.net.reconcile` implement LRC in the
+crash model over reliable channels: the sender self-delivers immediately
+and every first reception is relayed onward, so any block reaching one
+correct replica reaches all.  Under a dropping adversary a flooding
+relay chain can be severed — which is exactly the Theorem 4.7
+experiment.
 
 **Update Agreement** (Definition 4.3, Figure 13) is checked post-hoc on
 the recorded history: with events ``send/receive/update`` carrying args
@@ -25,71 +26,12 @@ the recorded history: with events ``send/receive/update`` carrying args
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, Iterable, Optional, Set, Tuple
+from typing import Dict, Iterable, Optional, Set
 
-from repro._util import BoundedSet
 from repro.consistency.properties import PropertyCheck
 from repro.histories.history import ConcurrentHistory
-from repro.net.process import SimProcess
 
-__all__ = ["FloodingGossip", "check_update_agreement", "check_lrc"]
-
-
-@dataclass
-class FloodingGossip:
-    """Forward-once flooding attached to a :class:`SimProcess`.
-
-    ``publish(payload, msg_id)`` floods a new payload; ``on_gossip`` must
-    be called from the host's ``on_message`` for ``("gossip", …)``
-    messages and invokes ``deliver`` exactly once per message id
-    (including for the publisher itself — LRC Validity's self-delivery).
-
-    ``max_seen > 0`` bounds the dedup memory (FIFO eviction): without it
-    the seen-set grows for the life of the process, which defeats the
-    bounded-hot-set storage work.  An evicted id arriving again is
-    re-delivered and re-flooded — wasteful but safe (delivery is
-    idempotent for LRC purposes); size the cap well above the in-flight
-    message window.
-    """
-
-    host: SimProcess
-    deliver: Callable[[str, Any], None]
-    record: bool = True
-    max_seen: int = 0
-    seen: Set[str] = field(default_factory=set)
-
-    def __post_init__(self) -> None:
-        if self.max_seen:
-            self.seen = BoundedSet(cap=self.max_seen, items=self.seen)
-
-    def publish(self, msg_id: str, payload: Any) -> None:
-        """Flood ``payload`` under ``msg_id`` (first delivery is local)."""
-        if msg_id in self.seen:
-            return
-        self.seen.add(msg_id)
-        if self.record:
-            self.host.record_instant("send", self._args(payload))
-        self.host.broadcast(("gossip", msg_id, payload))
-        if self.record:
-            self.host.record_instant("receive", self._args(payload))
-        self.deliver(msg_id, payload)
-
-    def on_gossip(self, src: str, message: Tuple[str, str, Any]) -> None:
-        """Handle an incoming ``("gossip", msg_id, payload)`` message."""
-        _tag, msg_id, payload = message
-        if msg_id in self.seen:
-            return
-        self.seen.add(msg_id)
-        if self.record:
-            self.host.record_instant("receive", self._args(payload))
-        self.host.broadcast(("gossip", msg_id, payload))
-        self.deliver(msg_id, payload)
-
-    def _args(self, payload: Any) -> tuple:
-        if isinstance(payload, tuple) and len(payload) >= 3:
-            return tuple(payload[:3])
-        return (payload,)
+__all__ = ["check_update_agreement", "check_lrc"]
 
 
 def _replica_events(history: ConcurrentHistory, name: str) -> list:

@@ -23,7 +23,7 @@ operations and the §4.2 replica events.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, List, Optional, Sequence
+from typing import Any, Callable, Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 from repro.histories.builder import HistoryRecorder
 from repro.net.channels import DROP, ChannelModel, SynchronousChannel
@@ -36,17 +36,22 @@ __all__ = ["SimProcess", "Network"]
 class SimProcess:
     """Base class for simulated processes.
 
-    Subclasses override :meth:`on_start`, :meth:`on_message` and
-    :meth:`on_timer`.  Helper methods ``send``, ``broadcast``,
-    ``call_later`` and ``set_timer`` are available once the process is
-    registered with a :class:`Network`.
+    Subclasses override :meth:`on_start`; the components a process is
+    built from register the message kinds they handle with
+    :meth:`route`, and :meth:`on_message` decodes every delivery against
+    that table.  Helper methods ``send``, ``broadcast`` and
+    ``call_later`` are available once the process is registered with a
+    :class:`Network`.
 
     The base state lives in ``__slots__`` (part of the large-N hot-class
     sweep); subclasses may still declare ad-hoc attributes — they get a
     ``__dict__`` of their own unless they opt into slots too.
     """
 
-    __slots__ = ("name", "network", "crashed", "offline", "lifecycle_epoch", "__weakref__")
+    __slots__ = (
+        "name", "network", "crashed", "offline", "lifecycle_epoch", "routes",
+        "__weakref__",
+    )
 
     def __init__(self, name: str) -> None:
         self.name = name
@@ -60,17 +65,47 @@ class SimProcess:
         #: life never fire into a recovered process (their closures
         #: captured the old epoch).
         self.lifecycle_epoch = 0
+        #: The message table: tag → (handler, accepted tuple lengths).
+        self.routes: Dict[Any, Tuple[Callable[[str, tuple], None], FrozenSet[int]]] = {}
 
     # -- lifecycle hooks -------------------------------------------------------
 
     def on_start(self) -> None:
         """Called once when the simulation starts."""
 
-    def on_message(self, src: str, message: Any) -> None:
-        """Called on delivery of ``message`` from ``src``."""
+    # -- receiving -------------------------------------------------------------
 
-    def on_timer(self, tag: Any) -> None:
-        """Called when a timer set via :meth:`set_timer` fires."""
+    def route(
+        self, handler: Callable[[str, tuple], None], lengths: Dict[str, Any]
+    ) -> None:
+        """Route each tag of ``lengths`` to ``handler(src, message)``.
+
+        ``lengths`` maps a tag to the length of its messages (tag
+        included), or to a set of lengths for a kind with an optional
+        trailing field.  Components call this when they are built and
+        pass bound methods; a later registration of a tag replaces the
+        earlier one (a crash rebuilds a replica's components).
+        """
+        for tag, length in lengths.items():
+            accepted = length if isinstance(length, (set, frozenset)) else {length}
+            self.routes[tag] = (handler, frozenset(accepted))
+
+    def on_message(self, src: str, message: Any) -> None:
+        """The decode boundary: hand ``message`` from ``src`` to the
+        handler its tag routes to.
+
+        A message that is not a tuple, is empty, carries a tag nobody
+        routed or has a length its kind does not take is dropped here,
+        so no handler checks a message's shape again.
+        """
+        if not (isinstance(message, tuple) and message):
+            return
+        try:
+            handler, lengths = self.routes[message[0]]
+        except (KeyError, TypeError):  # unrouted or unhashable tag
+            return
+        if len(message) in lengths:
+            handler(src, message)
 
     # -- actions ---------------------------------------------------------------
 
@@ -109,10 +144,6 @@ class SimProcess:
             fn(*args)
 
         self.network.simulator.schedule(delay, fire)
-
-    def set_timer(self, delay: float, tag: Any) -> None:
-        """Schedule :meth:`on_timer` with ``tag`` after ``delay``."""
-        self.call_later(delay, self.on_timer, tag)
 
     @property
     def now(self) -> float:

@@ -115,8 +115,8 @@ ROUND_COUNTERS = (
 )
 
 
-def wire_size(message: Any) -> int:
-    """A deterministic modelled byte cost for a message.
+def wire_size(value: Any) -> int:
+    """A deterministic modelled byte cost for a message or a field of one.
 
     Values that model their own encoding (blocks, transactions,
     frontiers, sketches, equivocation evidence) answer through
@@ -125,17 +125,17 @@ def wire_size(message: Any) -> int:
     identically for both transports), numbers 8 bytes, containers a
     small framing overhead plus contents, anything else a flat 16.
     """
-    wire_bytes = getattr(message, "wire_bytes", None)
+    wire_bytes = getattr(value, "wire_bytes", None)
     if callable(wire_bytes):
         return wire_bytes()
-    if message is None or isinstance(message, bool):
+    if value is None or isinstance(value, bool):
         return 1
-    if isinstance(message, (int, float)):
+    if isinstance(value, (int, float)):
         return 8
-    if isinstance(message, str):
-        return len(message) + 1
-    if isinstance(message, (tuple, list)):
-        return 4 + sum(wire_size(item) for item in message)
+    if isinstance(value, str):
+        return len(value) + 1
+    if isinstance(value, (tuple, list)):
+        return 4 + sum(wire_size(item) for item in value)
     return 16
 
 
@@ -147,11 +147,15 @@ class GossipTransport:
     * :meth:`announce` when it creates a block,
     * :meth:`relay_block` when an adopted block should propagate onward,
     * :meth:`relay_txs` when fresh transactions entered its pool,
-    * :meth:`request_parent` when a received block parked as an orphan,
-    * :meth:`on_message` from its gossip dispatch (True = consumed).
+    * :meth:`request_parent` when a received block parked as an orphan;
+
+    and the transport routes its message kinds (:attr:`LENGTHS`) to its
+    :meth:`on_message` on the node it is built for.
     """
 
     kind = "none"
+    #: The message kinds the transport receives: tag → message length.
+    LENGTHS: Dict[str, int] = {}
     #: The transport's row of the replica's counter table, at zero.
     ZERO: Dict[str, int] = dict.fromkeys(
         ("messages_sent", "bytes_sent", "block_bytes_sent", "tx_bytes_sent"), 0
@@ -160,14 +164,15 @@ class GossipTransport:
     def __init__(self, node: Any, counts: Optional[Dict[str, int]] = None) -> None:
         self.node = node
         self.counts = counter_row(counts, self.ZERO)
+        node.route(self.on_message, self.LENGTHS)
 
     # -- lifecycle ---------------------------------------------------------
 
     def on_start(self) -> None:
         """Arm transport timers (scheduled at t=0 by ``ProtocolRun``)."""
 
-    def on_message(self, src: str, message: Any) -> bool:
-        return False
+    def on_message(self, src: str, message: tuple) -> None:
+        raise NotImplementedError
 
     # -- node-facing surface ----------------------------------------------
 
@@ -191,8 +196,7 @@ class GossipTransport:
         counts = self.counts
         counts["bytes_sent"] += size
         counts["messages_sent"] += copies
-        tag = message[0] if isinstance(message, tuple) and message else None
-        if tag in _BLOCK_TAGS:
+        if message[0] in _BLOCK_TAGS:
             counts["block_bytes_sent"] += size
         else:
             counts["tx_bytes_sent"] += size
@@ -215,6 +219,7 @@ class FloodTransport(GossipTransport):
     """Forward-once flooding of full bodies (the historical transport)."""
 
     kind = "flood"
+    LENGTHS = {GOSSIP_TAG: 3, TX_GOSSIP_TAG: 2}
 
     def announce(self, block: Any) -> None:
         self._broadcast((GOSSIP_TAG, block.block_id, block))
@@ -225,18 +230,11 @@ class FloodTransport(GossipTransport):
     def relay_txs(self, txs: Tuple[Any, ...]) -> None:
         self._broadcast((TX_GOSSIP_TAG, txs))
 
-    def on_message(self, src: str, message: Any) -> bool:
-        if not (isinstance(message, tuple) and message):
-            return False
-        tag = message[0]
-        if tag == GOSSIP_TAG:
-            _tag, _block_id, block = message
-            self.node.deliver_block_body(src, block)
-            return True
-        if tag == TX_GOSSIP_TAG:
+    def on_message(self, src: str, message: tuple) -> None:
+        if message[0] == GOSSIP_TAG:
+            self.node.deliver_block_body(src, message[2])
+        else:
             self.node.ingest_gossiped_txs(message[1])
-            return True
-        return False
 
 
 class ReconcileTransport(GossipTransport):
@@ -245,6 +243,10 @@ class ReconcileTransport(GossipTransport):
 
     kind = "reconcile"
     ZERO = {**GossipTransport.ZERO, **dict.fromkeys(ROUND_COUNTERS, 0)}
+    LENGTHS = {
+        RECON_BLK_ANN: 4, RECON_BLK_GET: 3, RECON_BLK_DATA: 2, RECON_REQ: 5,
+        RECON_RES: 4, RECON_CLOSE: 4, RECON_FULLREQ: 3, RECON_TXS: 4, RECON_PUSH: 2,
+    }
 
     def __init__(
         self, node: Any, interval: float = 10.0, counts: Optional[Dict[str, int]] = None
@@ -490,46 +492,34 @@ class ReconcileTransport(GossipTransport):
 
     # -- dispatch ----------------------------------------------------------
 
-    def on_message(self, src: str, message: Any) -> bool:
-        if not (isinstance(message, tuple) and message):
-            return False
+    def on_message(self, src: str, message: tuple) -> None:
         tag = message[0]
         if tag == RECON_BLK_ANN:
             _tag, block_id, parent_id, _creator = message
             depth = 1 if parent_id in self.node.tree else _FETCH_DEPTH_START
             self._fetch(src, block_id, depth)
-            return True
-        if tag == RECON_BLK_GET:
+        elif tag == RECON_BLK_GET:
             _tag, block_id, depth = message
             segment = self._segment(block_id, max(1, min(depth, _FETCH_DEPTH_CAP)))
             if segment:
                 self._send(src, (RECON_BLK_DATA, segment))
-            return True
-        if tag == RECON_BLK_DATA:
+        elif tag == RECON_BLK_DATA:
             for block in message[1]:
                 self._pending_fetch.pop(block.block_id, None)
                 self._fetch_depth.pop(block.block_id, None)
                 self.node.deliver_block_body(src, block)
-            return True
-        if tag == RECON_REQ:
+        elif tag == RECON_REQ:
             self._on_req(src, message)
-            return True
-        if tag == RECON_RES:
+        elif tag == RECON_RES:
             self._on_res(src, message)
-            return True
-        if tag == RECON_CLOSE:
+        elif tag == RECON_CLOSE:
             self._on_close(src, message)
-            return True
-        if tag == RECON_FULLREQ:
+        elif tag == RECON_FULLREQ:
             self._on_fullreq(src, message)
-            return True
-        if tag == RECON_TXS:
+        elif tag == RECON_TXS:
             self._on_txs(src, message)
-            return True
-        if tag == RECON_PUSH:
-            self.node.ingest_gossiped_txs(message[1])
-            return True
-        return False
+        else:
+            self.node.ingest_gossiped_txs(message[1])  # RECON_PUSH
 
 
 def build_transport(

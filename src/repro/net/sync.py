@@ -76,7 +76,11 @@ __all__ = [
 SYNC_FRONTIER = "sync-frontier"  # (tag, req_id, frontier)
 SYNC_DIFF = "sync-diff"  # (tag, req_id, lo, hi, missing_count)
 SYNC_RANGE = "sync-range"  # (tag, req_id, frontier, lo, hi, offset)
-SYNC_BLOCKS = "sync-blocks"  # (tag, req_id, blocks, remaining)
+SYNC_BLOCKS = "sync-blocks"  # (tag, req_id, blocks, remaining[, evidence])
+
+#: The sync message kinds: tag → message length.  An authenticated
+#: server appends its equivocation evidence to BLOCKS.
+_LENGTHS = {SYNC_FRONTIER: 3, SYNC_DIFF: 5, SYNC_RANGE: 6, SYNC_BLOCKS: {4, 5}}
 
 #: A frontier carries at most this many tips (the tallest ones).  The
 #: cap only ever makes the server *over*-send — a dropped tip shrinks
@@ -247,6 +251,7 @@ class SyncManager:
         self._diff_cache: "Dict[Frontier, List[str]]" = {}
         #: (frontier, lo, hi) → height-banded diff slice (see _band_for).
         self._band_cache: "Dict[Tuple[Frontier, int, Optional[int]], List[str]]" = {}
+        node.route(self.on_message, _LENGTHS)
 
     # -- plumbing ----------------------------------------------------------
 
@@ -376,15 +381,13 @@ class SyncManager:
         self._send_range()
 
     def _on_blocks(self, src: str, message: tuple) -> None:
-        # Length-tolerant unpack: authenticated servers append a fifth
-        # element (equivocation evidence) that pre-auth clients ignore.
+        # Authenticated servers append a fifth element (equivocation
+        # evidence); an unsigned replica ingests none of it.
         _tag, req_id, blocks, remaining = message[:4]
         if req_id != self.req_id or self.state != "range":
             return
         if len(message) > 4 and message[4]:
-            ingest = getattr(self.node, "ingest_auth_evidence", None)
-            if ingest is not None:
-                ingest(message[4])
+            self.node.ingest_auth_evidence(message[4])
         self.attempts = 0
         self.counts["bytes_received"] += wire_size(blocks)
         adopted = self.node.adopt_synced_blocks(src, blocks)
@@ -468,20 +471,13 @@ class SyncManager:
 
     # -- dispatch ----------------------------------------------------------
 
-    def on_message(self, src: str, message: Any) -> bool:
-        if not (isinstance(message, tuple) and message):
-            return False
+    def on_message(self, src: str, message: tuple) -> None:
         tag = message[0]
         if tag == SYNC_FRONTIER:
             self._serve_frontier(src, message)
-            return True
-        if tag == SYNC_RANGE:
+        elif tag == SYNC_RANGE:
             self._serve_range(src, message)
-            return True
-        if tag == SYNC_DIFF:
+        elif tag == SYNC_DIFF:
             self._on_diff(message)
-            return True
-        if tag == SYNC_BLOCKS:
-            self._on_blocks(src, message)
-            return True
-        return False
+        else:
+            self._on_blocks(src, message)  # SYNC_BLOCKS

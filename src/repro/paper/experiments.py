@@ -145,10 +145,7 @@ def theorem_4_7_experiment(seed: int = 5) -> ExperimentReport:
 
     # Adversary: p3 never receives any block gossip — its replica freezes.
     adversary = MessageDropAdversary(
-        matcher=lambda s, d, m: d == "p3"
-        and isinstance(m, tuple)
-        and m
-        and m[0] == "block-gossip"
+        matcher=lambda s, d, m: d == "p3" and m[:1] == ("block-gossip",)
     )
     lossy = LossyChannel(SynchronousChannel(delta=scenario.channel_delta), adversary)
     lossy_run = ProtocolRun.execute(BitcoinNode, scenario, channel=lossy)

@@ -56,21 +56,18 @@ class AlgorandNode(BlockchainNode):
 
     def on_start(self) -> None:
         self.schedule_periodic_reads()
-        self.set_timer(0.5, ("round", 0))
+        self.call_later(0.5, self.on_timer, 0)
 
     def on_lifecycle_resume(self) -> None:
         # Re-running ``on_start`` would restart round 0; a resumed
         # replica continues from the round after the last one it ran.
         self.schedule_periodic_reads()
-        self.set_timer(0.5, ("round", self.round + 1))
+        self.call_later(0.5, self.on_timer, self.round + 1)
 
-    def on_timer(self, tag: Any) -> None:
-        if self.ba.on_timer(tag):
-            return
-        if isinstance(tag, tuple) and tag and tag[0] == "round":
-            round_id = tag[1]
-            if self.now < self.scenario.duration:
-                self._start_round(round_id)
+    def on_timer(self, round_id: int) -> None:
+        """The start of round ``round_id``."""
+        if self.now < self.scenario.duration:
+            self._start_round(round_id)
 
     def _start_round(self, round_id: int) -> None:
         self.round = round_id
@@ -90,7 +87,7 @@ class AlgorandNode(BlockchainNode):
         self.begin_append(block)
         self.own_proposals[round_id] = block.block_id
         self.ba.propose(("round", round_id), block)
-        self.set_timer(self.scenario.round_length, ("round", round_id + 1))
+        self.call_later(self.scenario.round_length, self.on_timer, round_id + 1)
 
     def _on_commit(self, instance_id: Any, block: Block) -> None:
         if block.parent_id in self.tree:
@@ -99,11 +96,6 @@ class AlgorandNode(BlockchainNode):
         own = self.own_proposals.pop(round_id, None)
         if own is not None:
             self.resolve_append(own, own == block.block_id)
-
-    def on_message(self, src: str, message: Any) -> None:
-        if self.on_gossip(src, message):
-            return
-        self.ba.on_message(src, message)
 
 
 def run_algorand(scenario: ProtocolScenario) -> ProtocolRun:

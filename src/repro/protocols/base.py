@@ -164,6 +164,8 @@ class BlockchainNode(SimProcess):
         self.auth = scenario.build_auth(row("auth")) if scenario.auth else None
         if old is not None:
             self.auth.signed_parents.update(old.signed_parents)
+        if self.auth is not None:
+            self.route(self._on_auth_evidence, {AUTH_EVID: 2})
 
     def _row(self, component: str) -> Dict[str, Any]:
         """``component``'s row of :attr:`metrics` (empty until it counts)."""
@@ -541,22 +543,13 @@ class BlockchainNode(SimProcess):
         if fresh:
             self._pool_txs(tuple(fresh))
 
-    def on_gossip(self, src: str, message: tuple) -> bool:
-        """Dispatch transport traffic (blocks, txs, reconciliation,
-        fast-sync control and equivocation evidence); True when consumed."""
-        if self.transport.on_message(src, message):
-            return True
-        if self.sync.on_message(src, message):
-            return True
-        if (
-            self.auth is not None
-            and isinstance(message, tuple)
-            and message
-            and message[0] == AUTH_EVID
-        ):
-            self.ingest_auth_evidence(message[1:])
-            return True
-        return False
+    def on_message(self, src: str, message: Any) -> None:
+        self.on_gossip(src, message)
+
+    #: The replica's decode boundary (see :meth:`SimProcess.on_message`),
+    #: under the name the benchmark's span tracer times it by: transport,
+    #: sync, evidence and consensus messages all enter here.
+    on_gossip = SimProcess.on_message
 
     # -- authenticated pipeline --------------------------------------------------------
 
@@ -641,6 +634,9 @@ class BlockchainNode(SimProcess):
                 self._flood_auth_evidence(ev)
         return fresh
 
+    def _on_auth_evidence(self, src: str, message: tuple) -> None:
+        self.ingest_auth_evidence(message[1:])
+
     def _after_auth_reject(self) -> None:
         """Post-reject hook: publish any evidence the check generated."""
         for ev in self.auth.drain_fresh_evidence():
@@ -697,13 +693,15 @@ class BlockchainNode(SimProcess):
     def lifecycle_crash(self) -> None:
         """Suspend and lose all in-RAM state; only the block store survives.
 
-        The store is flushed and closed (the crashed OS process's file
-        handle is gone); a placeholder empty tree keeps end-of-run
-        bookkeeping alive while the node is down.
+        The store is flushed — everything the replica wrote is durable —
+        and recovery reopens it afresh.  The crashed tree keeps its own
+        handle: the reads recorded before the crash are views of that
+        tree, and judging them may fault evicted blocks back from it.  A
+        placeholder empty tree keeps end-of-run bookkeeping alive while
+        the node is down.
         """
         self.lifecycle_suspend()
         self.tree._store.flush()
-        self.tree._store.close()
         self._boot(BlockTree(counts=self._row("tree")))
 
     def lifecycle_recover(self) -> None:
@@ -782,9 +780,6 @@ class PassiveNode(BlockchainNode):
     storage, transport and lifecycle machinery with no block production
     to perturb measurements.
     """
-
-    def on_message(self, src: str, message: Any) -> None:
-        self.on_gossip(src, message)
 
 
 #: How every view folds rows of the counter table, declared once.  Over

@@ -21,8 +21,6 @@ one step of that path (:meth:`BitcoinNode.mine_block`, ``publish_block``,
 
 from __future__ import annotations
 
-from typing import Any
-
 from repro.blocktree.block import Block, make_block
 from repro.blocktree.selection import HeaviestChain
 from repro.protocols.base import BlockchainNode, ProtocolRun
@@ -57,13 +55,13 @@ class PoWRaceNode(BlockchainNode):
         rate = self.merit / self.scenario.block_interval_at(self.now)
         delay = self.network.simulator.rng.expovariate(rate)
         self._mining_epoch += 1
-        self.set_timer(delay, ("mine", self._mining_epoch))
+        self.call_later(delay, self.on_timer, self._mining_epoch)
 
-    def on_timer(self, tag: Any) -> None:
-        if isinstance(tag, tuple) and tag and tag[0] == "mine":
-            # A stale epoch means the tip changed and mining restarted.
-            if tag[1] == self._mining_epoch and self.now < self.scenario.duration:
-                self.on_block_found()
+    def on_timer(self, epoch: int) -> None:
+        """A block-find event armed in mining ``epoch``."""
+        # A stale epoch means the tip changed and mining restarted.
+        if epoch == self._mining_epoch and self.now < self.scenario.duration:
+            self.on_block_found()
 
     def on_block_found(self) -> None:
         """This node won the race (the protocol's ``getToken``)."""
@@ -136,9 +134,6 @@ class BitcoinNode(PoWRaceNode):
         """Restart mining when the selected tip moves (work race semantics)."""
         if block.creator != self.index:
             self._schedule_mining()
-
-    def on_message(self, src: str, message: Any) -> None:
-        self.on_gossip(src, message)
 
 
 def run_bitcoin(scenario: ProtocolScenario) -> ProtocolRun:

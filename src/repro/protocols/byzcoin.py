@@ -59,9 +59,8 @@ class CommitteePoWNode(PoWRaceNode):
         # Candidates must reach the whole committee (the view primary
         # proposes from its candidate pool); relay-flood them on sparse
         # overlays, where one-hop broadcast only covers neighbours.
-        self._candidate_relay = QuorumRelay(
-            self, tag="candidate-relay", deliver=self.on_message
-        )
+        self._candidate_relay = QuorumRelay(self, tag="candidate-relay")
+        self.route(self._on_candidate, {CANDIDATE: 3})
 
     # -- candidate selection rule (ByzCoin: smallest digest) --------------------
 
@@ -73,10 +72,6 @@ class CommitteePoWNode(PoWRaceNode):
         return min(pool, key=lambda b: b.block_id)  # smallest digest
 
     # -- mining -------------------------------------------------------------------
-
-    def on_timer(self, tag: Any) -> None:
-        if not self.pbft.on_timer(tag):
-            super().on_timer(tag)
 
     def on_block_found(self) -> None:
         height = self.committed_height + 1
@@ -125,18 +120,11 @@ class CommitteePoWNode(PoWRaceNode):
             self.resolve_append(block.block_id, True)
         self._schedule_mining()
 
-    def on_message(self, src: str, message: Any) -> None:
-        if self.on_gossip(src, message):
-            return
-        if self._candidate_relay.on_message(src, message):
-            return
-        if isinstance(message, tuple) and message and message[0] == CANDIDATE:
-            _tag, height, block = message
-            if block.block_id not in self.received_marks:
-                self.record_receive(block)
-            self._register_candidate(height, block)
-            return
-        self.pbft.on_message(src, message)
+    def _on_candidate(self, src: str, message: tuple) -> None:
+        _tag, height, block = message
+        if block.block_id not in self.received_marks:
+            self.record_receive(block)
+        self._register_candidate(height, block)
 
 
 class ByzCoinNode(CommitteePoWNode):

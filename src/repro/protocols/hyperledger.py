@@ -58,6 +58,13 @@ class HyperledgerNode(BlockchainNode):
             if self.is_orderer
             else None
         )
+        # A delivered sequence reaches a peer as the orderers' hl-block
+        # fan-out or, on the full topology, as the cluster's own DELIVER
+        # broadcast; both end in (seq, batch).  Orderers route DELIVER
+        # to their ordering service instead.
+        self.route(self._on_block, {"hl-block": 3})
+        if self.ordering is None:
+            self.route(self._on_block, {DELIVER: 4})
         self.batch_counter = 0
 
     def _boot(self, tree: BlockTree) -> None:
@@ -71,8 +78,9 @@ class HyperledgerNode(BlockchainNode):
         self._labels.add(block.label)
 
     def _on_relayed_order(self, origin: str, message: Any) -> None:
+        # Peers outside the cluster only forward ordering envelopes.
         if self.ordering is not None:
-            self.ordering.on_message(origin, message)
+            self.on_message(origin, message)
 
     def on_start(self) -> None:
         self.schedule_periodic_reads()
@@ -80,15 +88,13 @@ class HyperledgerNode(BlockchainNode):
             # ``restart``, not the idempotent ``start``: on a lifecycle
             # resume the watchdog died with the old epoch and must re-arm.
             self.ordering.restart()
-        self.set_timer(1.0 + 0.1 * self.index, ("hl-batch",))
+        self.call_later(1.0 + 0.1 * self.index, self.on_timer)
 
-    def on_timer(self, tag: Any) -> None:
-        if self.ordering is not None and self.ordering.on_timer(tag):
-            return
-        if isinstance(tag, tuple) and tag and tag[0] == "hl-batch":
-            if self.now < self.scenario.duration:
-                self._submit_batch()
-                self.set_timer(self.scenario.round_length, ("hl-batch",))
+    def on_timer(self) -> None:
+        """The batch timer: submit one batch per round."""
+        if self.now < self.scenario.duration:
+            self._submit_batch()
+            self.call_later(self.scenario.round_length, self.on_timer)
 
     def _submit_batch(self) -> None:
         batch = (self.name, self.batch_counter, self.make_payload())
@@ -105,31 +111,16 @@ class HyperledgerNode(BlockchainNode):
             if peer not in self.cluster:
                 self.send(peer, ("hl-block", seq, batch))
 
+    def _on_block(self, src: str, message: tuple) -> None:
+        seq, batch = message[-2:]
+        self._append_block(seq, batch)
+
     def _append_block(self, seq: int, batch: Any) -> None:
         label = f"blk{seq}"
         if label in self._labels:
             return  # already appended this sequence
         _submitter, _counter, payload = batch
         self.append_decided(self.selected_tip(), label, payload)
-
-    def on_message(self, src: str, message: Any) -> None:
-        if self.on_gossip(src, message):
-            return
-        if self._ord_relay.on_message(src, message):
-            return
-        if isinstance(message, tuple) and message:
-            if message[0] == "hl-block":
-                _tag, seq, batch = message
-                self._append_block(seq, batch)
-                return
-            if self.ordering is not None and self.ordering.on_message(src, message):
-                return
-            if message[0] == SUBMIT and not self.is_orderer:
-                return  # stray forward; peers ignore
-            if message[0] == DELIVER and not self.is_orderer:
-                _tag, _term, seq, batch = message
-                self._append_block(seq, batch)
-                return
 
 
 def run_hyperledger(scenario: ProtocolScenario) -> ProtocolRun:

@@ -46,28 +46,20 @@ class RedBellyNode(BlockchainNode):
 
     def on_start(self) -> None:
         self.schedule_periodic_reads()
-        self.set_timer(0.5, ("rb-round", self._rb_round + 1))
+        self.call_later(0.5, self.on_timer, self._rb_round + 1)
 
-    def on_timer(self, tag: Any) -> None:
-        if isinstance(tag, tuple) and tag and tag[0] == "rb-round":
-            round_id = tag[1]
-            self._rb_round = round_id
-            if self.now < self.scenario.duration:
-                self.sb.propose(round_id, self.make_payload())
-                self.set_timer(self.scenario.round_length, ("rb-round", round_id + 1))
-            return
-        self.sb.on_timer(tag)
+    def on_timer(self, round_id: int) -> None:
+        """The proposer timer of round ``round_id``."""
+        self._rb_round = round_id
+        if self.now < self.scenario.duration:
+            self.sb.propose(round_id, self.make_payload())
+            self.call_later(self.scenario.round_length, self.on_timer, round_id + 1)
 
     def _on_superblock(self, round_id: int, union: Tuple[Tuple[str, Any], ...]) -> None:
         if not union:
             return  # empty round: nothing proposed in the window
         payload = tuple(tx for _proposer, batch in union for tx in batch)
         self.append_decided(self.selected_tip(), f"sb{round_id}", payload)
-
-    def on_message(self, src: str, message: Any) -> None:
-        if self.on_gossip(src, message):
-            return
-        self.sb.on_message(src, message)
 
 
 def run_redbelly(scenario: ProtocolScenario) -> ProtocolRun:

@@ -177,6 +177,11 @@ class ShardedNode(SimProcess):
         self._src_releases: Dict[str, Transaction] = {}
         #: Per-shard scan cursor (chain height already processed).
         self._scan_height = {k: 0 for k in self.subscribed}
+        self.route(self._on_facet_message, {SHARD_TAG: 3})
+        self.route(self._on_notice, {XNOTICE: 2})
+        self.route(self._on_decided, {XDECIDED: 2})
+        self.route(self._on_abort_decision, {XDECISION: 3})
+        self.route(self._on_release_ack, {XRELEASE_ACK: 2})
 
     # -- facet plumbing ------------------------------------------------------
 
@@ -194,38 +199,34 @@ class ShardedNode(SimProcess):
         for facet in self.facets.values():
             facet.on_start()
             facet.transport.on_start()
-        self.set_timer(self.tick_interval, ("xshard-tick",))
+        self.call_later(self.tick_interval, self._tick)
 
-    def on_message(self, src: str, message: Any) -> None:
-        if not (isinstance(message, tuple) and message):
-            return
-        tag = message[0]
-        if tag == SHARD_TAG:
-            facet = self.facets.get(message[1])
-            if facet is None:
-                # A neighbour subscribed to a shard this replica is not:
-                # its facet gossip is noise here, not an error.
-                return
+    #: The host's decode boundary (see :meth:`SimProcess.on_message`),
+    #: bound on this class by name for the benchmark's span tracer.
+    on_message = SimProcess.on_message
+
+    def _on_facet_message(self, src: str, message: tuple) -> None:
+        facet = self.facets.get(message[1])
+        if facet is not None:
+            # A neighbour subscribed to a shard this replica is not: its
+            # facet gossip is noise here, not an error.
             facet.on_message(src, message[2])
-        elif tag == XNOTICE:
-            self._on_notice(src, message[1])
-        elif tag == XDECIDED:
-            self._pending_locks.pop(message[1], None)
-            self._acked_tids.add(message[1])
-        elif tag == XDECISION:
-            self._on_abort_decision(src, message[1], message[2])
-        elif tag == XRELEASE_ACK:
-            self._abort_pushes.pop(message[1], None)
-            self._release_acked.add(message[1])
 
-    def on_timer(self, tag: Any) -> None:
-        if not (isinstance(tag, tuple) and tag and tag[0] == "xshard-tick"):
-            return
+    def _on_decided(self, src: str, message: tuple) -> None:
+        self._pending_locks.pop(message[1], None)
+        self._acked_tids.add(message[1])
+
+    def _on_release_ack(self, src: str, message: tuple) -> None:
+        self._abort_pushes.pop(message[1], None)
+        self._release_acked.add(message[1])
+
+    def _tick(self) -> None:
+        """The coordinator tick (see the module docstring)."""
         self._scan_facets()
         self._push_notices()
         self._push_abort_decisions()
         self._reassert_records()
-        self.set_timer(self.tick_interval, ("xshard-tick",))
+        self.call_later(self.tick_interval, self._tick)
 
     # -- cross-shard coordinator ---------------------------------------------
 
@@ -274,14 +275,19 @@ class ShardedNode(SimProcess):
         """Repeat LOCK notices to destination members until acked."""
         for tid, (lock, dst_shard) in list(self._pending_locks.items()):
             for member in self._member_lists[dst_shard]:
-                if member == self.name:
-                    # Local destination facet: answer the notice inline.
-                    self._on_notice(self.name, lock)
-                else:
-                    self.send(member, (XNOTICE, lock))
+                self._tell(member, (XNOTICE, lock))
 
-    def _on_notice(self, src: str, lock: Transaction) -> None:
+    def _tell(self, member: str, message: tuple) -> None:
+        """Send a coordinator message; this host's own copy is handled
+        inline (a local facet answers at once)."""
+        if member == self.name:
+            self.on_message(self.name, message)
+        else:
+            self.send(member, message)
+
+    def _on_notice(self, src: str, message: tuple) -> None:
         """A destination member decides a noticed LOCK (idempotently)."""
+        lock = message[1]
         meta = parse_record(lock)
         if meta is None or meta.kind != "lock":
             return
@@ -310,24 +316,18 @@ class ShardedNode(SimProcess):
             # pinned tx — never the clock — is what gets re-asserted:
             # a pre-expiry COMMIT stays a COMMIT.
             self._dst_decisions.setdefault(meta.tid, decision)
-        if src != self.name:
-            self.send(src, (XDECIDED, meta.tid))
-        else:
-            self._pending_locks.pop(meta.tid, None)
-            self._acked_tids.add(meta.tid)
+        self._tell(src, (XDECIDED, meta.tid))
 
     def _push_abort_decisions(self) -> None:
         """Repeat committed-ABORT pushes to source members until acked."""
         for tid, decision_tx in list(self._abort_pushes.items()):
             meta = parse_record(decision_tx)
             for member in self._member_lists[meta.src_shard]:
-                if member == self.name:
-                    self._on_abort_decision(self.name, tid, decision_tx)
-                else:
-                    self.send(member, (XDECISION, tid, decision_tx))
+                self._tell(member, (XDECISION, tid, decision_tx))
 
-    def _on_abort_decision(self, src: str, tid: str, decision_tx) -> None:
+    def _on_abort_decision(self, src: str, message: tuple) -> None:
         """A source member releases the escrow of an aborted transfer."""
+        _tag, tid, decision_tx = message
         meta = parse_record(decision_tx)
         if meta is None or meta.kind != "abort":
             return
@@ -339,11 +339,7 @@ class ShardedNode(SimProcess):
             facet.submit_transactions((release,))
         if release.tx_id not in facet.pool.view.committed:
             self._src_releases.setdefault(meta.tid, release)
-        if src != self.name:
-            self.send(src, (XRELEASE_ACK, tid))
-        else:
-            self._abort_pushes.pop(tid, None)
-            self._release_acked.add(tid)
+        self._tell(src, (XRELEASE_ACK, tid))
 
     def _reassert_records(self) -> None:
         """Re-submit produced decisions/releases until seen on-chain.
@@ -408,7 +404,7 @@ class ShardedNode(SimProcess):
         for facet in self.facets.values():
             facet.apply_lifecycle(action)
         if coming_up:
-            self.set_timer(self.tick_interval, ("xshard-tick",))
+            self.call_later(self.tick_interval, self._tick)
 
     # -- end-of-run bookkeeping ----------------------------------------------
 

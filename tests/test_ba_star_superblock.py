@@ -19,12 +19,6 @@ class BANode(SimProcess):
             step_time=step_time,
         )
 
-    def on_message(self, src, message):
-        self.ba.on_message(src, message)
-
-    def on_timer(self, tag):
-        self.ba.on_timer(tag)
-
 
 def ba_cluster(n=5, seed=1, step_time=5.0, delta=1.0):
     sim = Simulator(seed=seed)
@@ -96,12 +90,6 @@ class SBNode(SimProcess):
             peers=peers,
             on_decide=lambda rnd, v: self.decisions.__setitem__(rnd, v),
         )
-
-    def on_message(self, src, message):
-        self.sb.on_message(src, message)
-
-    def on_timer(self, tag):
-        self.sb.on_timer(tag)
 
 
 def sb_cluster(n=4, seed=1):

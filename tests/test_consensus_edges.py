@@ -19,12 +19,6 @@ class Replica(SimProcess):
             byzantine_equivocate=equivocate,
         )
 
-    def on_message(self, src, message):
-        self.pbft.on_message(src, message)
-
-    def on_timer(self, tag):
-        self.pbft.on_timer(tag)
-
 
 def cluster(n=4, seed=1, timeout=6.0, equivocators=()):
     sim = Simulator(seed=seed)
@@ -89,12 +83,6 @@ class BANode(SimProcess):
             committee_fraction=committee_fraction,
         )
 
-    def on_message(self, src, message):
-        self.ba.on_message(src, message)
-
-    def on_timer(self, tag):
-        self.ba.on_timer(tag)
-
 
 class TestBACommitteeSampling:
     def test_lottery_mode_still_safe(self):
@@ -149,12 +137,6 @@ class SBNode(SimProcess):
             peers=peers,
             on_decide=lambda r, v: self.decisions.__setitem__(r, v),
         )
-
-    def on_message(self, src, message):
-        self.sb.on_message(src, message)
-
-    def on_timer(self, tag):
-        self.sb.on_timer(tag)
 
 
 class TestSuperblockFaults:

@@ -15,6 +15,7 @@ import dataclasses
 import pytest
 
 from repro.blocktree.block import GENESIS, make_block
+from repro.campaign.engine import run_single_cell
 from repro.net import Network, Simulator, SynchronousChannel
 from repro.protocols.base import BlockchainNode, PassiveNode
 from repro.protocols.bitcoin import run_bitcoin
@@ -211,6 +212,25 @@ class TestCrashRejoin:
         assert node.auth.sign_block(rival, node.name).signature is None
         assert node.seen_blocks == set(node.tree.iter_ids())
         assert (node._parked_ids.cap, node.rejected_blocks.cap) == (2048, 4096)
+
+    @pytest.mark.parametrize("store", ["log", "sqlite"])
+    def test_reads_before_a_crash_stay_judgeable(self, store, tmp_path):
+        """Reads recorded before a crash are views of the crashed tree;
+        judging them faults blocks the bounded hot set evicted back from
+        that tree's store, which the crash must not have closed."""
+        scenario = preset(
+            "crash-rejoin",
+            duration=900.0,
+            store=store,
+            store_dir=str(tmp_path),
+            prune_hot_cap=8,
+            mean_block_interval=5.0,
+            crashes=(CrashEvent("p3", at=700, recover_at=760),),
+        )
+        cell = run_single_cell("bitcoin", scenario)
+        assert cell.row.ec_ok
+        heights = {height for _, height in cell.node_heights}
+        assert heights == {cell.row.blocks_committed}
 
     def test_crash_keeps_the_crashed_replicas_traffic_counters(self, monkeypatch):
         """A crash rebuilds transport, pool and packer; what they counted

@@ -2,8 +2,8 @@
 
 import pytest
 
+from repro.blocktree.block import GENESIS, make_block
 from repro.net import (
-    FloodingGossip,
     LossyChannel,
     MessageDropAdversary,
     Network,
@@ -14,6 +14,8 @@ from repro.net import (
     check_lrc,
     check_update_agreement,
 )
+from repro.protocols.base import PassiveNode
+from repro.workloads.scenarios import GOSSIP_TAG, ProtocolScenario
 
 
 class Echo(SimProcess):
@@ -27,32 +29,28 @@ class Echo(SimProcess):
         self.received.append((src, message))
 
 
-class GossipNode(SimProcess):
-    """A node that floods block announcements and records replica events."""
-
-    def __init__(self, name):
-        super().__init__(name)
-        self.delivered = []
-        self.gossip = FloodingGossip(host=self, deliver=self._deliver)
-
-    def _deliver(self, msg_id, payload):
-        self.delivered.append(payload)
-        parent_id, block_id, creator = payload
-        self.record_instant("update", (parent_id, block_id, creator))
-
-    def announce(self, parent_id, block_id):
-        self.gossip.publish(block_id, (parent_id, block_id, self.name))
-
-    def on_message(self, src, message):
-        if isinstance(message, tuple) and message[0] == "gossip":
-            self.gossip.on_gossip(src, message)
-
-
 def gossip_network(n=4, channel=None, seed=1):
+    """Passive replicas on the forward-once flood transport."""
+    scenario = ProtocolScenario(name="flood", n_nodes=n, duration=100.0, gossip="flood")
     sim = Simulator(seed=seed)
     net = Network(sim, channel=channel or SynchronousChannel())
-    nodes = [net.register(GossipNode(f"p{i}")) for i in range(n)]
+    nodes = [
+        net.register(PassiveNode(name, scenario)) for name in scenario.node_names()
+    ]
     return sim, net, nodes
+
+
+def publish(node, label):
+    """``node`` authors a block on genesis: announce it, then adopt it."""
+    block = make_block(GENESIS, label=label, creator=node.index)
+    node.announce_block(block)
+    node.adopt_block(block, relay=False)
+    return block
+
+
+def delivered(node):
+    """The blocks ``node`` holds besides genesis."""
+    return [b for b in node.tree.blocks() if not b.is_genesis]
 
 
 class TestNetwork:
@@ -113,9 +111,9 @@ class TestNetwork:
                 self.fired = []
 
             def on_start(self):
-                self.set_timer(2.0, "tick")
+                self.call_later(2.0, self.tick, "tick")
 
-            def on_timer(self, tag):
+            def tick(self, tag):
                 self.fired.append((tag, self.now))
 
         t = net.register(Timed("t"))
@@ -135,41 +133,40 @@ class TestNetwork:
 class TestFloodingLRC:
     def test_flood_reaches_everyone(self):
         sim, net, nodes = gossip_network(n=5)
-        sim.schedule(0.0, lambda: nodes[0].announce("b0", "blk1"))
+        sim.schedule(0.0, lambda: publish(nodes[0], "blk1"))
         sim.run()
-        assert all(len(n.delivered) == 1 for n in nodes)
+        assert all(len(delivered(n)) == 1 for n in nodes)
 
     def test_publisher_self_delivers(self):
         sim, net, nodes = gossip_network(n=3)
-        sim.schedule(0.0, lambda: nodes[0].announce("b0", "blk1"))
+        blocks = []
+        sim.schedule(0.0, lambda: blocks.append(publish(nodes[0], "blk1")))
         sim.run()
-        assert nodes[0].delivered[0][1] == "blk1"
+        assert delivered(nodes[0]) == blocks
 
     def test_lrc_holds_without_faults(self):
         sim, net, nodes = gossip_network(n=4)
-        sim.schedule(0.0, lambda: nodes[1].announce("b0", "blkA"))
-        sim.schedule(1.0, lambda: nodes[2].announce("b0", "blkB"))
+        sim.schedule(0.0, lambda: publish(nodes[1], "blkA"))
+        sim.schedule(1.0, lambda: publish(nodes[2], "blkB"))
         sim.run()
         checks = check_lrc(net.recorder.history())
         assert checks["validity"].ok and checks["agreement"].ok
 
     def test_update_agreement_holds_without_faults(self):
         sim, net, nodes = gossip_network(n=4)
-        sim.schedule(0.0, lambda: nodes[0].announce("b0", "blk1"))
+        sim.schedule(0.0, lambda: publish(nodes[0], "blk1"))
         sim.run()
         checks = check_update_agreement(net.recorder.history())
         assert all(c.ok for c in checks.values())
 
     def test_drop_adversary_breaks_r3_and_agreement(self):
+        blk1 = make_block(GENESIS, label="blk1", creator=0)
         adversary = MessageDropAdversary(
-            matcher=lambda s, d, m: d == "p3"
-            and isinstance(m, tuple)
-            and m[0] == "gossip"
-            and m[1] == "blk1"
+            matcher=lambda s, d, m: d == "p3" and m[:2] == (GOSSIP_TAG, blk1.block_id)
         )
         channel = LossyChannel(SynchronousChannel(), adversary)
         sim, net, nodes = gossip_network(n=4, channel=channel)
-        sim.schedule(0.0, lambda: nodes[0].announce("b0", "blk1"))
+        sim.schedule(0.0, lambda: publish(nodes[0], "blk1"))
         sim.run()
         assert adversary.dropped >= 1
         correct = [n.name for n in nodes]
@@ -184,10 +181,10 @@ class TestFloodingLRC:
         )
         channel = LossyChannel(SynchronousChannel(), adversary)
         sim, net, nodes = gossip_network(n=4, channel=channel)
-        sim.schedule(0.0, lambda: nodes[0].announce("b0", "blk1"))
+        sim.schedule(0.0, lambda: publish(nodes[0], "blk1"))
         sim.run()
-        assert len(nodes[1].delivered) == 1
-        assert len(nodes[2].delivered) == 0
+        assert len(delivered(nodes[1])) == 1
+        assert len(delivered(nodes[2])) == 0
         assert adversary.dropped > 0
 
     def test_partition_heals(self):
@@ -197,9 +194,9 @@ class TestFloodingLRC:
         )
         channel = LossyChannel(SynchronousChannel(), adversary)
         sim, net, nodes = gossip_network(n=4, channel=channel)
-        sim.schedule(20.0, lambda: nodes[0].announce("b0", "late"))
+        sim.schedule(20.0, lambda: publish(nodes[0], "late"))
         sim.run()
-        assert len(nodes[2].delivered) == 1
+        assert len(delivered(nodes[2])) == 1
 
     def test_r2_violation_detected(self):
         # Hand-build a history where an update has no matching receive.

@@ -19,12 +19,6 @@ class Orderer(SimProcess):
     def on_start(self):
         self.ordering.start()
 
-    def on_message(self, src, message):
-        self.ordering.on_message(src, message)
-
-    def on_timer(self, tag):
-        self.ordering.on_timer(tag)
-
 
 def cluster(n=3, seed=1, timeout=20.0):
     sim = Simulator(seed=seed)

@@ -23,12 +23,6 @@ class Replica(SimProcess):
     def _decided(self, instance_id, value):
         self.decisions[instance_id] = value
 
-    def on_message(self, src, message):
-        self.pbft.on_message(src, message)
-
-    def on_timer(self, tag):
-        self.pbft.on_timer(tag)
-
 
 def pbft_cluster(n=4, seed=1, equivocators=(), timeout=10.0):
     sim = Simulator(seed=seed)

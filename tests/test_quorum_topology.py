@@ -42,68 +42,82 @@ SCORE = LengthScore()
 class _Collector(SimProcess):
     """Host recording every (origin, inner) its relay delivers."""
 
-    def __init__(self, name):
+    def __init__(self, name, deliver=True):
         super().__init__(name)
         self.got = []  # relay deliveries
-        self.bare = []  # (src, message) arrivals that were no envelope
+        self.bare = []  # (src, message) routed by the host's own table
         self.sent = []  # (dst, message) in send order
-        self.relay = QuorumRelay(self, tag="t-relay", deliver=self._deliver)
+        self.relay = QuorumRelay(
+            self, tag="t-relay", deliver=self._deliver if deliver else None
+        )
+        self.route(self._bare, {"vote": 2})
 
     def _deliver(self, origin, inner):
         self.got.append((origin, inner))
+
+    def _bare(self, src, message):
+        self.bare.append((src, message))
 
     def send(self, dst, message):
         self.sent.append((dst, message))
         super().send(dst, message)
 
-    def on_message(self, src, message):
-        if not self.relay.on_message(src, message):
-            self.bare.append((src, message))
 
-
-def ring_collectors(n=6, seed=3):
+def ring_collectors(n=6, seed=3, deliver=True):
     sim = Simulator(seed=seed)
     names = [f"p{i}" for i in range(n)]
     overlay = build_overlay("ring", names, seed=seed, degree=2)
     net = Network(sim, channel=SynchronousChannel(delta=1.0), overlay=overlay)
-    nodes = [net.register(_Collector(name)) for name in names]
+    nodes = [net.register(_Collector(name, deliver)) for name in names]
     return sim, net, nodes
 
 
 class TestQuorumRelayUnit:
     def test_flood_reaches_every_non_origin_member(self):
         sim, net, nodes = ring_collectors(n=6)
-        sim.schedule(0.0, lambda: nodes[0].relay.broadcast("vote-A"))
+        sim.schedule(0.0, lambda: nodes[0].relay.broadcast(("vote", "A")))
         sim.run(until=50)
         for node in nodes[1:]:
-            assert node.got == [("p0", "vote-A")], node.name
+            assert node.got == [("p0", ("vote", "A"))], node.name
 
     def test_cyclic_topology_delivers_exactly_once(self):
         # A ring is one big cycle: without dedup the envelope would orbit
         # forever; with it every member sees each (origin, seq) once.
         sim, net, nodes = ring_collectors(n=6)
-        sim.schedule(0.0, lambda: nodes[2].relay.broadcast("x"))
-        sim.schedule(0.0, lambda: nodes[2].relay.broadcast("y"))
+        sim.schedule(0.0, lambda: nodes[2].relay.broadcast(("vote", "x")))
+        sim.schedule(0.0, lambda: nodes[2].relay.broadcast(("vote", "y")))
         sim.run(until=50)
         for node in nodes:
             if node.name == "p2":
                 continue
-            assert node.got == [("p2", "x"), ("p2", "y")], node.name
+            assert node.got == [("p2", ("vote", "x")), ("p2", ("vote", "y"))], node.name
 
     def test_origin_attribution_not_last_hop(self):
         sim, net, nodes = ring_collectors(n=6)
-        sim.schedule(0.0, lambda: nodes[0].relay.broadcast("ballot"))
+        sim.schedule(0.0, lambda: nodes[0].relay.broadcast(("vote", "ballot")))
         sim.run(until=50)
         # p3 sits opposite p0 on the ring: the envelope arrived via p2 or
         # p4, but the delivery must be attributed to the origin.
         origins = {origin for origin, _ in nodes[3].got}
         assert origins == {"p0"}
 
+    def test_default_delivery_reenters_the_host_boundary(self):
+        # Without a deliver callback the unwrapped message is decoded by
+        # the host's table, attributed to the origin.
+        sim, net, nodes = ring_collectors(n=6, deliver=False)
+        sim.schedule(0.0, lambda: nodes[0].relay.broadcast(("vote", "A")))
+        sim.run(until=50)
+        for node in nodes[1:]:
+            assert node.bare == [("p0", ("vote", "A"))] and node.got == [], node.name
+
     def test_foreign_messages_fall_through(self):
+        # The host's boundary drops what no table entry takes: a foreign
+        # tag, a truncated envelope, a non-tuple.  The relay sees none.
         sim, net, nodes = ring_collectors(n=3)
-        assert nodes[0].relay.on_message("p1", ("other-tag", "p1", 0, "z")) is False
-        assert nodes[0].relay.on_message("p1", "not-an-envelope") is False
-        assert nodes[0].got == []
+        nodes[0].on_message("p1", ("other-tag", "p1", 0, "z"))
+        nodes[0].on_message("p1", ("t-relay", "p1", 0))
+        nodes[0].on_message("p1", "not-an-envelope")
+        assert nodes[0].got == [] and nodes[0].bare == [] and nodes[0].sent == []
 
     def test_inactive_without_overlay(self):
         sim = Simulator(seed=1)
@@ -115,32 +129,34 @@ class TestQuorumRelayUnit:
         sim = Simulator(seed=1)
         net = Network(sim, channel=SynchronousChannel(delta=1.0))
         nodes = [net.register(_Collector(f"p{i}")) for i in range(4)]
-        sim.schedule(0.0, lambda: nodes[1].relay.broadcast("vote", include_self=True))
+        vote = ("vote", "x")
+        sim.schedule(0.0, lambda: nodes[1].relay.broadcast(vote, include_self=True))
         sim.run(until=50)
         # Exactly SimProcess.broadcast(include_self=True): one bare copy
         # per member in name order, the origin in its sorted slot.
-        assert nodes[1].sent == [(f"p{i}", "vote") for i in range(4)]
+        assert nodes[1].sent == [(f"p{i}", vote) for i in range(4)]
         for node in nodes:
-            assert node.bare == [("p1", "vote")] and node.got == [], node.name
+            assert node.bare == [("p1", vote)] and node.got == [], node.name
             assert node is nodes[1] or node.sent == []  # nothing is forwarded
 
     def test_include_self_on_ring_floods_peers_first_then_self_once(self):
         sim, net, nodes = ring_collectors(n=6)
-        sim.schedule(0.0, lambda: nodes[0].relay.broadcast("vote", include_self=True))
+        vote = ("vote", "x")
+        sim.schedule(0.0, lambda: nodes[0].relay.broadcast(vote, include_self=True))
         sim.run(until=50)
         origin = nodes[0]
         neighbours = list(net.neighbors_of("p0"))
-        envelope = ("t-relay", "p0", 0, "vote")
+        envelope = ("t-relay", "p0", 0, vote)
         # Channel delays draw from the simulator RNG per send, so the
         # order is part of a run's identity: envelopes to the overlay
         # neighbours first, the origin's own bare copy last.
         assert origin.sent[: len(neighbours) + 1] == [
             *((peer, envelope) for peer in neighbours),
-            ("p0", "vote"),
+            ("p0", vote),
         ]
-        assert origin.bare == [("p0", "vote")] and origin.got == []
+        assert origin.bare == [("p0", vote)] and origin.got == []
         for node in nodes[1:]:
-            assert node.got == [("p0", "vote")] and node.bare == [], node.name
+            assert node.got == [("p0", vote)] and node.bare == [], node.name
 
 
 # -- PBFT on a ring -------------------------------------------------------------
@@ -156,12 +172,6 @@ class _Replica(SimProcess):
             on_decide=lambda inst, value: self.decisions.__setitem__(inst, value),
             timeout=timeout,
         )
-
-    def on_message(self, src, message):
-        self.pbft.on_message(src, message)
-
-    def on_timer(self, tag):
-        self.pbft.on_timer(tag)
 
 
 def pbft_ring(n=7, seed=5):

@@ -18,7 +18,7 @@ from repro.blocktree.block import make_block
 from repro.campaign.grid import CampaignGrid
 from repro.mempool import TX_GOSSIP_TAG
 from repro.net import Network, Simulator, SynchronousChannel
-from repro.net.broadcast import FloodingGossip, check_lrc, check_update_agreement
+from repro.net.broadcast import check_lrc, check_update_agreement
 from repro.net.channels import ChannelModel
 from repro.net.reconcile import (
     RECON_REQ,
@@ -416,21 +416,6 @@ class TestBoundedSeenSets:
         marked_ever = node.pool.counts["reaped"] + len(node.pool.held_ids())
         assert len(node.tx_seen) < marked_ever
         assert node.rejected_blocks.cap == 4096
-
-    def test_flooding_gossip_seen_cap(self):
-        scenario = ProtocolScenario(name="t", n_nodes=3, duration=30.0)
-        sim = Simulator(seed=0)
-        net = Network(sim, channel=SynchronousChannel(delta=0.5))
-        host = net.register(BitcoinNode("p0", scenario))
-        net.register(BitcoinNode("p1", scenario))
-        net.register(BitcoinNode("p2", scenario))
-        gossip = FloodingGossip(
-            host=host, deliver=lambda mid, payload: None, record=False, max_seen=16
-        )
-        for i in range(100):
-            gossip.publish(f"m{i}", (f"parent{i}", f"m{i}", 0))
-        assert len(gossip.seen) == 16  # FIFO-capped, not 100
-        assert isinstance(gossip.seen, BoundedSet)
 
     def test_bounded_set_semantics(self):
         s = BoundedSet(cap=3)
