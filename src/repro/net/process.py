@@ -33,6 +33,17 @@ from repro.net.simulator import Simulator
 __all__ = ["SimProcess", "Network"]
 
 
+def _fire(
+    proc: "SimProcess", epoch: int, fn: Callable[..., Any], args: tuple
+) -> None:
+    """Fire a :meth:`SimProcess.call_later` timer — unless its process is
+    crashed or offline, or has lived through a suspend or crash since
+    the timer was armed (its lifecycle epoch moved on)."""
+    if proc.crashed or proc.offline or proc.lifecycle_epoch != epoch:
+        return
+    fn(*args)
+
+
 class SimProcess:
     """Base class for simulated processes.
 
@@ -62,8 +73,8 @@ class SimProcess:
         #: Unlike ``crashed`` (crash-*stop*, permanent) this is reversible.
         self.offline = False
         #: Bumped on every suspend/crash so timers armed in a previous
-        #: life never fire into a recovered process (their closures
-        #: captured the old epoch).
+        #: life never fire into a recovered process (each timer carries
+        #: the epoch it was armed in).
         self.lifecycle_epoch = 0
         #: The message table: tag → (handler, accepted tuple lengths).
         self.routes: Dict[Any, Tuple[Callable[[str, tuple], None], FrozenSet[int]]] = {}
@@ -111,7 +122,7 @@ class SimProcess:
 
     def send(self, dst: str, message: Any) -> None:
         """Send ``message`` to ``dst`` over the network's channels."""
-        self.network.transmit(self.name, dst, message)
+        self.network.transmit(self.name, (dst,), message)
 
     def broadcast(self, message: Any, include_self: bool = False) -> None:
         """Send ``message`` to every overlay neighbour (optionally to self).
@@ -125,8 +136,7 @@ class SimProcess:
         targets = self.network.neighbors_of(self.name)
         if include_self:
             targets = sorted((*targets, self.name))
-        for other in targets:
-            self.send(other, message)
+        self.network.transmit(self.name, targets, message)
 
     def call_later(self, delay: float, fn: Callable[..., Any], *args: Any) -> None:
         """Schedule ``fn(*args)`` after ``delay`` — the one timer guard.
@@ -134,16 +144,14 @@ class SimProcess:
         The call dies silently if the process is crashed or offline at
         fire time, or if it suspended or crashed in between (the
         lifecycle epoch moved on): resumed processes re-arm their own
-        timers, and stale ones must not double-fire into them.
+        timers, and stale ones must not double-fire into them.  The
+        timer is a plain event carrying the epoch it was armed in — no
+        closure is allocated per timer.
         """
-        epoch = self.lifecycle_epoch
-
-        def fire() -> None:
-            if self.crashed or self.offline or self.lifecycle_epoch != epoch:
-                return
-            fn(*args)
-
-        self.network.simulator.schedule(delay, fire)
+        simulator = self.network.simulator
+        simulator.schedule_call(
+            simulator.now + delay, _fire, self, self.lifecycle_epoch, fn, args
+        )
 
     @property
     def now(self) -> float:
@@ -176,6 +184,8 @@ class Network:
         #: Names registered lazily: built by their factory on first use.
         self._factories: Dict[str, Callable[[str], SimProcess]] = {}
         self._names_cache: Optional[Sequence[str]] = None
+        #: Full-overlay neighbour tuples per name; reset with ``_names_cache``.
+        self._neighbors_cache: Dict[str, Tuple[str, ...]] = {}
         self._started = False
         self._last_delivery: Dict[tuple, float] = {}
         self.messages_sent = 0
@@ -191,6 +201,7 @@ class Network:
         process.network = self
         self.processes[process.name] = process
         self._names_cache = None
+        self._neighbors_cache = {}
         return process
 
     def register_factory(self, name: str, factory: Callable[[str], SimProcess]) -> None:
@@ -206,6 +217,7 @@ class Network:
             raise ValueError(f"duplicate process name {name!r}")
         self._factories[name] = factory
         self._names_cache = None
+        self._neighbors_cache = {}
 
     def node(self, name: str) -> SimProcess:
         """The process named ``name``, materialising it if still lazy."""
@@ -240,7 +252,11 @@ class Network:
     def neighbors_of(self, name: str) -> Sequence[str]:
         """The names ``name``'s broadcasts reach (overlay neighbours)."""
         if self.overlay is None:
-            return [n for n in self.process_names() if n != name]
+            cached = self._neighbors_cache.get(name)
+            if cached is None:
+                cached = tuple(n for n in self.process_names() if n != name)
+                self._neighbors_cache[name] = cached
+            return cached
         return self.overlay.neighbors(name)
 
     def correct_processes(self) -> List[str]:
@@ -277,24 +293,37 @@ class Network:
 
     # -- transmission -----------------------------------------------------------
 
-    def transmit(self, src: str, dst: str, message: Any) -> None:
-        """Route one message through the channel model."""
+    def transmit(self, src: str, dsts: Sequence[str], message: Any) -> None:
+        """Route one copy of ``message`` to each of ``dsts``, in order,
+        through the channel model.
+
+        Each copy draws its own channel delay and is FIFO-clamped per
+        ``(src, dst)`` pair, exactly as a run of single sends would be.
+        """
         sender = self.processes[src]
         if sender.crashed or sender.offline:
             return
-        self.messages_sent += 1
         simulator = self.simulator
-        delay = self.channel.delay(src, dst, message, simulator.rng, simulator.now)
-        if delay is DROP:
-            self.messages_dropped += 1
-            return
-        deliver_at = simulator.now + delay
-        if self.fifo:
-            key = (src, dst)
-            floor = self._last_delivery.get(key, 0.0)
-            deliver_at = max(deliver_at, floor + 1e-9)
-            self._last_delivery[key] = deliver_at
-        simulator.schedule_call(deliver_at, self._deliver, src, dst, message)
+        now = simulator.now
+        rng = simulator.rng
+        delay_of = self.channel.delay
+        last_delivery = self._last_delivery if self.fifo else None
+        schedule_call = simulator.schedule_call
+        deliver = self._deliver
+        for dst in dsts:
+            self.messages_sent += 1
+            delay = delay_of(src, dst, message, rng, now)
+            if delay is DROP:
+                self.messages_dropped += 1
+                continue
+            deliver_at = now + delay
+            if last_delivery is not None:
+                key = (src, dst)
+                floor = last_delivery.get(key, 0.0) + 1e-9
+                if floor > deliver_at:
+                    deliver_at = floor
+                last_delivery[key] = deliver_at
+            schedule_call(deliver_at, deliver, src, dst, message)
 
     def _deliver(self, src: str, dst: str, message: Any) -> None:
         target = self.processes.get(dst)

@@ -30,6 +30,7 @@ directly — they only see message deliveries and their own timers.
 
 from __future__ import annotations
 
+import gc
 import random
 from bisect import insort
 from heapq import heappop, heappush
@@ -179,28 +180,44 @@ class Simulator:
         Stops when the queue drains, when the next event lies beyond
         ``until`` (the clock then advances to ``until``), or after
         ``max_events``.  Returns the number of events executed.
+
+        The cyclic garbage collector is paused for the loop: reference
+        counting frees everything a run drops (a run makes no cyclic
+        garbage — ``tests/test_gc_invariant.py``), so the collector's
+        only work would be re-walking the growing run state.  On exit
+        it is re-enabled and generations 0–1 are collected once, so
+        each object the run allocated is examined once, here.  A caller
+        that had the collector off keeps it off, uncollected.
         """
+        paused = gc.isenabled()
+        if paused:
+            gc.disable()
         executed = 0
-        while self._size and executed < max_events:
-            if self._pos >= len(self._current):
-                self._advance_bucket()
-            entry = self._current[self._pos]
-            time = entry[0]
-            if until is not None and time > until:
-                self.now = until
-                break
-            self._pos += 1
-            self._size -= 1
-            if self._pos >= _COMPACT_THRESHOLD and self._pos * 2 >= len(self._current):
-                del self._current[: self._pos]
-                self._pos = 0
-            self.now = time
-            entry[2](*entry[3])
-            executed += 1
-            self.events_executed += 1
-        else:
-            if until is not None and not self._size:
-                self.now = max(self.now, until)
+        try:
+            while self._size and executed < max_events:
+                if self._pos >= len(self._current):
+                    self._advance_bucket()
+                entry = self._current[self._pos]
+                time = entry[0]
+                if until is not None and time > until:
+                    self.now = until
+                    break
+                self._pos += 1
+                self._size -= 1
+                if self._pos >= _COMPACT_THRESHOLD and self._pos * 2 >= len(self._current):
+                    del self._current[: self._pos]
+                    self._pos = 0
+                self.now = time
+                entry[2](*entry[3])
+                executed += 1
+                self.events_executed += 1
+            else:
+                if until is not None and not self._size:
+                    self.now = max(self.now, until)
+        finally:
+            if paused:
+                gc.enable()
+                gc.collect(1)
         return executed
 
     def every(

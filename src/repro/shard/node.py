@@ -127,8 +127,8 @@ class _ShardNetView:
             if n in members and n != name
         ]
 
-    def transmit(self, src: str, dst: str, message: Any) -> None:
-        self._host.network.transmit(src, dst, (SHARD_TAG, self._shard, message))
+    def transmit(self, src: str, dsts: Sequence[str], message: Any) -> None:
+        self._host.network.transmit(src, dsts, (SHARD_TAG, self._shard, message))
 
 
 class ShardedNode(SimProcess):

@@ -46,7 +46,7 @@ class _Collector(SimProcess):
         super().__init__(name)
         self.got = []  # relay deliveries
         self.bare = []  # (src, message) routed by the host's own table
-        self.sent = []  # (dst, message) in send order
+        self.sent = []  # (dst, message) in send order, see _RecordingNetwork
         self.relay = QuorumRelay(
             self, tag="t-relay", deliver=self._deliver if deliver else None
         )
@@ -58,16 +58,23 @@ class _Collector(SimProcess):
     def _bare(self, src, message):
         self.bare.append((src, message))
 
-    def send(self, dst, message):
-        self.sent.append((dst, message))
-        super().send(dst, message)
+
+class _RecordingNetwork(Network):
+    """Appends each copy a collector hands the network to its ``sent``
+    (a broadcast is one transmit of every copy, not a run of sends)."""
+
+    def transmit(self, src, dsts, message):
+        self.processes[src].sent.extend((dst, message) for dst in dsts)
+        super().transmit(src, dsts, message)
 
 
 def ring_collectors(n=6, seed=3, deliver=True):
     sim = Simulator(seed=seed)
     names = [f"p{i}" for i in range(n)]
     overlay = build_overlay("ring", names, seed=seed, degree=2)
-    net = Network(sim, channel=SynchronousChannel(delta=1.0), overlay=overlay)
+    net = _RecordingNetwork(
+        sim, channel=SynchronousChannel(delta=1.0), overlay=overlay
+    )
     nodes = [net.register(_Collector(name, deliver)) for name in names]
     return sim, net, nodes
 
@@ -127,7 +134,7 @@ class TestQuorumRelayUnit:
 
     def test_include_self_on_full_topology_is_the_one_hop_broadcast(self):
         sim = Simulator(seed=1)
-        net = Network(sim, channel=SynchronousChannel(delta=1.0))
+        net = _RecordingNetwork(sim, channel=SynchronousChannel(delta=1.0))
         nodes = [net.register(_Collector(f"p{i}")) for i in range(4)]
         vote = ("vote", "x")
         sim.schedule(0.0, lambda: nodes[1].relay.broadcast(vote, include_self=True))
