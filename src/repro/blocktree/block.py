@@ -37,7 +37,11 @@ _GENESIS_ID = "genesis"
 def _scalar_bytes(value: Any) -> int:
     """Wire size of a payload scalar/container, mirroring the generic
     estimator in :mod:`repro.net.reconcile` (kept import-free — blocks
-    must not depend on the network layer)."""
+    must not depend on the network layer): an item that models its own
+    encoding (a transaction) is charged its ``wire_bytes()``."""
+    wire_bytes = getattr(value, "wire_bytes", None)
+    if callable(wire_bytes):
+        return wire_bytes()
     if value is None or isinstance(value, bool):
         return 1
     if isinstance(value, (int, float)):

@@ -165,12 +165,20 @@ class TestReconcileDissemination:
         import dataclasses as dc
 
         from repro.blocktree.block import GENESIS, make_block
+        from repro.crypto.auth import build_registry
+        from repro.workloads.transactions import Transaction
 
+        tx = Transaction.make(["c0"], ["c1", "c2"], issuer="alice", fee=0.5)
+        key = build_registry(7, ["alice"]).keys["alice"]
+        signed = dc.replace(tx, signature=key.sign("tx", tx.tx_id))
         samples = [
             GENESIS,
             make_block(GENESIS, label="plain"),
             make_block(GENESIS, label="txs", payload=("t1", "t2xx"), creator=3),
             make_block(GENESIS, payload=(1, 2.5, None, ("nested", 7)), nonce=9),
+            # Payload items that model their own encoding are charged it.
+            make_block(GENESIS, label="tx", payload=(tx,), creator=1),
+            make_block(GENESIS, payload=(signed, tx, "memo"), creator=2),
         ]
         for block in samples:
             generic = 4 + sum(
