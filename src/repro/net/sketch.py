@@ -45,10 +45,15 @@ __all__ = ["BloomFilter", "IBLT", "key_digest", "iblt_cells_for"]
 
 _DIGEST_MASK = (1 << 128) - 1
 
-# The hashing below is pure in (salt, shape, key), and reconciliation
-# rounds rebuild sketches over mostly-unchanged pools every few simulated
-# seconds — memoizing turns each rebuild from O(pool × k) SHA-256 calls
-# into dict hits.  Caches are bounded and deterministic (pure functions).
+# The hashing below is pure, and reconciliation rounds rebuild sketches
+# over mostly-unchanged pools every few simulated seconds, so the SHA-256
+# draws are memoized on what they hash — (salt, index, key), never the
+# table shape.  A Bloom filter is sized by its pool, which changes almost
+# every round, so its draws are reduced ``% m_bits`` at use: a rebuild
+# costs O(pool × k) dict hits and modulos plus SHA-256 for new ids only.
+# IBLT sizes are powers of two and repeat, so each key's distinct-cell
+# positions are memoized per shape on top of the per-draw cache.  Caches
+# are bounded and deterministic (pure functions).
 
 
 @lru_cache(maxsize=1 << 16)
@@ -70,8 +75,14 @@ def _checksum(digest: int) -> int:
 
 
 @lru_cache(maxsize=1 << 16)
-def _bloom_positions(salt: int, m_bits: int, k: int, item: str) -> Tuple[int, ...]:
-    return tuple(prf_uint64("bloom", salt, i, item) % m_bits for i in range(k))
+def _bloom_draws(salt: int, k: int, item: str) -> Tuple[int, ...]:
+    """The ``k`` raw 64-bit hashes of ``item``, before ``% m_bits``."""
+    return tuple(prf_uint64("bloom", salt, i, item) for i in range(k))
+
+
+@lru_cache(maxsize=1 << 18)
+def _iblt_draw(salt: int, attempt: int, digest: int) -> int:
+    return prf_uint64("iblt", salt, attempt, digest)
 
 
 @lru_cache(maxsize=1 << 16)
@@ -81,7 +92,7 @@ def _iblt_positions(salt: int, cells: int, k: int, digest: int) -> Tuple[int, ..
     positions: List[int] = []
     attempt = 0
     while len(positions) < k:
-        pos = prf_uint64("iblt", salt, attempt, digest) % cells
+        pos = _iblt_draw(salt, attempt, digest) % cells
         if pos not in positions:
             positions.append(pos)
         attempt += 1
@@ -134,7 +145,8 @@ class BloomFilter:
         return bloom
 
     def _positions(self, item: str) -> Tuple[int, ...]:
-        return _bloom_positions(self.salt, self.m_bits, self.k, item)
+        m_bits = self.m_bits
+        return tuple(draw % m_bits for draw in _bloom_draws(self.salt, self.k, item))
 
     def add(self, item: str) -> None:
         for pos in self._positions(item):

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro._util import prf_uint64
 from repro.net.sketch import BloomFilter, IBLT, iblt_cells_for, key_digest
 
 
@@ -160,3 +161,105 @@ def test_iblt_roundtrips_arbitrary_symmetric_difference(shared, left, right):
         assert ok2
         assert positive2 == tuple(sorted(key_digest(x) for x in only_left))
         assert negative2 == tuple(sorted(key_digest(x) for x in only_right))
+
+
+# -- hypothesis: the memoized draws equal the unmemoized hashing -----------------
+#
+# The caches key Bloom draws on (salt, k, item) and IBLT draws on
+# (salt, attempt, digest), reducing them to the table shape at use.  The
+# reference below hashes from scratch per (salt, shape, key), as the
+# sketches did before the draws were shared across shapes.
+
+
+def _ref_bloom_positions(salt, m_bits, k, item):
+    return tuple(prf_uint64("bloom", salt, i, item) % m_bits for i in range(k))
+
+
+def _ref_iblt_positions(salt, cells, k, digest):
+    positions = []
+    attempt = 0
+    while len(positions) < k:
+        pos = prf_uint64("iblt", salt, attempt, digest) % cells
+        if pos not in positions:
+            positions.append(pos)
+        attempt += 1
+    return tuple(positions)
+
+
+def _ref_apply(table, salt, k, digest, sign):
+    counts, key_sums, check_sums = table
+    check = prf_uint64("sketch-check", digest)
+    for pos in _ref_iblt_positions(salt, len(counts), k, digest):
+        counts[pos] += sign
+        key_sums[pos] ^= digest
+        check_sums[pos] ^= check
+
+
+def _ref_decode(table, salt, k):
+    counts, key_sums, check_sums = (list(column) for column in table)
+    scratch = (counts, key_sums, check_sums)
+
+    def pure(i):
+        return (
+            counts[i] in (1, -1)
+            and key_sums[i] != 0
+            and check_sums[i] == prf_uint64("sketch-check", key_sums[i])
+        )
+
+    positive, negative = [], []
+    queue = [i for i in range(len(counts)) if pure(i)]
+    while queue:
+        i = queue.pop()
+        if not pure(i):
+            continue
+        digest, sign = key_sums[i], counts[i]
+        (positive if sign == 1 else negative).append(digest)
+        _ref_apply(scratch, salt, k, digest, -sign)
+        queue.extend(
+            pos for pos in _ref_iblt_positions(salt, len(counts), k, digest) if pure(pos)
+        )
+    drained = all(c == 0 and s == 0 for c, s in zip(counts, key_sums))
+    return tuple(sorted(positive)), tuple(sorted(negative)), drained
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    left=st.lists(_id_strategy, max_size=40, unique=True),
+    right=st.lists(_id_strategy, max_size=40, unique=True),
+    sizes=st.lists(st.integers(min_value=1, max_value=80), min_size=1, max_size=4),
+    salt=st.integers(min_value=0, max_value=3),
+    k=st.integers(min_value=2, max_value=5),
+)
+def test_memoized_draws_match_per_shape_hashing(left, right, sizes, salt, k):
+    # Several shapes per example, so each build runs on caches another
+    # shape (and earlier examples) warmed.
+    for size in sizes:
+        m_bits = max(64, 8 * size)
+        bloom = BloomFilter(m_bits=m_bits, k=k, salt=salt)
+        bits = 0
+        for item in left:
+            bloom.add(item)
+            for pos in _ref_bloom_positions(salt, m_bits, k, item):
+                bits |= 1 << pos
+        assert bloom.bits == bits
+        assert [x in bloom for x in right] == [
+            all(bits >> p & 1 for p in _ref_bloom_positions(salt, m_bits, k, x))
+            for x in right
+        ]
+
+        cells = 16 if size < 20 else iblt_cells_for(size)
+        tables, refs = [], []
+        for items in (left, right):
+            tables.append(IBLT.for_items(items, cells=cells, salt=salt, k=k))
+            ref = ([0] * cells, [0] * cells, [0] * cells)
+            for item in items:
+                _ref_apply(ref, salt, k, key_digest(item), +1)
+            refs.append(ref)
+            assert (tables[-1].counts, tables[-1].key_sums, tables[-1].check_sums) == ref
+        diff = tables[0].subtract(tables[1])
+        ref_diff = tuple(
+            [a - b for a, b in zip(refs[0][0], refs[1][0])] if column == 0
+            else [a ^ b for a, b in zip(refs[0][column], refs[1][column])]
+            for column in range(3)
+        )
+        assert diff.decode() == _ref_decode(ref_diff, salt, k)
