@@ -80,7 +80,7 @@ def _bloom_draws(salt: int, k: int, item: str) -> Tuple[int, ...]:
     return tuple(prf_uint64("bloom", salt, i, item) for i in range(k))
 
 
-@lru_cache(maxsize=1 << 18)
+@lru_cache(maxsize=1 << 16)
 def _iblt_draw(salt: int, attempt: int, digest: int) -> int:
     return prf_uint64("iblt", salt, attempt, digest)
 
