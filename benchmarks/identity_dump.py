@@ -9,8 +9,10 @@ on both checkouts and comparing the files byte for byte::
 
 Each line is ``json.dumps(..., sort_keys=True)`` of, in a fixed order:
 
-* one ``CellResult.deterministic_dict()`` per campaign cell —
-  the seven Table 1 default scenarios; bitcoin × every
+* one ``CellResult.deterministic_dict()`` per campaign cell, with the
+  run's ``gossip_stats()["totals"]`` under ``gossip`` (the flood and
+  reconcile byte counters no cell field carries) — the seven Table 1
+  default scenarios; bitcoin × every
   ``adversarial_scenarios`` preset × flood/reconcile; the other six
   protocols × {partition-heal, crash-rejoin, node-churn} on the full
   topology and on an n=8 small-world overlay; bitcoin crash-rejoin with
@@ -20,7 +22,8 @@ Each line is ``json.dumps(..., sort_keys=True)`` of, in a fixed order:
 * one fingerprint per ``BitcoinNode`` subclass in
   :mod:`repro.protocols.byzantine` / :mod:`repro.protocols.validating`:
   the class at p0 of a 4-node run (bits 0 and 8, unsigned and signed),
-  every replica's sorted tree ids, the event count and the history size.
+  every replica's sorted tree ids, the event count, the history size
+  and the gossip byte totals.
 
 Nothing wall-clock enters a line; the runtime goes to stderr.
 """
@@ -35,6 +38,7 @@ from dataclasses import replace
 from typing import Iterator, Tuple
 
 from repro.campaign import CampaignGrid, run_campaign, run_single_cell
+from repro.campaign.matrix import CellResult
 from repro.protocols import byzantine, validating
 from repro.protocols.base import ProtocolRun
 from repro.protocols.bitcoin import BitcoinNode
@@ -71,6 +75,25 @@ def _cells(store_dir: str) -> Iterator[Tuple[str, ProtocolScenario]]:
         store="log",
         store_dir=store_dir,
     )
+
+
+def _run_cell(
+    protocol: str, scenario: ProtocolScenario
+) -> Tuple[CellResult, ProtocolRun]:
+    """``run_single_cell`` and the run it executed.  The protocol's
+    runner is wrapped for this one call, so the cell still runs once."""
+    runner, runs = RUNNERS[protocol], []
+
+    def keep(sc: ProtocolScenario) -> ProtocolRun:
+        runs.append(runner(sc))
+        return runs[-1]
+
+    RUNNERS[protocol] = keep
+    try:
+        cell = run_single_cell(protocol, scenario)
+    finally:
+        RUNNERS[protocol] = runner
+    return cell, runs[0]
 
 
 def _miner_classes():
@@ -116,6 +139,7 @@ def _fingerprints() -> Iterator[str]:
                         },
                         "events": run.events_executed,
                         "history": len(run.history.events),
+                        "gossip": run.gossip_stats()["totals"],
                     },
                     sort_keys=True,
                 )
@@ -126,8 +150,9 @@ def dump(out) -> int:
     lines = 0
     with tempfile.TemporaryDirectory(prefix="identity-dump-") as store_dir:
         for protocol, scenario in _cells(store_dir):
-            cell = run_single_cell(protocol, scenario)
-            out.write(json.dumps(cell.deterministic_dict(), sort_keys=True) + "\n")
+            cell, run = _run_cell(protocol, scenario)
+            line = {**cell.deterministic_dict(), "gossip": run.gossip_stats()["totals"]}
+            out.write(json.dumps(line, sort_keys=True) + "\n")
             lines += 1
     grid = CampaignGrid(
         protocols=("bitcoin", "byzcoin"),
