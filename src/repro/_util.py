@@ -11,7 +11,7 @@ import dataclasses
 import hashlib
 import math
 import struct
-from operator import itemgetter
+from operator import attrgetter, itemgetter
 from typing import Any, Callable, Dict, Iterable, Optional
 
 __all__ = [
@@ -19,6 +19,7 @@ __all__ = [
     "prf_uint64",
     "prf_unit",
     "stable_repr",
+    "wire_size",
     "require",
     "counter_row",
     "BoundedSet",
@@ -47,10 +48,9 @@ def stable_repr(value: Any) -> bytes:
     ``IntEnum`` or a named tuple) is resolved once and added to that
     dict.  A dataclass may segregate witness fields (signatures, which
     must not perturb content ids) by listing them in
-    ``_STABLE_REPR_EXCLUDE``, and an immutable one may name an instance
-    attribute in ``_STABLE_REPR_MEMO`` under which its encoding is kept
-    after the first call (the class keeps that attribute out of its
-    pickled state).
+    ``_STABLE_REPR_EXCLUDE``, and an immutable one may keep its encoding
+    after the first call by listing ``"_stable_repr"`` in ``_MEMO``, the
+    instance attributes the class keeps out of its pickled state.
     """
     encode = _ENCODERS.get(type(value))
     if encode is None:
@@ -133,18 +133,87 @@ def _dataclass_encoder(cls: type) -> Callable[[Any], bytes]:
         ]
         return head + b"".join(pairs) + b")"
 
-    memo = getattr(cls, "_STABLE_REPR_MEMO", None)
-    if memo is None:
-        return encode
+    return _memoized(cls, "_stable_repr", encode)
 
-    def encode_once(value: Any) -> bytes:
+
+def _memoized(cls: type, memo: str, compute: Callable[[Any], Any]) -> Callable:
+    """``compute``, keeping its result on each instance under ``memo``
+    when ``cls`` lists that attribute in ``_MEMO``."""
+    if memo not in getattr(cls, "_MEMO", ()):
+        return compute
+
+    def compute_once(value: Any) -> Any:
         state = value.__dict__
-        data = state.get(memo)
-        if data is None:
-            data = state[memo] = encode(value)
-        return data
+        result = state.get(memo)
+        if result is None:
+            result = state[memo] = compute(value)
+        return result
 
-    return encode_once
+    return compute_once
+
+
+def wire_size(value: Any) -> int:
+    """The modelled wire cost, in bytes, of a message or a field of one.
+
+    One rule: ``None`` and ``bool`` cost 1, ``int`` and ``float`` 8, a
+    string its length + 1, a tuple or list 4 bytes of framing plus its
+    items, and a dataclass 4 bytes of framing plus each of its fields,
+    witness fields included.  A type with its own encoding model (a
+    sketch, a sync frontier) answers through ``wire_bytes()``.  Anything
+    else costs a flat 16, so sizing a peer-supplied message never raises.
+    Strings stay hex ids, which overstates a binary encoding — alike for
+    every transport.
+
+    Dispatch is :func:`stable_repr`'s: one dict lookup on the exact
+    type, a new type resolved once.  An immutable dataclass listing
+    ``"_wire_size"`` in its ``_MEMO`` keeps its size after the first call.
+    """
+    size = _SIZERS.get(type(value))
+    if size is None:
+        size = _SIZERS[type(value)] = _resolve_sizer(type(value))
+    return size(value)
+
+
+def _size_sequence(value: Any) -> int:
+    return 4 + sum(map(wire_size, value))
+
+
+_SIZERS: Dict[type, Callable[[Any], int]] = {
+    type(None): lambda value: 1,
+    bool: lambda value: 1,
+    int: lambda value: 8,
+    float: lambda value: 8,
+    str: lambda value: len(value) + 1,
+    tuple: _size_sequence,
+    list: _size_sequence,
+}
+
+
+def _resolve_sizer(cls: type) -> Callable[[Any], int]:
+    """The sizer of a type with no entry in ``_SIZERS`` yet: its own
+    ``wire_bytes``, else the first builtin in its MRO (dataclass bases
+    skipped, and ``object``, which junk puts in ``_SIZERS``), else its
+    field plan, else the flat 16."""
+    wire_bytes = getattr(cls, "wire_bytes", None)
+    if callable(wire_bytes):
+        return wire_bytes
+    for base in cls.__mro__[1:-1]:
+        if base in _SIZERS and not dataclasses.is_dataclass(base):
+            return _SIZERS[base]
+    if dataclasses.is_dataclass(cls):
+        return _dataclass_sizer(cls)
+    return lambda value: 16
+
+
+def _dataclass_sizer(cls: type) -> Callable[[Any], int]:
+    """The sizer of ``cls`` instances: its fields, framed as a tuple.
+    The field getter is planned here, once per class."""
+    names = [f.name for f in dataclasses.fields(cls)]
+    if len(names) > 1:
+        fields = attrgetter(*names)
+    else:  # attrgetter of one name returns the bare value
+        fields = lambda value: tuple([getattr(value, name) for name in names])
+    return _memoized(cls, "_wire_size", lambda value: _size_sequence(fields(value)))
 
 
 def sha256_hex(*parts: Any) -> str:

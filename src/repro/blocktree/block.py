@@ -34,25 +34,6 @@ __all__ = [
 _GENESIS_ID = "genesis"
 
 
-def _scalar_bytes(value: Any) -> int:
-    """Wire size of a payload scalar/container, mirroring the generic
-    estimator in :mod:`repro.net.reconcile` (kept import-free — blocks
-    must not depend on the network layer): an item that models its own
-    encoding (a transaction) is charged its ``wire_bytes()``."""
-    wire_bytes = getattr(value, "wire_bytes", None)
-    if callable(wire_bytes):
-        return wire_bytes()
-    if value is None or isinstance(value, bool):
-        return 1
-    if isinstance(value, (int, float)):
-        return 8
-    if isinstance(value, str):
-        return len(value) + 1
-    if isinstance(value, (tuple, list)):
-        return 4 + sum(_scalar_bytes(item) for item in value)
-    return 16
-
-
 @dataclass(frozen=True, slots=True)
 class Block:
     """An immutable block: a vertex of the BlockTree.
@@ -95,26 +76,6 @@ class Block:
     def is_genesis(self) -> bool:
         """Whether this block is the distinguished root ``b0``."""
         return self.parent_id is None
-
-    def wire_bytes(self) -> int:
-        """Modelled wire size of this block.
-
-        Container framing plus each field at the primitive costs of
-        :func:`repro.net.reconcile.wire_size` (the per-field sum is
-        asserted in ``tests/test_reconcile.py``), written out
-        analytically because sizing blocks is the hottest loop of every
-        gossip and sync simulation.
-        """
-        size = 4 + len(self.block_id) + 1
-        size += 1 if self.parent_id is None else len(self.parent_id) + 1
-        size += len(self.label) + 1
-        size += _scalar_bytes(self.payload)
-        size += 1 if self.creator is None else 8
-        size += 16  # nonce + weight, 8 bytes each
-        if self.signature is None:
-            return size + 1
-        # Signature dataclass: container header + signer + digest strings.
-        return size + 4 + len(self.signature.signer) + 1 + len(self.signature.digest) + 1
 
     def short(self) -> str:
         """Compact display form (label if present, else id prefix)."""

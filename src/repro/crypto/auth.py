@@ -22,8 +22,8 @@ Design points:
   authenticator instead keeps one SHA-256 *midstate* per (signer, kind)
   — the hash state after absorbing the static prefix — and finishes it
   with a single ``copy()``/``update(id)`` per item, plus a bounded cache
-  of already-verified ``(id, signer)`` pairs (the ``wire_size`` memo
-  pattern: a plain dict cleared wholesale at capacity).
+  of already-verified ``(id, signer)`` pairs: a plain dict cleared
+  wholesale when it reaches ``cache_cap``.
   :meth:`BlockAuthenticator.prime_batch` amortizes sync/reconcile
   batches through the same midstates.
 
@@ -143,18 +143,6 @@ class EquivocationEvidence:
     def banned_ids(self) -> Tuple[str, str]:
         """Both rival ids — each is banned once the evidence verifies."""
         return (self.block_a.block_id, self.block_b.block_id)
-
-    def wire_bytes(self) -> int:
-        """Modelled wire size: header + both full blocks."""
-        return (
-            4
-            + len(self.signer)
-            + 1
-            + len(self.parent_id)
-            + 1
-            + self.block_a.wire_bytes()
-            + self.block_b.wire_bytes()
-        )
 
 
 def _forked_digest(seed: int, owner: str, kind: str, content_id: str) -> str:

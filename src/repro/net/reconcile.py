@@ -38,18 +38,22 @@ sketch salts derive from the scenario seed, and all timing hangs off the
 simulator clock.  A reconciliation campaign therefore replays
 bit-for-bit, serial or parallel.
 
-Wire cost is *modelled*, not serialized: :func:`wire_size` charges each
-message a deterministic byte estimate (sketches report their own
-``wire_bytes``), accumulated per node and per traffic class so the
-gossip bench can compare relayed bytes per committed transaction across
-transports.
+Wire cost is *modelled*, not serialized, by one rule,
+:func:`~repro._util.wire_size` (re-exported here): ``None`` and ``bool``
+cost 1 byte, numbers 8, a string its length + 1, a tuple or list 4 bytes
+of framing plus its items, and a dataclass (a block, a transaction,
+equivocation evidence) 4 bytes of framing plus each of its fields,
+signatures included.  Only sketches and sync frontiers model their own
+encoding (``wire_bytes``).  The cost is accumulated per node and per
+traffic class so the gossip bench can compare relayed bytes per
+committed transaction across transports.
 """
 
 from __future__ import annotations
 
 from typing import Any, Dict, List, Optional, Tuple
 
-from repro._util import counter_row, prf_uint64, prf_unit
+from repro._util import counter_row, prf_uint64, prf_unit, wire_size
 from repro.mempool import TX_GOSSIP_TAG
 from repro.net.sketch import BloomFilter, IBLT, iblt_cells_for, key_digest
 from repro.workloads.scenarios import GOSSIP_TAG
@@ -113,30 +117,6 @@ ROUND_COUNTERS = (
     "rounds_started", "rounds_completed", "rounds_retried", "full_fallbacks",
     "blocks_requested",
 )
-
-
-def wire_size(value: Any) -> int:
-    """A deterministic modelled byte cost for a message or a field of one.
-
-    Values that model their own encoding (blocks, transactions,
-    frontiers, sketches, equivocation evidence) answer through
-    ``wire_bytes()``.  Of the rest, strings are charged their length
-    (ids stay hex, so this slightly overstates a binary encoding —
-    identically for both transports), numbers 8 bytes, containers a
-    small framing overhead plus contents, anything else a flat 16.
-    """
-    wire_bytes = getattr(value, "wire_bytes", None)
-    if callable(wire_bytes):
-        return wire_bytes()
-    if value is None or isinstance(value, bool):
-        return 1
-    if isinstance(value, (int, float)):
-        return 8
-    if isinstance(value, str):
-        return len(value) + 1
-    if isinstance(value, (tuple, list)):
-        return 4 + sum(wire_size(item) for item in value)
-    return 16
 
 
 class GossipTransport:

@@ -59,11 +59,13 @@ class Transaction:
     not the transaction is signed.
 
     Every block id and consensus digest that covers a transaction
-    encodes it again, on every replica, so ``stable_repr`` memoizes the
-    encoding on the instance (``_STABLE_REPR_MEMO``).  The memo is a
-    per-process cache: it is no field, so ``==``, ``hash`` and
-    ``asdict`` never see it, and :meth:`__getstate__` keeps it out of
-    pickles (block stores, campaign workers).
+    encodes it again, and every relay sizes it again, on every replica,
+    so ``stable_repr`` and ``wire_size`` memoize their results on the
+    instance (``_MEMO``).  The memos are a per-process cache: they are no
+    fields, so ``==``, ``hash`` and ``asdict`` never see them, and
+    :meth:`__getstate__` keeps them out of pickles (block stores,
+    campaign workers).  ``dataclasses.replace`` builds a fresh instance,
+    so a signed copy starts without them.
     """
 
     tx_id: str
@@ -74,14 +76,10 @@ class Transaction:
     signature: Any = None
 
     _STABLE_REPR_EXCLUDE = ("signature",)
-    _STABLE_REPR_MEMO = "_stable_repr"
+    _MEMO = ("_stable_repr", "_wire_size")
 
     def __getstate__(self) -> dict:
-        state = self.__dict__
-        if self._STABLE_REPR_MEMO in state:
-            state = dict(state)
-            del state[self._STABLE_REPR_MEMO]
-        return state
+        return {k: v for k, v in self.__dict__.items() if k not in self._MEMO}
 
     @staticmethod
     def make(
@@ -104,23 +102,6 @@ class Transaction:
     def is_coinbase(self) -> bool:
         """Whether this transaction mints without consuming."""
         return not self.inputs
-
-    def wire_bytes(self) -> int:
-        """Modelled wire size: container framing plus each field at the
-        primitive costs of :func:`repro.net.reconcile.wire_size`.
-
-        Computed per call, never memoized by ``tx_id``: signatures are
-        segregated from the id, so a signed and an unsigned copy share
-        an id but not a size.
-        """
-        size = 4 + len(self.tx_id) + 1
-        size += 4 + sum(len(coin) + 1 for coin in self.inputs)
-        size += 4 + sum(len(coin) + 1 for coin in self.outputs)
-        size += len(self.issuer) + 1
-        size += 8  # fee
-        if self.signature is None:
-            return size + 1
-        return size + 4 + len(self.signature.signer) + 1 + len(self.signature.digest) + 1
 
 
 @dataclass

@@ -21,6 +21,7 @@ from repro.crypto.auth import (
     sign_submissions,
 )
 from repro.crypto.signatures import KeyPair, SignatureRegistry
+from repro.net.reconcile import wire_size
 from repro.protocols.base import ProtocolRun
 from repro.protocols.bitcoin import BitcoinNode, run_bitcoin
 from repro.workloads.scenarios import (
@@ -83,7 +84,7 @@ class TestWitnessSegregation:
         sealed = auth.sign_block(block, "p0")
         sig = sealed.signature
         expected = 4 + len(sig.signer) + 1 + len(sig.digest) + 1
-        assert sealed.wire_bytes() == block.wire_bytes() - 1 + expected
+        assert wire_size(sealed) == wire_size(block) - 1 + expected
 
     def test_tx_signature_grows_wire_bytes(self):
         tx = Transaction.make(("a",), ("b",), issuer="client0")
@@ -91,7 +92,7 @@ class TestWitnessSegregation:
         signed = replace(tx, signature=kp.sign("tx", tx.tx_id))
         sig = signed.signature
         expected = 4 + len(sig.signer) + 1 + len(sig.digest) + 1
-        assert signed.wire_bytes() == tx.wire_bytes() - 1 + expected
+        assert wire_size(signed) == wire_size(tx) - 1 + expected
 
 
 class TestCheckBlock:

@@ -9,12 +9,16 @@ attempt is exhausted.
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 from repro._util import prf_uint64
 from repro.blocktree.block import GENESIS, make_block
 from repro.blocktree.tree import BlockTree
 from repro.net import Network, Simulator, SynchronousChannel
 from repro.net.reconcile import wire_size
 from repro.net.sync import (
+    SYNC_BLOCKS,
+    SYNC_DIFF,
     SYNC_FRONTIER,
     Frontier,
     frontier_of,
@@ -235,6 +239,42 @@ class TestSyncEndToEnd:
         assert client.metrics["sync"]["syncs_completed"] == 1
         live = [s for s in servers if s is not dead][0]
         assert client.tree.freeze() == live.tree.freeze()
+
+
+class TestSyncEvidence:
+    def test_range_reply_piggybacks_the_servers_evidence(self):
+        sim, net, (server, client) = sync_network(auth=True)
+        parent = GENESIS
+        for i in range(5):
+            parent = server.auth.sign_block(make_block(parent, label=f"s{i}"), "p0")
+            server.tree.add_block(parent)
+        # p0 signs two rivals on one parent: the server holds the evidence.
+        key = server.auth.keypair_for("p0")
+        a, b = (
+            replace(block, signature=key.sign("block", block.block_id))
+            for block in (
+                make_block(GENESIS, label=label, creator=0)
+                for label in ("rival-a", "rival-b")
+            )
+        )
+        assert server.auth.check_block(a) == "ok"
+        assert server.auth.check_block(b) == "equivocation"
+        (evidence,) = server.auth.evidence.values()
+        sent = []
+        send = server.send
+        server.send = lambda dst, message: (sent.append(message), send(dst, message))
+        client.offline = True
+        net.start()
+        sim.schedule_at(1.0, client.lifecycle_join)
+        sim.run(until=60.0)
+        assert client.tree.freeze() == server.tree.freeze()
+        assert client.auth.banned_ids == {a.block_id, b.block_id}
+        replies = [m for m in sent if m[0] in (SYNC_DIFF, SYNC_BLOCKS)]
+        (blocks_reply,) = [m for m in replies if m[0] == SYNC_BLOCKS]
+        assert blocks_reply[4] == (evidence,)
+        assert server.metrics["sync"]["bytes_sent"] == sum(map(wire_size, replies))
+        # The evidence is charged whole: framing, signer, parent, both rivals.
+        assert wire_size(evidence) == 4 + 3 + 8 + wire_size(a) + wire_size(b)
 
 
 class TestSyncStatsPlumbing:

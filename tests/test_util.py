@@ -19,8 +19,10 @@ from repro._util import (
     require,
     sha256_hex,
     stable_repr,
+    wire_size,
 )
 from repro.blocktree.block import GENESIS, make_block
+from repro.crypto.auth import EquivocationEvidence
 from repro.crypto.signatures import Signature
 from repro.oracle.tapes import MeritTape
 from repro.paper.figures import paper_blocks
@@ -65,6 +67,25 @@ def reference_stable_repr(value):
         )
         return b"C" + type(value).__name__.encode() + reference_stable_repr(fields)
     raise TypeError(f"stable_repr does not support {type(value)!r}")
+
+
+def reference_wire_size(value):
+    """The one wire-size rule as plain recursion: the oracle of
+    ``wire_size``'s dispatch table, field plans and memo."""
+    if callable(getattr(value, "wire_bytes", None)):
+        return value.wire_bytes()
+    if value is None or isinstance(value, bool):
+        return 1
+    if isinstance(value, (int, float)):
+        return 8
+    if isinstance(value, str):
+        return len(value) + 1
+    if isinstance(value, (tuple, list)):
+        return 4 + sum(reference_wire_size(v) for v in value)
+    if dataclasses.is_dataclass(value) and not isinstance(value, type):
+        fields = dataclasses.fields(value)
+        return 4 + sum(reference_wire_size(getattr(value, f.name)) for f in fields)
+    return 16
 
 
 class Level(enum.IntEnum):
@@ -136,6 +157,13 @@ class TestEncoderDifferential:
         assert stable_repr(value) == expected
         assert stable_repr(value) == expected  # memoized transactions too
 
+    @settings(max_examples=300, deadline=None)
+    @given(_values)
+    def test_wire_size_matches_the_reference(self, value):
+        expected = reference_wire_size(value)
+        assert wire_size(value) == expected
+        assert wire_size(value) == expected  # memoized transactions too
+
     def test_subclasses_resolve_like_the_reference(self):
         @dataclasses.dataclass(frozen=True)
         class Countersigned(Signature):
@@ -178,6 +206,25 @@ def _golden_tx():
     return Transaction.make(("genesis-coin-0",), ("coin-a",), "alice", 1.25)
 
 
+def _golden_block(tx, label="blk0"):
+    return make_block(GENESIS, label=label, payload=(tx,), creator=3, nonce=7)
+
+
+#: Modelled wire sizes the hand-written size methods computed; the one
+#: field rule must keep every transport's byte counts where they were.
+GOLDEN_TX_SIZE = 114
+GOLDEN_TX_BLOCK_SIZE = 225
+GOLDEN_SIGNED_TX_SIZE = 140
+GOLDEN_SIGNED_BLOCK_SIZE = 274
+TX_SIGNATURE = Signature("alice", "d" * 16)
+BLOCK_SIGNATURE = Signature("p3", "d" * 16)
+
+
+def _signed_block(label="blk0"):
+    tx = dataclasses.replace(_golden_tx(), signature=TX_SIGNATURE)
+    return dataclasses.replace(_golden_block(tx, label), signature=BLOCK_SIGNATURE)
+
+
 class TestGoldenIds:
     def test_paper_figure_block_ids(self):
         ids = {label: block.block_id for label, block in paper_blocks().items()}
@@ -186,11 +233,29 @@ class TestGoldenIds:
     def test_transaction_and_block_over_it(self):
         tx = _golden_tx()
         assert tx.tx_id == GOLDEN_TX_ID
-        block = make_block(GENESIS, label="blk0", payload=(tx,), creator=3, nonce=7)
-        assert block.block_id == GOLDEN_TX_BLOCK_ID
+        assert _golden_block(tx).block_id == GOLDEN_TX_BLOCK_ID
 
     def test_prf_uint64(self):
         assert prf_uint64("tape", 2024, "p0", 17) == GOLDEN_PRF_UINT64
+
+
+class TestGoldenWireSizes:
+    def test_transaction_and_block_over_it(self):
+        tx = _golden_tx()
+        assert wire_size(tx) == GOLDEN_TX_SIZE
+        assert wire_size(_golden_block(tx)) == GOLDEN_TX_BLOCK_SIZE
+
+    def test_signed_transaction_and_block(self):
+        signed = dataclasses.replace(_golden_tx(), signature=TX_SIGNATURE)
+        assert wire_size(signed) == GOLDEN_SIGNED_TX_SIZE
+        assert wire_size(_signed_block()) == GOLDEN_SIGNED_BLOCK_SIZE
+
+    def test_equivocation_evidence_over_two_signed_blocks(self):
+        evidence = EquivocationEvidence(
+            "p3", GENESIS.block_id, _signed_block("blk0"), _signed_block("blk1")
+        )
+        # Framing + "p3" + "genesis" + both blocks.
+        assert wire_size(evidence) == 4 + 3 + 8 + 2 * GOLDEN_SIGNED_BLOCK_SIZE == 563
 
 
 class TestTransactionMemo:
@@ -199,7 +264,8 @@ class TestTransactionMemo:
     def test_hashed_transaction_equals_a_fresh_copy(self):
         tx, fresh = _golden_tx(), _golden_tx()
         block = make_block(GENESIS, label="m", payload=(tx,))
-        assert Transaction._STABLE_REPR_MEMO in vars(tx)  # the memo is live
+        assert wire_size(tx) == GOLDEN_TX_SIZE
+        assert set(Transaction._MEMO) <= set(vars(tx))  # both memos are live
         same_block = dataclasses.replace(block, payload=(fresh,))
         assert encode_block(block) == encode_block(same_block)
         assert decode_block(encode_block(block)) == block
@@ -213,9 +279,17 @@ class TestTransactionMemo:
         tx = _golden_tx()
         stable_repr(tx)
         signed = dataclasses.replace(tx, signature=Signature("alice", "d" * 16))
-        assert Transaction._STABLE_REPR_MEMO not in vars(signed)
+        assert "_stable_repr" not in vars(signed)
         assert stable_repr(signed) == stable_repr(tx)
         assert stable_repr(signed) == reference_stable_repr(tx)
+
+    def test_signed_copy_is_sized_afresh(self):
+        tx = _golden_tx()
+        assert wire_size(tx) == GOLDEN_TX_SIZE
+        signed = dataclasses.replace(tx, signature=TX_SIGNATURE)
+        assert not set(Transaction._MEMO) & set(vars(signed))
+        assert wire_size(signed) == GOLDEN_TX_SIZE - 1 + wire_size(TX_SIGNATURE)
+        assert wire_size(tx) == GOLDEN_TX_SIZE
 
 
 class TestStableRepr:
