@@ -79,7 +79,10 @@ class Transaction:
     _MEMO = ("_stable_repr", "_wire_size")
 
     def __getstate__(self) -> dict:
-        return {k: v for k, v in self.__dict__.items() if k not in self._MEMO}
+        state = dict(self.__dict__)
+        for memo in self._MEMO:
+            state.pop(memo, None)
+        return state
 
     @staticmethod
     def make(
