@@ -259,7 +259,7 @@ class TestGoldenWireSizes:
 
 
 class TestTransactionMemo:
-    """The per-transaction encoding memo never leaves the process."""
+    """The per-transaction encoding and size memos never leave the process."""
 
     def test_hashed_transaction_equals_a_fresh_copy(self):
         tx, fresh = _golden_tx(), _golden_tx()
@@ -278,7 +278,7 @@ class TestTransactionMemo:
     def test_signed_copy_encodes_like_the_original(self):
         tx = _golden_tx()
         stable_repr(tx)
-        signed = dataclasses.replace(tx, signature=Signature("alice", "d" * 16))
+        signed = dataclasses.replace(tx, signature=TX_SIGNATURE)
         assert "_stable_repr" not in vars(signed)
         assert stable_repr(signed) == stable_repr(tx)
         assert stable_repr(signed) == reference_stable_repr(tx)
