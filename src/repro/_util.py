@@ -208,12 +208,16 @@ def _resolve_sizer(cls: type) -> Callable[[Any], int]:
 def _dataclass_sizer(cls: type) -> Callable[[Any], int]:
     """The sizer of ``cls`` instances: its fields, framed as a tuple.
     The field getter is planned here, once per class."""
-    names = [f.name for f in dataclasses.fields(cls)]
-    if len(names) > 1:
-        fields = attrgetter(*names)
-    else:  # attrgetter of one name returns the bare value
-        fields = lambda value: tuple([getattr(value, name) for name in names])
+    fields = _fields_getter([f.name for f in dataclasses.fields(cls)])
     return _memoized(cls, "_wire_size", lambda value: _size_sequence(fields(value)))
+
+
+def _fields_getter(names: list) -> Callable[[Any], tuple]:
+    """``attrgetter(*names)``, except that it returns a tuple for one
+    name (which ``attrgetter`` returns bare) and for none (it refuses)."""
+    if len(names) > 1:
+        return attrgetter(*names)
+    return lambda value: tuple([getattr(value, name) for name in names])
 
 
 def sha256_hex(*parts: Any) -> str:

@@ -250,13 +250,8 @@ class TestSyncEvidence:
             server.tree.add_block(parent)
         # p0 signs two rivals on one parent: the server holds the evidence.
         key = server.auth.keypair_for("p0")
-        a, b = (
-            replace(block, signature=key.sign("block", block.block_id))
-            for block in (
-                make_block(GENESIS, label=label, creator=0)
-                for label in ("rival-a", "rival-b")
-            )
-        )
+        rivals = [make_block(GENESIS, label=name, creator=0) for name in "ab"]
+        a, b = (replace(r, signature=key.sign("block", r.block_id)) for r in rivals)
         assert server.auth.check_block(a) == "ok"
         assert server.auth.check_block(b) == "equivocation"
         (evidence,) = server.auth.evidence.values()
