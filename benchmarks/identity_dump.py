@@ -37,7 +37,8 @@ import time
 from dataclasses import replace
 from typing import Iterator, Tuple
 
-from repro.campaign import CampaignGrid, run_campaign, run_single_cell
+from repro.campaign.engine import run_campaign, run_single_cell
+from repro.campaign.grid import CampaignGrid
 from repro.campaign.matrix import CellResult
 from repro.protocols import byzantine, validating
 from repro.protocols.base import ProtocolRun
