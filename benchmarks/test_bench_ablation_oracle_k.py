@@ -10,8 +10,8 @@ Theorem 4.8 / Corollary 4.8.1 in sweep form.
 
 import math
 
-from repro.analysis import render_table
-from repro.consistency import random_refinement_history
+from repro.analysis.tables import render_table
+from repro.consistency.hierarchy import random_refinement_history
 from repro.consistency.properties import check_k_fork_coherence, check_strong_prefix
 
 

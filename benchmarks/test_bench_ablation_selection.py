@@ -9,17 +9,14 @@ trees, while the fork *resolution dynamics* differ only in degree — the
 consistency verdicts are invariant to ``f``.
 """
 
-from repro.analysis import divergence_depth, fork_rate, render_table
-from repro.blocktree import (
-    GHOSTSelection,
-    HeaviestChain,
-    LengthScore,
-    LongestChain,
-)
-from repro.consistency import BTEventualConsistency
+from repro.analysis.metrics import divergence_depth, fork_rate
+from repro.analysis.tables import render_table
+from repro.blocktree.score import LengthScore
+from repro.blocktree.selection import GHOSTSelection, HeaviestChain, LongestChain
+from repro.consistency.criteria import BTEventualConsistency
 from repro.protocols.base import ProtocolRun
 from repro.protocols.bitcoin import BitcoinNode
-from repro.workloads import ProtocolScenario
+from repro.workloads.scenarios import ProtocolScenario
 
 
 def run_with_selection(selection_cls, seed=21):

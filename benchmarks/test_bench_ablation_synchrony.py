@@ -7,15 +7,16 @@ Bitcoin workload over the three channel models and reports fork rate and
 divergence depth — expected shape: async ≥ weakly-sync ≥ sync.
 """
 
-from repro.analysis import divergence_depth, fork_rate, render_table
-from repro.net import (
+from repro.analysis.metrics import divergence_depth, fork_rate
+from repro.analysis.tables import render_table
+from repro.net.channels import (
     AsynchronousChannel,
     SynchronousChannel,
     WeaklySynchronousChannel,
 )
 from repro.protocols.base import ProtocolRun
 from repro.protocols.bitcoin import BitcoinNode
-from repro.workloads import ProtocolScenario
+from repro.workloads.scenarios import ProtocolScenario
 
 
 def sweep(seed=31):

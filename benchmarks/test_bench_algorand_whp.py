@@ -12,9 +12,9 @@ Expected shape: with λ ≫ δ every round decides and replicas agree
 Algorand loses progress, not safety, in our crash-free runs.
 """
 
-from repro.analysis import render_table
-from repro.protocols import run_algorand
-from repro.workloads import ProtocolScenario
+from repro.analysis.tables import render_table
+from repro.protocols.algorand import run_algorand
+from repro.workloads.scenarios import ProtocolScenario
 
 
 def sweep(seeds=(1, 2, 3)):

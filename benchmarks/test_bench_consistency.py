@@ -31,27 +31,18 @@ import sys
 import time
 import tracemalloc
 
-from repro.blocktree import (
-    BlockTree,
-    GENESIS,
-    LengthScore,
-    make_block,
-    tuple_common_prefix,
-    tuple_is_prefix_of,
-)
-from repro.consistency import (
-    check_eventual_prefix,
-    check_strong_prefix,
+from repro.blocktree.block import GENESIS, make_block
+from repro.blocktree.reference import tuple_common_prefix, tuple_is_prefix_of
+from repro.blocktree.score import LengthScore
+from repro.blocktree.tree import BlockTree
+from repro.consistency.properties import check_eventual_prefix, check_strong_prefix
+from repro.consistency.reference import (
     pairwise_check_eventual_prefix,
     pairwise_check_strong_prefix,
 )
-from repro.histories import (
-    ConcurrentHistory,
-    Continuation,
-    ContinuationModel,
-    GrowthMode,
-    HistoryRecorder,
-)
+from repro.histories.builder import HistoryRecorder
+from repro.histories.continuation import Continuation, ContinuationModel, GrowthMode
+from repro.histories.history import ConcurrentHistory
 
 SCORE = LengthScore()
 

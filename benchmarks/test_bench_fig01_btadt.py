@@ -6,10 +6,14 @@ belongs to the sequential specification L(BT-ADT).  The measured quantity
 is the walk + membership check.
 """
 
-from repro.adt import is_sequential_history
-from repro.adt.sequential import TransitionTrace, generate_sequential_history
-from repro.blocktree import BTADT, GENESIS, LongestChain, PredicateValid, make_block
-from repro.blocktree.bt_adt import Append, Read
+from repro.adt.sequential import (
+    TransitionTrace,
+    generate_sequential_history,
+    is_sequential_history,
+)
+from repro.blocktree.block import GENESIS, PredicateValid, make_block
+from repro.blocktree.bt_adt import BTADT, Append, Read
+from repro.blocktree.selection import LongestChain
 
 
 def figure1_walk():

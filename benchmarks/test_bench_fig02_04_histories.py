@@ -12,9 +12,9 @@ Figure 4    violated     violated
 ==========  ===========  ===========
 """
 
-from repro.blocktree import LengthScore
-from repro.consistency import BTEventualConsistency, BTStrongConsistency
-from repro.paper import figure2_history, figure3_history, figure4_history
+from repro.blocktree.score import LengthScore
+from repro.consistency.criteria import BTEventualConsistency, BTStrongConsistency
+from repro.paper.figures import figure2_history, figure3_history, figure4_history
 
 SCORE = LengthScore()
 

@@ -13,10 +13,12 @@
 import math
 
 from repro.adt.sequential import TransitionTrace
-from repro.analysis import render_series, render_table
-from repro.blocktree import GENESIS, LongestChain, make_block
-from repro.oracle import RefinedBTADT, TapeSet, ThetaADT
-from repro.oracle.theta import ConsumeToken, GetToken, ThetaOracle
+from repro.analysis.tables import render_series, render_table
+from repro.blocktree.block import GENESIS, make_block
+from repro.blocktree.selection import LongestChain
+from repro.oracle.refinement import RefinedBTADT
+from repro.oracle.tapes import TapeSet
+from repro.oracle.theta import ConsumeToken, GetToken, ThetaADT, ThetaOracle
 
 
 def merit_sweep(n_cells=3000):

@@ -7,8 +7,8 @@ inclusion + witness-based strictness) exactly as described in
 repro.consistency.hierarchy.
 """
 
-from repro.analysis import render_table
-from repro.consistency import hierarchy_edges
+from repro.analysis.tables import render_table
+from repro.consistency.hierarchy import hierarchy_edges
 
 
 def test_bench_fig08_hierarchy(benchmark, report):

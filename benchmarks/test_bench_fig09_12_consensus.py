@@ -12,18 +12,17 @@
   on a schedule the explorer exhibits (the separation's other half).
 """
 
-from repro.analysis import render_table
-from repro.concurrent import (
-    AtomicSnapshotObject,
-    CASFromConsumeToken,
-    ConsumeTokenObject,
-    SnapshotConsumeToken,
-    System,
-    explore,
-)
+from repro.analysis.tables import render_table
+from repro.concurrent.modelcheck import explore
+from repro.concurrent.objects import AtomicSnapshotObject, ConsumeTokenObject
 from repro.concurrent.protocol_a import build_protocol_a_system, protocol_a_validity
-from repro.concurrent.reductions import scans_totally_ordered
+from repro.concurrent.reductions import (
+    CASFromConsumeToken,
+    SnapshotConsumeToken,
+    scans_totally_ordered,
+)
 from repro.concurrent.register_consensus import build_register_consensus_system
+from repro.concurrent.scheduler import System
 
 
 def test_bench_fig09_10_cas_from_ct(benchmark, report):

@@ -10,9 +10,9 @@
   combinations are thereby exhibited.
 """
 
-from repro.analysis import render_table
+from repro.analysis.tables import render_table
 from repro.consistency.properties import check_strong_prefix
-from repro.paper import (
+from repro.paper.experiments import (
     lemma_4_4_counterexample,
     run_experiment,
     theorem_4_7_experiment,

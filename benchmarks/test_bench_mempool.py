@@ -20,9 +20,9 @@ Serial ≡ parallel ``mempool_stats`` is a tier-1 test
 import json
 import time
 
-from repro.mempool import Mempool, ingest_per_tx
 from repro.blocktree.block import GENESIS, make_block
 from repro.blocktree.chain import Chain
+from repro.mempool.pool import Mempool, ingest_per_tx
 from repro.protocols.classify import RUNNERS
 from repro.workloads.scenarios import ProtocolScenario
 from repro.workloads.traffic import traffic_presets

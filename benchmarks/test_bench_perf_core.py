@@ -10,15 +10,9 @@ from ``python3 bench/run.py --trace 1``.
 
 import time
 
-from repro.blocktree import (
-    BlockTree,
-    GHOSTSelection,
-    HeaviestChain,
-    LongestChain,
-    rescan_ghost,
-    rescan_heaviest,
-    rescan_longest,
-)
+from repro.blocktree.reference import rescan_ghost, rescan_heaviest, rescan_longest
+from repro.blocktree.selection import GHOSTSelection, HeaviestChain, LongestChain
+from repro.blocktree.tree import BlockTree
 from repro.workloads.scenarios import tree_scenarios
 
 

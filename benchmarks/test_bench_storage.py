@@ -24,8 +24,12 @@ import time
 
 import pytest
 
-from repro.blocktree import GENESIS, BlockTree, LongestChain, PrunePolicy, make_block
-from repro.storage import AppendOnlyLogStore, InMemoryStore, open_store
+from repro.blocktree.block import GENESIS, make_block
+from repro.blocktree.selection import LongestChain
+from repro.blocktree.tree import BlockTree, PrunePolicy
+from repro.storage import open_store
+from repro.storage.logstore import AppendOnlyLogStore
+from repro.storage.memory import InMemoryStore
 from repro.workloads.scenarios import TreeScenario
 
 _SCALE = 200_000

@@ -29,10 +29,13 @@ import gc
 import json
 import time
 
-from repro.blocktree import LongestChain
-from repro.campaign import CampaignGrid, run_campaign
+from repro.blocktree.selection import LongestChain
+from repro.campaign.engine import run_campaign
+from repro.campaign.grid import CampaignGrid
 from repro.campaign.matrix import short_verdict
-from repro.net import Network, Simulator, SynchronousChannel
+from repro.net.channels import SynchronousChannel
+from repro.net.process import Network
+from repro.net.simulator import Simulator
 from repro.protocols.base import PassiveNode
 from repro.workloads.scenarios import ProtocolScenario, TreeScenario
 

@@ -8,9 +8,9 @@ five consensus-gated systems land on R(BT-ADT_SC, Θ_F,k=1).
 
 from dataclasses import replace
 
-from repro.analysis import render_table
-from repro.protocols import classify_all
-from repro.workloads import default_scenarios
+from repro.analysis.tables import render_table
+from repro.protocols.classify import classify_all
+from repro.workloads.scenarios import default_scenarios
 
 EXPECTED = {
     "bitcoin": "R(BT-ADT_EC, Θ_P)",

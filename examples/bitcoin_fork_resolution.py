@@ -13,17 +13,17 @@ regime (fast blocks, slow network), then reports:
 Run:  python examples/bitcoin_fork_resolution.py
 """
 
-from repro.analysis import (
+from repro.analysis.metrics import (
     chain_quality,
     convergence_lags,
     divergence_depth,
     fork_rate,
-    render_table,
 )
-from repro.blocktree import LengthScore
-from repro.consistency import BTEventualConsistency, BTStrongConsistency
-from repro.protocols import run_bitcoin
-from repro.workloads import ProtocolScenario
+from repro.analysis.tables import render_table
+from repro.blocktree.score import LengthScore
+from repro.consistency.criteria import BTEventualConsistency, BTStrongConsistency
+from repro.protocols.bitcoin import run_bitcoin
+from repro.workloads.scenarios import ProtocolScenario
 
 
 def main() -> None:

@@ -15,7 +15,8 @@ Run:  python examples/campaign_matrix.py           (3×3 grid, ~seconds)
 
 import sys
 
-from repro.campaign import CampaignGrid, run_campaign
+from repro.campaign.engine import run_campaign
+from repro.campaign.grid import CampaignGrid
 
 
 def main(quick: bool = True) -> None:

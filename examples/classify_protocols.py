@@ -13,9 +13,9 @@ Run:  python examples/classify_protocols.py          (full scenarios, ~1 min)
 
 import sys
 
-from repro.analysis import render_table
-from repro.protocols import classify_all
-from repro.workloads import default_scenarios
+from repro.analysis.tables import render_table
+from repro.protocols.classify import classify_all
+from repro.workloads.scenarios import default_scenarios
 
 
 def main(quick: bool = False) -> None:

@@ -14,13 +14,13 @@ chain, and the SC checker passes.
 Run:  python examples/consensus_strong_chain.py
 """
 
-from repro.blocktree import LengthScore
-from repro.concurrent import explore
+from repro.blocktree.score import LengthScore
+from repro.concurrent.modelcheck import explore
 from repro.concurrent.protocol_a import build_protocol_a_system, protocol_a_validity
 from repro.concurrent.register_consensus import build_register_consensus_system
-from repro.consistency import BTStrongConsistency
-from repro.protocols import run_hyperledger
-from repro.workloads import ProtocolScenario
+from repro.consistency.criteria import BTStrongConsistency
+from repro.protocols.hyperledger import run_hyperledger
+from repro.workloads.scenarios import ProtocolScenario
 
 
 def part1_protocol_a() -> None:

@@ -15,9 +15,12 @@ shared-memory constructions:
 Run:  python examples/model_checking_tour.py
 """
 
-from repro.concurrent import AtomicSnapshotObject, SnapshotConsumeToken, System, explore
+from repro.concurrent.modelcheck import explore
+from repro.concurrent.objects import AtomicSnapshotObject
 from repro.concurrent.protocol_a import build_protocol_a_system
+from repro.concurrent.reductions import SnapshotConsumeToken
 from repro.concurrent.register_consensus import build_register_consensus_system
+from repro.concurrent.scheduler import System
 
 
 def certify_protocol_a() -> None:

@@ -19,23 +19,16 @@ import math
 import os
 import tempfile
 
-from repro import (
-    BTADT,
-    BTEventualConsistency,
-    BTStrongConsistency,
-    ContinuationModel,
-    FrugalOracle,
-    GENESIS,
-    HistoryRecorder,
-    LengthScore,
-    LongestChain,
-    ProdigalOracle,
-    RefinedBTADT,
-    TapeSet,
-    make_block,
-)
-from repro.blocktree import AlwaysValid
-from repro.blocktree.bt_adt import Append, Read
+from repro.blocktree.block import GENESIS, AlwaysValid, make_block
+from repro.blocktree.bt_adt import BTADT, Append, Read
+from repro.blocktree.score import LengthScore
+from repro.blocktree.selection import LongestChain
+from repro.consistency.criteria import BTEventualConsistency, BTStrongConsistency
+from repro.histories.builder import HistoryRecorder
+from repro.histories.continuation import ContinuationModel
+from repro.oracle.refinement import RefinedBTADT
+from repro.oracle.tapes import TapeSet
+from repro.oracle.theta import FrugalOracle, ProdigalOracle
 
 
 def demo_bt_adt() -> None:
@@ -73,7 +66,7 @@ def demo_consistency_checking() -> None:
     b1 = make_block(GENESIS, label="1")
     b2 = make_block(GENESIS, label="2")
     b4 = make_block(b2, label="4")
-    from repro.blocktree import Chain
+    from repro.blocktree.chain import Chain
 
     rec = HistoryRecorder()
     for b in (b1, b2, b4):
@@ -95,7 +88,8 @@ def demo_consistency_checking() -> None:
 
 def demo_store_backends() -> None:
     print("\n== 4. Block stores + the checkpoint/prune lifecycle ==")
-    from repro.blocktree import LongestChain, PrunePolicy
+    from repro.blocktree.selection import LongestChain
+    from repro.blocktree.tree import PrunePolicy
     from repro.storage import open_store
     from repro.workloads.scenarios import TreeScenario
 

@@ -13,14 +13,15 @@ Two runs of the same gossip-based blockchain:
 Run:  python examples/update_agreement_demo.py
 """
 
-from repro.blocktree import LengthScore
-from repro.consistency import BTEventualConsistency
-from repro.histories import Continuation, ContinuationModel, GrowthMode
-from repro.net import LossyChannel, MessageDropAdversary, SynchronousChannel
+from repro.blocktree.score import LengthScore
+from repro.consistency.criteria import BTEventualConsistency
+from repro.histories.continuation import Continuation, ContinuationModel, GrowthMode
 from repro.net.broadcast import check_lrc, check_update_agreement
+from repro.net.channels import LossyChannel, SynchronousChannel
+from repro.net.faults import MessageDropAdversary
 from repro.protocols.base import ProtocolRun
 from repro.protocols.bitcoin import BitcoinNode
-from repro.workloads import ProtocolScenario
+from repro.workloads.scenarios import ProtocolScenario
 
 
 def report(title, run, continuation=None) -> None:

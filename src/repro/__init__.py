@@ -27,49 +27,3 @@ artifacts:
 """
 
 __version__ = "1.0.0"
-
-from repro.blocktree import (
-    GENESIS,
-    Block,
-    BlockTree,
-    BTADT,
-    Chain,
-    GHOSTSelection,
-    HeaviestChain,
-    LengthScore,
-    LongestChain,
-    PrunePolicy,
-    WorkScore,
-    make_block,
-)
-from repro.consistency import BTEventualConsistency, BTStrongConsistency
-from repro.histories import ConcurrentHistory, ContinuationModel, HistoryRecorder
-from repro.oracle import FrugalOracle, ProdigalOracle, RefinedBTADT, TapeSet
-from repro.storage import BlockStore, open_store
-
-__all__ = [
-    "__version__",
-    "GENESIS",
-    "Block",
-    "make_block",
-    "Chain",
-    "BlockTree",
-    "PrunePolicy",
-    "BlockStore",
-    "open_store",
-    "BTADT",
-    "LongestChain",
-    "HeaviestChain",
-    "GHOSTSelection",
-    "LengthScore",
-    "WorkScore",
-    "TapeSet",
-    "FrugalOracle",
-    "ProdigalOracle",
-    "RefinedBTADT",
-    "HistoryRecorder",
-    "ConcurrentHistory",
-    "ContinuationModel",
-    "BTStrongConsistency",
-    "BTEventualConsistency",
-]

@@ -11,19 +11,3 @@ This subpackage provides the generic machinery; concrete ADTs (the
 BlockTree of Definition 3.1 and the token oracles of Definitions 3.5/3.6)
 live in :mod:`repro.blocktree` and :mod:`repro.oracle`.
 """
-
-from repro.adt.base import ADT, Operation, apply_sequence
-from repro.adt.sequential import (
-    SequentialCheckResult,
-    generate_sequential_history,
-    is_sequential_history,
-)
-
-__all__ = [
-    "ADT",
-    "Operation",
-    "apply_sequence",
-    "SequentialCheckResult",
-    "generate_sequential_history",
-    "is_sequential_history",
-]

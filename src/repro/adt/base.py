@@ -16,7 +16,7 @@ checking relies on ``transition`` being a pure function.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Generic, Iterable, Sequence, Tuple, TypeVar
+from typing import Any, Generic, Iterable, Tuple, TypeVar
 
 S = TypeVar("S")
 
@@ -109,9 +109,3 @@ def apply_sequence(adt: ADT[S], symbols: Iterable[Any], state: S | None = None):
         current, out = adt.apply(current, symbol)
         outputs.append(out)
     return current, outputs
-
-
-def operations_from_run(adt: ADT[S], symbols: Sequence[Any]) -> list[Operation]:
-    """Pair each symbol with the output the ADT produces, yielding ``α/β`` ops."""
-    _, outputs = apply_sequence(adt, symbols)
-    return [Operation(symbol=s, output=o) for s, o in zip(symbols, outputs)]

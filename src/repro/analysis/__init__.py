@@ -6,22 +6,3 @@
 every bench prints reproducible rows, mirroring how the paper presents
 Table 1.
 """
-
-from repro.analysis.metrics import (
-    chain_growth,
-    chain_quality,
-    convergence_lags,
-    divergence_depth,
-    fork_rate,
-)
-from repro.analysis.tables import render_series, render_table
-
-__all__ = [
-    "fork_rate",
-    "convergence_lags",
-    "divergence_depth",
-    "chain_growth",
-    "chain_quality",
-    "render_table",
-    "render_series",
-]

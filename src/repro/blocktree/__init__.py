@@ -24,77 +24,7 @@ measured gates): ``add_block`` O(log n) including ancestry upkeep and
 write-through to the block store; ``read()``/``chain_to`` O(1) views;
 ``⊑``/``comparable``/``common_prefix`` O(log n) on the binary-lifting
 index; longest/heaviest selection O(1) amortized, GHOST O(Δ) amortized.
-With a :class:`PrunePolicy` the resident Block hot set is bounded by
-``hot_cap`` while evicted blocks fault back from the configured
-:mod:`repro.storage` backend.
+With a :class:`~repro.blocktree.tree.PrunePolicy` the resident Block
+hot set is bounded by ``hot_cap`` while evicted blocks fault back from
+the configured :mod:`repro.storage` backend.
 """
-
-from repro.blocktree.block import (
-    GENESIS,
-    AlwaysValid,
-    Block,
-    PredicateValid,
-    TableValid,
-    ValidityPredicate,
-    make_block,
-)
-from repro.blocktree.chain import Chain
-from repro.blocktree.tree import BlockTree, PrunePolicy
-from repro.blocktree.score import (
-    LengthScore,
-    ScoreFunction,
-    WorkScore,
-    mcps,
-)
-from repro.blocktree.selection import (
-    GHOSTSelection,
-    HeaviestChain,
-    LongestChain,
-    SelectionFunction,
-)
-from repro.blocktree.bt_adt import Append, BTADT, BTState, Read
-from repro.blocktree.reference import (
-    RESCAN_RULES,
-    rescan_chain_to,
-    rescan_ghost,
-    rescan_heaviest,
-    rescan_longest,
-    tuple_common_prefix,
-    tuple_comparable,
-    tuple_is_prefix_of,
-    tuple_mcps,
-)
-
-__all__ = [
-    "GENESIS",
-    "Block",
-    "make_block",
-    "ValidityPredicate",
-    "AlwaysValid",
-    "TableValid",
-    "PredicateValid",
-    "Chain",
-    "BlockTree",
-    "PrunePolicy",
-    "ScoreFunction",
-    "LengthScore",
-    "WorkScore",
-    "mcps",
-    "SelectionFunction",
-    "LongestChain",
-    "HeaviestChain",
-    "GHOSTSelection",
-    "BTADT",
-    "BTState",
-    "Append",
-    "Read",
-    "RESCAN_RULES",
-    "rescan_chain_to",
-    "rescan_longest",
-    "rescan_heaviest",
-    "rescan_ghost",
-    "tuple_is_prefix_of",
-    "tuple_comparable",
-    "tuple_common_prefix",
-    "tuple_mcps",
-]

@@ -16,20 +16,3 @@ scenario × seed) grid instead:
 
 Run ``python -m repro.campaign --help`` for the command-line front end.
 """
-
-from repro.campaign.engine import run_campaign, run_cell, run_single_cell
-from repro.campaign.grid import PROTOCOLS, SCENARIO_PRESETS, CampaignCell, CampaignGrid
-from repro.campaign.matrix import CampaignMatrix, CellResult, short_verdict
-
-__all__ = [
-    "PROTOCOLS",
-    "SCENARIO_PRESETS",
-    "CampaignCell",
-    "CampaignGrid",
-    "CampaignMatrix",
-    "CellResult",
-    "run_campaign",
-    "run_cell",
-    "run_single_cell",
-    "short_verdict",
-]

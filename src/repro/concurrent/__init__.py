@@ -17,52 +17,3 @@ programs expressed as explicit state machines
 (:mod:`repro.concurrent.protocol_a`) and the register-only consensus
 counterexample (:mod:`repro.concurrent.register_consensus`).
 """
-
-from repro.concurrent.objects import (
-    AtomicRegister,
-    AtomicSnapshotObject,
-    CASRegister,
-    ConsumeTokenObject,
-    OracleObject,
-    SharedObject,
-)
-from repro.concurrent.scheduler import (
-    Decide,
-    Done,
-    Invoke,
-    Program,
-    RandomScheduler,
-    RunResult,
-    System,
-)
-from repro.concurrent.modelcheck import ExplorationResult, explore
-from repro.concurrent.reductions import (
-    CASFromConsumeToken,
-    SnapshotConsumeToken,
-    cas_consensus_program,
-)
-from repro.concurrent.protocol_a import ProtocolA
-from repro.concurrent.register_consensus import NaiveRegisterConsensus
-
-__all__ = [
-    "SharedObject",
-    "AtomicRegister",
-    "CASRegister",
-    "AtomicSnapshotObject",
-    "ConsumeTokenObject",
-    "OracleObject",
-    "Program",
-    "Invoke",
-    "Decide",
-    "Done",
-    "System",
-    "RandomScheduler",
-    "RunResult",
-    "explore",
-    "ExplorationResult",
-    "CASFromConsumeToken",
-    "SnapshotConsumeToken",
-    "cas_consensus_program",
-    "ProtocolA",
-    "NaiveRegisterConsensus",
-]

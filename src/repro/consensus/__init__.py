@@ -15,16 +15,3 @@ one channel):
 * :mod:`repro.consensus.ordering` — the leader-based ordering service of
   Hyperledger Fabric: total-order broadcast with crash fail-over (§5.7).
 """
-
-from repro.consensus.pbft import PBFTComponent
-from repro.consensus.ba_star import BAStarComponent
-from repro.consensus.superblock import SuperblockComponent
-from repro.consensus.ordering import OrderingService, OrderingClient
-
-__all__ = [
-    "PBFTComponent",
-    "BAStarComponent",
-    "SuperblockComponent",
-    "OrderingService",
-    "OrderingClient",
-]

@@ -24,57 +24,5 @@ O(n + r) via a cumulative root-path memo; the online
 per read for Strong Prefix and amortized O(Δ) for Block Validity.
 Failing verdicts cost the same: each scan names its own witness.  The
 pre-index pairwise checkers (:mod:`repro.consistency.reference`) are
-re-exported here for the differential tests and benches only.
+kept for the differential tests and benches only.
 """
-
-from repro.consistency.properties import (
-    PropertyCheck,
-    check_block_validity,
-    check_eventual_prefix,
-    check_ever_growing_tree,
-    check_k_fork_coherence,
-    check_local_monotonic_read,
-    check_strong_prefix,
-    program_order_reaches,
-)
-from repro.consistency.criteria import (
-    BTEventualConsistency,
-    BTStrongConsistency,
-    CriterionReport,
-)
-from repro.consistency.hierarchy import (
-    HierarchyEdge,
-    hierarchy_edges,
-    random_refinement_history,
-)
-from repro.consistency.embedding import LinearizationResult, linearize_bt_history
-from repro.consistency.monitor import ConsistencyMonitor, Violation
-from repro.consistency.reference import (
-    pairwise_check_block_validity,
-    pairwise_check_eventual_prefix,
-    pairwise_check_strong_prefix,
-)
-
-__all__ = [
-    "PropertyCheck",
-    "check_block_validity",
-    "check_local_monotonic_read",
-    "check_strong_prefix",
-    "check_ever_growing_tree",
-    "check_eventual_prefix",
-    "check_k_fork_coherence",
-    "program_order_reaches",
-    "CriterionReport",
-    "BTStrongConsistency",
-    "BTEventualConsistency",
-    "HierarchyEdge",
-    "hierarchy_edges",
-    "random_refinement_history",
-    "LinearizationResult",
-    "linearize_bt_history",
-    "ConsistencyMonitor",
-    "Violation",
-    "pairwise_check_block_validity",
-    "pairwise_check_strong_prefix",
-    "pairwise_check_eventual_prefix",
-]

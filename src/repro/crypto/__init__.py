@@ -19,34 +19,3 @@ form:
   (midstate-amortized + cached verification, equivocation evidence and
   bans) and scenario PKI derivation.
 """
-
-from repro.crypto.hashing import hash_hex, hash_to_unit, leading_zero_bits, meets_difficulty
-from repro.crypto.pow import PoWPuzzle, PoWSolution
-from repro.crypto.merkle import MerkleTree
-from repro.crypto.vrf import VRFKey, sortition_weight
-from repro.crypto.signatures import KeyPair, Signature, SignatureRegistry
-from repro.crypto.auth import (
-    BlockAuthenticator,
-    EquivocationEvidence,
-    build_registry,
-    sign_submissions,
-)
-
-__all__ = [
-    "hash_hex",
-    "hash_to_unit",
-    "leading_zero_bits",
-    "meets_difficulty",
-    "PoWPuzzle",
-    "PoWSolution",
-    "MerkleTree",
-    "VRFKey",
-    "sortition_weight",
-    "KeyPair",
-    "Signature",
-    "SignatureRegistry",
-    "BlockAuthenticator",
-    "EquivocationEvidence",
-    "build_registry",
-    "sign_submissions",
-]

@@ -16,19 +16,3 @@ each process's behaviour continues (grows a branch / is frozen / stops
 reading) — turning those clauses into decidable checks.  See
 ``DESIGN.md`` ("Finite-history liveness semantics").
 """
-
-from repro.histories.events import Event, EventKind, OpRecord
-from repro.histories.history import ConcurrentHistory
-from repro.histories.builder import HistoryRecorder
-from repro.histories.continuation import Continuation, ContinuationModel, GrowthMode
-
-__all__ = [
-    "Event",
-    "EventKind",
-    "OpRecord",
-    "ConcurrentHistory",
-    "HistoryRecorder",
-    "Continuation",
-    "ContinuationModel",
-    "GrowthMode",
-]

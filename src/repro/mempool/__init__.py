@@ -24,11 +24,5 @@ partitions, churn and message faults shape transaction propagation
 exactly as they shape block dissemination.
 """
 
-from repro.mempool.packer import BlockPacker
-from repro.mempool.pool import Mempool, ingest_per_tx
-from repro.mempool.utxo import UTXOView
-
 #: Message tag used by transaction flooding in :mod:`repro.protocols.base`.
 TX_GOSSIP_TAG = "tx-gossip"
-
-__all__ = ["Mempool", "BlockPacker", "UTXOView", "TX_GOSSIP_TAG", "ingest_per_tx"]

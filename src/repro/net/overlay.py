@@ -246,10 +246,6 @@ class GeoClusteredOverlay(Overlay):
         # Intra-region ring (2) plus the gateway ring (2).
         return 4
 
-    def region_of_name(self, name: str) -> int:
-        """The region index of ``name`` (for latency attribution)."""
-        return self._region_of(self._check_member(name))
-
 
 class SkipGraphOverlay(Overlay):
     """Skip-graph overlay: membership-vector level lists, greedy routing.

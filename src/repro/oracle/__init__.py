@@ -16,29 +16,3 @@ Two oracle flavours differ only in the per-object consumption cap ``k``:
 ``R(BT-ADT, Θ)`` (Definition 3.7, Figure 7) refines ``append`` into
 ``getToken*; consumeToken`` executed atomically.
 """
-
-from repro.oracle.tapes import MeritTape, TapeSet
-from repro.oracle.theta import (
-    FrugalOracle,
-    OracleStats,
-    ProdigalOracle,
-    ThetaADT,
-    ThetaState,
-    Token,
-    TokenizedBlock,
-)
-from repro.oracle.refinement import RefinedBTADT, RefinementResult
-
-__all__ = [
-    "MeritTape",
-    "TapeSet",
-    "Token",
-    "TokenizedBlock",
-    "FrugalOracle",
-    "ProdigalOracle",
-    "ThetaADT",
-    "ThetaState",
-    "OracleStats",
-    "RefinedBTADT",
-    "RefinementResult",
-]

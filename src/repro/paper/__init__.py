@@ -7,29 +7,3 @@ checkers can reproduce the paper's stated verdicts block-for-block.
 the Section 4 theorems (4.4/4.5, 4.7, 4.8) and the experiment registry
 that maps every figure/table id to its runnable.
 """
-
-from repro.paper.figures import (
-    figure2_history,
-    figure3_history,
-    figure4_history,
-    figure13_history,
-)
-from repro.paper.experiments import (
-    EXPERIMENTS,
-    lemma_4_4_counterexample,
-    run_experiment,
-    theorem_4_7_experiment,
-    theorem_4_8_execution,
-)
-
-__all__ = [
-    "figure2_history",
-    "figure3_history",
-    "figure4_history",
-    "figure13_history",
-    "theorem_4_8_execution",
-    "theorem_4_7_experiment",
-    "lemma_4_4_counterexample",
-    "EXPERIMENTS",
-    "run_experiment",
-]

@@ -22,35 +22,3 @@ history recording of reads/appends/update events — and a
 and hands the recorded history to the consistency checkers.
 :mod:`repro.protocols.classify` regenerates Table 1.
 """
-
-from repro.protocols.base import BlockchainNode, ProtocolRun
-from repro.protocols.bitcoin import BitcoinNode, run_bitcoin
-from repro.protocols.ethereum import EthereumNode, run_ethereum
-from repro.protocols.byzcoin import ByzCoinNode, run_byzcoin
-from repro.protocols.algorand import AlgorandNode, run_algorand
-from repro.protocols.peercensus import PeerCensusNode, run_peercensus
-from repro.protocols.redbelly import RedBellyNode, run_redbelly
-from repro.protocols.hyperledger import HyperledgerNode, run_hyperledger
-from repro.protocols.classify import ClassificationRow, classify_all, classify_protocol
-
-__all__ = [
-    "BlockchainNode",
-    "ProtocolRun",
-    "BitcoinNode",
-    "run_bitcoin",
-    "EthereumNode",
-    "run_ethereum",
-    "ByzCoinNode",
-    "run_byzcoin",
-    "AlgorandNode",
-    "run_algorand",
-    "PeerCensusNode",
-    "run_peercensus",
-    "RedBellyNode",
-    "run_redbelly",
-    "HyperledgerNode",
-    "run_hyperledger",
-    "ClassificationRow",
-    "classify_all",
-    "classify_protocol",
-]

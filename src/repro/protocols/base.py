@@ -25,7 +25,8 @@ from repro.blocktree.selection import LongestChain, SelectionFunction
 from repro.blocktree.tree import BlockTree
 from repro.histories.continuation import ContinuationModel
 from repro.histories.history import ConcurrentHistory
-from repro.mempool import BlockPacker, Mempool
+from repro.mempool.packer import BlockPacker
+from repro.mempool.pool import Mempool
 from repro.net.channels import ChannelModel
 from repro.net.process import Network, SimProcess
 from repro.net.reconcile import ROUND_COUNTERS, build_transport
@@ -1108,15 +1109,6 @@ class ProtocolRun:
             "per_node": per_node,
             "totals": _merge(per_node.values(), "totals"),
         }
-
-    def parent_map(self) -> Dict[str, str]:
-        """block_id → parent_id over all blocks on all pipelines."""
-        parents: Dict[str, str] = {}
-        for _, _, chain in self.pipelines():
-            for block in chain.tree.blocks():
-                if not block.is_genesis:
-                    parents[block.block_id] = block.parent_id
-        return parents
 
     def shard_stats(self) -> Dict[str, Any]:
         """Sharding measurements: none for a single chain (see

@@ -175,7 +175,7 @@ def classify_protocol(
     Thin single-cell wrapper over the campaign engine: one (protocol ×
     scenario) cell executed in-process, returning only the row.
     """
-    from repro.campaign import run_single_cell
+    from repro.campaign.engine import run_single_cell
 
     scenario = scenario or default_scenarios()[name]
     return run_single_cell(name, scenario).row

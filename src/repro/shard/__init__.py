@@ -18,36 +18,4 @@ Layout:
 * :mod:`repro.shard.atomicity` — the composed cross-shard consistency
   checker (no LOCK without eventual COMMIT/ABORT; no value created or
   destroyed).
-
-``node``/``run`` import the protocol layer, so they are *not* imported
-here — pull them in explicitly to keep ``repro.workloads`` importable
-from this package without cycles.
 """
-
-from repro.shard.assignment import (
-    shard_members,
-    shard_of_user,
-    subscribed_shards,
-    validate_coverage,
-)
-from repro.shard.records import (
-    XShardMeta,
-    make_abort,
-    make_commit,
-    make_lock,
-    make_release,
-    parse_record,
-)
-
-__all__ = [
-    "shard_of_user",
-    "subscribed_shards",
-    "shard_members",
-    "validate_coverage",
-    "XShardMeta",
-    "make_lock",
-    "make_commit",
-    "make_abort",
-    "make_release",
-    "parse_record",
-]

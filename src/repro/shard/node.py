@@ -45,7 +45,6 @@ from repro.shard.records import (
     RELEASE_DEPTH,
     make_abort,
     make_commit,
-    make_lock,  # noqa: F401  (re-exported for tests building traffic by hand)
     make_release,
     parse_record,
 )

@@ -22,29 +22,10 @@ from __future__ import annotations
 
 from typing import Dict, Optional, Type
 
-from repro.storage.base import (
-    BlockStore,
-    CheckpointRecord,
-    StoreError,
-    decode_block,
-    encode_block,
-)
+from repro.storage.base import BlockStore
 from repro.storage.logstore import AppendOnlyLogStore
 from repro.storage.memory import InMemoryStore
 from repro.storage.sqlite import SQLiteStore
-
-__all__ = [
-    "BlockStore",
-    "CheckpointRecord",
-    "StoreError",
-    "InMemoryStore",
-    "AppendOnlyLogStore",
-    "SQLiteStore",
-    "STORE_KINDS",
-    "open_store",
-    "encode_block",
-    "decode_block",
-]
 
 #: Spec keyword → backend class (the ``--store`` knob's vocabulary).
 STORE_KINDS: Dict[str, Type[BlockStore]] = {

@@ -9,31 +9,3 @@ generator (with optional double-spend injection) and the chain-contextual
 validity check.  :mod:`repro.workloads.scenarios` packages the standard
 parameter sets used by the benches.
 """
-
-from repro.workloads.transactions import (
-    ChainValidator,
-    Transaction,
-    TransactionGenerator,
-    default_genesis_coins,
-)
-from repro.workloads.traffic import ClientTrafficScenario, Submission, traffic_presets
-from repro.workloads.scenarios import (
-    AdversarialScenario,
-    ProtocolScenario,
-    adversarial_scenarios,
-    default_scenarios,
-)
-
-__all__ = [
-    "Transaction",
-    "TransactionGenerator",
-    "ChainValidator",
-    "default_genesis_coins",
-    "ClientTrafficScenario",
-    "Submission",
-    "traffic_presets",
-    "ProtocolScenario",
-    "AdversarialScenario",
-    "default_scenarios",
-    "adversarial_scenarios",
-]

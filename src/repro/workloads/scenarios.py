@@ -37,7 +37,8 @@ from typing import Any, Callable, Dict, Iterator, List, Optional, Tuple, Union
 from repro._util import prf_uint64
 from repro.blocktree.block import GENESIS, Block, make_block
 from repro.blocktree.tree import BlockTree, PrunePolicy
-from repro.storage import STORE_KINDS, BlockStore, open_store
+from repro.storage import STORE_KINDS, open_store
+from repro.storage.base import BlockStore
 from repro.workloads.traffic import (
     ClientTrafficScenario,
     shard_traffic_presets,
@@ -194,14 +195,15 @@ class ProtocolScenario:
                 )
             if any(m < 0 for m in self.merits):
                 raise ValueError("merits must be non-negative")
-        kind = self.store.partition(":")[0].strip().lower()
-        if kind not in STORE_KINDS:
+        if self.store not in STORE_KINDS:
             raise ValueError(
-                f"unknown store {self.store!r}; expected one of {sorted(STORE_KINDS)}"
+                f"unknown store {self.store!r}; expected one of "
+                f"{sorted(STORE_KINDS)} (the directory goes in store_dir, "
+                "or --workdir for a campaign)"
             )
         if self.prune_hot_cap < 0 or self.prune_hot_cap == 1:
             raise ValueError("prune_hot_cap must be 0 (disabled) or >= 2")
-        if self.prune_hot_cap and kind == "memory":
+        if self.prune_hot_cap and self.store == "memory":
             raise ValueError("pruning needs a durable store (log or sqlite)")
         from repro.net.overlay import TOPOLOGY_KINDS
         from repro.net.reconcile import GOSSIP_KINDS
@@ -225,7 +227,7 @@ class ProtocolScenario:
         if self.shard_subscription < 0:
             raise ValueError("shard_subscription must be >= 0")
         if self.shards > 1:
-            if kind != "memory":
+            if self.store != "memory":
                 raise ValueError("sharded runs support the memory store only")
             if self.prune_hot_cap:
                 raise ValueError("sharded runs do not support pruning")
@@ -367,21 +369,16 @@ class ProtocolScenario:
         """Open the block store one replica's tree persists through.
 
         ``"memory"`` costs nothing; durable backends get one file per
-        node under ``store_dir`` (which an inline ``kind:directory``
-        spec also sets; a fresh temp directory when neither is given,
-        so replicas never share a log).
+        node under ``store_dir`` (a fresh temp directory when it is
+        unset, so replicas never share a log).
         """
-        kind, _, inline = self.store.partition(":")
-        kind = kind.strip().lower()
-        if kind == "memory":
+        if self.store == "memory":
             return open_store("memory")
-        directory = (
-            self.store_dir
-            or inline.strip()
-            or tempfile.mkdtemp(prefix=f"repro-{self.name}-")
+        directory = self.store_dir or tempfile.mkdtemp(prefix=f"repro-{self.name}-")
+        suffix = "btlog" if self.store == "log" else "db"
+        return open_store(
+            self.store, path=os.path.join(directory, f"{node_name}.{suffix}")
         )
-        suffix = "btlog" if kind == "log" else "db"
-        return open_store(kind, path=os.path.join(directory, f"{node_name}.{suffix}"))
 
     #: Confirmation depth replica trees hold back below the recent-read
     #: LCA when the prune lifecycle checkpoints.

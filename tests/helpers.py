@@ -9,7 +9,8 @@ one pytest run — two ``conftest`` modules shadow each other on
 
 from __future__ import annotations
 
-from repro.blocktree import Chain, GENESIS, make_block
+from repro.blocktree.block import GENESIS, make_block
+from repro.blocktree.chain import Chain
 
 
 def build_chain(*labels) -> Chain:

@@ -2,14 +2,12 @@
 
 import pytest
 
-from repro.adt import (
-    ADT,
-    Operation,
-    apply_sequence,
+from repro.adt.base import ADT, Operation, apply_sequence
+from repro.adt.sequential import (
+    TransitionTrace,
     generate_sequential_history,
     is_sequential_history,
 )
-from repro.adt.sequential import TransitionTrace
 
 
 class CounterADT(ADT):

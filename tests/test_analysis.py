@@ -2,17 +2,17 @@
 
 import pytest
 
-from repro.analysis import (
+from repro.analysis.metrics import (
     chain_growth,
     chain_quality,
     convergence_lags,
     divergence_depth,
     fork_rate,
-    render_series,
-    render_table,
 )
-from repro.protocols import run_bitcoin, run_hyperledger
-from repro.workloads import ProtocolScenario
+from repro.analysis.tables import render_series, render_table
+from repro.protocols.bitcoin import run_bitcoin
+from repro.protocols.hyperledger import run_hyperledger
+from repro.workloads.scenarios import ProtocolScenario
 
 
 @pytest.fixture(scope="module")

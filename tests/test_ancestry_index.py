@@ -15,15 +15,14 @@ from hypothesis import strategies as st
 
 from helpers import build_chain
 
-from repro.blocktree import (
-    BlockTree,
-    Chain,
-    GENESIS,
-    make_block,
+from repro.blocktree.block import GENESIS, make_block
+from repro.blocktree.chain import Chain
+from repro.blocktree.reference import (
     tuple_common_prefix,
     tuple_comparable,
     tuple_is_prefix_of,
 )
+from repro.blocktree.tree import BlockTree
 
 
 def random_tree(seed: int, n_blocks: int, branchiness: float = 0.35):

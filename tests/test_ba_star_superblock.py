@@ -1,9 +1,12 @@
 """Tests for BA* (Algorand) and the Red Belly superblock component."""
 
 
-from repro.consensus import BAStarComponent, SuperblockComponent
-from repro.crypto import VRFKey
-from repro.net import Network, SimProcess, Simulator, SynchronousChannel
+from repro.consensus.ba_star import BAStarComponent
+from repro.consensus.superblock import SuperblockComponent
+from repro.crypto.vrf import VRFKey
+from repro.net.channels import SynchronousChannel
+from repro.net.process import Network, SimProcess
+from repro.net.simulator import Simulator
 
 
 class BANode(SimProcess):

@@ -2,7 +2,13 @@
 
 import pytest
 
-from repro.blocktree import GENESIS, AlwaysValid, PredicateValid, TableValid, make_block
+from repro.blocktree.block import (
+    GENESIS,
+    AlwaysValid,
+    PredicateValid,
+    TableValid,
+    make_block,
+)
 
 
 class TestBlock:

@@ -1,17 +1,20 @@
 """Tests for the BT-ADT (Definition 3.1) — including the Figure 1 walk."""
 
-from repro.adt import Operation, is_sequential_history
-from repro.adt.sequential import TransitionTrace, generate_sequential_history
-from repro.blocktree import (
-    AlwaysValid,
-    BTADT,
+from repro.adt.base import Operation
+from repro.adt.sequential import (
+    TransitionTrace,
+    generate_sequential_history,
+    is_sequential_history,
+)
+from repro.blocktree.block import (
     GENESIS,
-    LongestChain,
+    AlwaysValid,
     PredicateValid,
     TableValid,
     make_block,
 )
-from repro.blocktree.bt_adt import Append, Read
+from repro.blocktree.bt_adt import BTADT, Append, Read
+from repro.blocktree.selection import LongestChain
 
 
 def btadt_with_table():

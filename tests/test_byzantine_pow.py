@@ -1,7 +1,9 @@
 """Tests for real-PoW validation and Byzantine miner behaviours."""
 
 
-from repro.net import Network, Simulator, SynchronousChannel
+from repro.net.channels import SynchronousChannel
+from repro.net.process import Network
+from repro.net.simulator import Simulator
 from repro.protocols.base import ProtocolRun
 from repro.protocols.bitcoin import BitcoinNode
 from repro.protocols.byzantine import (
@@ -9,7 +11,7 @@ from repro.protocols.byzantine import (
     ForgingMiner,
     WithholdingMiner,
 )
-from repro.workloads import ProtocolScenario
+from repro.workloads.scenarios import ProtocolScenario
 
 
 def mixed_run(byzantine_cls, n=4, byz_index=0, seed=5, bits=8, duration=120.0):
@@ -60,7 +62,7 @@ class TestRealPoWMode:
     def test_pow_disabled_accepts_nonce_zero(self):
         scenario = ProtocolScenario(name="bitcoin", pow_difficulty_bits=0)
         node = BitcoinNode("p0", scenario)
-        from repro.blocktree import GENESIS, make_block
+        from repro.blocktree.block import GENESIS, make_block
 
         assert node.validate_incoming(make_block(GENESIS, label="x"))
 
@@ -110,7 +112,7 @@ class TestWithholdingMiner:
         assert len(tips) == 1
 
     def test_withholding_extends_divergence_window(self):
-        from repro.analysis import convergence_lags
+        from repro.analysis.metrics import convergence_lags
 
         scenario = ProtocolScenario(
             name="bitcoin", duration=200.0, mean_block_interval=10.0, seed=13

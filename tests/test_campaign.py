@@ -6,19 +6,17 @@ from dataclasses import replace
 
 import pytest
 
-from repro.campaign import (
+from repro.campaign.__main__ import main as campaign_main
+from repro.campaign.engine import run_campaign, run_single_cell
+from repro.campaign.grid import (
+    AUTH_SCENARIO_PRESETS,
     PROTOCOLS,
     SCENARIO_PRESETS,
+    SHARD_SCENARIO_PRESETS,
     CampaignGrid,
-    run_campaign,
-    run_single_cell,
 )
-from repro.campaign.__main__ import main as campaign_main
-from repro.campaign.grid import AUTH_SCENARIO_PRESETS, SHARD_SCENARIO_PRESETS
-from repro.protocols import classify_all, classify_protocol
-from repro.protocols.classify import majority_view
-from repro.workloads import default_scenarios
-from repro.workloads.scenarios import TreeScenario, derive_seed
+from repro.protocols.classify import classify_all, classify_protocol, majority_view
+from repro.workloads.scenarios import TreeScenario, default_scenarios, derive_seed
 
 QUICK = dict(duration=60.0)
 
@@ -105,6 +103,9 @@ class TestGridExpansion:
             CampaignGrid(seeds=())
         with pytest.raises(ValueError):
             CampaignGrid(store="bogus")  # surfaces before any workdir exists
+        # An inline directory would be ignored for the grid's workdir.
+        with pytest.raises(ValueError, match="--workdir"):
+            CampaignGrid(store="log:/x")
         # What the scenario knobs accept is the scenario's decision, but
         # a bad value still fails at grid construction, not per cell.
         for bad in (

@@ -2,7 +2,8 @@
 
 import pytest
 
-from repro.blocktree import Chain, GENESIS, make_block
+from repro.blocktree.block import GENESIS, make_block
+from repro.blocktree.chain import Chain
 
 
 def build_chain(*labels):

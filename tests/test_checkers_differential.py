@@ -19,29 +19,27 @@ from hypothesis import strategies as st
 
 from helpers import build_chain
 
-from repro.blocktree import (
-    GENESIS,
-    BlockTree,
-    Chain,
-    LengthScore,
-    WorkScore,
-    make_block,
-    tuple_comparable,
-)
-from repro.consistency import (
-    BTEventualConsistency,
-    BTStrongConsistency,
+from repro.blocktree.block import GENESIS, make_block
+from repro.blocktree.chain import Chain
+from repro.blocktree.reference import tuple_comparable
+from repro.blocktree.score import LengthScore, WorkScore
+from repro.blocktree.tree import BlockTree
+from repro.consistency.criteria import BTEventualConsistency, BTStrongConsistency
+from repro.consistency.hierarchy import random_refinement_history
+from repro.consistency.properties import (
     PropertyCheck,
+    _first_divergence,
     check_block_validity,
     check_eventual_prefix,
     check_strong_prefix,
+)
+from repro.consistency.reference import (
     pairwise_check_block_validity,
     pairwise_check_eventual_prefix,
     pairwise_check_strong_prefix,
-    random_refinement_history,
 )
-from repro.consistency.properties import _first_divergence
-from repro.histories import Continuation, ContinuationModel, GrowthMode, HistoryRecorder
+from repro.histories.builder import HistoryRecorder
+from repro.histories.continuation import Continuation, ContinuationModel, GrowthMode
 
 SCORE = LengthScore()
 #: How each failing Strong Prefix clause opens its witness.

@@ -11,10 +11,14 @@ from dataclasses import replace
 
 import pytest
 
-from repro.protocols import classify_protocol, run_bitcoin, run_hyperledger
-from repro.protocols.classify import classify_run
-from repro.workloads import default_scenarios
-from repro.workloads.scenarios import AdversarialScenario, PartitionWindow
+from repro.protocols.bitcoin import run_bitcoin
+from repro.protocols.classify import classify_protocol, classify_run
+from repro.protocols.hyperledger import run_hyperledger
+from repro.workloads.scenarios import (
+    AdversarialScenario,
+    PartitionWindow,
+    default_scenarios,
+)
 
 
 def islanded_scenario(seed=2024):

@@ -2,9 +2,13 @@
 superblock fault tolerance, ordering failover chains."""
 
 
-from repro.consensus import BAStarComponent, PBFTComponent, SuperblockComponent
-from repro.crypto import VRFKey
-from repro.net import Network, SimProcess, Simulator, SynchronousChannel
+from repro.consensus.ba_star import BAStarComponent
+from repro.consensus.pbft import PBFTComponent
+from repro.consensus.superblock import SuperblockComponent
+from repro.crypto.vrf import VRFKey
+from repro.net.channels import SynchronousChannel
+from repro.net.process import Network, SimProcess
+from repro.net.simulator import Simulator
 
 
 class Replica(SimProcess):

@@ -2,8 +2,9 @@
 
 from helpers import build_chain
 
-from repro.blocktree import GENESIS, LengthScore, make_block
-from repro.consistency import (
+from repro.blocktree.block import GENESIS, make_block
+from repro.blocktree.score import LengthScore
+from repro.consistency.properties import (
     check_block_validity,
     check_eventual_prefix,
     check_ever_growing_tree,
@@ -12,12 +13,8 @@ from repro.consistency import (
     check_strong_prefix,
     program_order_reaches,
 )
-from repro.histories import (
-    Continuation,
-    ContinuationModel,
-    GrowthMode,
-    HistoryRecorder,
-)
+from repro.histories.builder import HistoryRecorder
+from repro.histories.continuation import Continuation, ContinuationModel, GrowthMode
 
 SCORE = LengthScore()
 

@@ -4,15 +4,15 @@ import math
 
 from helpers import build_chain
 
-from repro.blocktree import LengthScore
-from repro.consistency import (
-    BTEventualConsistency,
-    BTStrongConsistency,
+from repro.blocktree.score import LengthScore
+from repro.consistency.criteria import BTEventualConsistency, BTStrongConsistency
+from repro.consistency.hierarchy import (
     hierarchy_edges,
     random_refinement_history,
+    replay_appends,
 )
-from repro.consistency.hierarchy import replay_appends
-from repro.histories import ContinuationModel, HistoryRecorder
+from repro.histories.builder import HistoryRecorder
+from repro.histories.continuation import ContinuationModel
 
 SCORE = LengthScore()
 

@@ -2,18 +2,16 @@
 
 import pytest
 
-from repro.crypto import (
-    KeyPair,
-    MerkleTree,
-    PoWPuzzle,
-    SignatureRegistry,
-    VRFKey,
+from repro.crypto.hashing import (
     hash_hex,
     hash_to_unit,
     leading_zero_bits,
     meets_difficulty,
-    sortition_weight,
 )
+from repro.crypto.merkle import MerkleTree
+from repro.crypto.pow import PoWPuzzle
+from repro.crypto.signatures import KeyPair, SignatureRegistry
+from repro.crypto.vrf import VRFKey, sortition_weight
 
 
 class TestHashing:

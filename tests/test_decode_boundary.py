@@ -17,18 +17,18 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.histories.builder import HistoryRecorder
-from repro.net import Network, Simulator, SynchronousChannel
-from repro.protocols import (
-    AlgorandNode,
-    BitcoinNode,
-    ByzCoinNode,
-    EthereumNode,
-    HyperledgerNode,
-    PeerCensusNode,
-    RedBellyNode,
-)
+from repro.net.channels import SynchronousChannel
+from repro.net.process import Network
+from repro.net.simulator import Simulator
+from repro.protocols.algorand import AlgorandNode
 from repro.protocols.base import PassiveNode
+from repro.protocols.bitcoin import BitcoinNode
+from repro.protocols.byzcoin import ByzCoinNode
 from repro.protocols.classify import RUNNERS
+from repro.protocols.ethereum import EthereumNode
+from repro.protocols.hyperledger import HyperledgerNode
+from repro.protocols.peercensus import PeerCensusNode
+from repro.protocols.redbelly import RedBellyNode
 from repro.shard.node import ShardedNode
 from repro.workloads.scenarios import SHARD_TAG, ProtocolScenario
 from repro.workloads.traffic import shard_traffic_presets

@@ -5,11 +5,13 @@ import pytest
 
 from helpers import build_chain
 
-from repro.blocktree import GENESIS, LengthScore, make_block
-from repro.consistency import BTStrongConsistency
-from repro.histories import ContinuationModel, HistoryRecorder
+from repro.blocktree.block import GENESIS, make_block
+from repro.blocktree.score import LengthScore
+from repro.consistency.criteria import BTStrongConsistency
+from repro.histories.builder import HistoryRecorder
+from repro.histories.continuation import ContinuationModel
 from repro.net.faults import MessageDropAdversary, PartitionAdversary
-from repro.oracle import TapeSet
+from repro.oracle.tapes import TapeSet
 from repro.oracle.theta import ThetaOracle
 
 
@@ -110,7 +112,7 @@ class TestCheckerEdges:
     def test_strict_order_block_validity_on_overlap(self):
         """strict ր: an append overlapping the read (no resp→inv hop)
         does not count as 'before' the read."""
-        from repro.consistency import check_block_validity
+        from repro.consistency.properties import check_block_validity
 
         chain = build_chain("1")
         b = chain.tip
@@ -129,7 +131,7 @@ class TestCheckerEdges:
 
     def test_genesis_only_reads_satisfy_sc(self):
         rec = HistoryRecorder()
-        from repro.blocktree import Chain
+        from repro.blocktree.chain import Chain
 
         rec.record_read("i", Chain.genesis())
         rec.record_read("j", Chain.genesis())
@@ -159,10 +161,10 @@ class TestReplayFailurePath:
 
 class TestMetricsEdges:
     def test_convergence_lags_empty_when_nothing_converges(self):
-        from repro.analysis import convergence_lags
+        from repro.analysis.metrics import convergence_lags
         from repro.protocols.base import ProtocolRun
         from repro.protocols.bitcoin import BitcoinNode
-        from repro.workloads import ProtocolScenario
+        from repro.workloads.scenarios import ProtocolScenario
 
         # Duration 0: no blocks mined at all.
         run = ProtocolRun.execute(
@@ -173,9 +175,9 @@ class TestMetricsEdges:
         assert convergence_lags(run) == []
 
     def test_chain_quality_service_bucket(self):
-        from repro.analysis import chain_quality
-        from repro.protocols import run_hyperledger
-        from repro.workloads import ProtocolScenario
+        from repro.analysis.metrics import chain_quality
+        from repro.protocols.hyperledger import run_hyperledger
+        from repro.workloads.scenarios import ProtocolScenario
 
         run = run_hyperledger(
             ProtocolScenario(name="hyperledger", duration=80.0, round_length=15.0, seed=1)

@@ -2,11 +2,13 @@
 
 
 
-from repro.blocktree import Chain, GENESIS, LongestChain, make_block
-from repro.consistency import random_refinement_history
+from repro.blocktree.block import GENESIS, make_block
+from repro.blocktree.chain import Chain
+from repro.blocktree.selection import LongestChain
 from repro.consistency.embedding import linearize_bt_history
-from repro.histories import HistoryRecorder
-from repro.paper import figure2_history, figure3_history
+from repro.consistency.hierarchy import random_refinement_history
+from repro.histories.builder import HistoryRecorder
+from repro.paper.figures import figure2_history, figure3_history
 
 SELECTION = LongestChain()
 

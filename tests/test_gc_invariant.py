@@ -19,7 +19,9 @@ import gc
 
 import pytest
 
-from repro.net import Network, SimProcess, Simulator, SynchronousChannel
+from repro.net.channels import SynchronousChannel
+from repro.net.process import Network, SimProcess
+from repro.net.simulator import Simulator
 from repro.protocols.bitcoin import run_bitcoin
 from repro.protocols.classify import RUNNERS
 from repro.workloads.scenarios import adversarial_scenarios, default_scenarios

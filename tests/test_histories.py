@@ -2,8 +2,10 @@
 
 import pytest
 
-from repro.blocktree import Chain, GENESIS, make_block
-from repro.histories import Continuation, ContinuationModel, GrowthMode, HistoryRecorder
+from repro.blocktree.block import GENESIS, make_block
+from repro.blocktree.chain import Chain
+from repro.histories.builder import HistoryRecorder
+from repro.histories.continuation import Continuation, ContinuationModel, GrowthMode
 
 
 def chain_of(*labels):

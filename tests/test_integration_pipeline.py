@@ -8,16 +8,15 @@ extract metrics — asserting the pieces agree with each other.
 
 import pytest
 
-from repro.analysis import chain_growth, divergence_depth, fork_rate
-from repro.blocktree import LengthScore, LongestChain
-from repro.consistency import (
-    BTEventualConsistency,
-    BTStrongConsistency,
-    ConsistencyMonitor,
-    linearize_bt_history,
-)
-from repro.protocols import run_bitcoin, run_redbelly
-from repro.workloads import ProtocolScenario
+from repro.analysis.metrics import chain_growth, divergence_depth, fork_rate
+from repro.blocktree.score import LengthScore
+from repro.blocktree.selection import LongestChain
+from repro.consistency.criteria import BTEventualConsistency, BTStrongConsistency
+from repro.consistency.embedding import linearize_bt_history
+from repro.consistency.monitor import ConsistencyMonitor
+from repro.protocols.bitcoin import run_bitcoin
+from repro.protocols.redbelly import run_redbelly
+from repro.workloads.scenarios import ProtocolScenario
 
 SCORE = LengthScore()
 
@@ -85,7 +84,7 @@ class TestCrossProtocolInvariants:
     def test_all_protocols_record_block_validity_cleanly(self):
         """No protocol ever lets a read return an un-appended block."""
         from repro.protocols.classify import RUNNERS
-        from repro.workloads import default_scenarios
+        from repro.workloads.scenarios import default_scenarios
         from dataclasses import replace
 
         scenarios = default_scenarios()

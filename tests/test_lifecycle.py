@@ -16,7 +16,9 @@ import pytest
 
 from repro.blocktree.block import GENESIS, make_block
 from repro.campaign.engine import run_single_cell
-from repro.net import Network, Simulator, SynchronousChannel
+from repro.net.channels import SynchronousChannel
+from repro.net.process import Network
+from repro.net.simulator import Simulator
 from repro.protocols.base import BlockchainNode, PassiveNode
 from repro.protocols.bitcoin import run_bitcoin
 from repro.protocols.classify import majority_view

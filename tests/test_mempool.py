@@ -7,7 +7,9 @@ import pytest
 from repro.blocktree.block import GENESIS, make_block
 from repro.blocktree.chain import Chain
 from repro.blocktree.tree import BlockTree
-from repro.mempool import BlockPacker, Mempool, UTXOView, ingest_per_tx
+from repro.mempool.packer import BlockPacker
+from repro.mempool.pool import Mempool, ingest_per_tx
+from repro.mempool.utxo import UTXOView
 from repro.protocols.bitcoin import run_bitcoin
 from repro.workloads.scenarios import (
     AdversarialScenario,

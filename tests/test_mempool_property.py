@@ -22,7 +22,8 @@ from hypothesis import strategies as st
 
 from repro.blocktree.block import make_block
 from repro.blocktree.chain import Chain
-from repro.mempool import BlockPacker, Mempool
+from repro.mempool.packer import BlockPacker
+from repro.mempool.pool import Mempool
 from repro.workloads.transactions import (
     ChainValidator,
     TransactionGenerator,

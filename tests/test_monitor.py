@@ -6,8 +6,9 @@ from hypothesis import strategies as st
 
 from helpers import build_chain
 
-from repro.blocktree import GENESIS, LengthScore, make_block
-from repro.consistency import random_refinement_history
+from repro.blocktree.block import GENESIS, make_block
+from repro.blocktree.score import LengthScore
+from repro.consistency.hierarchy import random_refinement_history
 from repro.consistency.monitor import ConsistencyMonitor
 from repro.consistency.properties import (
     check_local_monotonic_read,
@@ -124,8 +125,8 @@ class TestBatchEquivalence:
         )
 
     def test_replay_of_protocol_run(self):
-        from repro.protocols import run_hyperledger
-        from repro.workloads import ProtocolScenario
+        from repro.protocols.hyperledger import run_hyperledger
+        from repro.workloads.scenarios import ProtocolScenario
 
         run = run_hyperledger(
             ProtocolScenario(name="hyperledger", duration=80.0, round_length=15.0, seed=1)

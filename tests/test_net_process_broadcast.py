@@ -3,17 +3,11 @@
 import pytest
 
 from repro.blocktree.block import GENESIS, make_block
-from repro.net import (
-    LossyChannel,
-    MessageDropAdversary,
-    Network,
-    PartitionAdversary,
-    SimProcess,
-    Simulator,
-    SynchronousChannel,
-    check_lrc,
-    check_update_agreement,
-)
+from repro.net.broadcast import check_lrc, check_update_agreement
+from repro.net.channels import LossyChannel, SynchronousChannel
+from repro.net.faults import MessageDropAdversary, PartitionAdversary
+from repro.net.process import Network, SimProcess
+from repro.net.simulator import Simulator
 from repro.protocols.base import PassiveNode
 from repro.workloads.scenarios import GOSSIP_TAG, ProtocolScenario
 
@@ -200,7 +194,7 @@ class TestFloodingLRC:
 
     def test_r2_violation_detected(self):
         # Hand-build a history where an update has no matching receive.
-        from repro.histories import HistoryRecorder
+        from repro.histories.builder import HistoryRecorder
 
         rec = HistoryRecorder()
         rec.instant("i", "send", ("b0", "b1", "i"))
@@ -212,7 +206,7 @@ class TestFloodingLRC:
         assert not checks["R2"].ok
 
     def test_r1_violation_detected(self):
-        from repro.histories import HistoryRecorder
+        from repro.histories.builder import HistoryRecorder
 
         rec = HistoryRecorder()
         rec.instant("i", "update", ("b0", "b1", "i"))  # own block, never sent

@@ -2,14 +2,14 @@
 
 import pytest
 
-from repro.net import (
+from repro.net.channels import (
     DROP,
     AsynchronousChannel,
     LossyChannel,
-    Simulator,
     SynchronousChannel,
     WeaklySynchronousChannel,
 )
+from repro.net.simulator import Simulator
 
 
 class TestSimulator:

@@ -1,8 +1,10 @@
 """Tests for the leader-based ordering service (Hyperledger backbone)."""
 
 
-from repro.consensus import OrderingService
-from repro.net import Network, SimProcess, Simulator, SynchronousChannel
+from repro.consensus.ordering import OrderingService
+from repro.net.channels import SynchronousChannel
+from repro.net.process import Network, SimProcess
+from repro.net.simulator import Simulator
 
 
 class Orderer(SimProcess):

@@ -1,24 +1,23 @@
 """Tests for the paper's figure histories and theorem experiments."""
 
 
-from repro.blocktree import LengthScore
-from repro.consistency import (
-    BTEventualConsistency,
-    BTStrongConsistency,
-    check_strong_prefix,
-)
-from repro.paper import (
+from repro.blocktree.score import LengthScore
+from repro.consistency.criteria import BTEventualConsistency, BTStrongConsistency
+from repro.consistency.properties import check_strong_prefix
+from repro.paper.experiments import (
     EXPERIMENTS,
-    figure13_history,
-    figure2_history,
-    figure3_history,
-    figure4_history,
     lemma_4_4_counterexample,
     run_experiment,
     theorem_4_7_experiment,
     theorem_4_8_execution,
+    theorem_4_8_report,
 )
-from repro.paper.experiments import theorem_4_8_report
+from repro.paper.figures import (
+    figure13_history,
+    figure2_history,
+    figure3_history,
+    figure4_history,
+)
 
 SCORE = LengthScore()
 

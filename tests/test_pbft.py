@@ -2,8 +2,10 @@
 
 import pytest
 
-from repro.consensus import PBFTComponent
-from repro.net import Network, SimProcess, Simulator, SynchronousChannel
+from repro.consensus.pbft import PBFTComponent
+from repro.net.channels import SynchronousChannel
+from repro.net.process import Network, SimProcess
+from repro.net.simulator import Simulator
 
 
 class Replica(SimProcess):

@@ -12,23 +12,15 @@ import math
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.blocktree import (
-    BlockTree,
-    Chain,
-    GENESIS,
-    LengthScore,
-    LongestChain,
-    WorkScore,
-    make_block,
-)
-from repro.blocktree.score import mcps
-from repro.consistency import (
-    BTEventualConsistency,
-    BTStrongConsistency,
-    random_refinement_history,
-)
-from repro.crypto import MerkleTree
-from repro.oracle import TapeSet
+from repro.blocktree.block import GENESIS, make_block
+from repro.blocktree.chain import Chain
+from repro.blocktree.score import LengthScore, WorkScore, mcps
+from repro.blocktree.selection import LongestChain
+from repro.blocktree.tree import BlockTree
+from repro.consistency.criteria import BTEventualConsistency, BTStrongConsistency
+from repro.consistency.hierarchy import random_refinement_history
+from repro.crypto.merkle import MerkleTree
+from repro.oracle.tapes import TapeSet
 from repro.oracle.theta import ThetaOracle
 
 # -- strategies -------------------------------------------------------------
@@ -154,7 +146,7 @@ class TestTreeInvariants:
 class TestTapeAndOracle:
     @given(st.integers(min_value=0, max_value=2**32), st.floats(min_value=0.05, max_value=0.95))
     def test_tape_deterministic(self, seed, p):
-        from repro.oracle import MeritTape
+        from repro.oracle.tapes import MeritTape
 
         t1 = MeritTape(seed=seed, merit_id="m", probability=p)
         t2 = MeritTape(seed=seed, merit_id="m", probability=p)
@@ -239,7 +231,8 @@ class TestSimulatorDeterminism:
     @settings(max_examples=10, deadline=None)
     @given(st.integers(min_value=0, max_value=10_000))
     def test_same_seed_same_trace(self, seed):
-        from repro.net import Network, SimProcess, Simulator
+        from repro.net.process import Network, SimProcess
+        from repro.net.simulator import Simulator
 
         class Chatter(SimProcess):
             def __init__(self, name):

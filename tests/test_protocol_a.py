@@ -2,11 +2,12 @@
 
 import pytest
 
-from repro.concurrent import RandomScheduler, explore
+from repro.concurrent.modelcheck import explore
 from repro.concurrent.protocol_a import (
     build_protocol_a_system,
     protocol_a_validity,
 )
+from repro.concurrent.scheduler import RandomScheduler
 
 
 def proposals(n):

@@ -2,23 +2,22 @@
 
 import pytest
 
-from repro.blocktree import LengthScore
+from repro.blocktree.score import LengthScore
 from repro.blocktree.tree import BlockTree
 from repro.consensus.ordering import DELIVER
-from repro.consistency import BTEventualConsistency, BTStrongConsistency
-from repro.net import Network, Simulator, SynchronousChannel
+from repro.consistency.criteria import BTEventualConsistency, BTStrongConsistency
 from repro.net.broadcast import check_lrc, check_update_agreement
-from repro.protocols import (
-    HyperledgerNode,
-    run_algorand,
-    run_bitcoin,
-    run_byzcoin,
-    run_ethereum,
-    run_hyperledger,
-    run_peercensus,
-    run_redbelly,
-)
-from repro.workloads import ProtocolScenario
+from repro.net.channels import SynchronousChannel
+from repro.net.process import Network
+from repro.net.simulator import Simulator
+from repro.protocols.algorand import run_algorand
+from repro.protocols.bitcoin import run_bitcoin
+from repro.protocols.byzcoin import run_byzcoin
+from repro.protocols.ethereum import run_ethereum
+from repro.protocols.hyperledger import HyperledgerNode, run_hyperledger
+from repro.protocols.peercensus import run_peercensus
+from repro.protocols.redbelly import run_redbelly
+from repro.workloads.scenarios import ProtocolScenario
 
 SCORE = LengthScore()
 
@@ -121,7 +120,7 @@ class TestCommitteeProtocols:
         assert finals["p0"].height >= 3
 
     def test_byzcoin_smallest_digest_rule(self):
-        from repro.blocktree import GENESIS, make_block
+        from repro.blocktree.block import GENESIS, make_block
         from repro.protocols.byzcoin import ByzCoinNode
 
         node = ByzCoinNode.__new__(ByzCoinNode)

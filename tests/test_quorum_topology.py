@@ -22,13 +22,18 @@ These tests pin the fix at three levels:
 
 import pytest
 
-from repro.consensus import PBFTComponent
+from repro.blocktree.score import LengthScore
+from repro.consensus.pbft import PBFTComponent
 from repro.consensus.relay import QuorumRelay
-from repro.blocktree import LengthScore
-from repro.consistency import BTStrongConsistency
-from repro.net import Network, SimProcess, Simulator, SynchronousChannel
+from repro.consistency.criteria import BTStrongConsistency
+from repro.net.channels import SynchronousChannel
 from repro.net.overlay import build_overlay
-from repro.protocols import run_algorand, run_byzcoin, run_hyperledger, run_redbelly
+from repro.net.process import Network, SimProcess
+from repro.net.simulator import Simulator
+from repro.protocols.algorand import run_algorand
+from repro.protocols.byzcoin import run_byzcoin
+from repro.protocols.hyperledger import run_hyperledger
+from repro.protocols.redbelly import run_redbelly
 from repro.workloads.scenarios import ProtocolScenario
 
 # (topology, minimum legal degree): geo triangulations need degree >= 4.

@@ -17,9 +17,9 @@ from repro._util import BoundedSet
 from repro.blocktree.block import make_block
 from repro.campaign.grid import CampaignGrid
 from repro.mempool import TX_GOSSIP_TAG
-from repro.net import Network, Simulator, SynchronousChannel
 from repro.net.broadcast import check_lrc, check_update_agreement
-from repro.net.channels import ChannelModel
+from repro.net.channels import ChannelModel, SynchronousChannel
+from repro.net.process import Network
 from repro.net.reconcile import (
     RECON_REQ,
     FloodTransport,
@@ -27,6 +27,7 @@ from repro.net.reconcile import (
     build_transport,
     wire_size,
 )
+from repro.net.simulator import Simulator
 from repro.protocols.base import ProtocolRun
 from repro.protocols.bitcoin import BitcoinNode, run_bitcoin
 from repro.protocols.byzantine import ForgingMiner

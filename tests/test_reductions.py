@@ -4,17 +4,20 @@ import itertools
 
 import pytest
 
-from repro.concurrent import (
+from repro.concurrent.modelcheck import explore
+from repro.concurrent.objects import (
     AtomicSnapshotObject,
-    CASFromConsumeToken,
     CASRegister,
     ConsumeTokenObject,
-    SnapshotConsumeToken,
-    System,
-    cas_consensus_program,
-    explore,
 )
-from repro.concurrent.reductions import cas_compare_and_swap, scans_totally_ordered
+from repro.concurrent.reductions import (
+    CASFromConsumeToken,
+    SnapshotConsumeToken,
+    cas_compare_and_swap,
+    cas_consensus_program,
+    scans_totally_ordered,
+)
+from repro.concurrent.scheduler import System
 
 
 class TestCASFromCT:

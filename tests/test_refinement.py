@@ -4,8 +4,10 @@ import math
 
 import pytest
 
-from repro.blocktree import GENESIS, LongestChain, make_block
-from repro.oracle import RefinedBTADT, TapeSet
+from repro.blocktree.block import GENESIS, make_block
+from repro.blocktree.selection import LongestChain
+from repro.oracle.refinement import RefinedBTADT
+from repro.oracle.tapes import TapeSet
 from repro.oracle.theta import ThetaOracle
 
 

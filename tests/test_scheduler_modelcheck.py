@@ -2,15 +2,15 @@
 
 import pytest
 
-from repro.concurrent import (
-    AtomicRegister,
+from repro.concurrent.modelcheck import explore
+from repro.concurrent.objects import AtomicRegister
+from repro.concurrent.scheduler import (
     Decide,
     Done,
     Invoke,
     Program,
     RandomScheduler,
     System,
-    explore,
 )
 
 

@@ -2,18 +2,11 @@
 
 import pytest
 
-from repro.blocktree import (
-    BlockTree,
-    Chain,
-    GENESIS,
-    GHOSTSelection,
-    HeaviestChain,
-    LengthScore,
-    LongestChain,
-    WorkScore,
-    make_block,
-)
-from repro.blocktree.score import mcps
+from repro.blocktree.block import GENESIS, make_block
+from repro.blocktree.chain import Chain
+from repro.blocktree.score import LengthScore, WorkScore, mcps
+from repro.blocktree.selection import GHOSTSelection, HeaviestChain, LongestChain
+from repro.blocktree.tree import BlockTree
 
 
 def chain_of(*labels, weight=1.0):

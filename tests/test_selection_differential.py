@@ -13,17 +13,10 @@ import random
 
 import pytest
 
-from repro.blocktree import (
-    GENESIS,
-    BlockTree,
-    GHOSTSelection,
-    HeaviestChain,
-    LongestChain,
-    make_block,
-    rescan_ghost,
-    rescan_heaviest,
-    rescan_longest,
-)
+from repro.blocktree.block import GENESIS, make_block
+from repro.blocktree.reference import rescan_ghost, rescan_heaviest, rescan_longest
+from repro.blocktree.selection import GHOSTSelection, HeaviestChain, LongestChain
+from repro.blocktree.tree import BlockTree
 
 RULES = [
     (LongestChain, rescan_longest),

@@ -282,7 +282,6 @@ def test_k1_identity_is_exact():
         "node_fork_degrees",
         "max_fork_degree",
         "unknown_append_resolutions",
-        "parent_map",
     ):
         assert getattr(sharded, surface)() == getattr(direct, surface)(), surface
     assert type(sharded) is type(direct)

@@ -4,7 +4,7 @@ import math
 
 import pytest
 
-from repro.concurrent import (
+from repro.concurrent.objects import (
     AtomicRegister,
     AtomicSnapshotObject,
     CASRegister,

@@ -17,28 +17,15 @@ import pickle
 
 import pytest
 
-from repro.blocktree import (
-    GENESIS,
-    BlockTree,
-    GHOSTSelection,
-    HeaviestChain,
-    LongestChain,
-    PrunePolicy,
-    make_block,
-)
-from repro.blocktree.block import Block
+from repro.blocktree.block import GENESIS, Block, make_block
+from repro.blocktree.selection import GHOSTSelection, HeaviestChain, LongestChain
+from repro.blocktree.tree import BlockTree, PrunePolicy
 from repro.crypto.signatures import Signature
-from repro.storage import (
-    STORE_KINDS,
-    AppendOnlyLogStore,
-    CheckpointRecord,
-    InMemoryStore,
-    SQLiteStore,
-    StoreError,
-    decode_block,
-    encode_block,
-    open_store,
-)
+from repro.storage import STORE_KINDS, open_store
+from repro.storage.base import CheckpointRecord, StoreError, decode_block, encode_block
+from repro.storage.logstore import AppendOnlyLogStore
+from repro.storage.memory import InMemoryStore
+from repro.storage.sqlite import SQLiteStore
 from repro.workloads.scenarios import TreeScenario
 
 RULES = [LongestChain(), HeaviestChain(), GHOSTSelection()]
@@ -309,14 +296,23 @@ def test_checkpoint_refuses_conflicting_branch(tmp_path):
     tree._store.close()
 
 
-def test_build_store_honors_inline_spec_path(tmp_path):
+def test_build_store_honors_store_dir(tmp_path):
     from repro.workloads.scenarios import ProtocolScenario
 
-    scenario = ProtocolScenario(name="x", store=f"log:{tmp_path}")
+    scenario = ProtocolScenario(name="x", store="log", store_dir=str(tmp_path))
     store = scenario.build_store("p7")
     store.put(make_block(GENESIS, label="x"))
     store.close()
     assert (tmp_path / "p7.btlog").exists()
+
+
+def test_scenario_store_is_a_keyword_not_a_path():
+    """``kind:directory`` would be a file to ``open_store`` but a
+    directory to the scenario; the directory belongs in ``store_dir``."""
+    from repro.workloads.scenarios import ProtocolScenario
+
+    with pytest.raises(ValueError, match="store_dir"):
+        ProtocolScenario(name="x", store="log:/x")
 
 
 def test_manual_checkpoint_refuses_regression(tmp_path):

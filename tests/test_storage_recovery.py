@@ -13,12 +13,15 @@ import os
 
 import pytest
 
-from repro.blocktree import BlockTree, LongestChain, PrunePolicy, make_block
-from repro.blocktree.block import GENESIS
-from repro.net import Network, Simulator, SynchronousChannel
+from repro.blocktree.block import GENESIS, make_block
+from repro.blocktree.selection import LongestChain
+from repro.blocktree.tree import BlockTree, PrunePolicy
+from repro.net.channels import SynchronousChannel
+from repro.net.process import Network
+from repro.net.simulator import Simulator
 from repro.protocols.base import PassiveNode
-from repro.storage import AppendOnlyLogStore, StoreError
-from repro.storage.logstore import _HEAD, _MAGIC
+from repro.storage.base import StoreError
+from repro.storage.logstore import _HEAD, _MAGIC, AppendOnlyLogStore
 from repro.workloads.scenarios import ProtocolScenario, TreeScenario
 
 SCENARIO = TreeScenario(name="crash", n_blocks=2000, fork_rate=0.06, fork_window=5)

@@ -14,8 +14,10 @@ from dataclasses import replace
 from repro._util import prf_uint64
 from repro.blocktree.block import GENESIS, make_block
 from repro.blocktree.tree import BlockTree
-from repro.net import Network, Simulator, SynchronousChannel
+from repro.net.channels import SynchronousChannel
+from repro.net.process import Network
 from repro.net.reconcile import wire_size
+from repro.net.simulator import Simulator
 from repro.net.sync import (
     SYNC_BLOCKS,
     SYNC_DIFF,

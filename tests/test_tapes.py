@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.oracle import MeritTape, TapeSet
+from repro.oracle.tapes import MeritTape, TapeSet
 
 
 class TestMeritTape:

@@ -5,9 +5,16 @@ import math
 import pytest
 
 from repro.adt.sequential import TransitionTrace
-from repro.blocktree import GENESIS, make_block
-from repro.oracle import FrugalOracle, ProdigalOracle, TapeSet, ThetaADT
-from repro.oracle.theta import ConsumeToken, GetToken, ThetaOracle
+from repro.blocktree.block import GENESIS, make_block
+from repro.oracle.tapes import TapeSet
+from repro.oracle.theta import (
+    ConsumeToken,
+    FrugalOracle,
+    GetToken,
+    ProdigalOracle,
+    ThetaADT,
+    ThetaOracle,
+)
 
 
 def always_token_oracle(k, seed=1):

@@ -2,7 +2,8 @@
 
 import pytest
 
-from repro.blocktree import BlockTree, GENESIS, make_block
+from repro.blocktree.block import GENESIS, make_block
+from repro.blocktree.tree import BlockTree
 
 
 class TestInsertion:
@@ -32,7 +33,7 @@ class TestInsertion:
             t.add_block(orphan)
 
     def test_second_genesis_rejected(self):
-        from repro.blocktree import Block
+        from repro.blocktree.block import Block
 
         t = BlockTree()
         assert not t.add_block(GENESIS)  # same genesis: idempotent no-op

@@ -13,16 +13,10 @@ from typing import Dict, List
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.blocktree import (
-    GENESIS,
-    Block,
-    BlockTree,
-    GHOSTSelection,
-    HeaviestChain,
-    LongestChain,
-    make_block,
-    rescan_chain_to,
-)
+from repro.blocktree.block import GENESIS, Block, make_block
+from repro.blocktree.reference import rescan_chain_to
+from repro.blocktree.selection import GHOSTSelection, HeaviestChain, LongestChain
+from repro.blocktree.tree import BlockTree
 
 # Weights are dyadic rationals so float sums are exact and independent of
 # summation order — insertion-order reshuffles must not perturb ties.

@@ -1,12 +1,16 @@
 """Tests for contextual tx validation and the sequential-consistency mode."""
 
 
-from repro.blocktree import Chain, GENESIS, LongestChain, make_block
+from repro.blocktree.block import GENESIS, make_block
+from repro.blocktree.chain import Chain
+from repro.blocktree.selection import LongestChain
 from repro.consistency.embedding import linearize_bt_history
-from repro.histories import HistoryRecorder
-from repro.net import Network, Simulator, SynchronousChannel
+from repro.histories.builder import HistoryRecorder
+from repro.net.channels import SynchronousChannel
+from repro.net.process import Network
+from repro.net.simulator import Simulator
 from repro.protocols.validating import DoubleSpendMiner, ValidatingBitcoinNode
-from repro.workloads import ProtocolScenario
+from repro.workloads.scenarios import ProtocolScenario
 
 
 def mixed_validation_run(seed=17, duration=150.0):

@@ -2,13 +2,13 @@
 
 import pytest
 
-from repro.blocktree import Chain, GENESIS, make_block
-from repro.workloads import (
+from repro.blocktree.block import GENESIS, make_block
+from repro.blocktree.chain import Chain
+from repro.workloads.scenarios import ProtocolScenario, default_scenarios
+from repro.workloads.transactions import (
     ChainValidator,
-    ProtocolScenario,
     Transaction,
     TransactionGenerator,
-    default_scenarios,
 )
 
 
