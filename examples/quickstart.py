@@ -96,7 +96,7 @@ def demo_store_backends() -> None:
     scenario = TreeScenario(name="quickstart", n_blocks=20_000, fork_rate=0.04)
     read = lambda tree, block: LongestChain().select(tree)  # noqa: E731
 
-    # Baseline: everything resident (the default "memory" store spec).
+    # Baseline: everything resident (the default "memory" store).
     plain = scenario.build(store=open_store("memory"), on_block=read)
 
     # Durable: an append-only log with a 1 500-block hot-set threshold.

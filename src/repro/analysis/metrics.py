@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from typing import Dict, List
 
+from repro.blocktree.block import creator_name
 from repro.protocols.base import ProtocolRun
 
 __all__ = [
@@ -90,7 +91,7 @@ def chain_quality(run: ProtocolRun) -> Dict[str, float]:
     final = run.final_chains()[run.nodes[0].name]
     counts: Dict[str, int] = {}
     for block in final.non_genesis():
-        name = f"p{block.creator}" if block.creator is not None else "<service>"
+        name = creator_name(block) or "<service>"
         counts[name] = counts.get(name, 0) + 1
     total = max(sum(counts.values()), 1)
     return {name: c / total for name, c in sorted(counts.items())}

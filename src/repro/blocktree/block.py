@@ -25,6 +25,7 @@ __all__ = [
     "Block",
     "GENESIS",
     "make_block",
+    "creator_name",
     "ValidityPredicate",
     "AlwaysValid",
     "TableValid",
@@ -114,6 +115,13 @@ def make_block(
         nonce=nonce,
         weight=weight,
     )
+
+
+def creator_name(block: Block) -> str | None:
+    """The replica name of ``block``'s creator (``p<creator>``), or
+    ``None`` for a block no replica is credited with."""
+    creator = block.creator
+    return None if creator is None else f"p{creator}"
 
 
 class ValidityPredicate:

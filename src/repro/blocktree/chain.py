@@ -189,7 +189,7 @@ class Chain:
     def iter_tipward(self) -> Iterator[Block]:
         """Iterate blocks from the tip toward genesis, lazily.
 
-        Consumers that stop early (e.g. the monitor's validity frontier)
+        Consumers that stop early (e.g. the UTXO view's catch-up walk)
         pay only for the suffix they actually visit — a view walks parent
         pointers without ever materializing the full tuple.
         """

@@ -51,7 +51,7 @@ Ancestry index (binary lifting)
 
 The consistency criteria are defined entirely in terms of the prefix
 relation ``⊑`` and maximal common prefixes, so ancestry queries dominate
-batch checking and online monitoring.  Every inserted block therefore
+consistency checking.  Every inserted block therefore
 records *jump pointers*: ``_anc[b][k]`` is the ``2^k``-th ancestor of
 ``b``, built in O(log n) per append from the parent's row.  On top of
 the jump table:

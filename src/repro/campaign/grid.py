@@ -55,8 +55,7 @@ SHARD_SCENARIO_PRESETS: Tuple[str, ...] = tuple(
 )
 
 #: Authenticated-pipeline presets (``repro.crypto.auth``): signed blocks
-#: and transactions with one signature adversary per preset (see
-#: :data:`repro.protocols.byzantine.ADVERSARY_KINDS`).
+#: and transactions with one signature adversary per preset.
 AUTH_SCENARIO_PRESETS: Tuple[str, ...] = tuple(
     name for name, preset in _REGISTRY.items() if preset.byzantine
 )

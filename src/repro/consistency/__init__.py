@@ -15,14 +15,13 @@ continuation semantics of :mod:`repro.histories.continuation`; without a
 continuation declaration a finite history is complete and satisfies them
 vacuously.
 
-Complexity guarantees (n blocks, r reads, c chain length, p
-reads-forever processes; README § Performance for the measured gates):
-batch Strong Prefix O(r·log n) via a running-maximum scan, Eventual
-Prefix O(p·log n + r) via a collective-LCA fold, Block Validity
-O(n + r) via a cumulative root-path memo; the online
-:class:`~repro.consistency.monitor.ConsistencyMonitor` pays O(log c)
-per read for Strong Prefix and amortized O(Δ) for Block Validity.
-Failing verdicts cost the same: each scan names its own witness.  The
-pre-index pairwise checkers (:mod:`repro.consistency.reference`) are
-kept for the differential tests and benches only.
+Complexity guarantees (n blocks, r reads, p reads-forever processes;
+README § Performance for the measured gates):
+Strong Prefix O(r·log n) via a running-maximum scan, Eventual Prefix
+O(p·log n + r) via a collective-LCA fold, Block Validity O(n + r) via a
+cumulative root-path memo, all in :mod:`repro.consistency.properties`,
+the one implementation of each clause.  Failing verdicts cost the same:
+each scan names its own witness.  The pre-index pairwise checkers
+(:mod:`repro.consistency.reference`) are kept for the differential
+tests and benches only.
 """

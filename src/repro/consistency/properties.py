@@ -15,10 +15,10 @@ scan that decides it is the scan that names its witness, so a violating
 history (the normal case for a prodigal-oracle protocol) costs what a
 passing one does.
 
-* **Strong Prefix** — a running-maximum scan (like the online monitor):
-  a set of chains is pairwise comparable iff it is totally ordered by
-  ``⊑``, so each chain only needs one O(log n) test against the current
-  maximum.  O(reads · log n).  The pair the scan stops at is the
+* **Strong Prefix** — a running-maximum scan: a set of chains is
+  pairwise comparable iff it is totally ordered by ``⊑``, so each chain
+  only needs one O(log n) test against the current maximum.
+  O(reads · log n).  The pair the scan stops at is the
   witness: the first read in history order that diverges from any
   earlier read, named with the read holding the maximum.
 * **Eventual Prefix** — the minimum pairwise common-prefix score of the
@@ -37,10 +37,7 @@ as a test-and-bench oracle only — nothing here imports them.
 histories that Block Validity and Eventual Prefix verdicts equal the
 oracle's, witness and all, and that Strong Prefix agrees on the verdict
 and the failing clause (it may name a different, equally incomparable
-pair than the oracle's ``for i: for j > i`` order).  For flagging
-violations on huge streams as they happen, use
-:class:`~repro.consistency.monitor.ConsistencyMonitor` (O(log n) per
-read, stream-ordered witnesses).
+pair than the oracle's ``for i: for j > i`` order).
 
 Liveness clauses are decided under the continuation semantics documented
 in :mod:`repro.histories.continuation`:

@@ -52,7 +52,7 @@ from dataclasses import dataclass, replace
 from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro._util import counter_row, prf_uint64, sha256_hex, stable_repr
-from repro.blocktree.block import Block
+from repro.blocktree.block import Block, creator_name
 from repro.crypto.hashing import hash_hex
 from repro.crypto.signatures import KeyPair, Signature, SignatureRegistry
 from repro.workloads.transactions import Transaction
@@ -64,7 +64,6 @@ __all__ = [
     "EquivocationEvidence",
     "auth_key_seed",
     "build_registry",
-    "creator_name",
     "sign_submissions",
 ]
 
@@ -112,11 +111,6 @@ def build_registry(seed: int, owners: Iterable[str]) -> SignatureRegistry:
     for owner in owners:
         registry.register(owner, auth_key_seed(seed, owner))
     return registry
-
-
-def creator_name(block: Block) -> Optional[str]:
-    """The replica name a creator-attributed block claims, else ``None``."""
-    return None if block.creator is None else f"p{block.creator}"
 
 
 @dataclass(frozen=True)
@@ -285,8 +279,8 @@ class BlockAuthenticator:
             if block_id in self.banned_ids:
                 return self._reject("block", "equivocation")
             self.counts["cache_hits"] += 1
-            creator = block.creator
-            if creator is not None and sig.signer != f"p{creator}":
+            claimed = creator_name(block)
+            if claimed is not None and sig.signer != claimed:
                 return self._reject("block", "wrong-signer")
             verdict = self._note_equivocation(block)
             if verdict != "ok":

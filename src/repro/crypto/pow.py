@@ -5,7 +5,8 @@ miner id) to a difficulty; :meth:`PoWPuzzle.mine` scans nonces until the
 header hash meets the difficulty.  This is the concrete mechanism the
 prodigal oracle abstracts for Bitcoin/Ethereum (§5.1–5.2): the *tape* of
 a merit-α miner corresponds to its sequence of nonce trials, each a
-Bernoulli(2^-difficulty) token draw.
+Bernoulli(2^-difficulty) token draw.  :meth:`PoWPuzzle.for_block` is the
+one place a block's header is built, for its miner and its verifiers.
 
 The network simulator usually models mining *time* instead (exponential
 races, :mod:`repro.protocols.base`) because simulating hash trials is
@@ -20,6 +21,7 @@ from dataclasses import dataclass
 from typing import Any, Optional, Tuple
 
 from repro.crypto.hashing import hash_hex, meets_difficulty
+from repro.crypto.merkle import MerkleTree
 
 __all__ = ["PoWPuzzle", "PoWSolution"]
 
@@ -45,6 +47,14 @@ class PoWPuzzle:
     payload_commitment: str
     miner: str
     difficulty_bits: int
+
+    @classmethod
+    def for_block(
+        cls, parent_id: str, payload: Tuple[Any, ...], miner: str, difficulty_bits: int
+    ) -> "PoWPuzzle":
+        """The puzzle of a block on ``parent_id`` carrying ``payload``,
+        committed to by its Merkle root."""
+        return cls(parent_id, MerkleTree(payload).root, miner, difficulty_bits)
 
     def header(self, nonce: int) -> Tuple[Any, ...]:
         """The hashed header tuple for a given nonce."""

@@ -15,9 +15,11 @@ constructor arguments via the repo PRF — no :mod:`random` state), and
 through :meth:`Overlay.declared_partitions`, which the property suite
 checks against a real BFS.
 
-Five topologies:
+Five topologies, four of them an :class:`Overlay`:
 
-* ``full`` — the legacy clique, byte-identical to pre-overlay routing;
+* ``full`` — not an overlay: the network's own complete graph, taken
+  when :class:`~repro.net.process.Network` has ``overlay=None``
+  (``ProtocolScenario.build_overlay()`` returns ``None`` for it);
 * ``ring`` — each node links to ``degree/2`` successors/predecessors on
   the sorted name ring (high diameter, the worst case for propagation);
 * ``small-world`` — Newman–Watts: the ring plus PRF-chosen shortcuts,
@@ -38,7 +40,6 @@ from repro._util import prf_uint64, require
 
 __all__ = [
     "Overlay",
-    "FullOverlay",
     "RingOverlay",
     "SmallWorldOverlay",
     "GeoClusteredOverlay",
@@ -88,27 +89,6 @@ class Overlay:
         if idx is None:
             raise KeyError(f"{name!r} is not in this overlay")
         return idx
-
-
-class FullOverlay(Overlay):
-    """The complete graph — the legacy all-pairs behaviour."""
-
-    kind = "full"
-
-    def __init__(self, names: Iterable[str], seed: int = 0, degree: int = 8) -> None:
-        super().__init__(names, seed, degree)
-        self._cache: Dict[str, Tuple[str, ...]] = {}
-
-    def neighbors(self, name: str) -> Tuple[str, ...]:
-        self._check_member(name)
-        cached = self._cache.get(name)
-        if cached is None:
-            cached = tuple(n for n in self.names if n != name)
-            self._cache[name] = cached
-        return cached
-
-    def degree_bound(self) -> int:
-        return len(self.names) - 1
 
 
 class RingOverlay(Overlay):
@@ -328,7 +308,6 @@ class SkipGraphOverlay(Overlay):
 
 
 _BUILDERS = {
-    "full": FullOverlay,
     "ring": RingOverlay,
     "small-world": SmallWorldOverlay,
     "geo": GeoClusteredOverlay,
@@ -339,11 +318,14 @@ _BUILDERS = {
 def build_overlay(
     kind: str, names: Iterable[str], seed: int = 0, degree: int = 8
 ) -> Overlay:
-    """Construct the overlay ``kind`` (one of :data:`TOPOLOGY_KINDS`)."""
+    """Construct the overlay ``kind`` (a :data:`TOPOLOGY_KINDS` entry
+    other than ``"full"``, which is ``Network(overlay=None)``)."""
     try:
         cls = _BUILDERS[kind]
     except KeyError:
-        raise ValueError(f"unknown overlay kind {kind!r}; expected one of {TOPOLOGY_KINDS}")
+        raise ValueError(
+            f"unknown overlay kind {kind!r}; expected one of {tuple(_BUILDERS)}"
+        )
     return cls(names, seed=seed, degree=degree)
 
 

@@ -171,13 +171,11 @@ class Network:
         simulator: Simulator,
         channel: Optional[ChannelModel] = None,
         recorder: Optional[HistoryRecorder] = None,
-        fifo: bool = True,
         overlay: Optional[Overlay] = None,
     ) -> None:
         self.simulator = simulator
         self.channel = channel or SynchronousChannel()
         self.recorder = recorder or HistoryRecorder()
-        self.fifo = fifo
         #: ``None`` means the legacy complete graph.
         self.overlay = overlay
         self.processes: Dict[str, SimProcess] = {}
@@ -307,7 +305,7 @@ class Network:
         now = simulator.now
         rng = simulator.rng
         delay_of = self.channel.delay
-        last_delivery = self._last_delivery if self.fifo else None
+        last_delivery = self._last_delivery
         schedule_call = simulator.schedule_call
         deliver = self._deliver
         for dst in dsts:
@@ -317,12 +315,11 @@ class Network:
                 self.messages_dropped += 1
                 continue
             deliver_at = now + delay
-            if last_delivery is not None:
-                key = (src, dst)
-                floor = last_delivery.get(key, 0.0) + 1e-9
-                if floor > deliver_at:
-                    deliver_at = floor
-                last_delivery[key] = deliver_at
+            key = (src, dst)
+            floor = last_delivery.get(key, 0.0) + 1e-9
+            if floor > deliver_at:
+                deliver_at = floor
+            last_delivery[key] = deliver_at
             schedule_call(deliver_at, deliver, src, dst, message)
 
     def _deliver(self, src: str, dst: str, message: Any) -> None:

@@ -54,6 +54,7 @@ from __future__ import annotations
 from typing import Any, Dict, List, Optional, Tuple
 
 from repro._util import counter_row, prf_uint64, prf_unit, wire_size
+from repro.blocktree.block import creator_name
 from repro.mempool import TX_GOSSIP_TAG
 from repro.net.sketch import BloomFilter, IBLT, iblt_cells_for, key_digest
 from repro.workloads.scenarios import GOSSIP_TAG
@@ -281,7 +282,7 @@ class ReconcileTransport(GossipTransport):
         self._clock += 1
         self._broadcast(
             (RECON_BLK_ANN, block.block_id, block.parent_id,
-             self.node.creator_name(block))
+             creator_name(block) or "")
         )
 
     def relay_block(self, block: Any) -> None:

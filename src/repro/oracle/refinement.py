@@ -77,22 +77,7 @@ class RefinedBTADT:
         The loop is bounded by ``max_attempts`` purely as an engineering
         guard; tapes have ``p > 0`` so it terminates long before.
         """
-        holder = self.selection.select(self.tree).tip
-        attempts = 0
-        tokenized: Optional[TokenizedBlock] = None
-        while tokenized is None:
-            if attempts >= self.max_attempts:
-                raise RuntimeError(
-                    f"getToken did not grant a token within {self.max_attempts} attempts"
-                )
-            tokenized = self.oracle.get_token(holder, descriptor, merit_id)
-            attempts += 1
-        bucket = self.oracle.consume_token(tokenized)
-        success = any(b.block_id == tokenized.block.block_id for b in bucket)
-        if success:
-            self.validity.admit(tokenized.block)
-            self.tree.add_block(tokenized.block)
-        return RefinementResult(success=success, attempts=attempts, tokenized=tokenized)
+        return self.append_at(self.selection.select(self.tree).tip, descriptor, merit_id)
 
     def append_at(self, holder: Block, descriptor: Block, merit_id: str) -> RefinementResult:
         """Refined append targeting an explicit holder block.
@@ -107,7 +92,9 @@ class RefinedBTADT:
         tokenized: Optional[TokenizedBlock] = None
         while tokenized is None:
             if attempts >= self.max_attempts:
-                raise RuntimeError("getToken starvation")
+                raise RuntimeError(
+                    f"getToken did not grant a token within {self.max_attempts} attempts"
+                )
             tokenized = self.oracle.get_token(holder, descriptor, merit_id)
             attempts += 1
         bucket = self.oracle.consume_token(tokenized)

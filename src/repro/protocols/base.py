@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple, Type
 
 from repro._util import BoundedSet, prf_uint64
-from repro.blocktree.block import Block, make_block
+from repro.blocktree.block import Block, creator_name, make_block
 from repro.blocktree.chain import Chain
 from repro.blocktree.selection import LongestChain, SelectionFunction
 from repro.blocktree.tree import BlockTree
@@ -313,11 +313,6 @@ class BlockchainNode(SimProcess):
 
     # -- block dissemination ---------------------------------------------------------
 
-    @staticmethod
-    def creator_name(block: Block) -> str:
-        """The process name of a block's creator (``""`` when unknown)."""
-        return f"p{block.creator}" if block.creator is not None else ""
-
     def announce_block(self, block: Block) -> None:
         """Disseminate a block to all peers (recording the ``send`` event).
 
@@ -331,8 +326,9 @@ class BlockchainNode(SimProcess):
         self.record_receive(block)
 
     def block_event_args(self, block: Block) -> Tuple[Any, str, str]:
-        """The arguments of a recorded §4.2 send/receive/update."""
-        return (block.parent_id, block.block_id, self.creator_name(block))
+        """The arguments of a recorded §4.2 send/receive/update (the
+        creator is ``""`` for a block no replica is credited with)."""
+        return (block.parent_id, block.block_id, creator_name(block) or "")
 
     def record_receive(self, block: Block) -> None:
         """Record the §4.2 ``receive`` of ``block`` and mark it, so that
@@ -360,13 +356,9 @@ class BlockchainNode(SimProcess):
         if bits <= 0:
             return True
         from repro.crypto.pow import PoWPuzzle
-        from repro.crypto.merkle import MerkleTree
 
-        puzzle = PoWPuzzle(
-            parent_id=block.parent_id or "",
-            payload_commitment=MerkleTree(block.payload).root,
-            miner=self.creator_name(block),
-            difficulty_bits=bits,
+        puzzle = PoWPuzzle.for_block(
+            block.parent_id or "", block.payload, creator_name(block) or "", bits
         )
         return puzzle.check(block.nonce)
 

@@ -90,16 +90,9 @@ class BitcoinNode(PoWRaceNode):
         bits = self.scenario.pow_difficulty_bits
         if bits <= 0:
             return 0
-        from repro.crypto.merkle import MerkleTree
         from repro.crypto.pow import PoWPuzzle
 
-        puzzle = PoWPuzzle(
-            parent_id=tip.block_id,
-            payload_commitment=MerkleTree(payload).root,
-            miner=self.name,
-            difficulty_bits=bits,
-        )
-        solution = puzzle.mine()
+        solution = PoWPuzzle.for_block(tip.block_id, payload, self.name, bits).mine()
         if solution is None:
             raise RuntimeError("PoW search exhausted — difficulty too high")
         return solution.nonce

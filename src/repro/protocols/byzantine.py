@@ -183,8 +183,7 @@ class StolenIdentityRelay(BitcoinNode):
         return True  # Byzantine: accepts anything, including its own blocks
 
 
-#: AdversarialScenario.byzantine kind → node class (mirrored by
-#: BYZANTINE_KINDS in repro.workloads.scenarios for validation).
+#: AdversarialScenario.byzantine kind → node class.
 ADVERSARY_KINDS = {
     "forged-signature": ForgedSignatureMiner,
     "equivocating-signer": EquivocatingMiner,

@@ -35,7 +35,7 @@ from dataclasses import dataclass, replace
 from typing import Any, Callable, Dict, Iterator, List, Optional, Tuple, Union
 
 from repro._util import prf_uint64
-from repro.blocktree.block import GENESIS, Block, make_block
+from repro.blocktree.block import GENESIS, Block, creator_name, make_block
 from repro.blocktree.tree import BlockTree, PrunePolicy
 from repro.storage import STORE_KINDS, open_store
 from repro.storage.base import BlockStore
@@ -73,11 +73,6 @@ GOSSIP_TAG = "block-gossip"
 #: Envelope tag for shard-facet traffic, ``(SHARD_TAG, shard_id, inner)``
 #: (see :mod:`repro.shard.node`) — here for the same reason.
 SHARD_TAG = "shard"
-
-#: Byzantine replica kinds (mirrors ADVERSARY_KINDS in
-#: :mod:`repro.protocols.byzantine`; listed here so scenario validation
-#: does not import the protocol layer, which imports this module).
-BYZANTINE_KINDS = ("forged-signature", "equivocating-signer", "stolen-identity")
 
 
 def derive_seed(seed: int, *context: Union[str, int]) -> int:
@@ -570,13 +565,16 @@ class AdversarialScenario(ProtocolScenario):
         super().validate()
         names = self.node_names()
         seen_byz = set()
+        if self.byzantine:
+            # Imported here: the protocol layer imports this module.
+            from repro.protocols.byzantine import ADVERSARY_KINDS
         for node, kind in self.byzantine:
             if node not in names:
                 raise ValueError(f"byzantine node {node!r} is not in the network")
-            if kind not in BYZANTINE_KINDS:
+            if kind not in ADVERSARY_KINDS:
                 raise ValueError(
                     f"unknown byzantine kind {kind!r}; expected one of "
-                    f"{BYZANTINE_KINDS}"
+                    f"{tuple(ADVERSARY_KINDS)}"
                 )
             if node in seen_byz:
                 raise ValueError(f"node {node!r} assigned two byzantine kinds")
@@ -668,8 +666,7 @@ class AdversarialScenario(ProtocolScenario):
             selfish = set(self.selfish_nodes)
 
             def _creator_is(block: Any, src: str) -> bool:
-                creator = getattr(block, "creator", None)
-                return creator is not None and f"p{creator}" == src
+                return isinstance(block, Block) and creator_name(block) == src
 
             def withholds(src: str, dst: str, message: Any, now: float) -> bool:
                 # Withhold only the miner's *own* blocks: forwarded
@@ -888,23 +885,19 @@ class TreeScenario:
         self,
         tree: Optional[BlockTree] = None,
         on_block: Optional[Callable[[BlockTree, Block], None]] = None,
-        store: Union[BlockStore, str, None] = None,
+        store: Optional[BlockStore] = None,
         prune: Optional[PrunePolicy] = None,
     ) -> BlockTree:
         """Grow ``tree`` (a fresh one by default) with the workload.
 
         ``on_block(tree, block)`` runs after every insertion — the perf
-        benches use it to interleave reads with growth.  ``store`` (a
-        :class:`~repro.storage.base.BlockStore` or a spec string for
-        :func:`repro.storage.open_store`) and ``prune`` configure the
-        fresh tree's backend and hot-set lifecycle; they cannot be
-        combined with an explicit ``tree``.
+        benches use it to interleave reads with growth.  ``store`` and
+        ``prune`` configure the fresh tree's backend and hot-set
+        lifecycle; they cannot be combined with an explicit ``tree``.
         """
         if tree is not None and (store is not None or prune is not None):
             raise ValueError("pass store/prune or an existing tree, not both")
         if tree is None:
-            if isinstance(store, str):
-                store = open_store(store)
             tree = BlockTree(store=store, prune=prune)
         for block in self.blocks():
             tree.add_block(block)

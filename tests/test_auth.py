@@ -11,13 +11,12 @@ from dataclasses import replace
 
 import pytest
 
-from repro.blocktree.block import GENESIS, make_block
+from repro.blocktree.block import GENESIS, creator_name, make_block
 from repro.crypto.auth import (
     AUTH_REJECT_REASONS,
     BlockAuthenticator,
     EquivocationEvidence,
     build_registry,
-    creator_name,
     sign_submissions,
 )
 from repro.crypto.signatures import KeyPair, SignatureRegistry

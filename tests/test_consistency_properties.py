@@ -135,13 +135,31 @@ class TestLocalMonotonicRead:
 
 class TestStrongPrefix:
     def test_comparable_chains_ok(self):
-        h = record_reads([("i", build_chain("1")), ("j", build_chain("1", "2"))])
+        # A repeated read, one process growing its prefix, and a shorter
+        # prefix read after a longer one are all pairwise comparable.
+        h = record_reads(
+            [
+                ("i", build_chain("1")),
+                ("i", build_chain("1")),
+                ("j", build_chain("1", "2")),
+                ("j", build_chain("1", "2", "3")),
+                ("k", build_chain("1")),
+            ]
+        )
         assert check_strong_prefix(h).ok
 
     def test_divergent_chains_fail(self):
         h = record_reads([("i", build_chain("1")), ("j", build_chain("2"))])
         result = check_strong_prefix(h)
         assert not result.ok and "diverging" in result.witness
+
+    def test_witness_names_the_first_diverging_read(self):
+        h = record_reads(
+            [("i", build_chain("1")), ("j", build_chain("2")), ("k", build_chain("3"))]
+        )
+        first, second, _ = h.reads()
+        witness = check_strong_prefix(h).witness
+        assert f"reads {first.op_id}@i and {second.op_id}@j" in witness
 
     def test_continuation_divergent_limits_fail(self):
         h = record_reads([("i", build_chain("1")), ("j", build_chain("1"))])
@@ -267,6 +285,15 @@ class TestKForkCoherence:
         for b in (b1, b2):
             op = rec.begin("i", "append", (b.block_id, b.parent_id))
             rec.end("i", op, "append", True)
+        result = check_k_fork_coherence(rec.history(), k=1)
+        assert not result.ok and "> k" in result.witness
+
+    def test_appends_by_different_processes_share_the_cap(self):
+        rec = HistoryRecorder()
+        for proc, label in (("p", "1"), ("q", "2")):
+            b = make_block(GENESIS, label=label)
+            op = rec.begin(proc, "append", (b.block_id, b.parent_id))
+            rec.end(proc, op, "append", True)
         result = check_k_fork_coherence(rec.history(), k=1)
         assert not result.ok and "> k" in result.witness
 

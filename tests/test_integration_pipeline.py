@@ -1,9 +1,9 @@
-"""End-to-end integration: protocol run → checkers → monitor → embedding.
+"""End-to-end integration: protocol run → checkers → embedding → metrics.
 
 These tests chain the whole library the way a downstream user would:
-run a system, purge the history, judge it with the batch criteria, stream
-it through the online monitor, attempt a sequential embedding, and
-extract metrics — asserting the pieces agree with each other.
+run a system, purge the history, judge it with the SC/EC criteria and
+k-Fork Coherence, attempt a sequential embedding, and extract metrics —
+asserting the pieces agree with each other.
 """
 
 import pytest
@@ -13,7 +13,7 @@ from repro.blocktree.score import LengthScore
 from repro.blocktree.selection import LongestChain
 from repro.consistency.criteria import BTEventualConsistency, BTStrongConsistency
 from repro.consistency.embedding import linearize_bt_history
-from repro.consistency.monitor import ConsistencyMonitor
+from repro.consistency.properties import check_k_fork_coherence
 from repro.protocols.bitcoin import run_bitcoin
 from repro.protocols.redbelly import run_redbelly
 from repro.workloads.scenarios import ProtocolScenario
@@ -40,9 +40,9 @@ def ec_run():
 class TestStrongPipeline:
     def test_checkers_monitor_and_metrics_agree(self, sc_run):
         history = sc_run.history.purged()
-        assert BTStrongConsistency(score=SCORE).check(history).ok
-        mon = ConsistencyMonitor(score=SCORE, k=1).replay_history(history)
-        assert mon.ok, mon.first_violation()
+        report = BTStrongConsistency(score=SCORE).check(history)
+        assert report.ok, report.describe()
+        assert check_k_fork_coherence(history, k=1).ok
         assert fork_rate(sc_run) == 0.0
         assert divergence_depth(sc_run) == 0
         assert chain_growth(sc_run) > 0
@@ -61,11 +61,10 @@ class TestEventualPipeline:
         sc = BTStrongConsistency(score=SCORE).check(history)
         ec = BTEventualConsistency(score=SCORE).check(history)
         assert ec.ok and not sc.ok
-        mon = ConsistencyMonitor(score=SCORE).replay_history(history)
-        assert "strong-prefix" in mon.violated_properties()
-        # The monitor's first divergence and the batch witness both exist.
-        assert sc.checks["strong-prefix"].witness
-        assert mon.first_violation() is not None
+        # Strong Prefix is the only SC clause a forked honest run breaks,
+        # and its witness names the diverging reads.
+        assert set(sc.failures()) == {"strong-prefix"}
+        assert "diverging chains" in sc.checks["strong-prefix"].witness
         assert fork_rate(ec_run) > 0.0
 
     def test_forked_history_does_not_linearize(self, ec_run):
@@ -75,9 +74,9 @@ class TestEventualPipeline:
 
     def test_monotonic_read_never_violated_by_honest_protocols(self, ec_run):
         history = ec_run.history.purged()
-        mon = ConsistencyMonitor(score=SCORE).replay_history(history)
-        assert "local-monotonic-read" not in mon.violated_properties()
-        assert "block-validity" not in mon.violated_properties()
+        report = BTStrongConsistency(score=SCORE).check(history)
+        assert report.checks["local-monotonic-read"].ok
+        assert report.checks["block-validity"].ok
 
 
 class TestCrossProtocolInvariants:

@@ -15,6 +15,7 @@ Three invariants over *arbitrary* node-name sets, seeds and degrees:
 
 import string
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.net.overlay import (
@@ -23,6 +24,9 @@ from repro.net.overlay import (
     build_overlay,
     components,
 )
+from repro.net.process import Network
+from repro.net.simulator import Simulator
+from repro.workloads.scenarios import ProtocolScenario
 
 # Arbitrary node ids: not just p0…pN — routing and PRF derivations must
 # not depend on the repo's naming convention.
@@ -33,12 +37,13 @@ names_strategy = st.lists(
     unique=True,
 )
 
+#: ``"full"`` is no overlay: it is ``Network(overlay=None)``.
 sparse_kinds = tuple(k for k in TOPOLOGY_KINDS if k != "full")
 
 
 @given(
     names=names_strategy,
-    kind=st.sampled_from(TOPOLOGY_KINDS),
+    kind=st.sampled_from(sparse_kinds),
     seed=st.integers(min_value=0, max_value=2**32),
     degree=st.integers(min_value=4, max_value=16),
 )
@@ -56,7 +61,7 @@ def test_overlay_connected_or_partitions_declared(names, kind, seed, degree):
 
 @given(
     names=names_strategy,
-    kind=st.sampled_from(TOPOLOGY_KINDS),
+    kind=st.sampled_from(sparse_kinds),
     seed=st.integers(min_value=0, max_value=2**32),
     degree=st.integers(min_value=4, max_value=16),
 )
@@ -74,6 +79,17 @@ def test_degree_bounds_and_symmetry(names, kind, seed, degree):
             assert name in ov.neighbors(other), f"{kind}: {name}->{other} one-way"
         if len(ov.names) > 1:
             assert nbs, f"{kind}: {name} is isolated"
+
+
+def test_full_topology_is_the_networks_own_complete_graph():
+    scenario = ProtocolScenario(name="x", n_nodes=3)
+    assert scenario.topology == "full" and scenario.build_overlay() is None
+    with pytest.raises(ValueError, match="unknown overlay kind 'full'"):
+        build_overlay("full", scenario.node_names())
+    net = Network(Simulator(seed=0), overlay=None)
+    for name in scenario.node_names():
+        net.register_factory(name, lambda n: None)
+    assert net.neighbors_of("p1") == ("p0", "p2")
 
 
 @given(

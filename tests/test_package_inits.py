@@ -37,7 +37,6 @@ NOT_ON_THE_RUN_PATH = {
     "repro.blocktree.reference",
     "repro.consistency.embedding",
     "repro.consistency.hierarchy",
-    "repro.consistency.monitor",
     "repro.consistency.reference",
     "repro.net.broadcast",
     "repro.net.reference_queue",

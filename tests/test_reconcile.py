@@ -83,8 +83,15 @@ class TestTransportSelection:
         scenario = ProtocolScenario(name="t", n_nodes=3, duration=30.0)
         node = BitcoinNode("p0", scenario)
         assert node.transport.kind == "flood"
-        assert GOSSIP_TAG == "blk-gossip" or GOSSIP_TAG  # tag exists
-        assert TX_GOSSIP_TAG  # tag exists
+        assert GOSSIP_TAG == "block-gossip"
+        assert TX_GOSSIP_TAG == "tx-gossip"
+        assert set(FloodTransport.LENGTHS) == {GOSSIP_TAG, TX_GOSSIP_TAG}
+        routed = {
+            tag
+            for tag, (handler, _) in node.routes.items()
+            if handler == node.transport.on_message
+        }
+        assert routed == {GOSSIP_TAG, TX_GOSSIP_TAG}
 
     def test_scenario_validates_gossip_knobs(self):
         with pytest.raises(ValueError):

@@ -101,11 +101,13 @@ def test_open_store_factory_grammar(tmp_path):
     log = open_store("log", path=str(tmp_path / "a.btlog"))
     assert isinstance(log, AppendOnlyLogStore)
     log.close()
-    inline = open_store(f"log:{tmp_path / 'b.btlog'}")
-    assert isinstance(inline, AppendOnlyLogStore)
-    inline.close()
+    sqlite = open_store("sqlite", path=str(tmp_path / "b.db"))
+    assert isinstance(sqlite, SQLiteStore)
+    sqlite.close()
     with pytest.raises(ValueError):
         open_store("bogus")
+    with pytest.raises(ValueError):  # the location is ``path``, not the kind
+        open_store(f"log:{tmp_path / 'c.btlog'}")
     with pytest.raises(ValueError):
         open_store("log")  # a log store is its file
     with pytest.raises(ValueError):
@@ -179,11 +181,11 @@ def test_tree_reads_identical_across_backends(tmp_path):
 
 def test_tree_scenario_build_accepts_store_specs(tmp_path):
     scenario = TreeScenario(name="spec", n_blocks=200)
-    tree = scenario.build(store=f"log:{tmp_path / 'spec.btlog'}")
+    tree = scenario.build(store=open_store("log", path=str(tmp_path / "spec.btlog")))
     assert len(tree) == 201
     tree._store.close()
     with pytest.raises(ValueError):
-        scenario.build(tree=BlockTree(), store="memory")
+        scenario.build(tree=BlockTree(), store=InMemoryStore())
 
 
 # -- the prune lifecycle -------------------------------------------------------
