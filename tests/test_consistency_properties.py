@@ -128,6 +128,11 @@ class TestLocalMonotonicRead:
         result = check_local_monotonic_read(h, SCORE)
         assert not result.ok and "process i" in result.witness
 
+    def test_repeated_read_ok(self):
+        h = record_reads([("i", build_chain("1")), ("i", build_chain("1"))])
+        assert check_local_monotonic_read(h, SCORE).ok
+        assert check_strong_prefix(h).ok
+
     def test_cross_process_not_constrained(self):
         h = record_reads([("i", build_chain("1", "2")), ("j", build_chain("1"))])
         assert check_local_monotonic_read(h, SCORE).ok
@@ -135,17 +140,22 @@ class TestLocalMonotonicRead:
 
 class TestStrongPrefix:
     def test_comparable_chains_ok(self):
-        # A repeated read, one process growing its prefix, and a shorter
-        # prefix read after a longer one are all pairwise comparable.
+        h = record_reads([("i", build_chain("1")), ("j", build_chain("1", "2"))])
+        assert check_strong_prefix(h).ok
+
+    def test_prefix_growth_ok(self):
         h = record_reads(
             [
                 ("i", build_chain("1")),
-                ("i", build_chain("1")),
-                ("j", build_chain("1", "2")),
-                ("j", build_chain("1", "2", "3")),
-                ("k", build_chain("1")),
+                ("i", build_chain("1", "2")),
+                ("i", build_chain("1", "2", "3")),
             ]
         )
+        assert check_strong_prefix(h).ok
+
+    def test_shorter_prefix_read_ok(self):
+        # j reads a prefix of what i read before it: still comparable.
+        h = record_reads([("i", build_chain("1", "2", "3")), ("j", build_chain("1"))])
         assert check_strong_prefix(h).ok
 
     def test_divergent_chains_fail(self):
