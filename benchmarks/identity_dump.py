@@ -19,11 +19,11 @@ Each line is ``json.dumps(..., sort_keys=True)`` of, in a fixed order:
   client traffic on a log store;
 * the ``CampaignMatrix.to_dict(include_timing=False)`` of a
   2 protocols × 2 presets × 2 seeds grid;
-* one fingerprint per ``BitcoinNode`` subclass in
-  :mod:`repro.protocols.byzantine` / :mod:`repro.protocols.validating`:
-  the class at p0 of a 4-node run (bits 0 and 8, unsigned and signed),
-  every replica's sorted tree ids, the event count, the history size
-  and the gossip byte totals.
+* one fingerprint per :data:`MINERS` class (every ``BitcoinNode``
+  subclass of :mod:`repro.protocols.byzantine` and
+  :mod:`repro.protocols.validating`): the class at p0 of a 4-node run
+  (bits 0 and 8, unsigned and signed), every replica's sorted tree ids,
+  the event count, the history size and the gossip byte totals.
 
 Nothing wall-clock enters a line; the runtime goes to stderr.
 """
@@ -97,22 +97,25 @@ def _run_cell(
     return cell, runs[0]
 
 
-def _miner_classes():
-    for module in (byzantine, validating):
-        for name in sorted(vars(module)):
-            cls = getattr(module, name)
-            if (
-                isinstance(cls, type)
-                and issubclass(cls, BitcoinNode)
-                and cls.__module__ == module.__name__
-            ):
-                yield module, cls
+#: The fingerprinted miners, each run against honest peers of its own
+#: module's kind.
+MINERS = (
+    byzantine.EquivocatingMiner,
+    byzantine.ForgedSignatureMiner,
+    byzantine.ForgingMiner,
+    byzantine.StolenIdentityRelay,
+    byzantine.WithholdingMiner,
+    validating.DoubleSpendMiner,
+    validating.ValidatingBitcoinNode,
+)
 
 
 def _fingerprints() -> Iterator[str]:
-    for module, cls in _miner_classes():
+    for cls in MINERS:
         honest = (
-            validating.ValidatingBitcoinNode if module is validating else BitcoinNode
+            validating.ValidatingBitcoinNode
+            if cls.__module__ == validating.__name__
+            else BitcoinNode
         )
         for bits in (0, 8):
             for auth in (False, True):

@@ -5,9 +5,9 @@ Not a paper figure — these gate the block-store layer:
 * **append gate** — raw ``put`` throughput per backend (pre-generated
   blocks, one flush at the end).  Floors are ~5-10× below measured dev
   numbers so only structural regressions (per-put fsync, per-put seek
-  flushes, autocommit) trip them.
-* **cold-read gate** — reopen a durable store and time random ``get``\\ s:
-  one seek + CRC-checked decode (log) / one indexed SELECT (sqlite).
+  flushes) trip them.
+* **cold-read gate** — reopen the log store and time random ``get``\\ s:
+  one seek + CRC-checked decode each.
 * **replay gate** — crash-recovery speed: reopen a 100k-block log
   (index rebuild) and ``BlockTree.replay`` it back into a full tree.
 * **bounded-hot-set gate** — a 200k-block ``TreeScenario`` on
@@ -35,7 +35,7 @@ from repro.workloads.scenarios import TreeScenario
 _SCALE = 200_000
 
 #: Raw-append floors (blocks/s), ~5-10× below measured dev-box numbers.
-_APPEND_GATES = {"memory": 200_000, "log": 50_000, "sqlite": 10_000}
+_APPEND_GATES = {"memory": 200_000, "log": 50_000}
 _COLD_READ_GATE_US = 1_000.0  # mean µs per cold get (measured ~6-12 µs)
 _REPLAY_GATE = 25_000  # blocks/s through store reopen + tree rebuild
 
@@ -54,11 +54,10 @@ def _linear_blocks(n):
 def _open(store_kind, tmp_path, name):
     if store_kind == "memory":
         return InMemoryStore()
-    suffix = "btlog" if store_kind == "log" else "db"
-    return open_store(store_kind, path=str(tmp_path / f"{name}.{suffix}"))
+    return open_store(store_kind, path=str(tmp_path / f"{name}.btlog"))
 
 
-@pytest.mark.parametrize("store_kind", ("memory", "log", "sqlite"))
+@pytest.mark.parametrize("store_kind", ("memory", "log"))
 def test_bench_append_throughput(report, store_kind, tmp_path):
     """Gate: raw put throughput per backend (floors in _APPEND_GATES)."""
     n = 50_000
@@ -88,16 +87,16 @@ def test_bench_append_throughput(report, store_kind, tmp_path):
     )
 
 
-@pytest.mark.parametrize("store_kind", ("log", "sqlite"))
-def test_bench_cold_read_latency(report, store_kind, tmp_path):
-    """Gate: mean cold ``get`` after reopen ≤ 1 ms (durable backends)."""
+def test_bench_cold_read_latency(report, tmp_path):
+    """Gate: mean cold ``get`` after reopen ≤ 1 ms (the log store)."""
     n, probes = 100_000, 2_000
     blocks = _linear_blocks(n)
-    store = _open(store_kind, tmp_path, "cold")
+    path = str(tmp_path / "cold.btlog")
+    store = AppendOnlyLogStore(path)
     for block in blocks:
         store.put(block)
     store.close()
-    reopened = _open(store_kind, tmp_path, "cold")
+    reopened = AppendOnlyLogStore(path)
     rng = random.Random(2024)
     wanted = [blocks[rng.randrange(n)] for _ in range(probes)]
     start = time.perf_counter()
@@ -107,18 +106,18 @@ def test_bench_cold_read_latency(report, store_kind, tmp_path):
     assert got == wanted[-1]  # value-identical round-trip
     reopened.close()
     row = {
-        "store": store_kind,
+        "store": "log",
         "stored_blocks": n,
         "probes": probes,
         "mean_us": round(mean_us, 2),
         "gate_us": _COLD_READ_GATE_US,
     }
     report(
-        f"Cold-read latency, {store_kind} store (gate: ≤{_COLD_READ_GATE_US:.0f}µs mean)",
+        f"Cold-read latency, log store (gate: ≤{_COLD_READ_GATE_US:.0f}µs mean)",
         json.dumps(row, indent=2),
     )
     assert mean_us <= _COLD_READ_GATE_US, (
-        f"{store_kind} cold read {mean_us:.1f}µs above the gate"
+        f"log cold read {mean_us:.1f}µs above the gate"
     )
 
 

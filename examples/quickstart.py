@@ -103,7 +103,8 @@ def demo_store_backends() -> None:
     # Every read notes its tip; when residency hits the cap the LCA of
     # recent reads (held back 32 blocks for confirmation) is checkpointed
     # to the log and everything below it is evicted from RAM.
-    log_path = os.path.join(tempfile.mkdtemp(prefix="repro-quickstart-"), "blocks.btlog")
+    workdir = tempfile.TemporaryDirectory(prefix="repro-quickstart-")
+    log_path = os.path.join(workdir.name, "blocks.btlog")
     pruned = scenario.build(
         store=open_store("log", path=log_path),
         prune=PrunePolicy(hot_cap=1_500, recent_reads=8, finality_margin=32),
@@ -123,6 +124,7 @@ def demo_store_backends() -> None:
     print(f"  deep fault works    : {pruned.get(deep.block_id) == plain.get(deep.block_id)}"
           f"  (faults so far: {pruned.stats()['fault_count']})")
     pruned._store.close()
+    workdir.cleanup()
 
 
 if __name__ == "__main__":

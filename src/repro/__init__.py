@@ -8,8 +8,8 @@ artifacts:
 
 * :mod:`repro.adt` — ADTs as transducers, sequential specifications.
 * :mod:`repro.blocktree` — the BlockTree and the BT-ADT (Definition 3.1).
-* :mod:`repro.storage` — pluggable block-store backends (memory, binary
-  log, sqlite) behind the checkpoint/prune lifecycle.
+* :mod:`repro.storage` — block-store backends (memory, durable binary
+  log) behind the checkpoint/prune lifecycle.
 * :mod:`repro.oracle` — token oracles Θ_F/Θ_P and R(BT-ADT, Θ).
 * :mod:`repro.histories` — concurrent histories (Definition 2.4).
 * :mod:`repro.consistency` — SC/EC criteria checkers and the hierarchy.
@@ -18,7 +18,7 @@ artifacts:
 * :mod:`repro.net` — message-passing discrete-event simulator, channels,
   LRC / Update Agreement (Section 4.2–4.4).
 * :mod:`repro.consensus` — PBFT, BA*, DBFT-style, ordering service.
-* :mod:`repro.crypto` — hashing, proof-of-work, VRF/sortition, Merkle,
+* :mod:`repro.crypto` — hashing, proof-of-work, VRF/sortition, Merkle roots,
   simulated signatures.
 * :mod:`repro.protocols` — the seven systems of Table 1 as simulations.
 * :mod:`repro.workloads` — synthetic transactions and scenario configs.

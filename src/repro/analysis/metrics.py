@@ -1,7 +1,7 @@
 """Metrics over protocol runs and histories.
 
 These are the Garay-et-al-flavoured chain metrics the paper's §5.1 cites
-(chain growth, chain quality, common prefix) plus the convergence
+(chain quality, common prefix) plus the convergence
 quantities the Eventual Prefix property talks about, measured rather than
 checked: how long until everyone holds an update, and how deep transient
 divergences go.
@@ -18,7 +18,6 @@ __all__ = [
     "fork_rate",
     "convergence_lags",
     "divergence_depth",
-    "chain_growth",
     "chain_quality",
 ]
 
@@ -74,12 +73,6 @@ def divergence_depth(run: ProtocolRun) -> int:
         off = sum(1 for b in chain.non_genesis() if b.block_id not in final_ids)
         worst = max(worst, off)
     return worst
-
-
-def chain_growth(run: ProtocolRun) -> float:
-    """Committed blocks per unit of simulated production time."""
-    final = run.final_chains()[run.nodes[0].name]
-    return final.height / run.scenario.duration
 
 
 def chain_quality(run: ProtocolRun) -> Dict[str, float]:

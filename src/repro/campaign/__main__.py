@@ -28,6 +28,7 @@ from typing import Optional, Tuple
 
 from repro.campaign.engine import run_campaign
 from repro.campaign.grid import PROTOCOLS, SCENARIO_PRESETS, CampaignGrid
+from repro.storage import STORE_KINDS
 
 
 def _csv_tuple(text: str) -> Tuple[str, ...]:
@@ -81,7 +82,8 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--store",
         default="memory",
-        help="block-store backend per replica: memory, log or sqlite",
+        choices=sorted(STORE_KINDS),
+        help="block-store backend per replica: memory or the durable log",
     )
     parser.add_argument(
         "--workdir",

@@ -152,6 +152,8 @@ class CampaignGrid:
         ProtocolScenario(
             name="grid",
             store=self.store,
+            # Validated, never built: each cell gets its own directory.
+            store_dir=os.curdir,
             gossip=self.gossip,
             topology=self.topology,
             topology_degree=self.topology_degree,

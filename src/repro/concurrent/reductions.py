@@ -4,7 +4,7 @@
   ``Compare&Swap(K[h], {}, b)`` by a single ``consumeToken`` invocation on
   a Θ_F,k=1 CT object (Theorem 4.1).  Since CAS has consensus number ∞,
   so has ``consumeToken`` — half of Theorem 4.2.
-* :func:`cas_consensus_program` — the classic consensus-from-CAS program
+* :class:`CASConsensusProgram` — the classic consensus-from-CAS program
   used to certify the CAS object itself (and hence, composed with
   Figure 10, consensus from the frugal oracle) on all interleavings.
 * :class:`SnapshotConsumeToken` — Figure 12: the prodigal
@@ -24,7 +24,6 @@ __all__ = [
     "CASFromConsumeToken",
     "cas_compare_and_swap",
     "CASConsensusProgram",
-    "cas_consensus_program",
     "SnapshotConsumeToken",
 ]
 
@@ -101,11 +100,6 @@ class CASConsensusProgram(Program):
             decided = self.value if response is None else response
             return ("decided",), Decide(decided)
         return local, Done()
-
-
-def cas_consensus_program(value: Any) -> CASConsensusProgram:
-    """Factory matching the naming used by benches and tests."""
-    return CASConsensusProgram(value)
 
 
 # ---------------------------------------------------------------------------

@@ -26,7 +26,7 @@ from typing import Any, Callable, Dict, List, Optional, Set, Tuple
 from repro.consensus.relay import QuorumRelay
 from repro.net.process import SimProcess
 
-__all__ = ["OrderingService", "OrderingClient"]
+__all__ = ["OrderingService"]
 
 SUBMIT = "ord-submit"
 ORDER = "ord-order"
@@ -42,9 +42,8 @@ class OrderingService:
     """One ordering node; a cluster of these provides total-order broadcast.
 
     ``on_deliver(seq, batch)`` fires in strictly increasing ``seq`` order
-    at every correct node (gaps are buffered).  Clients submit via
-    :class:`OrderingClient` or by sending ``(SUBMIT, batch)`` to any node,
-    which forwards to the current leader.
+    at every correct node (gaps are buffered).  Clients submit by sending
+    ``(SUBMIT, batch)`` to any node, which forwards to the current leader.
     """
 
     def __init__(
@@ -207,14 +206,3 @@ class OrderingService:
             self.unordered = []
         self._arm_watchdog()
 
-
-class OrderingClient:
-    """Thin client helper: submit batches to any ordering node."""
-
-    def __init__(self, host: SimProcess, any_orderer: str) -> None:
-        self.host = host
-        self.orderer = any_orderer
-
-    def submit(self, batch: Any) -> None:
-        """Send a batch to the configured ordering node."""
-        self.host.send(self.orderer, (SUBMIT, batch))

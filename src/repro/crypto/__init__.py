@@ -8,7 +8,7 @@ form:
 
 * :mod:`repro.crypto.hashing` — SHA-256 wrappers and difficulty targets.
 * :mod:`repro.crypto.pow` — hash-preimage proof-of-work (mine/verify).
-* :mod:`repro.crypto.merkle` — Merkle trees for block payload commitment.
+* :mod:`repro.crypto.merkle` — Merkle roots for block payload commitment.
 * :mod:`repro.crypto.vrf` — a simulated verifiable random function and
   Algorand-style stake-weighted sortition.
 * :mod:`repro.crypto.signatures` — simulated signatures with a registry

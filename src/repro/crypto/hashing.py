@@ -7,17 +7,9 @@ the expected number of attempts is ``2**d``.
 
 from __future__ import annotations
 
-from typing import Any
-
 from repro._util import sha256_hex as hash_hex
 
-__all__ = ["hash_hex", "hash_to_unit", "leading_zero_bits", "meets_difficulty"]
-
-
-def hash_to_unit(*parts: Any) -> float:
-    """Map a hash to ``[0, 1)`` — used for committee lotteries."""
-    digest = hash_hex(*parts)
-    return int(digest[:16], 16) / float(1 << 64)
+__all__ = ["hash_hex", "leading_zero_bits", "meets_difficulty"]
 
 
 def leading_zero_bits(hex_digest: str) -> int:

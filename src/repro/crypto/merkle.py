@@ -1,89 +1,31 @@
-"""Merkle trees: payload commitments for blocks.
+"""Merkle roots: payload commitments for blocks.
 
 Standard binary Merkle tree with duplicate-last-node padding (as in
-Bitcoin).  Provides root computation, membership proofs and proof
-verification — used by the protocol models to commit to transaction
-batches so that block ids depend on their full payload.
+Bitcoin).  The protocol models commit to transaction batches through the
+root, so that block ids and PoW puzzles depend on the full payload.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Any, List, Sequence, Tuple
+from typing import Any, Sequence
 
 from repro.crypto.hashing import hash_hex
 
-__all__ = ["MerkleTree", "MerkleProof"]
+__all__ = ["merkle_root"]
 
 
-@dataclass(frozen=True)
-class MerkleProof:
-    """A membership proof: leaf index plus sibling hashes bottom-up.
-
-    Each path element is ``(sibling_hash, sibling_is_right)``.
+def merkle_root(leaves: Sequence[Any]) -> str:
+    """The root committing to ``leaves``: each leaf hashes as
+    ``("leaf", v)``, each pair as ``("node", left, right)``, a level of
+    odd length repeats its last hash, and no leaves hash as ``("empty",)``.
     """
-
-    leaf_hash: str
-    index: int
-    path: Tuple[Tuple[str, bool], ...]
-
-
-class MerkleTree:
-    """A Merkle tree over a sequence of leaf values."""
-
-    def __init__(self, leaves: Sequence[Any]) -> None:
-        self.leaf_hashes: List[str] = [hash_hex("leaf", v) for v in leaves]
-        self.levels: List[List[str]] = []
-        self._build()
-
-    def _build(self) -> None:
-        if not self.leaf_hashes:
-            self.levels = [[hash_hex("empty")]]
-            return
-        level = list(self.leaf_hashes)
-        self.levels = [level]
-        while len(level) > 1:
-            if len(level) % 2 == 1:
-                level = level + [level[-1]]
-                self.levels[-1] = level
-            nxt = [
-                hash_hex("node", level[i], level[i + 1])
-                for i in range(0, len(level), 2)
-            ]
-            self.levels.append(nxt)
-            level = nxt
-
-    @property
-    def root(self) -> str:
-        """The Merkle root committing to all leaves."""
-        return self.levels[-1][0]
-
-    def prove(self, index: int) -> MerkleProof:
-        """Membership proof for the leaf at ``index``."""
-        if not (0 <= index < len(self.leaf_hashes)):
-            raise IndexError(f"no leaf at {index}")
-        path: List[Tuple[str, bool]] = []
-        i = index
-        for level in self.levels[:-1]:
-            if i % 2 == 0:
-                sibling, is_right = level[i + 1], True
-            else:
-                sibling, is_right = level[i - 1], False
-            path.append((sibling, is_right))
-            i //= 2
-        return MerkleProof(
-            leaf_hash=self.leaf_hashes[index], index=index, path=tuple(path)
-        )
-
-    @staticmethod
-    def verify(root: str, value: Any, proof: MerkleProof) -> bool:
-        """Check that ``value`` is committed under ``root`` via ``proof``."""
-        current = hash_hex("leaf", value)
-        if current != proof.leaf_hash:
-            return False
-        for sibling, is_right in proof.path:
-            if is_right:
-                current = hash_hex("node", current, sibling)
-            else:
-                current = hash_hex("node", sibling, current)
-        return current == root
+    if not leaves:
+        return hash_hex("empty")
+    level = [hash_hex("leaf", v) for v in leaves]
+    while len(level) > 1:
+        if len(level) % 2 == 1:
+            level.append(level[-1])
+        level = [
+            hash_hex("node", level[i], level[i + 1]) for i in range(0, len(level), 2)
+        ]
+    return level[0]

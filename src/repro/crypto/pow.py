@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from typing import Any, Optional, Tuple
 
 from repro.crypto.hashing import hash_hex, meets_difficulty
-from repro.crypto.merkle import MerkleTree
+from repro.crypto.merkle import merkle_root
 
 __all__ = ["PoWPuzzle", "PoWSolution"]
 
@@ -54,7 +54,7 @@ class PoWPuzzle:
     ) -> "PoWPuzzle":
         """The puzzle of a block on ``parent_id`` carrying ``payload``,
         committed to by its Merkle root."""
-        return cls(parent_id, MerkleTree(payload).root, miner, difficulty_bits)
+        return cls(parent_id, merkle_root(payload), miner, difficulty_bits)
 
     def header(self, nonce: int) -> Tuple[Any, ...]:
         """The hashed header tuple for a given nonce."""

@@ -6,16 +6,15 @@ and ancestry *indices* in RAM but resolves the blocks themselves through
 a :class:`~repro.storage.base.BlockStore`, so million-block scenarios
 can run under a bounded hot set (see ``PrunePolicy`` in
 :mod:`repro.blocktree.tree` and ``docs/architecture.md`` for the
-lifecycle).  Fork-choice verdicts are byte-identical across backends —
-differential-tested in ``tests/test_storage.py`` and gated at the
-1M-block scale by ``benchmarks/test_bench_storage.py``.
+lifecycle).  Fork-choice verdicts are byte-identical across the two
+backends — differential-tested in ``tests/test_storage.py`` and gated at
+the 1M-block scale by ``benchmarks/test_bench_storage.py``.
 
 Backends are selected by keyword (the ``--store`` knob), the location
 by ``path``::
 
     open_store("memory")                 # dicts; the default, no files
-    open_store("log", path="n0.btlog")   # append-only binary log
-    open_store("sqlite", path="n0.db")   # stdlib sqlite3
+    open_store("log", path="n0.btlog")   # append-only binary log, durable
 """
 
 from __future__ import annotations
@@ -25,21 +24,18 @@ from typing import Dict, Optional, Type
 from repro.storage.base import BlockStore
 from repro.storage.logstore import AppendOnlyLogStore
 from repro.storage.memory import InMemoryStore
-from repro.storage.sqlite import SQLiteStore
 
 #: Keyword → backend class (the ``--store`` knob's vocabulary).
 STORE_KINDS: Dict[str, Type[BlockStore]] = {
     "memory": InMemoryStore,
     "log": AppendOnlyLogStore,
-    "sqlite": SQLiteStore,
 }
 
 
 def open_store(kind: str, path: Optional[str] = None) -> BlockStore:
     """Open the ``kind`` backend (a :data:`STORE_KINDS` key) at ``path``.
 
-    ``sqlite`` without a path opens ``":memory:"``; ``log`` without a
-    path is an error (a log store *is* its file).
+    ``log`` without a path is an error (a log store *is* its file).
     """
     if kind not in STORE_KINDS:
         raise ValueError(
@@ -49,8 +45,6 @@ def open_store(kind: str, path: Optional[str] = None) -> BlockStore:
         if path:
             raise ValueError("memory store takes no path")
         return InMemoryStore()
-    if kind == "sqlite":
-        return SQLiteStore(path=path or ":memory:")
     if path is None:
         raise ValueError("log store needs a path")
     return AppendOnlyLogStore(path=path)

@@ -31,8 +31,6 @@ Backends:
 * :class:`~repro.storage.logstore.AppendOnlyLogStore` — binary log +
   offset index; O(1) append, crash-recoverable replay that tolerates a
   torn tail.
-* :class:`~repro.storage.sqlite.SQLiteStore` — stdlib ``sqlite3`` with
-  batched transactions; queryable, slower appends.
 """
 
 from __future__ import annotations

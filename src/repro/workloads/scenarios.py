@@ -29,7 +29,6 @@ from __future__ import annotations
 
 import os
 import random
-import tempfile
 from collections import deque
 from dataclasses import dataclass, replace
 from typing import Any, Callable, Dict, Iterator, List, Optional, Tuple, Union
@@ -106,11 +105,11 @@ class ProtocolScenario:
     #: When > 0, ProtocolRun.execute samples a (time, max fork degree,
     #: max height) series at this interval during the run.
     metrics_interval: float = 0.0
-    #: Block-store backend per replica: ``"memory"`` (default), ``"log"``
-    #: or ``"sqlite"`` — the ``--store`` knob (see :mod:`repro.storage`).
+    #: Block-store backend per replica: ``"memory"`` (default) or the
+    #: durable ``"log"`` — the ``--store`` knob (see :mod:`repro.storage`).
     store: str = "memory"
-    #: Directory for durable per-node store files; a fresh temp dir per
-    #: node when unset.
+    #: Directory for the durable per-node store files; required when
+    #: ``store`` is not ``"memory"``.  The caller owns (and removes) it.
     store_dir: Optional[str] = None
     #: When > 0, each replica tree prunes its resident hot set to this
     #: cap (requires a non-memory ``store``; see PrunePolicy.hot_cap).
@@ -196,10 +195,15 @@ class ProtocolScenario:
                 f"{sorted(STORE_KINDS)} (the directory goes in store_dir, "
                 "or --workdir for a campaign)"
             )
+        if self.store != "memory" and self.store_dir is None:
+            raise ValueError(
+                f"store {self.store!r} needs a directory: set store_dir "
+                "(--workdir for a campaign)"
+            )
         if self.prune_hot_cap < 0 or self.prune_hot_cap == 1:
             raise ValueError("prune_hot_cap must be 0 (disabled) or >= 2")
         if self.prune_hot_cap and self.store == "memory":
-            raise ValueError("pruning needs a durable store (log or sqlite)")
+            raise ValueError("pruning needs the durable log store")
         from repro.net.overlay import TOPOLOGY_KINDS
         from repro.net.reconcile import GOSSIP_KINDS
 
@@ -363,16 +367,13 @@ class ProtocolScenario:
     def build_store(self, node_name: str) -> BlockStore:
         """Open the block store one replica's tree persists through.
 
-        ``"memory"`` costs nothing; durable backends get one file per
-        node under ``store_dir`` (a fresh temp directory when it is
-        unset, so replicas never share a log).
+        ``"memory"`` costs nothing; the log store gets one file per node
+        under ``store_dir``, so replicas never share a log.
         """
         if self.store == "memory":
             return open_store("memory")
-        directory = self.store_dir or tempfile.mkdtemp(prefix=f"repro-{self.name}-")
-        suffix = "btlog" if self.store == "log" else "db"
         return open_store(
-            self.store, path=os.path.join(directory, f"{node_name}.{suffix}")
+            self.store, path=os.path.join(self.store_dir, f"{node_name}.btlog")
         )
 
     #: Confirmation depth replica trees hold back below the recent-read

@@ -3,7 +3,6 @@
 import pytest
 
 from repro.analysis.metrics import (
-    chain_growth,
     chain_quality,
     convergence_lags,
     divergence_depth,
@@ -52,9 +51,6 @@ class TestMetrics:
 
     def test_divergence_depth_zero_for_hyperledger(self, hyperledger_run):
         assert divergence_depth(hyperledger_run) == 0
-
-    def test_chain_growth_positive(self, bitcoin_run):
-        assert chain_growth(bitcoin_run) > 0
 
     def test_chain_quality_sums_to_one(self, bitcoin_run):
         shares = chain_quality(bitcoin_run)

@@ -442,3 +442,18 @@ class TestCommandLine:
         assert rc == 0
         logs = list(workdir.rglob("*.btlog"))
         assert logs, "caller-owned workdir must keep the per-replica logs"
+
+    def test_cli_store_choices_are_the_store_kinds(self, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            campaign_main(
+                [
+                    "--protocols", "hyperledger",
+                    "--scenarios", "default",
+                    "--duration", "10",
+                    "--workers", "1",
+                    "--store", "sqlite",
+                ]
+            )
+        assert exit_info.value.code == 2
+        err = capsys.readouterr().err
+        assert "invalid choice: 'sqlite'" in err and "'log', 'memory'" in err

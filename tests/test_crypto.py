@@ -4,11 +4,10 @@ import pytest
 
 from repro.crypto.hashing import (
     hash_hex,
-    hash_to_unit,
     leading_zero_bits,
     meets_difficulty,
 )
-from repro.crypto.merkle import MerkleTree
+from repro.crypto.merkle import merkle_root
 from repro.crypto.pow import PoWPuzzle
 from repro.crypto.signatures import KeyPair, SignatureRegistry
 from repro.crypto.vrf import VRFKey, sortition_weight
@@ -20,10 +19,6 @@ class TestHashing:
 
     def test_distinct_inputs(self):
         assert hash_hex("a") != hash_hex("b")
-
-    def test_hash_to_unit_range(self):
-        for i in range(100):
-            assert 0.0 <= hash_to_unit("u", i) < 1.0
 
     def test_leading_zero_bits(self):
         assert leading_zero_bits("f" * 64) == 0
@@ -67,39 +62,41 @@ class TestPoW:
         assert a != b
 
 
+# Exact Merkle roots are spelled out from the Bitcoin-style rule: a leaf
+# hashes as ("leaf", v), a pair as ("node", left, right), a level of odd
+# length repeats its last hash, and no leaves hash as ("empty",).
+def _leaf(value):
+    return hash_hex("leaf", value)
+
+
+def _node(left, right):
+    return hash_hex("node", left, right)
+
+
 class TestMerkle:
     def test_root_deterministic(self):
-        assert MerkleTree(["a", "b", "c"]).root == MerkleTree(["a", "b", "c"]).root
+        assert merkle_root(["a", "b", "c"]) == merkle_root(["a", "b", "c"])
 
     def test_root_sensitive_to_leaves(self):
-        assert MerkleTree(["a", "b"]).root != MerkleTree(["a", "c"]).root
+        assert merkle_root(["a", "b"]) != merkle_root(["a", "c"])
 
     def test_empty_tree_has_root(self):
-        assert len(MerkleTree([]).root) == 64
+        assert merkle_root([]) == hash_hex("empty")
 
     def test_single_leaf(self):
-        t = MerkleTree(["only"])
-        proof = t.prove(0)
-        assert MerkleTree.verify(t.root, "only", proof)
+        assert merkle_root(["a"]) == _leaf("a")
 
-    @pytest.mark.parametrize("n", [2, 3, 4, 5, 8])
-    def test_proofs_verify_for_all_leaves(self, n):
-        leaves = [f"tx{i}" for i in range(n)]
-        t = MerkleTree(leaves)
-        for i, leaf in enumerate(leaves):
-            assert MerkleTree.verify(t.root, leaf, t.prove(i))
+    def test_root_of_two_leaves(self):
+        assert merkle_root(["a", "b"]) == _node(_leaf("a"), _leaf("b"))
 
-    def test_wrong_value_fails(self):
-        t = MerkleTree(["a", "b", "c"])
-        assert not MerkleTree.verify(t.root, "z", t.prove(0))
+    def test_root_of_three_leaves(self):
+        ab = _node(_leaf("a"), _leaf("b"))
+        assert merkle_root(["a", "b", "c"]) == _node(ab, _node(_leaf("c"), _leaf("c")))
 
-    def test_wrong_root_fails(self):
-        t = MerkleTree(["a", "b"])
-        assert not MerkleTree.verify("0" * 64, "a", t.prove(0))
-
-    def test_out_of_range_proof(self):
-        with pytest.raises(IndexError):
-            MerkleTree(["a"]).prove(5)
+    def test_root_of_five_leaves(self):
+        abcd = _node(_node(_leaf("a"), _leaf("b")), _node(_leaf("c"), _leaf("d")))
+        ee = _node(_leaf("e"), _leaf("e"))
+        assert merkle_root(["a", "b", "c", "d", "e"]) == _node(abcd, _node(ee, ee))
 
 
 class TestVRF:

@@ -215,7 +215,7 @@ class TestCrashRejoin:
         assert node.seen_blocks == set(node.tree.iter_ids())
         assert (node._parked_ids.cap, node.rejected_blocks.cap) == (2048, 4096)
 
-    @pytest.mark.parametrize("store", ["log", "sqlite"])
+    @pytest.mark.parametrize("store", ["log"])
     def test_reads_before_a_crash_stay_judgeable(self, store, tmp_path):
         """Reads recorded before a crash are views of the crashed tree;
         judging them faults blocks the bounded hot set evicted back from

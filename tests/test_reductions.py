@@ -11,10 +11,10 @@ from repro.concurrent.objects import (
     ConsumeTokenObject,
 )
 from repro.concurrent.reductions import (
+    CASConsensusProgram,
     CASFromConsumeToken,
     SnapshotConsumeToken,
     cas_compare_and_swap,
-    cas_consensus_program,
     scans_totally_ordered,
 )
 from repro.concurrent.scheduler import System
@@ -80,7 +80,7 @@ class TestConsensusFromCAS:
             return System(
                 objects={"reg": CASRegister(None)},
                 programs={
-                    f"p{i}": cas_consensus_program(values[i]) for i in range(n)
+                    f"p{i}": CASConsensusProgram(values[i]) for i in range(n)
                 },
             )
 
@@ -98,8 +98,8 @@ class TestConsensusFromCAS:
             return System(
                 objects={"reg": CASRegister(None)},
                 programs={
-                    "p0": cas_consensus_program("a"),
-                    "p1": cas_consensus_program("b"),
+                    "p0": CASConsensusProgram("a"),
+                    "p1": CASConsensusProgram("b"),
                 },
             )
 

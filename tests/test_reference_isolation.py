@@ -1,5 +1,5 @@
 """The retained reference oracles stay test-and-bench only, and every
-other module has a consumer.
+other module, class and function has a consumer.
 
 ``repro.consistency.reference``, ``repro.blocktree.reference`` and
 ``repro.net.reference_queue`` are the pre-optimisation algorithms kept
@@ -8,9 +8,10 @@ one is a second implementation of something on the run path: only other
 ``reference*.py`` modules may (package ``__init__.py`` files included,
 which re-export nothing — see ``tests/test_package_inits.py``).
 
-Conversely, a module that nothing but the tests imports is a second copy
-of a rule or dead weight, unless it is one of those oracles or a paper
-construct that a named test pins (:data:`PAPER_CONSTRUCTS`).
+Conversely, a module that nothing but the tests imports, or a top-level
+class or function that nothing but the tests names, is a second copy of
+a rule or dead weight, unless it lives in one of those oracles or is a
+paper construct that a named test pins (:data:`PAPER_CONSTRUCTS`).
 """
 
 import ast
@@ -27,22 +28,44 @@ ORACLES = {
 }
 
 
-#: The code whose imports make a module used: the library itself, the
-#: end-to-end benchmark, the gates and figure benches, and the examples.
+#: The code whose imports and names make a module or name used: the
+#: library itself, the end-to-end benchmark, the gates and figure
+#: benches, and the examples.
 CONSUMERS = ("src", "bench", "benchmarks", "examples")
 
-#: Paper constructs that no workload runs → the test that pins each one.
+#: Paper constructs that no workload runs → the test that pins each one,
+#: keyed by module or by ``module.name`` (a top-level class or function).
 PAPER_CONSTRUCTS = {
     # The only linearizability check against L(BT-ADT) (Figures 2 and 3).
     "repro.consistency.embedding": "tests/test_embedding.py",
+    # Definition 2.1: a word of input symbols run through τ and δ.
+    "repro.adt.base.apply_sequence": "tests/test_adt.py",
+    # §3.1.2: mcps, the score of the maximal common prefix.
+    "repro.blocktree.score.mcps": "tests/test_score_selection.py",
+    # §5.1: "the most computational work" as a score function.
+    "repro.blocktree.score.WorkScore": "tests/test_score_selection.py",
+    # Figure 9 (left): the Compare&Swap object.
+    "repro.concurrent.objects.CASRegister": "tests/test_shared_objects.py",
+    # Figure 10: compare&swap by one consumeToken (Theorem 4.1).
+    "repro.concurrent.reductions.cas_compare_and_swap": "tests/test_reductions.py",
+    # Consensus from CAS, which with Figure 10 gives Theorem 4.2.
+    "repro.concurrent.reductions.CASConsensusProgram": "tests/test_reductions.py",
+    # §4.1: random schedules in the f < n crash-failure environment.
+    "repro.concurrent.scheduler.RandomScheduler": (
+        "tests/test_scheduler_modelcheck.py"
+    ),
 }
+
+
+def _parse(path):
+    return ast.parse(path.read_text(), filename=str(path))
 
 
 def _imported_modules(path):
     """Absolute dotted names of everything ``path`` imports, at any depth
     (module top or inside a function), relative imports resolved (only
     modules under ``src/repro`` use them)."""
-    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+    for node in ast.walk(_parse(path)):
         if isinstance(node, ast.Import):
             for alias in node.names:
                 yield alias.name
@@ -78,26 +101,85 @@ def test_the_oracles_exist():
 
 
 def _module_name(path):
-    return ".".join(("repro", *path.relative_to(SRC).with_suffix("").parts))
+    parts = path.relative_to(SRC).with_suffix("").parts
+    if parts[-1] == "__init__":
+        parts = parts[:-1]
+    return ".".join(("repro", *parts))
+
+
+def _names(root):
+    """Every identifier ``root`` mentions: names, attributes and imported
+    names."""
+    for node in ast.walk(root):
+        if isinstance(node, ast.Name):
+            yield node.id
+        elif isinstance(node, ast.Attribute):
+            yield node.attr
+        elif isinstance(node, ast.alias):
+            yield node.name
+
+
+def _is_dunder_all(node):
+    if isinstance(node, ast.Assign):
+        targets = node.targets
+    else:
+        targets = [getattr(node, "target", None)]
+    return any(isinstance(t, ast.Name) and t.id == "__all__" for t in targets)
+
+
+def _self_unused(tree):
+    """The module's top-level classes and functions that it does not use
+    itself outside their own definition and ``__all__``."""
+    used = [
+        set() if _is_dunder_all(node) else set(_names(node)) for node in tree.body
+    ]
+    kinds = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+    for definition in tree.body:
+        if isinstance(definition, kinds) and not any(
+            definition.name in names
+            for node, names in zip(tree.body, used)
+            if node is not definition
+        ):
+            yield definition.name
+
+
+def _exempt(key):
+    """An oracle or pinned construct, or a name defined in one."""
+    exempt = ORACLES | set(PAPER_CONSTRUCTS)
+    return key in exempt or key.rpartition(".")[0] in exempt
 
 
 def test_every_module_has_a_consumer():
-    """Each plain module under ``src/repro`` is imported by some other
-    module of :data:`CONSUMERS`, or is an oracle or a pinned paper
-    construct."""
-    modules = {
-        _module_name(path)
-        for path in SRC.rglob("*.py")
-        if path.name not in ("__init__.py", "__main__.py")
-    }
-    used = set()
+    """Each module under ``src/repro``, and each top-level class and
+    function in one, has a consumer, unless :func:`_exempt`.
+
+    A plain module is used when some other module of :data:`CONSUMERS`
+    imports it.  A name is used when a :data:`CONSUMERS` file other than
+    its own module names it, or when its own module uses it outside its
+    definition and ``__all__``.
+    """
+    imported, named = set(), {}
     for directory in CONSUMERS:
         for path in (ROOT / directory).rglob("*.py"):
             own = _module_name(path) if path.is_relative_to(SRC) else None
-            used.update(m for m in _imported_modules(path) if m != own)
-    assert sorted(modules - used - ORACLES - set(PAPER_CONSTRUCTS)) == []
+            imported.update(m for m in _imported_modules(path) if m != own)
+            for name in _names(_parse(path)):
+                named.setdefault(name, set()).add(own)
+    orphans = []
+    for path in SRC.rglob("*.py"):
+        module = _module_name(path)
+        if path.name not in ("__init__.py", "__main__.py") and module not in imported:
+            orphans.append(module)
+        orphans += [
+            f"{module}.{name}"
+            for name in _self_unused(_parse(path))
+            if not named.get(name, set()) - {module}
+        ]
+    orphans = sorted(key for key in orphans if not _exempt(key))
+    assert orphans == [], "\n".join(orphans)
 
 
 def test_paper_constructs_are_pinned_by_their_tests():
-    for module, test in PAPER_CONSTRUCTS.items():
-        assert module in set(_imported_modules(ROOT / test)), test
+    """Each key, a module or a ``module.name``, is imported by its test."""
+    for construct, test in PAPER_CONSTRUCTS.items():
+        assert construct in set(_imported_modules(ROOT / test)), test

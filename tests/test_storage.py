@@ -3,9 +3,9 @@
 Three layers of coverage:
 
 * the :class:`~repro.storage.base.BlockStore` contract, parametrized
-  over every backend (round-trip equality, idempotent puts, scan order,
+  over both backends (round-trip equality, idempotent puts, scan order,
   checkpoints, the factory grammar);
-* differential tests: trees grown through each backend produce
+* differential tests: a tree grown through the log store produces
   byte-identical fork-choice reads and frozen snapshots;
 * the prune lifecycle: bounded hot set, faulting, ancestry queries and
   materialized deep reads on evicted prefixes, replica semantics.
@@ -25,7 +25,6 @@ from repro.storage import STORE_KINDS, open_store
 from repro.storage.base import CheckpointRecord, StoreError, decode_block, encode_block
 from repro.storage.logstore import AppendOnlyLogStore
 from repro.storage.memory import InMemoryStore
-from repro.storage.sqlite import SQLiteStore
 from repro.workloads.scenarios import TreeScenario
 
 RULES = [LongestChain(), HeaviestChain(), GHOSTSelection()]
@@ -37,12 +36,8 @@ def store(request, tmp_path):
     kind = request.param
     if kind == "memory":
         yield InMemoryStore()
-    elif kind == "log":
-        s = AppendOnlyLogStore(str(tmp_path / "blocks.btlog"))
-        yield s
-        s.close()
     else:
-        s = SQLiteStore(str(tmp_path / "blocks.db"))
+        s = AppendOnlyLogStore(str(tmp_path / "blocks.btlog"))
         yield s
         s.close()
 
@@ -97,15 +92,13 @@ def test_store_checkpoint_roundtrip(store):
 
 def test_open_store_factory_grammar(tmp_path):
     assert isinstance(open_store("memory"), InMemoryStore)
-    assert isinstance(open_store("sqlite"), SQLiteStore)  # :memory: default
     log = open_store("log", path=str(tmp_path / "a.btlog"))
     assert isinstance(log, AppendOnlyLogStore)
     log.close()
-    sqlite = open_store("sqlite", path=str(tmp_path / "b.db"))
-    assert isinstance(sqlite, SQLiteStore)
-    sqlite.close()
     with pytest.raises(ValueError):
         open_store("bogus")
+    with pytest.raises(ValueError, match="log"):  # one durable backend
+        open_store("sqlite", path=str(tmp_path / "b.db"))
     with pytest.raises(ValueError):  # the location is ``path``, not the kind
         open_store(f"log:{tmp_path / 'c.btlog'}")
     with pytest.raises(ValueError):
@@ -168,15 +161,13 @@ def test_tree_reads_identical_across_backends(tmp_path):
         weight_profile="heavytail",
     )
     ref_tree, ref = _sampled_reads(BlockTree, scenario)
-    backends = {
-        "log": lambda: BlockTree(store=AppendOnlyLogStore(str(tmp_path / "d.btlog"))),
-        "sqlite": lambda: BlockTree(store=SQLiteStore(str(tmp_path / "d.db"))),
-    }
-    for name, factory in backends.items():
-        tree, samples = _sampled_reads(factory, scenario)
-        assert samples == ref, f"{name} reads diverged"
-        assert tree.freeze() == ref_tree.freeze(), f"{name} edges diverged"
-        tree._store.close()
+    tree, samples = _sampled_reads(
+        lambda: BlockTree(store=AppendOnlyLogStore(str(tmp_path / "d.btlog"))),
+        scenario,
+    )
+    assert samples == ref, "log reads diverged"
+    assert tree.freeze() == ref_tree.freeze(), "log edges diverged"
+    tree._store.close()
 
 
 def test_tree_scenario_build_accepts_store_specs(tmp_path):
@@ -317,6 +308,15 @@ def test_scenario_store_is_a_keyword_not_a_path():
         ProtocolScenario(name="x", store="log:/x")
 
 
+def test_durable_store_needs_a_directory():
+    """Without ``store_dir`` each replica's log would land in a temp
+    directory that nothing removes; the scenario refuses instead."""
+    from repro.workloads.scenarios import ProtocolScenario
+
+    with pytest.raises(ValueError, match="store_dir.*--workdir"):
+        ProtocolScenario(name="x", store="log")
+
+
 def test_manual_checkpoint_refuses_regression(tmp_path):
     tree = BlockTree(
         store=AppendOnlyLogStore(str(tmp_path / "m.btlog")),
@@ -368,7 +368,7 @@ def test_ghost_selection_survives_pruning(tmp_path):
     pruned._store.close()
 
 
-def test_scenario_store_knob_validation():
+def test_scenario_store_knob_validation(tmp_path):
     from repro.workloads.scenarios import ProtocolScenario
 
     with pytest.raises(ValueError):
@@ -377,7 +377,9 @@ def test_scenario_store_knob_validation():
         ProtocolScenario(name="x", prune_hot_cap=1)
     with pytest.raises(ValueError):
         ProtocolScenario(name="x", store="memory", prune_hot_cap=64)
-    scenario = ProtocolScenario(name="x", store="log", prune_hot_cap=64)
+    scenario = ProtocolScenario(
+        name="x", store="log", store_dir=str(tmp_path), prune_hot_cap=64
+    )
     assert scenario.build_prune().hot_cap == 64
     assert ProtocolScenario(name="x").build_prune() is None
     assert isinstance(ProtocolScenario(name="x").build_store("p0"), InMemoryStore)

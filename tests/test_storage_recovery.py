@@ -241,7 +241,7 @@ def test_crash_mid_sync_resumes_byte_identical(tmp_path):
     reopened.close()
 
 
-@pytest.mark.parametrize("store", ["log", "sqlite"])
+@pytest.mark.parametrize("store", ["log"])
 def test_signatures_survive_crash_recovery(tmp_path, store):
     """A recovered replica replays — and then serves — *signed* blocks.
 
