@@ -72,7 +72,7 @@ def _cells(store_dir: str) -> Iterator[Tuple[str, ProtocolScenario]]:
             )
     yield "bitcoin", replace(
         full["crash-rejoin"],
-        traffic=traffic_presets(full["crash-rejoin"].duration)["steady"],
+        traffic=traffic_presets()["steady"],
         store="log",
         store_dir=store_dir,
     )

@@ -62,7 +62,7 @@ def _traffic_scenario(auth: bool) -> ProtocolScenario:
         mean_block_interval=10.0,
         tx_per_block=6,
         auth=auth,
-        traffic=traffic_presets(_DURATION)["steady"],
+        traffic=traffic_presets()["steady"],
     )
 
 

@@ -38,7 +38,7 @@ def _relay_scenario(fanout: int, gossip: str) -> ProtocolScenario:
         tx_per_block=6,
         gossip=gossip,
         recon_interval=_RECON_INTERVAL,
-        traffic=traffic_presets(_DURATION)["steady"],
+        traffic=traffic_presets()["steady"],
     )
 
 

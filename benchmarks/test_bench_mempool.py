@@ -138,7 +138,7 @@ def _traffic_scenario(protocol: str) -> ProtocolScenario:
         duration=_DURATION,
         mean_block_interval=12.0,
         tx_per_block=8,
-        traffic=traffic_presets(_DURATION)["steady"],
+        traffic=traffic_presets()["steady"],
     )
 
 

@@ -31,7 +31,7 @@ def run_preset(preset: str, duration: float):
         duration=duration,
         mean_block_interval=10.0,
         tx_per_block=6,
-        traffic=traffic_presets(duration)[preset],
+        traffic=traffic_presets()[preset],
     )
     return run_bitcoin(scenario).mempool_stats()
 

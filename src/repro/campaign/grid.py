@@ -1,8 +1,10 @@
 """Declarative campaign grids: (protocol × scenario × seed) → run cells.
 
 A :class:`CampaignGrid` names *what* to measure — which Table 1 systems,
-which :class:`~repro.workloads.scenarios.AdversarialScenario` presets,
-how many seed replicates — and :meth:`CampaignGrid.expand` turns it into
+which scenario presets (the Table 1 ``default`` or an
+``adversarial_scenarios`` entry, each a
+:class:`~repro.workloads.scenarios.ProtocolScenario`), how many seed
+replicates — and :meth:`CampaignGrid.expand` turns it into
 independent :class:`CampaignCell`\\ s the engine can execute in any order
 (serially or across a worker pool) without changing the result.
 

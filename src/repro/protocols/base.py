@@ -134,7 +134,6 @@ class BlockchainNode(SimProcess):
             self.pool = Mempool(
                 genesis_coins=scenario.traffic.genesis_coins(),
                 capacity=scenario.traffic.pool_capacity,
-                min_fee=scenario.traffic.min_fee,
                 counts=row("pool"),
             )
             self.packer = BlockPacker(self.pool, counts=row("packer"))
@@ -228,6 +227,14 @@ class BlockchainNode(SimProcess):
         checkpoint height and in-flight ids (seen bodies not yet in the
         tree); everything below the committed checkpoint is finalized
         history whose re-arrival the tree itself dedups.
+
+        Only a pruning tree (``prune_hot_cap > 0``) advances its
+        checkpoint, and no preset or bench workload prunes.  In those
+        runs this returns at once every time: ``seen_blocks``,
+        ``tx_seen`` and the parked ``orphans`` grow for the whole run,
+        and the ``_parked_ids`` bound takes effect only when an
+        equivocation ban sweeps the orphans.  ``received_marks`` is
+        never pruned.
         """
         checkpoint = self.tree.checkpoint_height
         if checkpoint <= self._seen_pruned_at:
@@ -847,7 +854,7 @@ class ProtocolRun:
     nodes: List[Any]
     network: Network
     simulator: Simulator
-    #: Live adversary objects built from an AdversarialScenario (their
+    #: Live adversary objects built from the scenario's faults (their
     #: dropped/delayed counters survive the run for inspection).
     faults: Dict[str, Any] = field(default_factory=dict)
     #: ``(time, max_fork_degree, max_height)`` over all pipelines,

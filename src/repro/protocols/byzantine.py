@@ -17,7 +17,7 @@ processes.  These adversarial nodes exercise that boundary:
   private for ``withhold_for`` seconds before releasing, lengthening the
   divergence window the Eventual-Prefix metrics measure.
 
-The signature adversaries (wired through ``AdversarialScenario.byzantine``
+The signature adversaries (wired through ``ProtocolScenario.byzantine``
 and :data:`ADVERSARY_KINDS`) mount attacks that *only* the authenticated
 pipeline (``scenario.auth``, see :mod:`repro.crypto.auth`) defeats — the
 PoW predicate, double-spend rules and lifecycle machinery all accept
@@ -183,7 +183,7 @@ class StolenIdentityRelay(BitcoinNode):
         return True  # Byzantine: accepts anything, including its own blocks
 
 
-#: AdversarialScenario.byzantine kind → node class.
+#: ProtocolScenario.byzantine kind → node class.
 ADVERSARY_KINDS = {
     "forged-signature": ForgedSignatureMiner,
     "equivocating-signer": EquivocatingMiner,

@@ -1,22 +1,22 @@
 """Experiment scenarios: Table-1 parameter sets, adversarial network
 scenarios and large-scale tree workloads.
 
-Three layers, all deterministic per seed:
+Two scenario types, both deterministic per seed:
 
-* :class:`ProtocolScenario` — the knobs every Table 1 run needs: network
-  size, merit/stake distribution, block production tempo, channel
-  synchrony and duration.  ``default_scenarios`` returns the
-  configurations the benches use, so EXPERIMENTS numbers are
-  reproducible verbatim.
-
-* :class:`AdversarialScenario` — a ``ProtocolScenario`` plus fault
-  structure: network partitions that heal (or don't), node churn
-  windows, selfish miners that withhold their own blocks, traffic
-  bursts that compress the block interval, and Zipf-skewed merit
-  distributions.  :meth:`AdversarialScenario.build_channel` compiles the
-  fault structure into the channel/adversary stack of
+* :class:`ProtocolScenario` — one protocol run: network size,
+  merit/stake distribution, block production tempo, channel synchrony,
+  duration, store, transport, shards, client traffic and an optional
+  fault structure (network partitions that heal or don't, node churn,
+  crashes, late joins, eclipses, selfish miners that withhold their own
+  blocks, bursts that compress the block interval, Byzantine replicas).
+  Every fault tuple defaults to empty, and a fault-free scenario runs
+  on a bare synchronous channel.  :meth:`ProtocolScenario.build_channel`
+  compiles the faults into the channel/adversary stack of
   :mod:`repro.net.channels` / :mod:`repro.net.faults`, so the protocol
   benches and the consistency checkers run *the same scenario objects*.
+  ``default_scenarios`` returns the Table 1 configurations and
+  ``adversarial_scenarios`` the fault, traffic, shard and signature
+  presets.
 
 * :class:`TreeScenario` — a pure BlockTree workload generator for the
   fork-choice engine: 10k–1M-block deterministic block streams with
@@ -54,7 +54,6 @@ __all__ = [
     "JoinEvent",
     "EclipseEvent",
     "TrafficBurst",
-    "AdversarialScenario",
     "ClientTrafficScenario",
     "TreeScenario",
     "default_scenarios",
@@ -89,7 +88,8 @@ def derive_seed(seed: int, *context: Union[str, int]) -> int:
 
 @dataclass(frozen=True)
 class ProtocolScenario:
-    """Parameters of one protocol simulation run."""
+    """Parameters of one protocol simulation run, faults included (see
+    the module docstring)."""
 
     name: str
     n_nodes: int = 5
@@ -159,6 +159,26 @@ class ProtocolScenario:
     #: historical unsigned pipeline byte-identical (signatures are
     #: witness data, excluded from content ids, so ids match either way).
     auth: bool = False
+    # -- fault structure: every tuple empty is a fault-free run -------------
+    partitions: Tuple[PartitionWindow, ...] = ()
+    churn: Tuple[ChurnEvent, ...] = ()
+    crashes: Tuple[CrashEvent, ...] = ()
+    joins: Tuple[JoinEvent, ...] = ()
+    eclipses: Tuple[EclipseEvent, ...] = ()
+    bursts: Tuple[TrafficBurst, ...] = ()
+    #: Miners whose own blocks gossip :attr:`SELFISH_EXTRA_DELAY` late.
+    selfish_nodes: Tuple[str, ...] = ()
+    #: Byzantine replica assignments: ``(node name, adversary kind)``
+    #: pairs substituting the node's class at registration (see
+    #: ``repro.protocols.byzantine.ADVERSARY_KINDS``).  The signature
+    #: adversaries (forged-signature / equivocating-signer /
+    #: stolen-identity) are meaningful with ``auth=True`` — running them
+    #: unsigned demonstrates the attack succeeding.
+    byzantine: Tuple[Tuple[str, str], ...] = ()
+
+    #: How much later than honest gossip a selfish miner's own blocks
+    #: leave it (simulated seconds).
+    SELFISH_EXTRA_DELAY = 18.0
 
     def __post_init__(self) -> None:
         self.validate()
@@ -240,8 +260,46 @@ class ProtocolScenario:
             from repro.shard.assignment import validate_coverage
 
             validate_coverage(self.node_names(), self.shards, self.shard_subscription)
-        if self.traffic is not None:
-            self.traffic.validate()
+        names = self.node_names()
+        seen_byz = set()
+        if self.byzantine:
+            # Imported here: the protocol layer imports this module.
+            from repro.protocols.byzantine import ADVERSARY_KINDS
+        for node, kind in self.byzantine:
+            if node not in names:
+                raise ValueError(f"byzantine node {node!r} is not in the network")
+            if kind not in ADVERSARY_KINDS:
+                raise ValueError(
+                    f"unknown byzantine kind {kind!r}; expected one of "
+                    f"{tuple(ADVERSARY_KINDS)}"
+                )
+            if node in seen_byz:
+                raise ValueError(f"node {node!r} assigned two byzantine kinds")
+            seen_byz.add(node)
+        if self.byzantine and self.shards > 1:
+            raise ValueError("byzantine replicas are not supported in sharded runs")
+        for partition in self.partitions:
+            partition.validate(names)
+        lifecycle = (*self.churn, *self.crashes, *self.joins, *self.eclipses)
+        for event in lifecycle:
+            event.validate(names)
+        # One replica cannot be in two lifecycle states at once: its
+        # churn/crash/join/eclipse windows must not overlap each other.
+        by_node: Dict[str, List[Tuple[float, Optional[float]]]] = {}
+        for event in lifecycle:
+            by_node.setdefault(event.node, []).append(event.window())
+        for node, windows in by_node.items():
+            windows.sort(key=lambda w: w[0])
+            for (_s1, e1), (s2, _e2) in zip(windows, windows[1:]):
+                if e1 is None or s2 < e1:
+                    raise ValueError(
+                        f"overlapping lifecycle windows for node {node!r}"
+                    )
+        for burst in self.bursts:
+            burst.validate()
+        for node in self.selfish_nodes:
+            if node not in names:
+                raise ValueError(f"selfish node {node!r} is not in the network")
 
     def merit_of(self, index: int) -> float:
         """The merit α of node ``index`` (uniform when unspecified)."""
@@ -297,11 +355,16 @@ class ProtocolScenario:
 
     def byzantine_map(self) -> Dict[str, str]:
         """Node name → adversary kind (empty for fault-free scenarios)."""
-        return {}
+        return dict(self.byzantine)
 
     def block_interval_at(self, now: float) -> float:
-        """Mean block interval in effect at simulated time ``now``."""
-        return self.mean_block_interval
+        """Mean block interval in effect at simulated time ``now``
+        (compressed by every burst active then)."""
+        interval = self.mean_block_interval
+        for burst in self.bursts:
+            if burst.active(now):
+                interval /= burst.factor
+        return interval
 
     def for_cell(self, protocol: str, cell_index: int) -> "ProtocolScenario":
         """This scenario re-seeded for one campaign cell.
@@ -316,14 +379,95 @@ class ProtocolScenario:
         )
 
     def build_channel(self) -> Tuple[Any, Dict[str, Any]]:
-        """The channel stack for this scenario plus fault handles.
+        """Compile the fault structure into a channel stack.
 
-        The base scenario is fault-free: a synchronous channel and no
-        adversaries.  :class:`AdversarialScenario` overrides this.
+        Returns ``(channel, faults)`` where ``faults`` holds the live
+        adversary objects (their drop/delay counters are inspectable
+        after the run through ``ProtocolRun.faults``).  A fault-free
+        scenario gets a bare ``SynchronousChannel`` and ``{}``.
         """
-        from repro.net.channels import SynchronousChannel
+        from repro.net.channels import DelayedChannel, LossyChannel, SynchronousChannel
 
-        return SynchronousChannel(delta=self.channel_delta), {}
+        channel: Any = SynchronousChannel(delta=self.channel_delta)
+        faults: Dict[str, Any] = {}
+        if self.partitions or self.churn or self.eclipses:
+            drop = self._drop_rule(faults)
+            channel = LossyChannel(inner=channel, should_drop=drop)
+        if self.selfish_nodes:
+            from repro.net.reconcile import RECON_BLK_ANN, RECON_BLK_DATA
+
+            selfish = set(self.selfish_nodes)
+
+            def _creator_is(block: Any, src: str) -> bool:
+                return isinstance(block, Block) and creator_name(block) == src
+
+            def withholds(src: str, dst: str, message: Any, now: float) -> bool:
+                # Withhold only the miner's *own* blocks: forwarded
+                # honest blocks flow normally, which is what a selfish
+                # miner does.  Under reconciliation the miner's block
+                # leaves through an announcement or a segment transfer
+                # instead of a flooded body — both are matched here.
+                if src not in selfish:
+                    return False
+                if isinstance(message, tuple) and message[:1] == (SHARD_TAG,):
+                    message = message[-1]  # facet traffic: match the inner message
+                if not (isinstance(message, tuple) and message):
+                    return False
+                tag = message[0]
+                if tag == GOSSIP_TAG and len(message) == 3:
+                    return _creator_is(message[2], src)
+                if tag == RECON_BLK_ANN and len(message) == 4:
+                    return message[3] == src
+                if tag == RECON_BLK_DATA and len(message) == 2:
+                    return any(_creator_is(b, src) for b in message[1])
+                return False
+
+            channel = DelayedChannel(
+                inner=channel,
+                should_delay=withholds,
+                extra_delay=self.SELFISH_EXTRA_DELAY,
+            )
+            faults["selfish"] = channel
+        return channel, faults
+
+    def _drop_rule(self, faults: Dict[str, Any]) -> Any:
+        """One drop rule over the partition, churn and eclipse
+        adversaries, each also put in ``faults`` under its kind.  Called
+        only when one is configured, so a fault-free run never imports
+        :mod:`repro.net.faults`."""
+        from repro.net.faults import (
+            ChurnAdversary,
+            CompositeDrop,
+            EclipseAdversary,
+            PartitionAdversary,
+        )
+
+        rules: List[Any] = []
+        if self.partitions:
+            adversaries = tuple(
+                PartitionAdversary(
+                    groups=tuple(frozenset(g) for g in window.groups),
+                    heal_at=window.heal_at,
+                    start_at=window.start,
+                )
+                for window in self.partitions
+            )
+            faults["partitions"] = adversaries
+            rules.extend(adversaries)
+        if self.churn:
+            churn = ChurnAdversary(
+                windows=tuple((e.node, e.leave_at, e.rejoin_at) for e in self.churn)
+            )
+            faults["churn"] = churn
+            rules.append(churn)
+        if self.eclipses:
+            adversaries = tuple(
+                EclipseAdversary(victim=e.node, start_at=e.start, heal_at=e.heal_at)
+                for e in self.eclipses
+            )
+            faults["eclipses"] = adversaries
+            rules.extend(adversaries)
+        return rules[0] if len(rules) == 1 else CompositeDrop(rules=tuple(rules))
 
     def build_overlay(self):
         """The :class:`~repro.net.overlay.Overlay` for this scenario.
@@ -351,16 +495,30 @@ class ProtocolScenario:
         """``(time, action, node)`` lifecycle events, time-ordered.
 
         Actions are the :meth:`repro.protocols.base.BlockchainNode
-        .apply_lifecycle` verbs: ``suspend``/``resume`` (churn),
-        ``crash``/``recover`` (lose RAM, replay the store, fast-sync),
-        ``join`` (a late replica comes online) and ``heal`` (an eclipse
-        victim fast-syncs).  The base scenario is fault-free: no events.
+        .apply_lifecycle` verbs: churn suspends/resumes (RAM survives
+        the outage), crashes lose RAM and recover from the store, joins
+        bring an initially-offline replica up, and eclipse heals trigger
+        a fast-sync (the victim was never suspended — only filtered).
+        Empty for a fault-free scenario.
         """
-        return ()
+        events: List[Tuple[float, str, str]] = []
+        for e in self.churn:
+            events.append((e.leave_at, "suspend", e.node))
+            if e.rejoin_at is not None:
+                events.append((e.rejoin_at, "resume", e.node))
+        for c in self.crashes:
+            events.append((c.at, "crash", c.node))
+            events.append((c.recover_at, "recover", c.node))
+        for j in self.joins:
+            events.append((j.at, "join", j.node))
+        for ecl in self.eclipses:
+            if ecl.heal_at is not None:
+                events.append((ecl.heal_at, "heal", ecl.node))
+        return tuple(sorted(events))
 
     def initially_offline(self) -> frozenset:
-        """Nodes that start suspended (late joiners; none by default)."""
-        return frozenset()
+        """Nodes that start suspended: the late joiners."""
+        return frozenset(j.node for j in self.joins)
 
     # -- storage knob -------------------------------------------------------
 
@@ -533,6 +691,8 @@ class TrafficBurst:
     factor: float = 4.0
 
     def validate(self) -> None:
+        if self.at < 0:
+            raise ValueError("burst start must be >= 0")
         if self.duration <= 0:
             raise ValueError("burst duration must be positive")
         if self.factor <= 0:
@@ -542,190 +702,9 @@ class TrafficBurst:
         return self.at <= now < self.at + self.duration
 
 
-@dataclass(frozen=True)
-class AdversarialScenario(ProtocolScenario):
-    """A protocol scenario with explicit fault/adversary structure."""
-
-    partitions: Tuple[PartitionWindow, ...] = ()
-    churn: Tuple[ChurnEvent, ...] = ()
-    crashes: Tuple[CrashEvent, ...] = ()
-    joins: Tuple[JoinEvent, ...] = ()
-    eclipses: Tuple[EclipseEvent, ...] = ()
-    bursts: Tuple[TrafficBurst, ...] = ()
-    selfish_nodes: Tuple[str, ...] = ()
-    selfish_extra_delay: float = 15.0
-    #: Byzantine replica assignments: ``(node name, adversary kind)``
-    #: pairs substituting the node's class at registration (see
-    #: ``repro.protocols.byzantine.ADVERSARY_KINDS``).  The signature
-    #: adversaries (forged-signature / equivocating-signer /
-    #: stolen-identity) are meaningful with ``auth=True`` — running them
-    #: unsigned demonstrates the attack succeeding.
-    byzantine: Tuple[Tuple[str, str], ...] = ()
-
-    def validate(self) -> None:
-        super().validate()
-        names = self.node_names()
-        seen_byz = set()
-        if self.byzantine:
-            # Imported here: the protocol layer imports this module.
-            from repro.protocols.byzantine import ADVERSARY_KINDS
-        for node, kind in self.byzantine:
-            if node not in names:
-                raise ValueError(f"byzantine node {node!r} is not in the network")
-            if kind not in ADVERSARY_KINDS:
-                raise ValueError(
-                    f"unknown byzantine kind {kind!r}; expected one of "
-                    f"{tuple(ADVERSARY_KINDS)}"
-                )
-            if node in seen_byz:
-                raise ValueError(f"node {node!r} assigned two byzantine kinds")
-            seen_byz.add(node)
-        if self.byzantine and self.shards > 1:
-            raise ValueError("byzantine replicas are not supported in sharded runs")
-        for partition in self.partitions:
-            partition.validate(names)
-        lifecycle = (*self.churn, *self.crashes, *self.joins, *self.eclipses)
-        for event in lifecycle:
-            event.validate(names)
-        # One replica cannot be in two lifecycle states at once: its
-        # churn/crash/join/eclipse windows must not overlap each other.
-        by_node: Dict[str, List[Tuple[float, Optional[float]]]] = {}
-        for event in lifecycle:
-            by_node.setdefault(event.node, []).append(event.window())
-        for node, windows in by_node.items():
-            windows.sort(key=lambda w: w[0])
-            for (_s1, e1), (s2, _e2) in zip(windows, windows[1:]):
-                if e1 is None or s2 < e1:
-                    raise ValueError(
-                        f"overlapping lifecycle windows for node {node!r}"
-                    )
-        for burst in self.bursts:
-            burst.validate()
-        for node in self.selfish_nodes:
-            if node not in names:
-                raise ValueError(f"selfish node {node!r} is not in the network")
-        if self.selfish_extra_delay < 0:
-            raise ValueError("selfish_extra_delay must be >= 0")
-
-    def block_interval_at(self, now: float) -> float:
-        interval = self.mean_block_interval
-        for burst in self.bursts:
-            if burst.active(now):
-                interval /= burst.factor
-        return interval
-
-    def build_channel(self) -> Tuple[Any, Dict[str, Any]]:
-        """Compile the fault structure into a channel stack.
-
-        Returns ``(channel, faults)`` where ``faults`` holds the live
-        adversary objects (their drop/delay counters are inspectable
-        after the run through ``ProtocolRun.faults``).
-        """
-        from repro.net.channels import DelayedChannel, LossyChannel, SynchronousChannel
-        from repro.net.faults import (
-            ChurnAdversary,
-            CompositeDrop,
-            EclipseAdversary,
-            PartitionAdversary,
-        )
-
-        channel: Any = SynchronousChannel(delta=self.channel_delta)
-        faults: Dict[str, Any] = {}
-        rules: List[Any] = []
-        if self.partitions:
-            adversaries = tuple(
-                PartitionAdversary(
-                    groups=tuple(frozenset(g) for g in window.groups),
-                    heal_at=window.heal_at,
-                    start_at=window.start,
-                )
-                for window in self.partitions
-            )
-            faults["partitions"] = adversaries
-            rules.extend(adversaries)
-        if self.churn:
-            churn = ChurnAdversary(
-                windows=tuple((e.node, e.leave_at, e.rejoin_at) for e in self.churn)
-            )
-            faults["churn"] = churn
-            rules.append(churn)
-        if self.eclipses:
-            adversaries = tuple(
-                EclipseAdversary(
-                    victim=e.node, start_at=e.start, heal_at=e.heal_at
-                )
-                for e in self.eclipses
-            )
-            faults["eclipses"] = adversaries
-            rules.extend(adversaries)
-        if rules:
-            drop = rules[0] if len(rules) == 1 else CompositeDrop(rules=tuple(rules))
-            channel = LossyChannel(inner=channel, should_drop=drop)
-        if self.selfish_nodes:
-            from repro.net.reconcile import RECON_BLK_ANN, RECON_BLK_DATA
-
-            selfish = set(self.selfish_nodes)
-
-            def _creator_is(block: Any, src: str) -> bool:
-                return isinstance(block, Block) and creator_name(block) == src
-
-            def withholds(src: str, dst: str, message: Any, now: float) -> bool:
-                # Withhold only the miner's *own* blocks: forwarded
-                # honest blocks flow normally, which is what a selfish
-                # miner does.  Under reconciliation the miner's block
-                # leaves through an announcement or a segment transfer
-                # instead of a flooded body — both are matched here.
-                if src not in selfish:
-                    return False
-                if isinstance(message, tuple) and message[:1] == (SHARD_TAG,):
-                    message = message[-1]  # facet traffic: match the inner message
-                if not (isinstance(message, tuple) and message):
-                    return False
-                tag = message[0]
-                if tag == GOSSIP_TAG and len(message) == 3:
-                    return _creator_is(message[2], src)
-                if tag == RECON_BLK_ANN and len(message) == 4:
-                    return message[3] == src
-                if tag == RECON_BLK_DATA and len(message) == 2:
-                    return any(_creator_is(b, src) for b in message[1])
-                return False
-
-            channel = DelayedChannel(
-                inner=channel,
-                should_delay=withholds,
-                extra_delay=self.selfish_extra_delay,
-            )
-            faults["selfish"] = channel
-        return channel, faults
-
-    def lifecycle_schedule(self) -> Tuple[Tuple[float, str, str], ...]:
-        """Compile the fault structure into timed lifecycle actions.
-
-        Churn suspends/resumes (RAM survives the outage), crashes lose
-        RAM and recover from the store, joins bring an initially-offline
-        replica up, and eclipse heals trigger a fast-sync (the victim
-        was never suspended — only filtered).
-        """
-        events: List[Tuple[float, str, str]] = []
-        for e in self.churn:
-            events.append((e.leave_at, "suspend", e.node))
-            if e.rejoin_at is not None:
-                events.append((e.rejoin_at, "resume", e.node))
-        for c in self.crashes:
-            events.append((c.at, "crash", c.node))
-            events.append((c.recover_at, "recover", c.node))
-        for j in self.joins:
-            events.append((j.at, "join", j.node))
-        for ecl in self.eclipses:
-            if ecl.heal_at is not None:
-                events.append((ecl.heal_at, "heal", ecl.node))
-        return tuple(sorted(events))
-
-    def initially_offline(self) -> frozenset:
-        return frozenset(j.node for j in self.joins)
-
-    def byzantine_map(self) -> Dict[str, str]:
-        return dict(self.byzantine)
+#: A second name for :class:`ProtocolScenario`, for callers that import
+#: it under this one.
+AdversarialScenario = ProtocolScenario
 
 
 def skewed_merits(n_nodes: int, exponent: float = 1.2, seed: int = 0) -> Tuple[float, ...]:
@@ -929,7 +908,9 @@ def default_scenarios() -> Dict[str, ProtocolScenario]:
     }
 
 
-def adversarial_scenarios(n_nodes: int = 4, duration: float = 240.0) -> Dict[str, AdversarialScenario]:
+def adversarial_scenarios(
+    n_nodes: int = 4, duration: float = 240.0
+) -> Dict[str, ProtocolScenario]:
     """The adversarial workload matrix (small enough for smoke runs).
 
     Every entry exercises one fault axis; compose them freely with
@@ -937,15 +918,15 @@ def adversarial_scenarios(n_nodes: int = 4, duration: float = 240.0) -> Dict[str
     """
     half = n_nodes // 2
     names = tuple(f"p{i}" for i in range(n_nodes))
-    presets = traffic_presets(duration)
+    presets = traffic_presets()
     shard_presets = shard_traffic_presets(duration, n_shards=4)
 
     def preset(
         name: str, mean_block_interval: float = 12.0, **axis: Any
-    ) -> AdversarialScenario:
+    ) -> ProtocolScenario:
         """What every entry shares: size, horizon, tempo and a 24-point
         fork-degree/height series — plus its one fault ``axis``."""
-        return AdversarialScenario(
+        return ProtocolScenario(
             name=name,
             n_nodes=n_nodes,
             duration=duration,
@@ -979,7 +960,6 @@ def adversarial_scenarios(n_nodes: int = 4, duration: float = 240.0) -> Dict[str
             # merit barely forks, which would make this entry toothless.
             merits=tuple(sorted(skewed_merits(n_nodes, exponent=1.0, seed=7), reverse=True)),
             selfish_nodes=(names[0],),
-            selfish_extra_delay=18.0,
         ),
         preset(
             "skewed-merit",

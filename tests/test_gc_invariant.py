@@ -80,7 +80,7 @@ def test_reconcile_gossip_run_makes_no_cyclic_garbage():
 def test_crash_rejoin_with_traffic_on_a_log_store_makes_no_cyclic_garbage(tmp_path):
     scenario = dataclasses.replace(
         adversarial_scenarios(n_nodes=4, duration=160.0)["crash-rejoin"],
-        traffic=traffic_presets(160.0)["steady"],
+        traffic=traffic_presets()["steady"],
         store="log",
         store_dir=str(tmp_path),
     )

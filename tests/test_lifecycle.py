@@ -175,7 +175,7 @@ class TestCrashRejoin:
             store="log",
             store_dir=str(tmp_path),
             auth=True,
-            traffic=traffic_presets(60.0)["steady"],
+            traffic=traffic_presets()["steady"],
         )
         sim = Simulator(seed=5)
         net = Network(sim, channel=SynchronousChannel(delta=scenario.channel_delta))
@@ -240,7 +240,7 @@ class TestCrashRejoin:
         scenario = preset(
             "crash-rejoin",
             duration=240.0,
-            traffic=traffic_presets(240.0)["steady"],
+            traffic=traffic_presets()["steady"],
             crashes=(CrashEvent(node="p3", at=120.0, recover_at=216.0),),
         )
         before_crash = {}
@@ -319,7 +319,7 @@ def test_no_count_in_the_table_falls_across_a_crash(
         store_dir=str(tmp_path),
         prune_hot_cap=8,
         mean_block_interval=5.0,
-        traffic=traffic_presets(600.0)["steady"],
+        traffic=traffic_presets()["steady"],
         crashes=(CrashEvent(node="p3", at=500.0, recover_at=560.0),),
     )
     tables = []

@@ -317,7 +317,7 @@ def steady_scenario(name="bitcoin-pipe", duration=120.0, preset="steady", **kw):
         duration=duration,
         mean_block_interval=10.0,
         tx_per_block=6,
-        traffic=traffic_presets(duration)[preset],
+        traffic=traffic_presets()[preset],
         **kw,
     )
 
@@ -363,7 +363,7 @@ class TestPipelineIntegration:
             duration=duration,
             mean_block_interval=10.0,
             tx_per_block=6,
-            traffic=traffic_presets(duration)["steady"],
+            traffic=traffic_presets()["steady"],
             partitions=(
                 PartitionWindow(groups=(names[:2], names[2:]), start=0.0),
             ),

@@ -108,6 +108,30 @@ def test_a_run_does_not_load_the_paper_only_modules():
     assert sorted(NOT_ON_THE_RUN_PATH & set(loaded)) == []
 
 
+def test_a_fault_free_run_does_not_load_the_fault_models():
+    """``repro.net.faults`` loads only once a scenario configures a
+    partition, churn or eclipse; checked in a fresh interpreter."""
+    code = (
+        "import sys\n"
+        "from repro.protocols.bitcoin import run_bitcoin\n"
+        "from repro.workloads.scenarios import PartitionWindow, ProtocolScenario\n"
+        "run_bitcoin(ProtocolScenario(name='plain', n_nodes=3, duration=30.0))\n"
+        "print('repro.net.faults' in sys.modules)\n"
+        "split = (PartitionWindow(groups=(('p0',), ('p1', 'p2'))),)\n"
+        "ProtocolScenario(name='split', n_nodes=3, partitions=split).build_channel()\n"
+        "print('repro.net.faults' in sys.modules)\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(SRC.parent))
+    loaded = subprocess.run(
+        [sys.executable, "-c", code],
+        env=env,
+        capture_output=True,
+        text=True,
+        check=True,
+    ).stdout.split()
+    assert loaded == ["False", "True"]
+
+
 def test_the_paper_only_modules_exist():
     """A renamed module must not turn the check above into a no-op."""
     for module in NOT_ON_THE_RUN_PATH:

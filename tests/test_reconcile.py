@@ -64,7 +64,7 @@ def steady_scenario(name, gossip, n_nodes=5, duration=120.0):
         mean_block_interval=10.0,
         tx_per_block=6,
         gossip=gossip,
-        traffic=traffic_presets(duration)["steady"],
+        traffic=traffic_presets()["steady"],
     )
 
 
@@ -320,7 +320,7 @@ class TestBlacklistFix:
             name="reorg-blacklist",
             n_nodes=2,
             duration=duration,
-            traffic=traffic_presets(duration)["steady"],
+            traffic=traffic_presets()["steady"],
         )
         sim = Simulator(seed=scenario.seed)
         net = Network(sim, channel=SynchronousChannel(delta=0.5))
@@ -370,7 +370,7 @@ class TestBlacklistFix:
                 duration=duration,
                 mean_block_interval=10.0,
                 tx_per_block=6,
-                traffic=traffic_presets(duration)["spam-flood"],
+                traffic=traffic_presets()["spam-flood"],
             )
         )
         stats = run.mempool_stats()
@@ -398,7 +398,7 @@ class TestBoundedSeenSets:
             duration=duration,
             mean_block_interval=5.0,
             tx_per_block=6,
-            traffic=traffic_presets(duration)["steady"],
+            traffic=traffic_presets()["steady"],
             store="log",
             store_dir=str(tmp_path),
             prune_hot_cap=8,

@@ -12,6 +12,7 @@ import dataclasses
 
 import pytest
 
+from repro.net.channels import SynchronousChannel
 from repro.net.simulator import Simulator
 from repro.protocols.bitcoin import run_bitcoin
 from repro.workloads.scenarios import (
@@ -145,6 +146,10 @@ class TestAdversarialScenarioValidation:
                 name="b", n_nodes=2, bursts=(TrafficBurst(at=0, duration=10, factor=0),)
             )
 
+    def test_burst_start_not_negative(self):
+        with pytest.raises(ValueError):
+            TrafficBurst(at=-1.0, duration=10.0).validate()
+
     def test_selfish_node_must_exist(self):
         with pytest.raises(ValueError):
             AdversarialScenario(name="s", n_nodes=2, selfish_nodes=("p5",))
@@ -163,6 +168,23 @@ class TestAdversarialScenarioValidation:
         assert scenario.block_interval_at(100.0) == 5.0
         assert scenario.block_interval_at(149.9) == 5.0
         assert scenario.block_interval_at(150.0) == 20.0
+
+
+class TestOneScenarioType:
+    def test_adversarial_scenario_is_protocol_scenario(self):
+        assert AdversarialScenario is ProtocolScenario
+
+    def test_fault_free_scenario_compiles_to_a_bare_channel(self):
+        scenario = ProtocolScenario(name="plain", channel_delta=2.5)
+        channel, faults = scenario.build_channel()
+        assert type(channel) is SynchronousChannel
+        assert channel == SynchronousChannel(delta=2.5)
+        assert faults == {}
+        assert scenario.lifecycle_schedule() == ()
+        assert scenario.initially_offline() == frozenset()
+        assert scenario.byzantine_map() == {}
+        for now in (0.0, 17.5, scenario.duration, 1e9):
+            assert scenario.block_interval_at(now) == scenario.mean_block_interval
 
 
 class TestSkewedMerits:
@@ -217,7 +239,6 @@ class TestAdversarialSmokeRuns:
             mean_block_interval=10.0,
             merits=(0.7, 0.1, 0.1, 0.1),  # the selfish node dominates
             selfish_nodes=("p0",),
-            selfish_extra_delay=20.0,
         )
         run = run_bitcoin(scenario)
         assert run.faults["selfish"].delayed > 0
