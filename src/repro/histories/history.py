@@ -5,12 +5,18 @@ the fictional global clock) and exposes the three orders as decision
 procedures plus the operation-level views that the consistency criteria
 consume: reads with their returned chains, appends, and the replica events
 ``send``/``receive``/``update`` of Section 4.2.
+
+The events are paired into :class:`OpRecord` operations once, on the
+first call of an operation view, so recording a run pays nothing for it.
+The pairing pass indexes the operations by name, and completed reads also
+by process; every view reads that one table, and
+:meth:`ConcurrentHistory.purged` builds its copy by filtering it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional
+from typing import Any, Dict, Iterable, List, Optional
 
 from repro.blocktree.chain import Chain
 from repro.histories.continuation import ContinuationModel
@@ -34,8 +40,9 @@ class ConcurrentHistory:
     def __post_init__(self) -> None:
         self.events = sorted(self.events, key=lambda e: e.eid)
         self._ops: Optional[List[OpRecord]] = None
-        self._reads: Optional[List[OpRecord]] = None
-        self._reads_by_proc: Optional[Dict[str, List[OpRecord]]] = None
+        #: The operations by name (``"read"``: the completed reads only)
+        #: and by ``("read", process)``; filled with ``_ops`` in one pass.
+        self._table: Dict[Any, List[OpRecord]] = {}
 
     # -- event-level orders ----------------------------------------------------
 
@@ -67,55 +74,44 @@ class ConcurrentHistory:
     # -- operation views ------------------------------------------------------
 
     def operations(self) -> List[OpRecord]:
-        """All operations (matched inv/resp pairs; pending ops included)."""
+        """All operations (matched inv/resp pairs; pending ops included),
+        paired on first use of any view (events are immutable once built)."""
         if self._ops is None:
-            by_id: Dict[int, dict] = {}
-            order: List[int] = []
+            slots: Dict[int, List[Optional[Event]]] = {}
             for event in self.events:
-                slot = by_id.get(event.op_id)
+                slot = slots.get(event.op_id)
                 if slot is None:
-                    by_id[event.op_id] = slot = {"inv": None, "resp": None}
-                    order.append(event.op_id)
-                if event.kind is EventKind.INVOCATION:
-                    slot["inv"] = event
-                else:
-                    slot["resp"] = event
+                    slots[event.op_id] = slot = [None, None]
+                slot[event.kind is EventKind.RESPONSE] = event
             ops: List[OpRecord] = []
-            for op_id in order:
-                slot = by_id[op_id]
-                inv = slot["inv"] or slot["resp"]
-                ops.append(
-                    OpRecord(
-                        op_id=op_id,
-                        proc=inv.proc,
-                        name=inv.op_name,
-                        args=inv.args,
-                        invocation=inv,
-                        response=slot["resp"],
-                    )
+            table = self._table
+            for op_id, (inv, resp) in slots.items():
+                first = inv or resp
+                op = OpRecord(
+                    op_id=op_id,
+                    proc=first.proc,
+                    name=first.op_name,
+                    args=first.args,
+                    invocation=first,
+                    response=resp,
                 )
+                ops.append(op)
+                if op.name != "read":
+                    table.setdefault(op.name, []).append(op)
+                elif resp is not None:
+                    table.setdefault("read", []).append(op)
+                    table.setdefault(("read", op.proc), []).append(op)
             self._ops = ops
         return self._ops
 
-    def _named(self, name: str) -> List[OpRecord]:
-        return [op for op in self.operations() if op.name == name]
-
-    def _completed_reads(self) -> List[OpRecord]:
-        """The cached completed-read list (do not mutate)."""
-        if self._reads is None:
-            self._reads = [op for op in self._named("read") if op.complete]
-        return self._reads
+    def _named(self, key: Any) -> List[OpRecord]:
+        """A fresh list of the operations indexed under ``key``."""
+        self.operations()
+        return list(self._table.get(key, ()))
 
     def reads(self) -> List[OpRecord]:
-        """Completed ``read()`` operations, in invocation order.
-
-        Filtered once and cached — the batch checkers call this
-        repeatedly on 10⁵⁺-read scenario histories (events are treated
-        as immutable after construction, like the ``operations()``
-        cache).  Returns a fresh list, so callers may mutate it freely,
-        exactly as with the old per-call comprehension.
-        """
-        return list(self._completed_reads())
+        """Completed ``read()`` operations, in invocation order."""
+        return self._named("read")
 
     def appends(self) -> List[OpRecord]:
         """All ``append`` operations (complete or pending)."""
@@ -123,7 +119,7 @@ class ConcurrentHistory:
 
     def successful_appends(self) -> List[OpRecord]:
         """Appends whose response returned ``True``."""
-        return [op for op in self._named("append") if op.complete and op.result is True]
+        return [op for op in self._named("append") if op.result is True]
 
     def sends(self) -> List[OpRecord]:
         """Replica-level ``send`` events (instantaneous operations)."""
@@ -142,18 +138,8 @@ class ConcurrentHistory:
         return sorted({e.proc for e in self.events})
 
     def reads_of(self, proc: str) -> List[OpRecord]:
-        """Completed reads of one process, in process order.
-
-        Grouped once and cached — iterating ``reads_of`` over every
-        process used to rescan the full read list per process, a hidden
-        quadratic in the batch checkers.
-        """
-        if self._reads_by_proc is None:
-            by_proc: Dict[str, List[OpRecord]] = {}
-            for op in self._completed_reads():
-                by_proc.setdefault(op.proc, []).append(op)
-            self._reads_by_proc = by_proc
-        return list(self._reads_by_proc.get(proc, ()))
+        """Completed reads of one process, in process order."""
+        return self._named(("read", proc))
 
     @staticmethod
     def returned_chain(read_op: OpRecord) -> Chain:
@@ -175,17 +161,23 @@ class ConcurrentHistory:
 
         Drops invocation *and* response events of every append whose
         response returned ``False`` (or is pending); a history without any
-        is returned as is (histories are not mutated once built).
+        is returned as is (histories are not mutated once built).  The
+        copy filters this history's sorted events and paired operations,
+        so it neither sorts nor pairs again.
         """
-        bad_ids = {
-            op.op_id
-            for op in self.appends()
-            if not op.complete or op.result is not True
-        }
+        appends = self.appends()
+        bad_ids = {op.op_id for op in appends if op.result is not True}
         if not bad_ids:
             return self
-        kept = [e for e in self.events if e.op_id not in bad_ids]
-        return ConcurrentHistory(events=kept, continuation=self.continuation)
+        copy = ConcurrentHistory.__new__(ConcurrentHistory)
+        copy.events = [e for e in self.events if e.op_id not in bad_ids]
+        copy.continuation = self.continuation
+        copy._ops = [op for op in self._ops if op.op_id not in bad_ids]
+        copy._table = {
+            **self._table,
+            "append": [op for op in appends if op.op_id not in bad_ids],
+        }
+        return copy
 
     def restrict_to_procs(self, procs: Iterable[str]) -> "ConcurrentHistory":
         """Sub-history of the given processes (Definition 4.2 restriction)."""

@@ -136,8 +136,11 @@ def classify_run(name: str, run: ProtocolRun) -> ClassificationRow:
     sc_failures: List[str] = []
     for shard, recorded in sorted(run.histories.items()):
         history = recorded.purged()
-        sc_report = BTStrongConsistency(score=score).check(history)
-        ec_report = BTEventualConsistency(score=score).check(history)
+        # One memo per history: the three properties SC and EC share are
+        # decided once and both reports hold the same verdicts.
+        judged = {}
+        sc_report = BTStrongConsistency(score=score).check(history, memo=judged)
+        ec_report = BTEventualConsistency(score=score).check(history, memo=judged)
         sc_ok = sc_ok and sc_report.ok
         ec_ok = ec_ok and ec_report.ok
         prefix = f"s{shard}:" if run.shards > 1 else ""

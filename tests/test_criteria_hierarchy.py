@@ -80,12 +80,6 @@ class TestCriteria:
             if sc.check(h).ok:
                 assert ec.check(h).ok
 
-    def test_explicit_valid_ids_enforced(self):
-        chain = build_chain("1")
-        h = history_with([("i", chain)])
-        report = BTStrongConsistency(score=SCORE, valid_block_ids=set()).check(h)
-        assert not report.checks["block-validity"].ok
-
 
 class TestRandomRefinementHistory:
     def test_deterministic_under_seed(self):

@@ -6,7 +6,8 @@ every recorded operation is paired into one :class:`OpRecord` (the purged
 copy reuses the original's pairing), and each of the five ``check_*``
 functions runs once per history.  A second test checks that the purged
 copy is indistinguishable from a history built afresh from the kept
-events.
+events and that SC and EC judged through one memo report what separate
+checks report.
 """
 
 import math
@@ -93,7 +94,8 @@ def test_purged_copy_equals_fresh_history(seed, k):
     for proc in fresh.procs():
         assert purged.reads_of(proc) == fresh.reads_of(proc)
         assert purged.last_chain_of(proc) == fresh.last_chain_of(proc)
+    judged = {}
     for criterion in (BTStrongConsistency, BTEventualConsistency):
-        assert criterion(score=SCORE).check(purged) == criterion(
+        assert criterion(score=SCORE).check(purged, memo=judged) == criterion(
             score=SCORE
         ).check(fresh)
