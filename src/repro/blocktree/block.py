@@ -25,6 +25,7 @@ __all__ = [
     "Block",
     "GENESIS",
     "make_block",
+    "attach_descriptor",
     "creator_name",
     "ValidityPredicate",
     "AlwaysValid",
@@ -114,6 +115,26 @@ def make_block(
         creator=creator,
         nonce=nonce,
         weight=weight,
+    )
+
+
+def attach_descriptor(descriptor: Block, holder: Block | str) -> Block:
+    """The concrete block chaining ``descriptor`` to ``holder``.
+
+    A descriptor that already names ``holder`` as parent is used as is
+    (protocol-produced blocks); otherwise a re-chained copy is derived
+    with the same label, payload, creator, nonce and weight.
+    """
+    holder_id = holder.block_id if isinstance(holder, Block) else holder
+    if descriptor.parent_id == holder_id:
+        return descriptor
+    return make_block(
+        parent=holder_id,
+        label=descriptor.label,
+        payload=descriptor.payload,
+        creator=descriptor.creator,
+        nonce=descriptor.nonce,
+        weight=descriptor.weight,
     )
 
 

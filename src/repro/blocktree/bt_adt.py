@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from typing import Any, Tuple
 
 from repro.adt.base import ADT
-from repro.blocktree.block import Block, ValidityPredicate, make_block
+from repro.blocktree.block import Block, ValidityPredicate, attach_descriptor
 from repro.blocktree.chain import Chain
 from repro.blocktree.selection import SelectionFunction
 from repro.blocktree.tree import BlockTree
@@ -98,7 +98,7 @@ class BTADT(ADT[BTState]):
                 return state
             new_tree = state.tree.copy()
             tip = state.selection.select(new_tree).tip
-            attached = self.attach_descriptor(block, tip)
+            attached = attach_descriptor(block, tip)
             new_tree.add_block(attached)
             return BTState(tree=new_tree, selection=state.selection, validity=state.validity)
         raise ValueError(f"unknown symbol {symbol!r}")
@@ -115,24 +115,6 @@ class BTADT(ADT[BTState]):
     def freeze(self, state: BTState) -> Any:
         """Hashable state token for sequential-specification checking."""
         return state.freeze()
-
-    @staticmethod
-    def attach_descriptor(descriptor: Block, tip: Block) -> Block:
-        """Derive the concrete block chaining ``descriptor`` to ``tip``.
-
-        If the descriptor already names ``tip`` as parent it is used as-is
-        (protocol-produced blocks); otherwise a re-chained copy is derived.
-        """
-        if descriptor.parent_id == tip.block_id:
-            return descriptor
-        return make_block(
-            parent=tip,
-            label=descriptor.label,
-            payload=descriptor.payload,
-            creator=descriptor.creator,
-            nonce=descriptor.nonce,
-            weight=descriptor.weight,
-        )
 
     # -- convenience used by tests and figures -------------------------------
 

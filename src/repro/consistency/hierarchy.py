@@ -102,17 +102,13 @@ def random_refinement_history(
             recorder.end(proc, op_id, "append", bool(result.success))
             script.append(("append", proc, holder.block_id, label, realized.block_id))
         else:
-            op_id = recorder.begin(proc, "read", ())
             chain = refined.read()
-            recorder.end(proc, op_id, "read", chain)
+            recorder.record_read(proc, chain)
             cached_tip[proc] = chain.tip
             script.append(("read", proc))
     # Final read per process so limit chains are observable.
     for proc in procs:
-        op_id = recorder.begin(proc, "read", ())
-        chain = refined.read()
-        recorder.end(proc, op_id, "read", chain)
-        cached_tip[proc] = chain.tip
+        recorder.record_read(proc, refined.read())
         script.append(("read", proc))
     history = recorder.history(
         continuation=ContinuationModel.all_growing(procs, group="main")

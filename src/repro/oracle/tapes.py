@@ -21,7 +21,13 @@ from typing import Dict
 
 from repro._util import prf_unit, require
 
-__all__ = ["MeritTape", "TapeSet"]
+__all__ = ["tape_cell", "MeritTape", "TapeSet"]
+
+
+def tape_cell(seed: int, merit_id: str, index: int, probability: float) -> bool:
+    """Whether cell ``index`` of the tape of ``merit_id`` under ``seed``
+    contains ``tkn`` (a cell chance of ``probability``)."""
+    return prf_unit("tape", seed, merit_id, index) < probability
 
 
 @dataclass
@@ -44,7 +50,7 @@ class MeritTape:
 
     def cell(self, index: int) -> bool:
         """Whether cell ``index`` of the immutable tape contains ``tkn``."""
-        return prf_unit("tape", self.seed, self.merit_id, index) < self.probability
+        return tape_cell(self.seed, self.merit_id, index, self.probability)
 
     def head(self) -> bool:
         """Peek the current cell (the paper's ``head``)."""

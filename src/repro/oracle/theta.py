@@ -28,11 +28,12 @@ from typing import Any, Dict, Optional, Tuple
 
 from repro._util import sha256_hex
 from repro.adt.base import ADT
-from repro.blocktree.block import Block, make_block
-from repro.oracle.tapes import TapeSet
+from repro.blocktree.block import Block, attach_descriptor
+from repro.oracle.tapes import TapeSet, tape_cell
 
 __all__ = [
     "Token",
+    "mint_token",
     "TokenizedBlock",
     "OracleStats",
     "ThetaOracle",
@@ -56,6 +57,15 @@ class Token:
 
     holder_id: str
     token_id: str
+
+
+def mint_token(seed: int, merit_id: str, position: int, holder_id: str) -> Token:
+    """The token that cell ``position`` of ``merit_id``'s tape wins for
+    ``holder_id``; its id commits to all four."""
+    return Token(
+        holder_id=holder_id,
+        token_id=sha256_hex("token", seed, merit_id, position, holder_id),
+    )
 
 
 @dataclass(frozen=True)
@@ -128,21 +138,8 @@ class ThetaOracle:
         if not won:
             return None
         self.stats.tokens_generated += 1
-        token = Token(
-            holder_id=holder_id,
-            token_id=sha256_hex("token", self.tapes.seed, merit_id, position, holder_id),
-        )
-        if isinstance(holder, Block) and descriptor.parent_id == holder.block_id:
-            concrete = descriptor
-        else:
-            concrete = make_block(
-                parent=holder_id,
-                label=descriptor.label,
-                payload=descriptor.payload,
-                creator=descriptor.creator,
-                nonce=descriptor.nonce,
-                weight=descriptor.weight,
-            )
+        token = mint_token(self.tapes.seed, merit_id, position, holder_id)
+        concrete = attach_descriptor(descriptor, holder)
         return TokenizedBlock(block=concrete, token=token)
 
     def consume_token(self, tokenized: TokenizedBlock) -> Tuple[Block, ...]:
@@ -235,22 +232,13 @@ class ThetaState:
     k: float
 
     def position_of(self, merit_id: str) -> int:
-        for m, p in self.positions:
-            if m == merit_id:
-                return p
-        return 0
+        return dict(self.positions).get(merit_id, 0)
 
     def probability_of(self, merit_id: str) -> float:
-        for m, p in self.probabilities:
-            if m == merit_id:
-                return p
-        raise KeyError(merit_id)
+        return dict(self.probabilities)[merit_id]
 
     def bucket(self, holder_id: str) -> Tuple[str, ...]:
-        for h, ids in self.consumed:
-            if h == holder_id:
-                return ids
-        return ()
+        return dict(self.consumed).get(holder_id, ())
 
 
 class ThetaADT(ADT[ThetaState]):
@@ -277,11 +265,6 @@ class ThetaADT(ADT[ThetaState]):
     def accepts_symbol(self, symbol: Any) -> bool:
         return isinstance(symbol, (GetToken, ConsumeToken))
 
-    def _tape_cell(self, state: ThetaState, merit_id: str, position: int) -> bool:
-        from repro._util import prf_unit
-
-        return prf_unit("tape", state.seed, merit_id, position) < state.probability_of(merit_id)
-
     def transition(self, state: ThetaState, symbol: Any) -> ThetaState:
         if isinstance(symbol, GetToken):
             positions = tuple(
@@ -301,23 +284,14 @@ class ThetaADT(ADT[ThetaState]):
 
     def output(self, state: ThetaState, symbol: Any) -> Any:
         if isinstance(symbol, GetToken):
-            position = state.position_of(symbol.merit_id)
-            if not self._tape_cell(state, symbol.merit_id, position):
+            merit_id = symbol.merit_id
+            position = state.position_of(merit_id)
+            if not tape_cell(
+                state.seed, merit_id, position, state.probability_of(merit_id)
+            ):
                 return None
-            token = Token(
-                holder_id=symbol.holder_id,
-                token_id=sha256_hex(
-                    "token", state.seed, symbol.merit_id, position, symbol.holder_id
-                ),
-            )
-            concrete = make_block(
-                parent=symbol.holder_id,
-                label=symbol.descriptor.label,
-                payload=symbol.descriptor.payload,
-                creator=symbol.descriptor.creator,
-                nonce=symbol.descriptor.nonce,
-                weight=symbol.descriptor.weight,
-            )
+            token = mint_token(state.seed, merit_id, position, symbol.holder_id)
+            concrete = attach_descriptor(symbol.descriptor, symbol.holder_id)
             return TokenizedBlock(block=concrete, token=token)
         if isinstance(symbol, ConsumeToken):
             # δ returns get(K, h) *after* the add — mirror the transition.
