@@ -34,10 +34,6 @@ from repro.histories.history import ConcurrentHistory
 __all__ = ["check_update_agreement", "check_lrc"]
 
 
-def _replica_events(history: ConcurrentHistory, name: str) -> list:
-    return [op for op in history.operations() if op.name == name]
-
-
 def check_update_agreement(
     history: ConcurrentHistory,
     correct_procs: Optional[Iterable[str]] = None,
@@ -48,9 +44,9 @@ def check_update_agreement(
     ``correct_procs`` defaults to every process that recorded at least one
     replica event.
     """
-    updates = _replica_events(history, "update")
-    sends = _replica_events(history, "send")
-    receives = _replica_events(history, "receive")
+    updates = history.updates()
+    sends = history.sends()
+    receives = history.receives()
     if correct_procs is None:
         correct = sorted({op.proc for op in updates + sends + receives})
     else:
@@ -108,8 +104,8 @@ def check_lrc(
     the sender.  *Agreement*: every message received by some correct
     process is received by all correct processes.
     """
-    sends = _replica_events(history, "send")
-    receives = _replica_events(history, "receive")
+    sends = history.sends()
+    receives = history.receives()
     if correct_procs is None:
         correct = sorted({op.proc for op in sends + receives})
     else:
