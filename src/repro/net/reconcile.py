@@ -187,9 +187,10 @@ class GossipTransport:
         self.node.send(dst, message)
 
     def _broadcast(self, message: Any) -> None:
-        net = self.node.network
-        self._account(message, copies=len(net.neighbors_of(self.node.name)))
-        self.node.broadcast(message)
+        node = self.node
+        targets = node.network.neighbors_of(node.name)
+        self._account(message, copies=len(targets))
+        node.network.transmit(node.name, targets, message)
 
     def stats(self) -> Dict[str, Any]:
         """The transport's counters, labelled with its kind."""
