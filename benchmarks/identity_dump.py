@@ -16,7 +16,8 @@ Each line is ``json.dumps(..., sort_keys=True)`` of, in a fixed order:
   ``adversarial_scenarios`` preset × flood/reconcile; the other six
   protocols × {partition-heal, crash-rejoin, node-churn} on the full
   topology and on an n=8 small-world overlay; bitcoin crash-rejoin with
-  client traffic on a log store;
+  client traffic on a log store; the :data:`SEEDED_CELLS` of the
+  ``--seeds 1,…,20`` campaign;
 * the ``CampaignMatrix.to_dict(include_timing=False)`` of a
   2 protocols × 2 presets × 2 seeds grid;
 * one fingerprint per :data:`MINERS` class (every ``BitcoinNode``
@@ -53,6 +54,25 @@ from repro.workloads.traffic import traffic_presets
 
 LIFECYCLE_PRESETS = ("partition-heal", "crash-rejoin", "node-churn")
 
+#: ``(protocol, preset, seed index)`` of the ``--seeds 1,…,20`` campaign
+#: cells that were inconsistent (✗) at 7a2c5dd, so a change that moves
+#: their verdicts shows it (docs/architecture.md, "The ✗ cells").
+SEEDED_CELLS = (
+    ("bitcoin", "crash-rejoin", 16),
+    ("ethereum", "crash-rejoin", 15),
+    ("byzcoin", "node-churn", 12),
+    ("byzcoin", "node-churn", 19),
+    ("byzcoin", "crash-rejoin", 18),
+    ("byzcoin", "eclipse-heal", 3),
+    ("byzcoin", "eclipse-heal", 12),
+    ("byzcoin", "client-steady", 0),
+    ("byzcoin", "spam-flood", 0),
+    ("peercensus", "node-churn", 15),
+    ("peercensus", "crash-rejoin", 5),
+    ("peercensus", "client-steady", 16),
+    ("peercensus", "client-steady", 19),
+)
+
 
 def _cells(store_dir: str) -> Iterator[Tuple[str, ProtocolScenario]]:
     defaults = default_scenarios()
@@ -76,6 +96,11 @@ def _cells(store_dir: str) -> Iterator[Tuple[str, ProtocolScenario]]:
         store="log",
         store_dir=store_dir,
     )
+    for protocol, preset, index in SEEDED_CELLS:
+        grid = CampaignGrid(
+            protocols=(protocol,), scenarios=(preset,), seeds=tuple(range(1, 21))
+        )
+        yield protocol, grid.expand()[index].scenario
 
 
 def _run_cell(

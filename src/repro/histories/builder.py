@@ -9,13 +9,13 @@ tests guarantees trivially.
 
 from __future__ import annotations
 
-from typing import Any, Tuple
+from typing import Any, Dict, Optional, Tuple
 
 from repro.histories.continuation import ContinuationModel
 from repro.histories.events import Event, EventKind
 from repro.histories.history import ConcurrentHistory
 
-__all__ = ["HistoryRecorder"]
+__all__ = ["AppendLedger", "HistoryRecorder"]
 
 
 class HistoryRecorder:
@@ -29,8 +29,8 @@ class HistoryRecorder:
 
     def __init__(self) -> None:
         self._events: list[Event] = []
-        self._next_eid = 0
         self._next_op = 0
+        self.ledger = AppendLedger(self)
 
     def _emit(
         self,
@@ -41,20 +41,9 @@ class HistoryRecorder:
         args: Tuple[Any, ...],
         result: Any,
         time: float,
-    ) -> Event:
-        event = Event(
-            eid=self._next_eid,
-            proc=proc,
-            kind=kind,
-            op_id=op_id,
-            op_name=op_name,
-            args=args,
-            result=result,
-            time=time,
-        )
-        self._next_eid += 1
-        self._events.append(event)
-        return event
+    ) -> None:
+        log = self._events  # an event's id is its index in the log
+        log.append(Event(len(log), proc, kind, op_id, op_name, args, result, time))
 
     def begin(self, proc: str, op_name: str, args: Tuple[Any, ...] = (), time: float = 0.0) -> int:
         """Record an invocation event; returns the operation id."""
@@ -80,15 +69,11 @@ class HistoryRecorder:
 
     def record_read(self, proc: str, chain, time: float = 0.0) -> int:
         """Convenience: a complete ``read()`` returning ``chain``."""
-        op_id = self.begin(proc, "read", (), time)
-        self.end(proc, op_id, "read", chain, time)
-        return op_id
+        return self.instant(proc, "read", (), chain, time)
 
     def record_append(self, proc: str, block_id: str, ok: bool, time: float = 0.0) -> int:
         """Convenience: a complete ``append(b)`` with boolean outcome."""
-        op_id = self.begin(proc, "append", (block_id,), time)
-        self.end(proc, op_id, "append", ok, time)
-        return op_id
+        return self.instant(proc, "append", (block_id,), ok, time)
 
     def history(self, continuation: ContinuationModel | None = None) -> ConcurrentHistory:
         """Snapshot the recorded events into a history."""
@@ -96,3 +81,56 @@ class HistoryRecorder:
 
     def __len__(self) -> int:
         return len(self._events)
+
+
+class AppendLedger:
+    """One history's appends as the refined append ``getToken*;
+    consumeToken``, each invocation answered exactly once (see "The
+    append ledger" in docs/architecture.md).  An invocation is tagged
+    with the consensus instance that will decide its block; an immediate
+    append is its own instance."""
+
+    def __init__(self, recorder: HistoryRecorder) -> None:
+        self._recorder = recorder
+        #: instance → process → open invocations (block id → op id); None: answered.
+        self._instances: Dict[Any, Dict[str, Optional[Dict[str, int]]]] = {}
+        self._counts: Dict[str, Dict[str, int]] = {}
+
+    def stats(self, proc: str) -> Dict[str, int]:
+        """``proc``'s append counters."""
+        counts = ("begun", "resolved", "unknown_resolutions", "reinvoked")
+        return self._counts.setdefault(proc, dict.fromkeys(counts, 0))
+
+    def invoke(self, proc: str, block: Any, instance: Any, time: float = 0.0) -> None:
+        """getToken.  Re-invoking an open block only counts ``reinvoked``."""
+        holders = self._instances.setdefault(instance, {})
+        pending = holders[proc] = holders.get(proc) or {}
+        if block.block_id in pending:
+            self.stats(proc)["reinvoked"] += 1
+            return
+        pending[block.block_id] = self._recorder.begin(
+            proc, "append", (block.block_id, block.parent_id), time=time
+        )
+        self.stats(proc)["begun"] += 1
+
+    def decide(
+        self, proc: str, instance: Any, block_id: Any, time: float = 0.0
+    ) -> None:
+        """consumeToken: True for ``block_id``, False for ``proc``'s other
+        invocations in ``instance``.  A second decide at ``proc``, or one
+        of an instance nobody invoked in, counts ``unknown_resolutions``."""
+        holders = self._instances.get(instance, {})
+        pending = holders.get(proc, {})
+        if not holders or pending is None:
+            self.stats(proc)["unknown_resolutions"] += 1
+            return
+        holders[proc] = None
+        for block, op_id in pending.items():
+            self._recorder.end(proc, op_id, "append", block == block_id, time=time)
+        self.stats(proc)["resolved"] += len(pending)
+
+    def close(self, now: float) -> None:
+        """Answer every invocation still open False: it was never committed."""
+        for instance, holders in self._instances.items():
+            for proc in [proc for proc, pending in holders.items() if pending]:
+                self.decide(proc, instance, None, now)

@@ -5,12 +5,14 @@ selecting the block proposer … the variant of Byzantine agreement
 algorithm BA* implements the consumeToken operation."
 
 Rounds are synchronous (round ``r`` starts at ``r · round_length``): each
-node assembles a proposal block extending its committed tip and submits
-it to the round's BA* instance; VRF priorities (stake-weighted) pick the
-de-facto proposer; the cert-vote quorum commits one block which everyone
-adopts — Θ_F,k=1 and Strong consistency *with high probability* (the
-paper's "SC w.h.p." annotation).  The fork-probability bench desyncs the
-step time to surface the exceptional behaviour.
+node invokes the append of a proposal block extending its committed tip
+in the round's ledger instance and submits it to the round's BA*
+instance; VRF priorities (stake-weighted) pick the de-facto proposer;
+the cert-vote quorum commits one block, which everyone adopts and whose
+decide answers each proposer's append — Θ_F,k=1 and Strong consistency
+*with high probability* (the paper's "SC w.h.p." annotation).  The
+fork-probability bench desyncs the step time to surface the exceptional
+behaviour.
 """
 
 from __future__ import annotations
@@ -30,8 +32,7 @@ __all__ = ["AlgorandNode", "run_algorand"]
 class AlgorandNode(BlockchainNode):
     """An Algorand participant: stake-weighted sortition + BA* commit."""
 
-    oracle_kind = "frugal-k1"
-    expected_refinement = "R(BT-ADT_SC, Θ_F,k=1) w.h.p."
+    oracle_k = 1
 
     def __init__(self, name: str, scenario: ProtocolScenario) -> None:
         super().__init__(name, scenario)
@@ -39,7 +40,6 @@ class AlgorandNode(BlockchainNode):
             n: scenario.merit_of(i) for i, n in enumerate(scenario.node_names())
         }
         self.round = 0
-        self.own_proposals: dict = {}
         self.ba = BAStarComponent(
             host=self,
             peers=list(scenario.node_names()),
@@ -84,18 +84,16 @@ class AlgorandNode(BlockchainNode):
         # registered signer verifies (authorship is not claimed — see
         # repro.crypto.auth identity binding).
         block = self.seal_block(block)
-        self.begin_append(block)
-        self.own_proposals[round_id] = block.block_id
-        self.ba.propose(("round", round_id), block)
+        instance = ("round", round_id)
+        self.ledger.invoke(self.name, block, instance, time=self.now)
+        self.ba.propose(instance, block)
         self.call_later(self.scenario.round_length, self.on_timer, round_id + 1)
 
     def _on_commit(self, instance_id: Any, block: Block) -> None:
         if block.parent_id in self.tree:
             self.adopt_block(block, relay=True)
-        _tag, round_id = instance_id
-        own = self.own_proposals.pop(round_id, None)
-        if own is not None:
-            self.resolve_append(own, own == block.block_id)
+        # Answers this round's own proposal: True iff it was committed.
+        self.ledger.decide(self.name, instance_id, block.block_id, time=self.now)
 
 
 def run_algorand(scenario: ProtocolScenario) -> ProtocolRun:

@@ -4,7 +4,8 @@
 ``bt_i``, flooding gossip for block dissemination (implementing LRC),
 orphan buffering for out-of-order arrivals, periodic recorded ``read()``
 operations, and recorded ``append``/``send``/``receive``/``update``
-events so the consistency checkers can judge the run afterwards.
+events so the consistency checkers can judge the run afterwards; its
+appends go through the history's :attr:`BlockchainNode.ledger`.
 
 :class:`ProtocolRun` builds the network for a scenario, runs it, issues a
 final read on every chain pipeline (so limit chains are observable) and
@@ -14,6 +15,7 @@ shard facets per replica alike (see :meth:`BlockchainNode.pipelines`).
 
 from __future__ import annotations
 
+import math
 import time as _time
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple, Type
@@ -23,6 +25,7 @@ from repro.blocktree.block import Block, creator_name, make_block
 from repro.blocktree.chain import Chain
 from repro.blocktree.selection import LongestChain, SelectionFunction
 from repro.blocktree.tree import BlockTree
+from repro.histories.builder import AppendLedger
 from repro.histories.continuation import ContinuationModel
 from repro.histories.history import ConcurrentHistory
 from repro.mempool.packer import BlockPacker
@@ -52,9 +55,9 @@ class BlockchainNode(SimProcess):
     §4.2 and re-floods the block.
     """
 
-    #: Classification tags overridden by concrete protocols.
-    oracle_kind: str = "prodigal"
-    expected_refinement: str = "R(BT-ADT_EC, Θ_P)"
+    #: The k of the protocol's token oracle Θ (∞: prodigal, 1: frugal),
+    #: from which ``classify_run`` derives its Table 1 expectation.
+    oracle_k: float = math.inf
 
     def __init__(self, name: str, scenario: ProtocolScenario) -> None:
         super().__init__(name)
@@ -64,16 +67,11 @@ class BlockchainNode(SimProcess):
         self.index = int(name[1:])
         self.selection: SelectionFunction = LongestChain()
         # -- measurement apparatus: survives crashes, it belongs to the
-        # history being measured, not to the replica --
-        self.open_appends: Dict[str, Tuple[int, str]] = {}  # block_id → (op_id, name)
+        # history being measured, not to the replica (as does its ledger) --
         #: The replica's counter table: component → its row of counters.
         #: Every component :meth:`_boot` builds counts into its row, so a
         #: crash loses no count (:data:`MERGE` says how runs fold rows).
-        #: ``unknown_resolutions`` counts resolve_append calls whose
-        #: block_id had no open append — a double resolution or a
-        #: never-begun append at the call site.
         self.metrics: Dict[str, Dict[str, Any]] = {
-            "appends": {"begun": 0, "resolved": 0, "unknown_resolutions": 0},
             "tx_gossip": {"tx_gossip_received": 0, "tx_gossip_duplicates": 0},
         }
         # Per-replica transaction stream: derived through the SHA-256 PRF
@@ -174,9 +172,16 @@ class BlockchainNode(SimProcess):
     def report(self, component: str) -> Dict[str, Any]:
         """``component``'s row as runs report it: through the live
         component's ``stats()`` where it has readings of its own (pool
-        occupancy, tree size, auth evidence, transport kind)."""
+        occupancy, tree size, auth evidence, transport kind, appends)."""
+        if component == "appends":
+            return self.ledger.stats(self.name)
         live = getattr(self, component, None)
         return live.stats() if hasattr(live, "stats") else self.metrics[component]
+
+    @property
+    def ledger(self) -> AppendLedger:
+        """The append ledger of the history this pipeline records into."""
+        return self.network.recorder.ledger
 
     def pipelines(self) -> List[Tuple[int, "BlockchainNode"]]:
         """The ``(shard, chain pipeline)`` pairs this host runs.
@@ -288,35 +293,6 @@ class BlockchainNode(SimProcess):
         if self.now < self.scenario.duration:
             self.read()
             self.schedule_periodic_reads()
-
-    # -- appends ------------------------------------------------------------------
-
-    def begin_append(self, block: Block) -> None:
-        """Record the invocation of ``append(block)`` (creator side)."""
-        rec = self.network.recorder
-        op_id = rec.begin(
-            self.name, "append", (block.block_id, block.parent_id), time=self.now
-        )
-        self.open_appends[block.block_id] = (op_id, self.name)
-        self.metrics["appends"]["begun"] += 1
-
-    def resolve_append(self, block_id: str, ok: bool) -> None:
-        """Record the response of a previously begun append.
-
-        An unknown ``block_id`` (double resolution, or a resolve for an
-        append that was never begun) is counted as an
-        ``unknown_resolutions`` append instead of being silently dropped
-        — ``ProtocolRun.append_stats`` surfaces the counter and the
-        campaign/regression tests assert it stays zero.
-        """
-        counts = self.metrics["appends"]
-        entry = self.open_appends.pop(block_id, None)
-        if entry is None:
-            counts["unknown_resolutions"] += 1
-            return
-        op_id, _ = entry
-        counts["resolved"] += 1
-        self.network.recorder.end(self.name, op_id, "append", ok, time=self.now)
 
     # -- block dissemination ---------------------------------------------------------
 
@@ -759,12 +735,12 @@ class BlockchainNode(SimProcess):
         Every member builds the same block locally (``creator=None``, so
         the id is content-derived) and seals its copy with its own key —
         any registered signer verifies.  Every member records the append
-        too: the replicated records are echoes of one token consumption,
-        deduplicated by block id in the k-fork checker.
+        too, as an immediate one: the replicated records are echoes of one
+        token consumption, deduplicated by block id in the k-fork checker.
         """
         block = self.seal_block(make_block(parent=tip, label=label, payload=payload))
-        self.begin_append(block)
-        self.resolve_append(block.block_id, True)
+        self.ledger.invoke(self.name, block, block.block_id, time=self.now)
+        self.ledger.decide(self.name, block.block_id, block.block_id, time=self.now)
         self.adopt_block(block, relay=True)
 
     def selected_tip(self) -> Block:
@@ -954,7 +930,7 @@ class ProtocolRun:
         return self._per_replica("tree")
 
     def append_stats(self) -> Dict[str, Dict[str, Any]]:
-        """Per-node append bookkeeping (begun/resolved/unknown-resolution).
+        """Per-node append bookkeeping (the ledgers' counters).
 
         With ``scenario.auth`` each entry also carries the replica's
         typed signature-rejection counters (``auth``) — forged vs
@@ -966,7 +942,7 @@ class ProtocolRun:
         return stats
 
     def unknown_append_resolutions(self) -> int:
-        """Total resolve-without-begin events across all pipelines."""
+        """Total ledger decides that answered no token, all pipelines."""
         per_node = self._per_replica("appends")
         return _merge(per_node.values(), "totals")["unknown_resolutions"]
 
@@ -1240,10 +1216,9 @@ class ProtocolRun:
         wall_clock_s = _time.perf_counter() - wall_start
         for _, _, chain in pipelines:
             chain.read()  # final read: the limit chain
-        for _, _, chain in pipelines:
-            for block_id in list(chain.open_appends):
-                chain.resolve_append(block_id, False)  # never committed
         recorders = {shard: chain.network.recorder for _, shard, chain in pipelines}
+        for recorder in recorders.values():
+            recorder.ledger.close(sim.now)
         histories = {
             k: recorders[k].history(
                 continuation=ContinuationModel.all_growing(names, group="main")

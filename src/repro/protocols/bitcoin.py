@@ -71,9 +71,6 @@ class PoWRaceNode(BlockchainNode):
 class BitcoinNode(PoWRaceNode):
     """A Bitcoin miner/replica."""
 
-    oracle_kind = "prodigal"
-    expected_refinement = "R(BT-ADT_EC, Θ_P)"
-
     def __init__(self, name: str, scenario: ProtocolScenario) -> None:
         super().__init__(name, scenario)
         self.selection = HeaviestChain()
@@ -113,8 +110,9 @@ class BitcoinNode(PoWRaceNode):
         payload = self.make_payload()
         block = self.mine_block(tip, payload, f"{self.name}#{self.blocks_mined}")
         self.blocks_mined += 1
-        self.begin_append(block)
-        self.resolve_append(block.block_id, True)  # prodigal: always accepted
+        # Prodigal: the append is its own instance, decided at once.
+        self.ledger.invoke(self.name, block, block.block_id, time=self.now)
+        self.ledger.decide(self.name, block.block_id, block.block_id, time=self.now)
         self.publish_block(block)
         self._schedule_mining()
 

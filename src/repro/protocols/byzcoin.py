@@ -10,12 +10,14 @@ bits among the concurrent key blocks."
 :class:`CommitteePoWNode` implements the shared pattern (also used by
 PeerCensus): nodes run Bitcoin's exponential PoW race
 (:class:`~repro.protocols.bitcoin.PoWRaceNode`), but a found block is a
-*candidate* for the next height, not an append; candidates are flooded;
-the committee (the whole membership here — ByzCoin's
-window-of-recent-miners is a weighting detail, not a mechanism change)
-runs one PBFT instance per height to consume exactly one token.  ByzCoin's candidate-selection rule is the
-paper's smallest-digest rule.  The committed block is adopted by all —
-Θ_F,k=1 behaviour, Strong consistency.
+*candidate* for the next height, its append invoked in that height's
+ledger instance; candidates are flooded; the committee (the whole
+membership here — ByzCoin's window-of-recent-miners is a weighting
+detail, not a mechanism change) runs one PBFT instance per height to
+consume exactly one token; a miner's decide of it answers the miner's
+candidates (True for the committed one).  ByzCoin's candidate-selection
+rule is the paper's smallest-digest rule.  The committed block is
+adopted by all — Θ_F,k=1 behaviour, Strong consistency.
 """
 
 from __future__ import annotations
@@ -42,8 +44,7 @@ class CommitteePoWNode(PoWRaceNode):
     choose the candidate-selection rule via :meth:`best_candidate`.
     """
 
-    oracle_kind = "frugal-k1"
-    expected_refinement = "R(BT-ADT_SC, Θ_F,k=1)"
+    oracle_k = 1
 
     def __init__(self, name: str, scenario: ProtocolScenario) -> None:
         super().__init__(name, scenario)
@@ -84,7 +85,7 @@ class CommitteePoWNode(PoWRaceNode):
         )
         block = self.seal_block(block)
         self.blocks_mined += 1
-        self.begin_append(block)
+        self.ledger.invoke(self.name, block, ("height", height), time=self.now)
         # Candidate dissemination is a §4.2 send (with loopback receive).
         self.record_instant("send", self.block_event_args(block))
         self._candidate_relay.broadcast((CANDIDATE, height, block))
@@ -110,14 +111,9 @@ class CommitteePoWNode(PoWRaceNode):
             return
         self.committed_height = height
         self.adopt_block(block, relay=True)
-        # Resolve own candidates for this height: winner True, losers False.
-        for candidate in self.candidates.pop(height, []):
-            if candidate.block_id in self.open_appends:
-                self.resolve_append(
-                    candidate.block_id, candidate.block_id == block.block_id
-                )
-        if block.block_id in self.open_appends:
-            self.resolve_append(block.block_id, True)
+        self.candidates.pop(height, None)
+        # Answers own candidates for this height: winner True, losers False.
+        self.ledger.decide(self.name, instance_id, block.block_id, time=self.now)
         self._schedule_mining()
 
     def _on_candidate(self, src: str, message: tuple) -> None:

@@ -22,9 +22,6 @@ __all__ = ["EthereumNode", "run_ethereum"]
 class EthereumNode(BitcoinNode):
     """An Ethereum miner/replica: Bitcoin's race with GHOST selection."""
 
-    oracle_kind = "prodigal"
-    expected_refinement = "R(BT-ADT_EC, Θ_P)"
-
     def __init__(self, name: str, scenario: ProtocolScenario) -> None:
         super().__init__(name, scenario)
         self.selection = GHOSTSelection()

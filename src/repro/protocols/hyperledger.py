@@ -9,9 +9,9 @@ The first ``orderer_count`` nodes form the CFT ordering cluster
 (:class:`~repro.consensus.ordering.OrderingService`); every node is also
 a peer.  Peers submit transaction batches; the service delivers a total
 order; at delivery sequence ``s`` every peer deterministically constructs
-block ``s`` (same content hash everywhere) and appends it
-(:meth:`~repro.protocols.base.BlockchainNode.append_decided`) — a unique
-chain, Θ_F,k=1, Strong consistency.
+block ``s`` (same content hash everywhere) and appends it as an immediate
+append (:meth:`~repro.protocols.base.BlockchainNode.append_decided`) — a
+unique chain, Θ_F,k=1, Strong consistency.
 """
 
 from __future__ import annotations
@@ -33,8 +33,7 @@ ORDERER_COUNT = 3
 class HyperledgerNode(BlockchainNode):
     """A Fabric node: peer always, orderer when in the cluster prefix."""
 
-    oracle_kind = "frugal-k1"
-    expected_refinement = "R(BT-ADT_SC, Θ_F,k=1)"
+    oracle_k = 1
 
     def __init__(self, name: str, scenario: ProtocolScenario) -> None:
         super().__init__(name, scenario)

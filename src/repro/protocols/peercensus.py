@@ -28,9 +28,6 @@ __all__ = ["PeerCensusNode", "run_peercensus"]
 class PeerCensusNode(CommitteePoWNode):
     """PeerCensus: first-seen candidate selection."""
 
-    oracle_kind = "frugal-k1"
-    expected_refinement = "R(BT-ADT_SC, Θ_F,k=1)"
-
     def best_candidate(self, height: int) -> Optional[Block]:
         pool = self.candidates.get(height, [])
         return pool[0] if pool else None  # first candidate seen

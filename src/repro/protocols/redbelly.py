@@ -9,9 +9,9 @@ contains a unique blockchain."
 Rounds are timer-driven: every member proposes a mini-batch of
 transactions; the :class:`~repro.consensus.superblock.SuperblockComponent`
 commits the deterministic union; every node then constructs the *same*
-superblock block (content-derived id) and appends it
-(:meth:`~repro.protocols.base.BlockchainNode.append_decided`) — one
-block per round, Θ_F,k=1, Strong consistency.
+superblock block (content-derived id) and appends it as an immediate
+append (:meth:`~repro.protocols.base.BlockchainNode.append_decided`) —
+one block per round, Θ_F,k=1, Strong consistency.
 """
 
 from __future__ import annotations
@@ -28,8 +28,7 @@ __all__ = ["RedBellyNode", "run_redbelly"]
 class RedBellyNode(BlockchainNode):
     """A Red Belly consortium member."""
 
-    oracle_kind = "frugal-k1"
-    expected_refinement = "R(BT-ADT_SC, Θ_F,k=1)"
+    oracle_k = 1
 
     def __init__(self, name: str, scenario: ProtocolScenario) -> None:
         super().__init__(name, scenario)

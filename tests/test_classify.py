@@ -7,12 +7,16 @@ whole system.  Rows are now derived from all replicas (majority view),
 and unknown append resolutions are counted instead of dropped.
 """
 
+from collections import Counter
 from dataclasses import replace
 
 import pytest
 
+from repro.blocktree.block import make_block
+from repro.campaign.grid import CampaignGrid
+from repro.histories.events import EventKind
 from repro.protocols.bitcoin import run_bitcoin
-from repro.protocols.classify import classify_protocol, classify_run
+from repro.protocols.classify import RUNNERS, classify_protocol, classify_run
 from repro.protocols.hyperledger import run_hyperledger
 from repro.workloads.scenarios import (
     AdversarialScenario,
@@ -57,38 +61,97 @@ class TestPartitionedClassification:
 
     def test_mixed_declared_oracles_rejected(self):
         run = run_bitcoin(replace(default_scenarios()["bitcoin"], duration=40.0))
-        run.nodes[0].oracle_kind = "frugal-k1"  # a misconfigured fleet
+        run.nodes[0].oracle_k = 1  # a misconfigured fleet
         with pytest.raises(ValueError, match="disagree"):
             classify_run("bitcoin", run)
+
+
+def seeded_cell(protocol, preset, index):
+    """The scenario of ``--seeds 1,…,20`` campaign cell ``#index``."""
+    grid = CampaignGrid(
+        protocols=(protocol,), scenarios=(preset,), seeds=tuple(range(1, 21))
+    )
+    return grid.expand()[index].scenario
+
+
+def assert_one_response_per_append(run):
+    """Every recorded append invocation has exactly one response."""
+    for history in run.histories.values():
+        invoked = Counter()
+        answered = Counter()
+        for event in history.events:
+            if event.op_name == "append":
+                kind = invoked if event.kind is EventKind.INVOCATION else answered
+                kind[event.op_id] += 1
+        assert invoked and answered == invoked
 
 
 class TestAppendResolutionAccounting:
     def test_unknown_resolution_is_counted_not_dropped(self):
         run = run_hyperledger(replace(default_scenarios()["hyperledger"], duration=40.0))
         node = run.nodes[0]
-        before = node.metrics["appends"]["unknown_resolutions"]
-        node.resolve_append("no-such-block", True)  # never begun
-        assert node.metrics["appends"]["unknown_resolutions"] == before + 1
+        ledger = node.ledger
+        before = ledger.stats(node.name)["unknown_resolutions"]
+        ledger.decide(node.name, "no-such-instance", "no-such-block")  # no token
+        assert ledger.stats(node.name)["unknown_resolutions"] == before + 1
         assert run.unknown_append_resolutions() == before + 1
 
     def test_double_resolution_is_counted(self):
-        from repro.blocktree.block import make_block
-
         run = run_bitcoin(replace(default_scenarios()["bitcoin"], duration=40.0))
         node = run.nodes[0]
+        ledger = node.ledger
         block = make_block(node.tree.genesis, label="dup")
-        node.begin_append(block)
-        node.resolve_append(block.block_id, True)
-        before = node.metrics["appends"]["unknown_resolutions"]
-        node.resolve_append(block.block_id, True)  # second resolution
-        assert node.metrics["appends"]["unknown_resolutions"] == before + 1
+        ledger.invoke(node.name, block, block.block_id)
+        ledger.decide(node.name, block.block_id, block.block_id)
+        before = ledger.stats(node.name)["unknown_resolutions"]
+        recorded = len(node.network.recorder)
+        ledger.decide(node.name, block.block_id, block.block_id)  # a second time
+        assert ledger.stats(node.name)["unknown_resolutions"] == before + 1
+        assert len(node.network.recorder) == recorded  # nothing answered twice
 
-    @pytest.mark.parametrize("runner", [run_bitcoin, run_hyperledger])
+    def test_reinvocation_is_counted_and_answered_once(self):
+        run = run_bitcoin(replace(default_scenarios()["bitcoin"], duration=40.0))
+        node = run.nodes[0]
+        ledger = node.ledger
+        block = make_block(node.tree.genesis, label="again")
+        ledger.invoke(node.name, block, "height-1")
+        ledger.invoke(node.name, block, "height-1")  # same block, still open
+        ledger.decide(node.name, "height-1", block.block_id)
+        stats = ledger.stats(node.name)
+        assert stats["reinvoked"] == 1 and stats["begun"] == stats["resolved"]
+        events = node.network.recorder.history().events
+        (invocation,) = [e for e in events if e.args[:1] == (block.block_id,)]
+        answers = [e.result for e in events if e.op_id == invocation.op_id]
+        assert answers == [None, True]  # the invocation, then one response
+
+    @pytest.mark.parametrize("runner", list(RUNNERS.values()))
     def test_clean_runs_have_zero_unknown_resolutions(self, runner):
-        name = "bitcoin" if runner is run_bitcoin else "hyperledger"
+        name = runner.__name__[len("run_"):]
         run = runner(replace(default_scenarios()[name], duration=80.0))
         assert run.unknown_append_resolutions() == 0
         stats = run.append_stats()
         for per_node in stats.values():
             assert per_node["begun"] == per_node["resolved"]
             assert per_node["unknown_resolutions"] == 0
+        assert_one_response_per_append(run)
+
+
+class TestReinvokedCommitteeAppend:
+    """A committee miner whose height is not yet committed can mine the
+    same candidate again (``make_block`` is deterministic).  The second
+    invocation must not orphan the first: a replica that adopted the
+    block in between would hold a block with no append invocation, and
+    Block Validity fails.  These two seeded campaign cells were
+    inconsistent (✗) while a re-invocation replaced the open one."""
+
+    @pytest.mark.parametrize(
+        "protocol, index", [("byzcoin", 0), ("peercensus", 16)]
+    )
+    def test_client_steady_cell_is_strongly_consistent(self, protocol, index):
+        run = RUNNERS[protocol](seeded_cell(protocol, "client-steady", index))
+        row = classify_run(protocol, run)
+        assert row.sc_failures == "-"
+        assert row.measured_refinement == "R(BT-ADT_SC, Θ_F,k=1)"
+        assert sum(s["reinvoked"] for s in run.append_stats().values()) > 0
+        assert run.unknown_append_resolutions() == 0
+        assert_one_response_per_append(run)

@@ -188,9 +188,10 @@ class TestCrashRejoin:
             "rejected_blocks", "pool", "packer", "tx_seen", "transport", "sync",
             "auth",
         )
-        apparatus = ("metrics", "open_appends", "txgen")
+        apparatus = ("metrics", "txgen")
         sealed = node.seal_block(make_block(GENESIS, label="mine", creator=0))
-        node.begin_append(sealed)
+        ledger = node.ledger
+        ledger.invoke(node.name, sealed, "mine")
         node.adopt_block(sealed, relay=False)
         kept = {name: getattr(node, name) for name in apparatus}
         generations = [{name: getattr(node, name) for name in ram}]
@@ -205,7 +206,12 @@ class TestCrashRejoin:
             assert len({id(obj) for obj in objects}) == 3, name
         for name in apparatus:
             assert getattr(node, name) is kept[name], name
-        assert sealed.block_id in node.open_appends
+        # The open append belongs to the history: deciding it now
+        # answers the invocation made before the crash.
+        ledger.decide(node.name, "mine", sealed.block_id)
+        assert ledger.stats(node.name) == {
+            "begun": 1, "resolved": 1, "unknown_resolutions": 0, "reinvoked": 0,
+        }
         # Every rebuilt component counts into the row its predecessor
         # filled; the slashing journal came along, so the rival is refused.
         for component in ("tree", "pool", "packer", "transport", "sync", "auth"):
@@ -335,7 +341,7 @@ def test_no_count_in_the_table_falls_across_a_crash(
     monkeypatch.setattr(BlockchainNode, "lifecycle_recover", lambda node: None)
     run_bitcoin(scenario)
     ((before, after),) = tables
-    components = {"appends", "tx_gossip", "tree", "pool", "packer", "transport", "sync"}
+    components = {"tx_gossip", "tree", "pool", "packer", "transport", "sync"}
     assert set(before) == components | ({"auth"} if auth else set())
     assert before["pool"]["accepted"] > 0 and before["packer"]["txs_packed"] > 0
     assert before["transport"]["messages_sent"] > 0

@@ -214,12 +214,13 @@ class TestHyperledger:
         peer.lifecycle_recover()
         replayed = sorted(b.label for b in peer.tree.blocks())
         assert replayed == ["b0", "blk0", "blk1"]
-        begun = peer.metrics["appends"]["begun"]
+        appends = peer.report("appends")
+        begun = appends["begun"]
         peer.on_message("p0", (DELIVER, 0, 0, batches[0]))
         peer.on_message("p0", ("hl-block", 1, batches[1]))
-        assert (len(peer.tree), peer.metrics["appends"]["begun"]) == (3, begun)
+        assert (len(peer.tree), appends["begun"]) == (3, begun)
         peer.on_message("p0", ("hl-block", 2, batches[2]))
-        assert (len(peer.tree), peer.metrics["appends"]["begun"]) == (4, begun + 1)
+        assert (len(peer.tree), appends["begun"]) == (4, begun + 1)
 
     def test_delivery_path_never_scans_the_tree(self, monkeypatch):
         calls = {"deliveries": 0, "scans": 0}

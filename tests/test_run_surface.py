@@ -163,7 +163,7 @@ class TestInheritedSurfacesHaveTheBenchShapes:
         for node in crash_run.nodes:
             entry = appends[node.name]
             assert entry["begun"] == sum(
-                f.metrics["appends"]["begun"] for f in node.facets.values()
+                f.report("appends")["begun"] for f in node.facets.values()
             )
             assert entry["begun"] == entry["resolved"]
             assert entry["unknown_resolutions"] == 0
