@@ -1,7 +1,7 @@
 PYTHON ?= python
 export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH))
 
-.PHONY: test identity-dump identity-check bench bench-gates bench-pairs bench-selfcheck docs-test campaign
+.PHONY: test identity-dump identity-check bench bench-gates bench-pairs bench-selfcheck docs-test campaign unreached
 
 ## Tier-1: the full unit/property/differential suite (fast, no benches).
 test:
@@ -59,3 +59,9 @@ WORKLOAD ?= table1-default
 bench-pairs:
 	@test -n "$(PARENT)" || (echo "usage: make bench-pairs PARENT=<rev> [PAIRS=10] [WORKLOAD=...]" >&2; exit 2)
 	$(PYTHON) benchmarks/bench_pairs.py $(PARENT) --pairs $(PAIRS) --workload $(WORKLOAD)
+
+## Every src/ function that the bench workloads, the identity dump, the
+## baseline campaign and the paper experiments never enter, by module
+## with line counts (benchmarks/unreached.py, about a minute).
+unreached:
+	$(PYTHON) benchmarks/unreached.py

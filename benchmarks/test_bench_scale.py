@@ -6,7 +6,7 @@ Not a paper figure — these gate the calendar-queue/overlay stack:
   stays under a fixed byte budget, with lazy membership keeping
   untouched nodes unallocated.
 * **propagation percentiles** — p50/p90/p99 gossip propagation latency
-  on ring, small-world, geo and skip-graph overlays, with every message
+  on ring and small-world overlays, with every message
   reaching every node (coverage 1.0).
 
 Simulator throughput is measured by ``bench/run.py`` (the
@@ -120,7 +120,7 @@ def test_bench_propagation_percentiles(report):
     n = max(200, _N // 5)
     n_messages = 10
     rows = []
-    for topology in ("ring", "small-world", "geo", "skip-graph"):
+    for topology in ("ring", "small-world"):
         sim, net, names = _build(n, topology, lazy=False)
         _inject(sim, net, names, n_messages=n_messages, spacing=1.0)
         sim.run()

@@ -3,7 +3,7 @@
 
 One blocktree is one BT-ADT; ``repro.shard`` runs K of them side by
 side — users PRF-hashed to shards, every replica running one full
-chain/mempool/UTXO facet per subscribed shard, and 5% of transfers
+chain/mempool/UTXO facet per shard, and 5% of transfers
 crossing shards through the two-phase LOCK → COMMIT/ABORT → RELEASE
 protocol carried inside ordinary block payloads.
 

@@ -35,11 +35,6 @@ class Operation:
     output: Any = None
     has_output: bool = True
 
-    @staticmethod
-    def input_only(symbol: Any) -> "Operation":
-        """Build a bare input symbol (an element of ``A`` inside ``Σ``)."""
-        return Operation(symbol=symbol, output=None, has_output=False)
-
     def __str__(self) -> str:  # pragma: no cover - debugging aid
         if self.has_output:
             return f"{self.symbol}/{self.output}"

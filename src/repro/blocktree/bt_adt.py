@@ -26,7 +26,6 @@ from typing import Any, Tuple
 
 from repro.adt.base import ADT
 from repro.blocktree.block import Block, ValidityPredicate, attach_descriptor
-from repro.blocktree.chain import Chain
 from repro.blocktree.selection import SelectionFunction
 from repro.blocktree.tree import BlockTree
 
@@ -115,9 +114,3 @@ class BTADT(ADT[BTState]):
     def freeze(self, state: BTState) -> Any:
         """Hashable state token for sequential-specification checking."""
         return state.freeze()
-
-    # -- convenience used by tests and figures -------------------------------
-
-    def read_chain(self, state: BTState) -> Chain:
-        """δ of a ``read()`` on ``state`` (the selected chain incl. genesis)."""
-        return self.output(state, Read())

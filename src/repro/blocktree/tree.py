@@ -623,20 +623,7 @@ class BlockTree:
                 self.maybe_prune()
         return True
 
-    def add_chain(self, chain: Chain) -> int:
-        """Insert every missing block of ``chain``; returns how many were new."""
-        added = 0
-        for block in chain.non_genesis():
-            if block.block_id not in self._height:
-                added += int(self.add_block(block))
-        return added
-
     # -- checkpoint/prune lifecycle ------------------------------------------
-
-    @property
-    def resident_count(self) -> int:
-        """Number of Block objects currently held in the hot set."""
-        return len(self._nodes)
 
     @property
     def checkpoint_id(self) -> str:

@@ -121,10 +121,10 @@ class CampaignGrid:
     gossip: str = "flood"
     #: Overlay topology for every cell (see :mod:`repro.net.overlay`):
     #: ``"full"`` keeps the historical clique and stays byte-identical
-    #: to pre-overlay grids; sparse kinds route all gossip/reconcile/
-    #: sync traffic through overlay neighbours.  Applied to all cells,
-    #: baselines included, so a sparse grid's baseline is the sparse
-    #: reference run.
+    #: to pre-overlay grids; ``"ring"`` and ``"small-world"`` route all
+    #: gossip/reconcile/sync traffic through overlay neighbours.
+    #: Applied to all cells, baselines included, so a sparse grid's
+    #: baseline is the sparse reference run.
     topology: str = "full"
     #: Per-node link budget for sparse topologies; ignored by ``full``.
     topology_degree: int = 8

@@ -3,7 +3,7 @@
 Quorum protocols (PBFT vote phases, Red Belly proposal collection,
 committee-PoW candidate dissemination) assume every committee message
 reaches *every* member.  :meth:`SimProcess.broadcast` only reaches
-overlay neighbours, so on a ring/small-world/geo topology votes from
+overlay neighbours, so on a ring or small-world topology votes from
 non-adjacent replicas would never arrive and quorums would starve.
 
 :class:`QuorumRelay` restores all-to-all delivery over any *connected*

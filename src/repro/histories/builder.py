@@ -130,7 +130,13 @@ class AppendLedger:
         self.stats(proc)["resolved"] += len(pending)
 
     def close(self, now: float) -> None:
-        """Answer every invocation still open False: it was never committed."""
+        """Answer every invocation still open False.
+
+        Open means undecided at the invoking process, which is not always
+        "never committed": in the cause-B cells the block was committed
+        while its invoker was offline or eclipsed (see "The ✗ cells" in
+        docs/architecture.md).
+        """
         for instance, holders in self._instances.items():
             for proc in [proc for proc, pending in holders.items() if pending]:
                 self.decide(proc, instance, None, now)

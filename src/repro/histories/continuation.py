@@ -92,9 +92,3 @@ class ContinuationModel:
     def reads_forever_procs(self) -> list[str]:
         """Processes declared to issue infinitely many further reads."""
         return sorted(p for p, c in self.per_process.items() if c.reads_forever)
-
-    def growing_procs(self) -> list[str]:
-        """Processes declared GROWING."""
-        return sorted(
-            p for p, c in self.per_process.items() if c.mode is GrowthMode.GROWING
-        )

@@ -23,7 +23,7 @@ operations and the §4.2 replica events.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, FrozenSet, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, FrozenSet, Optional, Sequence, Tuple
 
 from repro.histories.builder import HistoryRecorder
 from repro.net.channels import DROP, ChannelModel, SynchronousChannel
@@ -256,19 +256,6 @@ class Network:
                 self._neighbors_cache[name] = cached
             return cached
         return self.overlay.neighbors(name)
-
-    def correct_processes(self) -> List[str]:
-        """Names of processes that have not crashed.
-
-        A still-lazy node has done nothing, so it cannot have crashed —
-        it counts as correct without being materialised.
-        """
-        processes = self.processes
-        return [
-            n
-            for n in self.process_names()
-            if n not in processes or not processes[n].crashed
-        ]
 
     def start(self) -> None:
         """Invoke every *materialised* process's ``on_start`` at time 0.

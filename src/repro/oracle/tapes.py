@@ -62,18 +62,6 @@ class MeritTape:
         self.position += 1
         return value
 
-    def next_token_position(self, limit: int = 1_000_000) -> int:
-        """Index ≥ current position of the next ``tkn`` cell.
-
-        ``limit`` bounds the scan; with ``p > 0`` the expected distance is
-        ``1/p`` so the default limit is effectively unreachable for sane
-        probabilities.  Raises ``RuntimeError`` when exceeded.
-        """
-        for index in range(self.position, self.position + limit):
-            if self.cell(index):
-                return index
-        raise RuntimeError(f"no token within {limit} cells for merit {self.merit_id!r}")
-
     def copy(self) -> "MeritTape":
         """Independent reader at the same position over the same tape."""
         return MeritTape(self.seed, self.merit_id, self.probability, self.position)

@@ -95,9 +95,6 @@ class OracleStats:
     consume_rejections: int = 0
     duplicate_consumes: int = 0
 
-    def as_dict(self) -> Dict[str, int]:
-        return dict(self.__dict__)
-
 
 class ThetaOracle:
     """Imperative token oracle with consumption cap ``k`` (∞ for prodigal).
@@ -168,18 +165,9 @@ class ThetaOracle:
         """``get(K, h)`` without side effects."""
         return tuple(self.consumed.get(holder_id, ()))
 
-    def can_consume(self, holder_id: str) -> bool:
-        """Whether ``K[holder]`` still has room under the cap ``k``."""
-        return len(self.consumed.get(holder_id, ())) < self.k
-
     def check_fork_coherence(self) -> bool:
         """Theorem 3.2: no holder has more than ``k`` consumed tokens."""
         return all(len(bucket) <= self.k for bucket in self.consumed.values())
-
-    @property
-    def is_prodigal(self) -> bool:
-        """Whether this oracle is Θ_P (``k = ∞``)."""
-        return self.k == math.inf
 
 
 def FrugalOracle(k: int, tapes: TapeSet) -> ThetaOracle:

@@ -188,7 +188,7 @@ class BlockchainNode(SimProcess):
 
         A plain replica is its own single pipeline on shard 0; a
         :class:`repro.shard.node.ShardedNode` answers with one facet per
-        subscribed shard.  :class:`ProtocolRun` measures and drives a
+        shard.  :class:`ProtocolRun` measures and drives a
         run only through this list.
         """
         return [(0, self)]
@@ -815,7 +815,7 @@ class ProtocolRun:
     """Outcome of one protocol simulation.
 
     A run is a list of chain :meth:`pipelines` — one per replica on
-    shard 0 for a single chain, one facet per subscribed shard when
+    shard 0 for a single chain, one facet per shard when
     ``scenario.shards > 1`` — and every measurement below is one fold
     over that list: counters summed per replica, gauges by maximum,
     committed throughput read off each shard's majority-view replica.
@@ -890,7 +890,7 @@ class ProtocolRun:
     # -- chains ---------------------------------------------------------------
 
     def shard_chains(self, shard: int) -> Dict[str, Chain]:
-        """Each subscribed replica's adopted chain on one shard.
+        """Each replica's adopted chain on one shard.
 
         Goes through ``select_chain`` so equivocation bans are honoured
         when the pipelines run authenticated.
@@ -928,18 +928,6 @@ class ProtocolRun:
     def storage_stats(self) -> Dict[str, Dict[str, int]]:
         """Per-node block-store lifecycle counters (``BlockTree.stats``)."""
         return self._per_replica("tree")
-
-    def append_stats(self) -> Dict[str, Dict[str, Any]]:
-        """Per-node append bookkeeping (the ledgers' counters).
-
-        With ``scenario.auth`` each entry also carries the replica's
-        typed signature-rejection counters (``auth``) — forged vs
-        unregistered vs misbound rejections are separately observable.
-        """
-        stats = self._per_replica("appends")
-        for name, report in self.auth_stats().get("per_node", {}).items():
-            stats[name]["auth"] = report
-        return stats
 
     def unknown_append_resolutions(self) -> int:
         """Total ledger decides that answered no token, all pipelines."""

@@ -132,7 +132,7 @@ def run_bitcoin(scenario: ProtocolScenario) -> ProtocolRun:
 
     A scenario with ``shards > 1`` routes to the sharded executor
     (:func:`repro.shard.run.execute_sharded`): one BitcoinNode facet per
-    subscribed shard on every replica, returning a ``ShardedRun``.
+    shard on every replica, returning a ``ShardedRun``.
     """
     if scenario.shards > 1:
         from repro.shard.run import execute_sharded

@@ -4,13 +4,13 @@ two-phase LOCK/COMMIT records carried in block payloads.
 
 Layout:
 
-* :mod:`repro.shard.assignment` — the user→shard PRF hash and the
-  bami-style replica→shard subscription windows.
+* :mod:`repro.shard.assignment` — the user→shard PRF hash (every
+  replica hosts every shard).
 * :mod:`repro.shard.records` — LOCK/COMMIT/ABORT/RELEASE transaction
   encodings (plain UTXO transactions; uniqueness by coin minting).
 * :mod:`repro.shard.node` — :class:`ShardedNode`, hosting one
-  :class:`~repro.protocols.bitcoin.BitcoinNode` facet per subscribed
-  shard behind a shard-tagged network view, plus the cross-shard
+  :class:`~repro.protocols.bitcoin.BitcoinNode` facet per shard
+  behind a shard-tagged network view, plus the cross-shard
   coordinator.
 * :mod:`repro.shard.run` — :func:`execute_sharded` /
   :class:`ShardedRun`, the K>1 inputs and extras of

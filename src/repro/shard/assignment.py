@@ -1,30 +1,18 @@
-"""User→shard hashing and replica→shard subscriptions.
+"""User→shard hashing.
 
 Users are mapped to shards with the repo's seeded PRF, so the
 assignment is a pure function of ``(user, n_shards)``: it never
 depends on which replicas are alive, which makes it trivially stable
 under replica churn (the Hypothesis suite in
-``tests/test_shard_property.py`` pins this down).
-
-Replicas subscribe to a contiguous window of shards (bami-style
-sub-community subscription): replica ``i`` of ``n`` covers shards
-``{(i + j) % K for j in range(S)}``.  ``S = 0`` means *subscribe to
-everything* — the default, which keeps every replica a full node and
-reproduces the single-chain pipeline exactly at ``K = 1``.
+``tests/test_shard_property.py`` pins this down).  Every replica hosts
+every shard, so no replica→shard map is needed.
 """
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, Sequence, Tuple
-
 from repro._util import prf_uint64
 
-__all__ = [
-    "shard_of_user",
-    "subscribed_shards",
-    "shard_members",
-    "validate_coverage",
-]
+__all__ = ["shard_of_user"]
 
 
 def shard_of_user(user: str, n_shards: int) -> int:
@@ -38,39 +26,3 @@ def shard_of_user(user: str, n_shards: int) -> int:
     if n_shards == 1:
         return 0
     return prf_uint64("shard-user", user) % n_shards
-
-
-def subscribed_shards(replica_index: int, n_shards: int, subscription: int) -> FrozenSet[int]:
-    """The shard ids replica ``replica_index`` hosts facets for.
-
-    ``subscription`` is the window width ``S``; 0 (or any width >= K)
-    subscribes to all shards.
-    """
-    if n_shards < 1:
-        raise ValueError(f"n_shards must be >= 1, got {n_shards}")
-    if subscription <= 0 or subscription >= n_shards:
-        return frozenset(range(n_shards))
-    return frozenset((replica_index + j) % n_shards for j in range(subscription))
-
-
-def shard_members(
-    node_names: Sequence[str], n_shards: int, subscription: int
-) -> Dict[int, Tuple[str, ...]]:
-    """shard id → sorted names of the replicas subscribed to it."""
-    members: Dict[int, list] = {k: [] for k in range(n_shards)}
-    for index, name in enumerate(node_names):
-        for k in subscribed_shards(index, n_shards, subscription):
-            members[k].append(name)
-    return {k: tuple(sorted(names)) for k, names in members.items()}
-
-
-def validate_coverage(node_names: Sequence[str], n_shards: int, subscription: int) -> None:
-    """Raise when some shard would have no subscribed replica."""
-    members = shard_members(node_names, n_shards, subscription)
-    orphans = sorted(k for k, names in members.items() if not names)
-    if orphans:
-        raise ValueError(
-            f"shards {orphans} have no subscribed replica "
-            f"(n_nodes={len(node_names)}, n_shards={n_shards}, "
-            f"subscription={subscription})"
-        )

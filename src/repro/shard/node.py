@@ -1,29 +1,28 @@
-"""The sharded replica: one chain facet per subscribed shard.
+"""The sharded replica: one chain facet per shard.
 
 A :class:`ShardedNode` is the process registered with the real
 :class:`~repro.net.Network`.  It owns one complete
-:class:`~repro.protocols.bitcoin.BitcoinNode` *facet* per subscribed
-shard — tree, mempool, UTXO view, packer, transport, fast-sync — each
-seeing the network through a :class:`_ShardNetView`: a proxy that tags
-every outgoing message with the shard id, restricts broadcast fan-out
-to the shard's subscribed members (intersected with the host's overlay
-neighbours, so sparse topologies shape per-shard gossip too), and
-records the facet's BT-ADT operations into a *per-shard* history.  The
+:class:`~repro.protocols.bitcoin.BitcoinNode` *facet* per shard — tree,
+mempool, UTXO view, packer, transport, fast-sync — each seeing the
+network through a :class:`_ShardNetView`: a proxy that tags every
+outgoing message with the shard id, fans out to the host's overlay
+neighbours (every replica hosts every shard), and records the facet's
+BT-ADT operations into a *per-shard* history.  The
 facet is never registered with the network; the host demultiplexes
 ``("shard", k, inner)`` deliveries to it.
 
 The host also runs the cross-shard coordinator: a periodic scan of
-each subscribed facet's selected chain that
+each facet's selected chain that
 
 * on the *source* shard, spots confirmed LOCK records and pushes
-  ``notice`` messages (carrying the LOCK) to the destination shard's
-  members until one acknowledges a decision;
+  ``notice`` messages (carrying the LOCK) to every replica until one
+  acknowledges a decision;
 * on the *destination* shard, answers a notice by injecting the
   deterministic COMMIT (before the LOCK's expiry) or ABORT (after it)
   into the local facet pool — timeout-driven abort is what keeps a
   stalled destination shard from wedging the source;
-* pushes committed ABORTs (once ``RELEASE_DEPTH`` deep) back to the
-  source shard's members, which inject the RELEASE refunding the
+* pushes committed ABORTs (once ``RELEASE_DEPTH`` deep) back to every
+  replica, whose source facets inject the RELEASE refunding the
   escrow.
 
 All coordinator messages are idempotent: records are derived
@@ -34,12 +33,11 @@ the pools, and every push repeats each tick until acknowledged.
 from __future__ import annotations
 
 from dataclasses import replace
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Sequence, Tuple
 
 from repro.histories.builder import HistoryRecorder
 from repro.net.process import SimProcess
 from repro.protocols.bitcoin import BitcoinNode
-from repro.shard.assignment import subscribed_shards
 from repro.shard.records import (
     CONFIRM_DEPTH,
     RELEASE_DEPTH,
@@ -62,42 +60,19 @@ XRELEASE_ACK = "xshard-release-ack"
 REORG_MARGIN = 6
 
 
-def facet_scenario(
-    scenario: ProtocolScenario,
-    shard: int,
-    members: Optional[Sequence[str]] = None,
-) -> ProtocolScenario:
+def facet_scenario(scenario: ProtocolScenario, shard: int) -> ProtocolScenario:
     """The single-chain scenario one shard facet runs under.
 
     The facet is an ordinary single-chain replica (``shards=1``) whose
     traffic view is scoped to the shard's clients; the derived name
     keeps per-facet PRF streams (txgen, overlays) disjoint across
-    shards.
-
-    When ``members`` names a proper subset of the replicas, merit is
-    renormalized over the members (non-members get 0) so each shard
-    mines at the scenario's ``mean_block_interval`` — every sub-chain
-    is its own full-power lottery, rather than partial subscription
-    diluting per-shard block production to a fraction of the tempo.
+    shards.  Every replica mines every shard with its full merit, so
+    each shard keeps the scenario's ``mean_block_interval``.
     """
-    merits = scenario.merits
-    if members is not None:
-        names = scenario.node_names()
-        member_set = set(members)
-        if not member_set.issuperset(names):
-            weights = [
-                scenario.merit_of(i) if name in member_set else 0.0
-                for i, name in enumerate(names)
-            ]
-            total = sum(weights)
-            if total > 0:
-                merits = tuple(w / total for w in weights)
     return replace(
         scenario,
         name=f"{scenario.name}~s{shard}",
         shards=1,
-        shard_subscription=0,
-        merits=merits,
         traffic=replace(scenario.traffic, shard=shard, shards=scenario.shards),
     )
 
@@ -119,46 +94,34 @@ class _ShardNetView:
         return self._host.network.overlay
 
     def neighbors_of(self, name: str):
-        members = self._host.shard_members[self._shard]
-        return [
-            n
-            for n in self._host.network.neighbors_of(name)
-            if n in members and n != name
-        ]
+        return self._host.network.neighbors_of(name)
 
     def transmit(self, src: str, dsts: Sequence[str], message: Any) -> None:
         self._host.network.transmit(src, dsts, (SHARD_TAG, self._shard, message))
 
 
 class ShardedNode(SimProcess):
-    """A replica hosting one chain facet per subscribed shard."""
+    """A replica hosting one chain facet per shard."""
 
     def __init__(
         self,
         name: str,
         scenario: ProtocolScenario,
         recorders: Dict[int, HistoryRecorder],
-        members: Dict[int, Tuple[str, ...]],
     ) -> None:
         super().__init__(name)
         self.scenario = scenario
-        self.shard_members = {k: frozenset(names) for k, names in members.items()}
-        self._member_lists = members
-        index = int(name[1:])
-        self.subscribed = tuple(
-            sorted(
-                subscribed_shards(index, scenario.shards, scenario.shard_subscription)
-            )
-        )
+        #: Every replica, name-sorted: the coordinator's push targets.
+        self._replicas = scenario.shard_members()[0]
         self.facets: Dict[int, BitcoinNode] = {}
-        for k in self.subscribed:
-            facet = BitcoinNode(name, facet_scenario(scenario, k, members[k]))
+        for k in range(scenario.shards):
+            facet = BitcoinNode(name, facet_scenario(scenario, k))
             facet.network = _ShardNetView(self, k, recorders[k])
             self.facets[k] = facet
         # -- coordinator state (src side) --
-        #: tid → (lock, dst_shard): confirmed source LOCKs awaiting a
-        #: destination decision acknowledgement.
-        self._pending_locks: Dict[str, Tuple[Transaction, int]] = {}
+        #: tid → lock: confirmed source LOCKs awaiting a destination
+        #: decision acknowledgement.
+        self._pending_locks: Dict[str, Transaction] = {}
         self._acked_tids: set = set()
         # -- coordinator state (dst side) --
         #: tid → lock: committed ABORTs to push back to the source.
@@ -175,7 +138,7 @@ class ShardedNode(SimProcess):
         #: tid → release tx this member injected on its src facet.
         self._src_releases: Dict[str, Transaction] = {}
         #: Per-shard scan cursor (chain height already processed).
-        self._scan_height = {k: 0 for k in self.subscribed}
+        self._scan_height = {k: 0 for k in self.facets}
         self.route(self._on_facet_message, {SHARD_TAG: 3})
         self.route(self._on_notice, {XNOTICE: 2})
         self.route(self._on_decided, {XDECIDED: 2})
@@ -206,9 +169,8 @@ class ShardedNode(SimProcess):
 
     def _on_facet_message(self, src: str, message: tuple) -> None:
         facet = self.facets.get(message[1])
+        # A shard id this run does not have is noise, not an error.
         if facet is not None:
-            # A neighbour subscribed to a shard this replica is not: its
-            # facet gossip is noise here, not an error.
             facet.on_message(src, message[2])
 
     def _on_decided(self, src: str, message: tuple) -> None:
@@ -235,8 +197,8 @@ class ShardedNode(SimProcess):
         return self.facets[shard].select_chain()
 
     def _scan_facets(self) -> None:
-        """Process newly confirmed records on every subscribed facet."""
-        for k in self.subscribed:
+        """Process newly confirmed records on every facet."""
+        for k in self.facets:
             chain = self._selected(k)
             confirmed = chain.height - CONFIRM_DEPTH
             start = max(1, self._scan_height[k] - REORG_MARGIN)
@@ -252,7 +214,7 @@ class ShardedNode(SimProcess):
     def _on_confirmed_record(self, shard: int, tx, meta, depth: int) -> None:
         if meta.kind == "lock" and meta.src_shard == shard:
             if meta.tid not in self._acked_tids:
-                self._pending_locks.setdefault(meta.tid, (tx, meta.dst_shard))
+                self._pending_locks.setdefault(meta.tid, tx)
         elif meta.kind in ("commit", "abort") and meta.dst_shard == shard:
             # The decision is on-chain: stop re-asserting it.
             self._dst_decisions.pop(meta.tid, None)
@@ -271,9 +233,9 @@ class ShardedNode(SimProcess):
             self._src_releases.pop(meta.tid, None)
 
     def _push_notices(self) -> None:
-        """Repeat LOCK notices to destination members until acked."""
-        for tid, (lock, dst_shard) in list(self._pending_locks.items()):
-            for member in self._member_lists[dst_shard]:
+        """Repeat LOCK notices to every replica until acked."""
+        for lock in list(self._pending_locks.values()):
+            for member in self._replicas:
                 self._tell(member, (XNOTICE, lock))
 
     def _tell(self, member: str, message: tuple) -> None:
@@ -318,10 +280,9 @@ class ShardedNode(SimProcess):
         self._tell(src, (XDECIDED, meta.tid))
 
     def _push_abort_decisions(self) -> None:
-        """Repeat committed-ABORT pushes to source members until acked."""
+        """Repeat committed-ABORT pushes to every replica until acked."""
         for tid, decision_tx in list(self._abort_pushes.items()):
-            meta = parse_record(decision_tx)
-            for member in self._member_lists[meta.src_shard]:
+            for member in self._replicas:
                 self._tell(member, (XDECISION, tid, decision_tx))
 
     def _on_abort_decision(self, src: str, message: tuple) -> None:

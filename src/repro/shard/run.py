@@ -2,7 +2,7 @@
 
 :func:`execute_sharded` hands :meth:`repro.protocols.base.ProtocolRun
 .execute` one :class:`~repro.shard.node.ShardedNode` per replica on the
-*real* network, each hosting one Bitcoin facet per subscribed shard and
+*real* network, each hosting one Bitcoin facet per shard and
 recording into one :class:`HistoryRecorder` — hence one
 :class:`ConcurrentHistory` — per shard, so the per-shard consistency
 checkers judge each sub-community chain as an independent BT-ADT.  The
@@ -11,17 +11,17 @@ hosts' chain pipelines; with ``shards == 1`` the pipelines are the
 ``BitcoinNode`` replicas themselves, so a K=1 "sharded" run *is* the
 single-chain run (the identity the sharding bench gates).
 
-:class:`ShardedRun` adds what only a partitioned chain has: the shard
-membership, the composed cross-shard atomicity verdict of
+:class:`ShardedRun` adds what only a partitioned chain has: the
+composed cross-shard atomicity verdict of
 :func:`repro.shard.atomicity.check_atomicity`, and
-:meth:`ShardedRun.shard_stats` packaging both with the per-shard
+:meth:`ShardedRun.shard_stats` packaging it with the per-shard
 throughput.
 """
 
 from __future__ import annotations
 
 from functools import partial
-from typing import Any, Dict, Optional, Tuple
+from typing import Any, Dict, Optional
 
 from repro.histories.builder import HistoryRecorder
 from repro.protocols.base import ProtocolRun
@@ -36,11 +36,6 @@ __all__ = ["ShardedRun", "execute_sharded"]
 
 class ShardedRun(ProtocolRun):
     """Outcome of one sharded simulation (``scenario.shards > 1``)."""
-
-    @property
-    def members(self) -> Dict[int, Tuple[str, ...]]:
-        """shard id → subscribed replica names (sorted)."""
-        return self.scenario.shard_members()
 
     def atomicity(self, grace: Optional[float] = None) -> AtomicityReport:
         """The composed cross-shard verdict on the final majority chains.
@@ -94,7 +89,6 @@ class ShardedRun(ProtocolRun):
         counts = report.counts
         return {
             "shards": self.shards,
-            "subscription": self.scenario.shard_subscription,
             "per_shard": mempool.get("per_shard", {}),
             "aggregate": {
                 "committed_txs": mempool.get("committed", {}).get("txs", 0),
@@ -126,7 +120,5 @@ def execute_sharded(scenario: ProtocolScenario, settle: float = 120.0) -> Protoc
     if scenario.shards <= 1:
         return ProtocolRun.execute(BitcoinNode, scenario, settle=settle)
     recorders = {k: HistoryRecorder() for k in range(scenario.shards)}
-    host = partial(
-        ShardedNode, recorders=recorders, members=scenario.shard_members()
-    )
+    host = partial(ShardedNode, recorders=recorders)
     return ShardedRun.execute(host, scenario, settle=settle)

@@ -132,9 +132,9 @@ class ProtocolScenario:
     recon_interval: float = 10.0
     #: Overlay topology nodes gossip over (see :mod:`repro.net.overlay`):
     #: ``"full"`` (the historical clique, byte-identical to pre-overlay
-    #: runs), ``"ring"``, ``"small-world"``, ``"geo"`` or
-    #: ``"skip-graph"``.  Consensus protocols that broadcast votes
-    #: require ``"full"``; gossip-dissemination protocols run on any.
+    #: runs), ``"ring"`` or ``"small-world"``.  Quorum protocols relay
+    #: their votes multi-hop (:class:`repro.consensus.relay.QuorumRelay`),
+    #: so every protocol runs on any of them.
     topology: str = "full"
     #: Per-node link budget for sparse topologies; ignored by ``full``.
     topology_degree: int = 8
@@ -144,15 +144,10 @@ class ProtocolScenario:
     sync_batch: int = 64
     #: Shard count K (see :mod:`repro.shard`).  1 keeps the historical
     #: single-chain pipeline byte-identical; K > 1 runs one BlockTree +
-    #: Mempool + UTXOView *facet* per subscribed shard on every replica,
+    #: Mempool + UTXOView *facet* per shard on every replica,
     #: with users hashed to shards and cross-shard transfers carried as
     #: two-phase LOCK/COMMIT records in block payloads.
     shards: int = 1
-    #: How many shards each replica subscribes to (bami-style
-    #: sub-community subscription): replica ``i`` hosts facets for
-    #: shards ``{(i + j) % K}``.  0 subscribes every replica to all
-    #: shards (full replication, the default).
-    shard_subscription: int = 0
     #: Authenticated pipeline (see :mod:`repro.crypto.auth`): when True,
     #: authoring replicas sign block/transaction content ids and every
     #: receive path verifies before accept/park/relay.  False keeps the
@@ -243,8 +238,6 @@ class ProtocolScenario:
             raise ValueError("sync_batch must be >= 1")
         if self.shards < 1:
             raise ValueError("shards must be >= 1")
-        if self.shard_subscription < 0:
-            raise ValueError("shard_subscription must be >= 0")
         if self.shards > 1:
             if self.store != "memory":
                 raise ValueError("sharded runs support the memory store only")
@@ -257,9 +250,6 @@ class ProtocolScenario:
                     f"traffic.shards={self.traffic.shards} disagrees with "
                     f"scenario shards={self.shards}"
                 )
-            from repro.shard.assignment import validate_coverage
-
-            validate_coverage(self.node_names(), self.shards, self.shard_subscription)
         names = self.node_names()
         seen_byz = set()
         if self.byzantine:
@@ -312,13 +302,13 @@ class ProtocolScenario:
         return tuple(f"p{i}" for i in range(self.n_nodes))
 
     def shard_members(self) -> Dict[int, Tuple[str, ...]]:
-        """shard id → names of the replicas running that shard's chain
-        (a single chain is shard 0 on every replica)."""
-        if self.shards == 1:
-            return {0: self.node_names()}
-        from repro.shard.assignment import shard_members
-
-        return shard_members(self.node_names(), self.shards, self.shard_subscription)
+        """shard id → names of the replicas running that shard's chain:
+        every replica runs every shard (name-sorted when ``shards > 1``;
+        a single chain is shard 0 in :meth:`node_names` order)."""
+        names = self.node_names()
+        if self.shards > 1:
+            names = tuple(sorted(names))
+        return {k: names for k in range(self.shards)}
 
     # -- authenticated pipeline ---------------------------------------------
 

@@ -254,8 +254,9 @@ class ClientTrafficScenario:
     ) -> Dict[int, Tuple[Submission, ...]]:
         """Per-shard deterministic submission schedules for one run.
 
-        ``members`` maps each shard id to the replicas subscribed to it
-        (submissions for a shard only enter subscribed replicas).
+        ``members`` maps each shard id to the replicas running it
+        (:meth:`ProtocolScenario.shard_members`); a shard's submissions
+        enter only those replicas.
         ``rate`` is interpreted *per shard*, so aggregate offered load
         scales with the shard count; ``hot_shard`` receives
         :data:`HOT_WEIGHT`× that rate.  With probability
@@ -280,7 +281,7 @@ class ClientTrafficScenario:
         from repro.shard.records import make_lock
 
         if not node_names:
-            raise ValueError(f"shard {shard} has no subscribed replica")
+            raise ValueError(f"shard {shard} has no replica")
         clients = self.clients_of_shard(shard)
         if not clients:
             raise ValueError(

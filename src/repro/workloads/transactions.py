@@ -101,11 +101,6 @@ class Transaction:
             fee=fee,
         )
 
-    @property
-    def is_coinbase(self) -> bool:
-        """Whether this transaction mints without consuming."""
-        return not self.inputs
-
 
 @dataclass
 class TransactionGenerator:

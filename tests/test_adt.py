@@ -61,7 +61,7 @@ class TestSequentialSpec:
 
     def test_input_only_symbols_constrain_state(self):
         adt = CounterADT()
-        word = [Operation.input_only("inc"), Operation("get", 1)]
+        word = [Operation("inc", has_output=False), Operation("get", 1)]
         assert is_sequential_history(adt, word).ok
 
     def test_bad_symbol_rejected_with_index(self):

@@ -153,7 +153,8 @@ class TestChainAlgebraDifferential:
     def test_view_equals_tuple_chain(self):
         c = build_chain("1", "2", "3")
         tree = BlockTree()
-        tree.add_chain(c)
+        for block in c.non_genesis():
+            tree.add_block(block)
         view = tree.chain_to(c.tip.block_id)
         assert view == c
         assert hash(view) == hash(c)

@@ -520,13 +520,6 @@ class TestSignedRuns:
             assert all(b.creator not in bad for b in node.select_chain().blocks)
         assert run.auth_stats()["totals"][reason] > 0
 
-    def test_append_stats_carry_auth_report(self):
-        run = run_bitcoin(
-            ProtocolScenario(name="st", n_nodes=3, duration=60.0, auth=True)
-        )
-        stats = run.append_stats()
-        assert all("auth" in entry for entry in stats.values())
-
 
 class TestCampaignSurface:
     def test_auth_preset_cell_round_trips(self):

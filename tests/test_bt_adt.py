@@ -34,7 +34,7 @@ class TestTransitions:
         state = adt.initial_state()
         state, ok = adt.apply(state, Append(make_block(GENESIS, label="1")))
         assert ok is True
-        chain = adt.read_chain(state)
+        chain = adt.output(state, Read())
         assert chain.height == 1
         assert chain.tip.label == "1"
 
@@ -43,7 +43,7 @@ class TestTransitions:
         state = adt.initial_state()
         state, ok = adt.apply(state, Append(make_block(GENESIS, label="bad")))
         assert ok is False
-        assert adt.read_chain(state).height == 0
+        assert adt.output(state, Read()).height == 0
 
     def test_append_attaches_at_selected_tip_not_descriptor_parent(self):
         adt = BTADT(LongestChain(), AlwaysValid())
@@ -52,7 +52,7 @@ class TestTransitions:
         # Descriptor still says parent=genesis, but f(bt) tip is block 1.
         state, ok = adt.apply(state, Append(make_block(GENESIS, label="2")))
         assert ok is True
-        chain = adt.read_chain(state)
+        chain = adt.output(state, Read())
         assert [b.label for b in chain.non_genesis()] == ["1", "2"]
 
     def test_read_does_not_change_state(self):

@@ -129,10 +129,10 @@ class TestAppendResolutionAccounting:
         name = runner.__name__[len("run_"):]
         run = runner(replace(default_scenarios()[name], duration=80.0))
         assert run.unknown_append_resolutions() == 0
-        stats = run.append_stats()
-        for per_node in stats.values():
-            assert per_node["begun"] == per_node["resolved"]
-            assert per_node["unknown_resolutions"] == 0
+        for _, _, chain in run.pipelines():
+            counts = chain.report("appends")
+            assert counts["begun"] == counts["resolved"]
+            assert counts["unknown_resolutions"] == 0
         assert_one_response_per_append(run)
 
 
@@ -152,6 +152,7 @@ class TestReinvokedCommitteeAppend:
         row = classify_run(protocol, run)
         assert row.sc_failures == "-"
         assert row.measured_refinement == "R(BT-ADT_SC, Θ_F,k=1)"
-        assert sum(s["reinvoked"] for s in run.append_stats().values()) > 0
+        appends = [chain.report("appends") for _, _, chain in run.pipelines()]
+        assert sum(counts["reinvoked"] for counts in appends) > 0
         assert run.unknown_append_resolutions() == 0
         assert_one_response_per_append(run)

@@ -78,10 +78,9 @@ def _network(kind):
         host_cls, scenario = HOSTS[kind]
         if host_cls is ShardedNode:
             recorders = {k: HistoryRecorder() for k in range(scenario.shards)}
-            members = scenario.shard_members()
 
             def build(name):
-                return ShardedNode(name, scenario, recorders, members)
+                return ShardedNode(name, scenario, recorders)
 
         else:
 

@@ -49,7 +49,7 @@ class TestOracleStats:
         oracle = ThetaOracle(k=1, tapes=tapes)
         tb = oracle.get_token(GENESIS, make_block(GENESIS, label="1"), "m")
         oracle.consume_token(tb)
-        stats = oracle.stats.as_dict()
+        stats = vars(oracle.stats)
         assert stats["get_token_calls"] == 1
         assert stats["tokens_generated"] == 1
         assert stats["tokens_consumed"] == 1

@@ -169,5 +169,6 @@ class TestContinuationModel:
         m = ContinuationModel()
         m.set("x", Continuation(True, GrowthMode.FROZEN, "none"))
         m.set("y", Continuation(True, GrowthMode.GROWING, "g"))
-        assert m.growing_procs() == ["y"]
+        assert m.of("y").mode is GrowthMode.GROWING
+        assert m.of("x").mode is GrowthMode.FROZEN
         assert m.of("zzz") is None

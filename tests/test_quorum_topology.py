@@ -3,8 +3,8 @@
 The quorum-broadcast vote phases (PBFT prepare/commit, Red Belly
 proposal collection, BA* soft/cert votes, committee-PoW candidate
 floods, the Fabric ordering cluster) historically assumed a clique:
-``broadcast`` had to reach *every* committee member.  On a ring,
-small-world or geo overlay a one-hop broadcast only reaches direct
+``broadcast`` had to reach *every* committee member.  On a ring
+or small-world overlay a one-hop broadcast only reaches direct
 neighbours, so votes from non-adjacent replicas never arrived and
 quorums starved — documented as a caveat in docs/architecture.md.
 
@@ -36,8 +36,8 @@ from repro.protocols.hyperledger import run_hyperledger
 from repro.protocols.redbelly import run_redbelly
 from repro.workloads.scenarios import ProtocolScenario
 
-# (topology, minimum legal degree): geo triangulations need degree >= 4.
-SPARSE = (("ring", 2), ("small-world", 4), ("geo", 4))
+# (topology, minimum legal degree): small-world needs degree >= 4.
+SPARSE = (("ring", 2), ("small-world", 4))
 SCORE = LengthScore()
 
 

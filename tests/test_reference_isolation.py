@@ -9,12 +9,16 @@ one is a second implementation of something on the run path: only other
 which re-export nothing — see ``tests/test_package_inits.py``).
 
 Conversely, a module that nothing but the tests imports, or a top-level
-class or function that nothing but the tests names, is a second copy of
-a rule or dead weight, unless it lives in one of those oracles or is a
-paper construct that a named test pins (:data:`PAPER_CONSTRUCTS`).
+class or function or a method that nothing but the tests names, is a
+second copy of a rule or dead weight, unless it lives in one of those
+oracles or is a paper construct that a named test pins
+(:data:`PAPER_CONSTRUCTS`).
 """
 
 import ast
+import importlib
+import re
+from collections import Counter
 from pathlib import Path
 
 import repro
@@ -34,7 +38,8 @@ ORACLES = {
 CONSUMERS = ("src", "bench", "benchmarks", "examples")
 
 #: Paper constructs that no workload runs → the test that pins each one,
-#: keyed by module or by ``module.name`` (a top-level class or function).
+#: keyed by module, by ``module.name`` (a top-level class or function) or
+#: by ``module.Class.method``.
 PAPER_CONSTRUCTS = {
     # The only linearizability check against L(BT-ADT) (Figures 2 and 3).
     "repro.consistency.embedding": "tests/test_embedding.py",
@@ -54,7 +59,22 @@ PAPER_CONSTRUCTS = {
     "repro.concurrent.scheduler.RandomScheduler": (
         "tests/test_scheduler_modelcheck.py"
     ),
+    # Definition 4.2: the restriction of a history to a set of processes.
+    "repro.histories.history.ConcurrentHistory.restrict_to_procs": (
+        "tests/test_histories.py"
+    ),
+    # The history order ↗: process order or operation order.
+    "repro.histories.history.ConcurrentHistory.program_order": (
+        "tests/test_histories.py"
+    ),
+    # Θ's get(K, h): the blocks consumed for holder h, without a consume.
+    "repro.oracle.theta.ThetaOracle.consumed_for": "tests/test_theta.py",
 }
+
+#: Method-name prefixes reached by name-built dispatch, never by a
+#: literal name (``BlockchainNode.apply_lifecycle`` calls
+#: ``getattr(self, f"lifecycle_{action}")``).
+DISPATCHED = ("lifecycle_",)
 
 
 def _parse(path):
@@ -146,7 +166,8 @@ def _self_unused(tree):
 def _exempt(key):
     """An oracle or pinned construct, or a name defined in one."""
     exempt = ORACLES | set(PAPER_CONSTRUCTS)
-    return key in exempt or key.rpartition(".")[0] in exempt
+    parts = key.split(".")
+    return any(".".join(parts[:i]) in exempt for i in range(2, len(parts) + 1))
 
 
 def test_every_module_has_a_consumer():
@@ -179,7 +200,72 @@ def test_every_module_has_a_consumer():
     assert orphans == [], "\n".join(orphans)
 
 
+_WORD = re.compile(r"[A-Za-z_]\w*")
+
+
+def _methods(tree):
+    """``(class name, method definition)`` for every method in ``tree``."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                    yield node.name, item
+
+
+def _method_owner(key):
+    """The class of a ``module.Class.method`` key, else ``None``."""
+    module, _, owner = key.rpartition(".")[0].rpartition(".")
+    try:
+        cls = getattr(importlib.import_module(module), owner, None)
+    except ImportError:
+        return None
+    return cls if isinstance(cls, type) else None
+
+
+def _overrides(key):
+    cls = _method_owner(key)
+    method = key.rpartition(".")[2]
+    return cls is not None and any(method in vars(b) for b in cls.__mro__[1:])
+
+
+def test_every_method_has_a_consumer():
+    """Each method of a class under ``src/repro`` has a consumer, unless
+    :func:`_exempt`.
+
+    A method is used when a :data:`CONSUMERS` file names it outside its
+    own definition (as a word anywhere in the file: ``bench/trace.py``
+    binds methods by string), when it is a dunder, when name-built
+    dispatch reaches it (:data:`DISPATCHED`), or when it overrides a
+    base-class method.
+    """
+    words = Counter()
+    for directory in CONSUMERS:
+        for path in (ROOT / directory).rglob("*.py"):
+            words.update(_WORD.findall(path.read_text()))
+    orphans = []
+    for path in SRC.rglob("*.py"):
+        module = _module_name(path)
+        lines = path.read_text().splitlines()
+        for owner, method in _methods(_parse(path)):
+            name, key = method.name, f"{module}.{owner}.{method.name}"
+            own = "\n".join(lines[method.lineno - 1 : method.end_lineno])
+            if not (
+                (name.startswith("__") and name.endswith("__"))
+                or name.startswith(DISPATCHED)
+                or words[name] > _WORD.findall(own).count(name)
+                or _overrides(key)
+            ):
+                orphans.append(key)
+    orphans = sorted(key for key in orphans if not _exempt(key))
+    assert orphans == [], "\n".join(orphans)
+
+
 def test_paper_constructs_are_pinned_by_their_tests():
-    """Each key, a module or a ``module.name``, is imported by its test."""
+    """Each key, a module or a ``module.name``, is imported by its test;
+    the test of a ``module.Class.method`` key names the method."""
     for construct, test in PAPER_CONSTRUCTS.items():
-        assert construct in set(_imported_modules(ROOT / test)), test
+        if _method_owner(construct) is None:
+            assert construct in set(_imported_modules(ROOT / test)), test
+        else:
+            method = construct.rpartition(".")[2]
+            assert method in set(_names(_parse(ROOT / test))), test

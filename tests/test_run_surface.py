@@ -158,17 +158,6 @@ class TestInheritedSurfacesHaveTheBenchShapes:
             )
             assert all(isinstance(v, int) for v in storage[node.name].values())
 
-    def test_append_stats(self, crash_run):
-        appends = crash_run.append_stats()
-        for node in crash_run.nodes:
-            entry = appends[node.name]
-            assert entry["begun"] == sum(
-                f.report("appends")["begun"] for f in node.facets.values()
-            )
-            assert entry["begun"] == entry["resolved"]
-            assert entry["unknown_resolutions"] == 0
-            assert entry["auth"] == crash_run.auth_stats()["per_node"][node.name]
-
     def test_single_chain_run_has_no_shard_stats(self):
         run = run_bitcoin(adversarial_scenarios(duration=60.0)["client-steady"])
         assert run.shard_stats() == {}

@@ -8,7 +8,7 @@ Two families:
   than 2× the uniform share.
 * **Two-phase atomicity** — end-to-end sharded runs under
   Hypothesis-chosen adversarial scheduling (seed, lock timeout,
-  channel delay, subscription width, churn outages) never violate the
+  channel delay, churn outages) never violate the
   composed invariant: every expired LOCK commits or aborts (or is
   provably still in flight), and value is conserved on the raw final
   chains — the escrow coin is spent at most once, the transferred coin
@@ -24,11 +24,7 @@ import dataclasses
 
 from hypothesis import example, given, settings, strategies as st
 
-from repro.shard.assignment import (
-    shard_members,
-    shard_of_user,
-    subscribed_shards,
-)
+from repro.shard.assignment import shard_of_user
 from repro.shard.records import (
     make_abort,
     make_commit,
@@ -65,12 +61,8 @@ def test_assignment_stable_under_replica_churn(
     users, n_shards, replicas_before, replicas_after
 ):
     """The user→shard map never depends on the replica population."""
-    names_before = [f"p{i}" for i in range(replicas_before)]
-    names_after = [f"p{i}" for i in range(replicas_after)]
-    # Membership tables for two entirely different replica sets...
-    shard_members(names_before, n_shards, min(2, n_shards))
-    shard_members(names_after, n_shards, min(2, n_shards))
-    # ...and the assignment is the same pure function either way.
+    # The replica set is not an input: the assignment is the same pure
+    # function before and after any churn.
     before = {user: shard_of_user(user, n_shards) for user in users}
     after = {user: shard_of_user(user, n_shards) for user in users}
     assert before == after
@@ -98,28 +90,6 @@ def test_assignment_balanced_at_10k_users(n_shards, prefix):
     )
     # No shard starves either (PRF, not a pathological constant).
     assert min(counts) > 0
-
-
-@given(
-    n_replicas=st.integers(min_value=1, max_value=32),
-    n_shards=st.integers(min_value=1, max_value=12),
-    subscription=st.integers(min_value=0, max_value=12),
-)
-@settings(max_examples=80, deadline=None)
-def test_subscription_window_shape(n_replicas, n_shards, subscription):
-    """Window width, range, and full coverage when replicas ≥ shards."""
-    names = [f"p{i}" for i in range(n_replicas)]
-    members = shard_members(names, n_shards, subscription)
-    assert set(members) == set(range(n_shards))
-    effective = (
-        n_shards if subscription <= 0 or subscription >= n_shards else subscription
-    )
-    for index in range(n_replicas):
-        shards = subscribed_shards(index, n_shards, subscription)
-        assert len(shards) == effective
-        assert all(0 <= k < n_shards for k in shards)
-    if n_replicas >= n_shards:
-        assert all(members[k] for k in range(n_shards))
 
 
 # -- record derivation ---------------------------------------------------------
@@ -158,7 +128,7 @@ def test_records_derive_deterministically_from_lock(coins, src, dst, expiry, fee
 # -- two-phase atomicity under adversarial scheduling --------------------------
 
 
-def _adversarial_scenario(seed, lock_frac, delta, subscription, outage):
+def _adversarial_scenario(seed, lock_frac, delta, outage):
     duration = 120.0
     traffic = ClientTrafficScenario(
         name="xshard-prop",
@@ -188,7 +158,6 @@ def _adversarial_scenario(seed, lock_frac, delta, subscription, outage):
         channel_delta=delta,
         seed=seed,
         shards=2,
-        shard_subscription=subscription,
         traffic=traffic,
         churn=churn,
     )
@@ -220,17 +189,16 @@ def _conservation_on_chains(run):
     seed=st.integers(min_value=0, max_value=2**31),
     lock_frac=st.sampled_from((0.15, 0.3, 0.6)),
     delta=st.sampled_from((0.5, 1.0, 2.5)),
-    subscription=st.sampled_from((0, 2)),
     outage=st.booleans(),
 )
 @settings(max_examples=8, deadline=None)
 # Both of its LOCKs lost the fee auction when blocks held 3 transactions.
-@example(seed=33142, lock_frac=0.6, delta=0.5, subscription=0, outage=False)
+@example(seed=33142, lock_frac=0.6, delta=0.5, outage=False)
 def test_two_phase_atomicity_under_adversarial_scheduling(
-    seed, lock_frac, delta, subscription, outage
+    seed, lock_frac, delta, outage
 ):
     """Every expired LOCK decides; no schedule duplicates value."""
-    scenario = _adversarial_scenario(seed, lock_frac, delta, subscription, outage)
+    scenario = _adversarial_scenario(seed, lock_frac, delta, outage)
     run = execute_sharded(scenario)
     report = run.atomicity()
     assert report.ok, report.violations
@@ -245,11 +213,10 @@ def test_two_phase_atomicity_under_adversarial_scheduling(
 def test_k1_identity_is_exact():
     """K=1 'sharded' execution is the single-chain pipeline, verbatim."""
     scenario = dataclasses.replace(
-        _adversarial_scenario(7, 0.3, 1.0, 0, False),
+        _adversarial_scenario(7, 0.3, 1.0, False),
         shards=1,
-        shard_subscription=0,
         traffic=dataclasses.replace(
-            _adversarial_scenario(7, 0.3, 1.0, 0, False).traffic,
+            _adversarial_scenario(7, 0.3, 1.0, False).traffic,
             shards=1,
             cross_shard_fraction=0.0,
         ),
@@ -276,7 +243,6 @@ def test_k1_identity_is_exact():
         "auth_stats",
         "gossip_stats",
         "storage_stats",
-        "append_stats",
         "shard_stats",
         "node_heights",
         "node_fork_degrees",

@@ -5,11 +5,8 @@ drive :func:`check_atomicity` through real runs; these pin its verdict
 on hand-built final chains, one invariant at a time.
 """
 
-import pytest
-
 from repro.blocktree.block import GENESIS, make_block
 from repro.blocktree.chain import Chain
-from repro.shard.assignment import validate_coverage
 from repro.shard.atomicity import check_atomicity
 from repro.shard.records import (
     CONFIRM_DEPTH,
@@ -193,13 +190,3 @@ class TestReorgEvidence:
             in_flight={("abort", tid)},
         )
         assert f"misrouted-lock:{tid}" in report.violations
-
-
-def test_subscription_coverage_validation():
-    # 2 replicas × width-1 windows cannot cover 4 shards.
-    with pytest.raises(ValueError, match="no subscribed replica"):
-        validate_coverage(["p0", "p1"], n_shards=4, subscription=1)
-    # Width 2 starting at 0 and 1 still leaves shard 3 uncovered.
-    with pytest.raises(ValueError):
-        validate_coverage(["p0", "p1"], n_shards=4, subscription=2)
-    validate_coverage(["p0", "p1", "p2", "p3"], n_shards=4, subscription=2)

@@ -198,7 +198,7 @@ def test_prune_bounds_hot_set_and_preserves_reads(tmp_path):
     reference, pruned = _pruned_pair(tmp_path)
     assert pruned.stats()["prune_count"] > 0 and pruned.stats()["evicted_total"] > 0
     assert pruned.stats()["peak_resident"] <= 400
-    assert pruned.resident_count < len(pruned)
+    assert len(pruned._nodes) < len(pruned)
     assert len(pruned) == len(reference)
     ref_chain = LongestChain().select(reference)
     got_chain = LongestChain().select(pruned)

@@ -37,12 +37,6 @@ class TestMeritTape:
         with pytest.raises(ValueError):
             MeritTape(seed=1, merit_id="x", probability=1.5)
 
-    def test_next_token_position(self):
-        t = MeritTape(seed=5, merit_id="z", probability=0.3)
-        pos = t.next_token_position()
-        assert t.cell(pos)
-        assert all(not t.cell(i) for i in range(t.position, pos))
-
     def test_copy_is_independent_reader(self):
         t = MeritTape(seed=1, merit_id="a", probability=0.5)
         t.pop()

@@ -88,7 +88,7 @@ class TestConsumeToken:
             oracle.consume_token(tb)
         assert len(oracle.consumed_for(GENESIS.block_id)) == 20
         assert oracle.stats.consume_rejections == 0
-        assert oracle.is_prodigal
+        assert oracle.k == math.inf
 
     def test_fork_coherence_invariant(self):
         for k in (1, 2, 3):
@@ -98,13 +98,6 @@ class TestConsumeToken:
                 oracle.consume_token(tb)
             assert len(oracle.consumed_for(GENESIS.block_id)) == k
             assert oracle.check_fork_coherence()
-
-    def test_can_consume(self):
-        oracle = always_token_oracle(k=1)
-        assert oracle.can_consume(GENESIS.block_id)
-        tb = oracle.get_token(GENESIS, make_block(GENESIS, label="1"), "a")
-        oracle.consume_token(tb)
-        assert not oracle.can_consume(GENESIS.block_id)
 
 
 class TestConstructors:

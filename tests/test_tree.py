@@ -40,17 +40,6 @@ class TestInsertion:
         with pytest.raises(ValueError):
             t.add_block(Block(block_id="genesis2", parent_id=None, label="g2"))
 
-    def test_add_chain_bulk(self):
-        t1 = BlockTree()
-        b1 = make_block(GENESIS, label="1")
-        b2 = make_block(b1, label="2")
-        t1.add_block(b1)
-        t1.add_block(b2)
-        chain = t1.chain_to(b2.block_id)
-        t2 = BlockTree()
-        assert t2.add_chain(chain) == 2
-        assert t2.add_chain(chain) == 0
-
 
 class TestBookkeeping:
     def _forked_tree(self):

@@ -19,8 +19,8 @@ class TestTransaction:
         assert t1.tx_id == t2.tx_id
 
     def test_coinbase(self):
-        assert Transaction.make((), ("c",)).is_coinbase
-        assert not Transaction.make(("a",), ("c",)).is_coinbase
+        assert not Transaction.make((), ("c",)).inputs
+        assert Transaction.make(("a",), ("c",)).inputs
 
     def test_distinct_issuers_distinct_ids(self):
         assert (
@@ -59,7 +59,7 @@ class TestGenerator:
         gen = TransactionGenerator(seed=1)
         gen._unspent = []
         tx = gen.next_transaction()
-        assert tx.is_coinbase
+        assert not tx.inputs
 
 
 class TestChainValidator:
