@@ -24,14 +24,23 @@ Each line is ``json.dumps(..., sort_keys=True)`` of, in a fixed order:
   subclass of :mod:`repro.protocols.byzantine` and
   :mod:`repro.protocols.validating`): the class at p0 of a 4-node run
   (bits 0 and 8, unsigned and signed), every replica's sorted tree ids,
-  the event count, the history size and the gossip byte totals.
+  the event count, the history size and the gossip byte totals;
+* the paper side: one line per ``EXPERIMENTS`` report (id, verdicts,
+  details); the ``hierarchy_edges()`` edges; a digest of each
+  ``random_refinement_history(k, seed)`` for k ∈ {1, 2, ∞} and of each
+  ``theorem_4_8_execution(k)`` for k ∈ {1, 2} (every event's process,
+  kind, operation, args and result — a read's tip id — plus the
+  realized block ids of the script); the ``explore`` counts of Protocol
+  A for n = 2 and 3.
 
 Nothing wall-clock enters a line; the runtime goes to stderr.
 """
 
 from __future__ import annotations
 
+import hashlib
 import json
+import math
 import sys
 import tempfile
 import time
@@ -41,6 +50,10 @@ from typing import Iterator, Tuple
 from repro.campaign.engine import run_campaign, run_single_cell
 from repro.campaign.grid import CampaignGrid
 from repro.campaign.matrix import CellResult
+from repro.concurrent.modelcheck import explore
+from repro.concurrent.protocol_a import build_protocol_a_system, protocol_a_validity
+from repro.consistency.hierarchy import hierarchy_edges, random_refinement_history
+from repro.paper.experiments import EXPERIMENTS, theorem_4_8_execution
 from repro.protocols import byzantine, validating
 from repro.protocols.base import ProtocolRun
 from repro.protocols.bitcoin import BitcoinNode
@@ -174,6 +187,59 @@ def _fingerprints() -> Iterator[str]:
                 )
 
 
+def _history_digest(history, realized=()) -> str:
+    """SHA-256 of every event's process, kind, operation, args and result
+    (a read's tip id) and of ``realized``."""
+    events = [
+        (
+            e.proc,
+            e.kind.name,
+            e.op_name,
+            list(e.args),
+            e.result.tip_id if e.op_name == "read" and e.result is not None else e.result,
+        )
+        for e in history.events
+    ]
+    text = json.dumps([events, list(realized)], sort_keys=True)
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def _paper_lines() -> Iterator[dict]:
+    for experiment_id, run in EXPERIMENTS.items():
+        report = run()
+        yield {
+            "experiment": experiment_id,
+            "verdicts": report.verdicts,
+            "details": report.details,
+        }
+    yield {"hierarchy": [vars(edge) for edge in hierarchy_edges()]}
+    for k in (1, 2, math.inf):
+        for seed in (1, 2, 3, 4):
+            run = random_refinement_history(k, seed)
+            realized = [step[4] for step in run.script if step[0] == "append"]
+            yield {
+                "refinement": [str(k), seed],
+                "digest": _history_digest(run.history, realized),
+            }
+    for k in (1, 2):
+        yield {"theorem-4.8": k, "digest": _history_digest(theorem_4_8_execution(k))}
+    for n in (2, 3):
+        proposals = {f"p{i}": f"block-p{i}" for i in range(n)}
+        result = explore(
+            lambda: build_protocol_a_system(n, seed=1, probability=1.0),
+            lambda run: run.agreement()
+            and run.integrity()
+            and run.all_correct_decided()
+            and protocol_a_validity(run, proposals),
+        )
+        yield {
+            "protocol-a": n,
+            "ok": result.ok,
+            "states_explored": result.states_explored,
+            "terminal_runs": result.terminal_runs,
+        }
+
+
 def dump(out) -> int:
     """Write every line to ``out``; returns the line count."""
     lines = 0
@@ -195,6 +261,9 @@ def dump(out) -> int:
     lines += 1
     for line in _fingerprints():
         out.write(line + "\n")
+        lines += 1
+    for paper_line in _paper_lines():
+        out.write(json.dumps(paper_line, sort_keys=True) + "\n")
         lines += 1
     return lines
 
