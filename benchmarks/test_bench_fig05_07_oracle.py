@@ -17,16 +17,14 @@ from repro.analysis.tables import render_series, render_table
 from repro.blocktree.block import GENESIS, make_block
 from repro.blocktree.selection import LongestChain
 from repro.oracle.refinement import RefinedBTADT
-from repro.oracle.tapes import TapeSet
-from repro.oracle.theta import ConsumeToken, GetToken, ThetaADT, ThetaOracle
+from repro.oracle.tapes import tape_cell
+from repro.oracle.theta import ConsumeToken, GetToken, ThetaADT, ThetaOracle, ThetaState
 
 
 def merit_sweep(n_cells=3000):
-    tapes = TapeSet(seed=99)
     rates = []
     for p in (0.1, 0.3, 0.5, 0.7, 0.9):
-        tape = tapes.register(f"alpha-{p}", p)
-        hits = sum(tape.cell(i) for i in range(n_cells))
+        hits = sum(tape_cell(99, f"alpha-{p}", i, p) for i in range(n_cells))
         rates.append((p, hits / n_cells))
     return rates
 
@@ -46,7 +44,9 @@ def test_bench_fig05_oracle_state(benchmark, report):
 
 
 def figure6_walk():
-    adt = ThetaADT(k=1, seed=7, merits={"alpha1": 1.0, "alpha2": 1.0})
+    adt = ThetaADT(
+        ThetaState(k=1, seed=7, probabilities=(("alpha1", 1.0), ("alpha2", 1.0)))
+    )
     descriptor = make_block(GENESIS, label="k")
     get = GetToken(GENESIS.block_id, descriptor, "alpha1")
     state0 = adt.initial_state()
@@ -63,15 +63,15 @@ def test_bench_fig06_theta_walk(benchmark, report):
     # After the walk: tape popped once, token in K[b0].
     final = trace.states[-1]
     assert final.position_of("alpha1") == 1
-    assert final.bucket(GENESIS.block_id) == (tokenized.token.token_id,)
+    assert final.bucket(GENESIS.block_id) == (tokenized,)
     benchmark.extra_info["token_id"] = tokenized.token.token_id[:12]
 
 
 def k_sweep():
     rows = []
     for k in (1, 2, 3, math.inf):
-        tapes = TapeSet(seed=5, default_probability=1.0)
-        refined = RefinedBTADT(selection=LongestChain(), oracle=ThetaOracle(k=k, tapes=tapes))
+        oracle = ThetaOracle(ThetaState(k=k, seed=5, default_probability=1.0))
+        refined = RefinedBTADT(selection=LongestChain(), oracle=oracle)
         genesis = refined.tree.genesis
         attempts = 5 if k == math.inf else int(k) + 2
         successes = sum(

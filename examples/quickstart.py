@@ -27,8 +27,7 @@ from repro.consistency.criteria import BTEventualConsistency, BTStrongConsistenc
 from repro.histories.builder import HistoryRecorder
 from repro.histories.continuation import ContinuationModel
 from repro.oracle.refinement import RefinedBTADT
-from repro.oracle.tapes import TapeSet
-from repro.oracle.theta import FrugalOracle, ProdigalOracle
+from repro.oracle.theta import ThetaOracle, ThetaState
 
 
 def demo_bt_adt() -> None:
@@ -45,8 +44,7 @@ def demo_bt_adt() -> None:
 def demo_oracle_refinement() -> None:
     print("\n== 2. R(BT-ADT, Θ): oracles cap forks (Theorem 3.2) ==")
     for k, name in [(1, "Θ_F,k=1 (frugal)"), (2, "Θ_F,k=2"), (math.inf, "Θ_P (prodigal)")]:
-        tapes = TapeSet(seed=42, default_probability=1.0)
-        oracle = FrugalOracle(k, tapes) if k != math.inf else ProdigalOracle(tapes)
+        oracle = ThetaOracle(ThetaState(k=k, seed=42, default_probability=1.0))
         refined = RefinedBTADT(selection=LongestChain(), oracle=oracle)
         genesis = refined.tree.genesis
         # Three processes race to append onto the same (stale) holder.

@@ -14,9 +14,13 @@ Objects:
 * :class:`AtomicSnapshotObject` — update/scan (consensus number 1,
   Aspnes–Herlihy); the substrate of Figure 12.
 * :class:`ConsumeTokenObject` — the ``consumeToken`` object of Figure 9
-  (right) with per-holder capacity ``k``.
-* :class:`OracleObject` — a full Θ oracle (tapes + K) as one shared
-  object, used by Protocol A.
+  (right) with per-holder capacity ``k``, over plain values that carry no
+  token.
+
+The whole Θ oracle that Protocol A shares is
+:class:`repro.oracle.theta.ThetaOracle`, which implements
+:class:`SharedObject` with its :class:`~repro.oracle.theta.ThetaState` as
+the snapshot.
 """
 
 from __future__ import annotations
@@ -24,15 +28,12 @@ from __future__ import annotations
 import math
 from typing import Any, Dict, Tuple
 
-from repro._util import prf_unit
-
 __all__ = [
     "SharedObject",
     "AtomicRegister",
     "CASRegister",
     "AtomicSnapshotObject",
     "ConsumeTokenObject",
-    "OracleObject",
 ]
 
 
@@ -162,58 +163,3 @@ class ConsumeTokenObject(SharedObject):
     def restore(self, state: Any) -> None:
         self.k = state[1]
         self.buckets = dict(state[2])
-
-
-class OracleObject(SharedObject):
-    """A whole Θ oracle as one shared object (tapes + K array).
-
-    ``get_token(holder, proposal, merit_id)`` pops the merit's tape and
-    returns ``(token_id, proposal)`` on success, ``None`` on ``⊥``;
-    ``consume(holder, tokenized)`` inserts under the cap and returns the
-    bucket.  Tape randomness is the same SHA-256 PRF as
-    :mod:`repro.oracle.tapes`, so the object is fully deterministic and
-    explorable.
-    """
-
-    def __init__(self, k: float, seed: int, probabilities: Dict[str, float]) -> None:
-        self.k = k
-        self.seed = seed
-        self.probabilities = dict(probabilities)
-        self.positions: Dict[str, int] = {m: 0 for m in probabilities}
-        self.buckets: Dict[Any, tuple] = {}
-
-    def _cell(self, merit_id: str, position: int) -> bool:
-        return prf_unit("tape", self.seed, merit_id, position) < self.probabilities[merit_id]
-
-    def apply(self, op: str, args: Tuple[Any, ...]) -> Any:
-        if op == "get_token":
-            holder, proposal, merit_id = args
-            position = self.positions[merit_id]
-            self.positions[merit_id] = position + 1
-            if not self._cell(merit_id, position):
-                return None
-            token_id = f"tkn:{merit_id}:{position}"
-            return (token_id, proposal)
-        if op == "consume":
-            holder, tokenized = args
-            bucket = self.buckets.get(holder, ())
-            if len(bucket) < self.k and tokenized not in bucket:
-                bucket = bucket + (tokenized,)
-                self.buckets[holder] = bucket
-            return bucket
-        if op == "get":
-            return self.buckets.get(args[0], ())
-        raise ValueError(f"OracleObject has no op {op!r}")
-
-    def snapshot(self) -> Any:
-        return (
-            "oracle",
-            self.k,
-            tuple(sorted(self.positions.items())),
-            tuple(sorted(self.buckets.items(), key=lambda kv: str(kv[0]))),
-        )
-
-    def restore(self, state: Any) -> None:
-        self.k = state[1]
-        self.positions = dict(state[2])
-        self.buckets = dict(state[3])

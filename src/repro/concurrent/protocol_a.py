@@ -20,8 +20,9 @@ from __future__ import annotations
 
 from typing import Any, Dict, Optional, Tuple
 
-from repro.concurrent.objects import OracleObject
+from repro.blocktree.block import make_block
 from repro.concurrent.scheduler import Decide, Done, Invoke, Program, System
+from repro.oracle.theta import ThetaOracle, ThetaState
 
 __all__ = ["ProtocolA", "build_protocol_a_system", "protocol_a_validity"]
 
@@ -29,11 +30,16 @@ HOLDER = "b0"
 
 
 class ProtocolA(Program):
-    """The Figure 11 state machine for one proposing process."""
+    """The Figure 11 state machine for one proposing process.
+
+    The proposed block is a descriptor on ``b0`` labelled with the
+    process's proposal.
+    """
 
     def __init__(self, merit_id: str, proposal: Any) -> None:
-        self.merit_id = merit_id
-        self.proposal = proposal
+        self.get_token_call = Invoke(
+            "oracle", "get_token", (HOLDER, make_block(HOLDER, label=proposal), merit_id)
+        )
 
     def init(self) -> Any:
         return ("begin",)
@@ -41,21 +47,11 @@ class ProtocolA(Program):
     def step(self, local: Any, response: Any) -> Tuple[Any, Any]:
         phase = local[0]
         if phase == "begin":
-            return (
-                ("await_token",),
-                Invoke("oracle", "get_token", (HOLDER, self.proposal, self.merit_id)),
-            )
+            return ("await_token",), self.get_token_call
         if phase == "await_token":
             if response is None:  # tape cell was ⊥ — loop (lines 3–4)
-                return (
-                    ("await_token",),
-                    Invoke("oracle", "get_token", (HOLDER, self.proposal, self.merit_id)),
-                )
-            tokenized = response
-            return (
-                ("await_consume",),
-                Invoke("oracle", "consume", (HOLDER, tokenized)),
-            )
+                return ("await_token",), self.get_token_call
+            return ("await_consume",), Invoke("oracle", "consume_token", (response,))
         if phase == "await_consume":
             return ("decided",), Decide(response)  # the validBlockSet (line 6)
         return local, Done()
@@ -73,8 +69,7 @@ def build_protocol_a_system(
     exploration uses 1.0 so the getToken loop has bounded length, while
     randomized runs exercise the retry loop with lower values.
     """
-    merits = {f"p{i}": probability for i in range(n)}
-    oracle = OracleObject(k=1, seed=seed, probabilities=merits)
+    oracle = ThetaOracle(ThetaState(k=1, seed=seed, default_probability=probability))
     programs: Dict[str, Program] = {}
     for i in range(n):
         name = f"p{i}"
@@ -86,15 +81,12 @@ def build_protocol_a_system(
 def protocol_a_validity(run_result, proposals: Dict[str, Any]) -> bool:
     """Definition 4.1 Validity: every decided set holds a proposed block.
 
-    Decisions are buckets of ``(token_id, proposal)`` pairs; each must be
-    a singleton whose proposal was actually proposed by some process
+    Decisions are sets ``K[b0]`` of tokenized blocks; each must be a
+    singleton whose block's label was actually proposed by some process
     (oracle-tokenized ⇒ satisfies ``P``).
     """
     proposed = set(proposals.values())
-    for decided in run_result.decisions.values():
-        if len(decided) != 1:
-            return False
-        _token, proposal = decided[0]
-        if proposal not in proposed:
-            return False
-    return True
+    return all(
+        len(decided) == 1 and decided[0].block.label in proposed
+        for decided in run_result.decisions.values()
+    )

@@ -32,8 +32,7 @@ from repro.histories.builder import HistoryRecorder
 from repro.histories.continuation import ContinuationModel
 from repro.histories.history import ConcurrentHistory
 from repro.oracle.refinement import RefinedBTADT
-from repro.oracle.tapes import TapeSet
-from repro.oracle.theta import ThetaOracle
+from repro.oracle.theta import ThetaOracle, ThetaState
 
 __all__ = [
     "RefinementRun",
@@ -78,8 +77,9 @@ def random_refinement_history(
     """
     rng = random.Random(seed)
     selection = selection or LongestChain()
-    tapes = TapeSet(seed=seed, default_probability=merit_probability)
-    oracle = ThetaOracle(k=k, tapes=tapes)
+    oracle = ThetaOracle(
+        ThetaState(k=k, seed=seed, default_probability=merit_probability)
+    )
     refined = RefinedBTADT(selection=selection, oracle=oracle)
     recorder = HistoryRecorder()
     procs = [f"p{i}" for i in range(n_procs)]
@@ -95,11 +95,10 @@ def random_refinement_history(
             if holder.block_id not in refined.tree:
                 holder = refined.tree.genesis
             descriptor = make_block(parent=holder, label=label, creator=int(proc[1:]))
-            op_id = recorder.begin(proc, "append", (descriptor.block_id, holder.block_id))
+            recorder.ledger.invoke(proc, descriptor, step)
             result = refined.append_at(holder, descriptor, merit_id=proc)
             realized = result.tokenized.block if result.tokenized else descriptor
-            # Record the realized block id (token-derived) for validity checks.
-            recorder.end(proc, op_id, "append", bool(result.success))
+            recorder.ledger.decide(proc, step, descriptor.block_id if result else None)
             script.append(("append", proc, holder.block_id, label, realized.block_id))
         else:
             chain = refined.read()
@@ -132,8 +131,8 @@ def replay_appends(
     infinite) cap accepts them all.
     """
     selection = selection or LongestChain()
-    tapes = TapeSet(seed=run.refined.oracle.tapes.seed + seed_offset, default_probability=1.0)
-    oracle = ThetaOracle(k=k, tapes=tapes)
+    seed = run.refined.oracle.state.seed + seed_offset
+    oracle = ThetaOracle(ThetaState(k=k, seed=seed, default_probability=1.0))
     refined = RefinedBTADT(selection=selection, oracle=oracle)
     # Map original realized block ids → replayed ids so holders line up.
     id_map = {run.refined.tree.genesis.block_id: refined.tree.genesis.block_id}
@@ -255,21 +254,13 @@ def _prodigal_fork_witness(seed: int, k: int, oracle_k: float = math.inf) -> boo
     """
     from repro.consistency.properties import check_k_fork_coherence
 
-    tapes = TapeSet(seed=seed, default_probability=1.0)
-    oracle = ThetaOracle(k=oracle_k, tapes=tapes)
+    oracle = ThetaOracle(ThetaState(k=oracle_k, seed=seed, default_probability=1.0))
     refined = RefinedBTADT(selection=LongestChain(), oracle=oracle)
     recorder = HistoryRecorder()
     genesis = refined.tree.genesis
     for i in range(k + 1):
         descriptor = make_block(parent=genesis, label=f"w{i}")
-        op_id = recorder.begin("p0", "append", (descriptor.block_id, genesis.block_id))
+        recorder.ledger.invoke("p0", descriptor, i)
         result = refined.append_at(genesis, descriptor, merit_id="p0")
-        realized_id = result.tokenized.block.block_id if result.tokenized else descriptor.block_id
-        recorder.end("p0", op_id, "append", bool(result.success))
-        # Re-record with realized id for the fork counter.
-        recorder.instant("p0", "update", (realized_id, genesis.block_id))
-    history = recorder.history()
-    parent_map = {
-        b.block_id: b.parent_id for b in refined.tree.blocks() if not b.is_genesis
-    }
-    return not check_k_fork_coherence(history, k=k, parent_of=parent_map).ok
+        recorder.ledger.decide("p0", i, descriptor.block_id if result else None)
+    return not check_k_fork_coherence(recorder.history(), k=k).ok

@@ -97,8 +97,7 @@ class RefinedBTADT:
                 )
             tokenized = self.oracle.get_token(holder, descriptor, merit_id)
             attempts += 1
-        bucket = self.oracle.consume_token(tokenized)
-        success = any(b.block_id == tokenized.block.block_id for b in bucket)
+        success = tokenized in self.oracle.consume_token(tokenized)
         if success:
             self.validity.admit(tokenized.block)
             self.tree.add_block(tokenized.block)
@@ -114,5 +113,5 @@ class RefinedBTADT:
         """Theorem 3.2 on both the oracle sets and the realized tree."""
         return (
             self.oracle.check_fork_coherence()
-            and self.tree.max_fork_degree() <= self.oracle.k
+            and self.tree.max_fork_degree() <= self.oracle.state.k
         )

@@ -1,45 +1,46 @@
-"""The token oracles Θ_F and Θ_P (Definitions 3.5–3.6, Figures 5–6).
+"""The token oracle Θ (Definitions 3.5–3.6, Figures 5–7 and 11).
 
-The oracle's abstract state is ``(tapes, K, k)``: one merit tape per
-process identity, plus an infinite array ``K`` of per-object sets that
-record consumed tokens.  ``getToken(obj_h, obj_ℓ)`` pops the invoker's
+Θ's whole state is one value, :class:`ThetaState` ``(tapes, K, k)``: a
+pseudorandom tape per merit and an infinite array ``K`` of per-object
+sets of tokenized blocks.  ``getToken(obj_h, obj_ℓ)`` pops the invoker's
 tape and, on ``tkn``, returns the *tokenized* object ``obj_ℓ^{tkn_h}`` —
 which is by construction valid (``∈ O′``).  ``consumeToken(obj_ℓ^{tkn_h})``
 adds the object to ``K[h]`` as long as ``|K[h]| < k`` and returns ``K[h]``.
+``k = math.inf`` is the prodigal Θ_P, a finite ``k`` the frugal Θ_F,k.
 
-Two views are provided:
+:class:`ThetaState` holds the only copy of these rules; two faces sit
+over it:
 
-* :class:`ThetaOracle` — the imperative object used by the refinement,
-  the shared-memory reductions and the protocol simulations.
-* :class:`ThetaADT` — the same behaviour as a value-semantics transducer,
-  so transition-system walks (Figure 6) and sequential-spec checks apply.
+* :class:`ThetaADT` — Θ as a value-semantics transducer, so transition
+  walks (Figure 6) and sequential-spec checks apply.
+* :class:`ThetaOracle` — one current state: the oracle of the refinement
+  ``R(BT-ADT, Θ)`` (Figure 7) and, as a shared object whose snapshot is
+  that state, the oracle of Protocol A (Figure 11).
 
 Theorem 3.2 (k-Fork Coherence) is enforced structurally: the ``add`` into
 ``K[h]`` refuses beyond ``k`` elements, so at most ``k`` ``append()``
 operations can succeed per holder object.  :meth:`ThetaOracle.check_fork_coherence`
-re-verifies the invariant from the recorded statistics.
+re-verifies the invariant from the consumed sets.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Any, Dict, Optional, Tuple
+from typing import Any, Optional, Tuple
 
-from repro._util import sha256_hex
+from repro._util import require, sha256_hex
 from repro.adt.base import ADT
 from repro.blocktree.block import Block, attach_descriptor
-from repro.oracle.tapes import TapeSet, tape_cell
+from repro.concurrent.objects import SharedObject
+from repro.oracle.tapes import tape_cell
 
 __all__ = [
     "Token",
     "mint_token",
     "TokenizedBlock",
-    "OracleStats",
-    "ThetaOracle",
-    "FrugalOracle",
-    "ProdigalOracle",
     "ThetaState",
+    "ThetaOracle",
     "ThetaADT",
     "GetToken",
     "ConsumeToken",
@@ -50,9 +51,10 @@ __all__ = [
 class Token:
     """A token ``tkn_h``: the right to chain one new object to ``holder_id``.
 
-    ``token_id`` commits to the merit identity and tape position that won
-    it, so every generated token is unique ("each token can be consumed at
-    most once" is enforced by the oracle tracking consumed ids).
+    ``token_id`` commits to the seed, merit identity and tape position
+    that won it and to the holder, so every generated token is unique
+    ("each token can be consumed at most once" is enforced by the
+    consume rule looking the token up in ``K[h]``).
     """
 
     holder_id: str
@@ -85,105 +87,126 @@ class TokenizedBlock:
         return self.token.holder_id
 
 
-@dataclass
-class OracleStats:
-    """Counters for oracle activity, used by benches and fork-coherence checks."""
+@dataclass(frozen=True)
+class ThetaState:
+    """Θ's state ``(tapes, K, k)`` as one immutable value.
 
-    get_token_calls: int = 0
-    tokens_generated: int = 0
-    tokens_consumed: int = 0
-    consume_rejections: int = 0
-    duplicate_consumes: int = 0
-
-
-class ThetaOracle:
-    """Imperative token oracle with consumption cap ``k`` (∞ for prodigal).
-
-    Parameters
-    ----------
-    k:
-        Maximum tokens consumed per holder object; ``math.inf`` gives Θ_P.
-    tapes:
-        The merit tape family.  Callers register merits with their
-        ``p_αi`` before (or on first) use.
+    The tape of merit ``m`` has cell chance ``p_m``: its entry in
+    ``probabilities`` (``(merit, p)`` pairs) or else
+    ``default_probability``; every ``p`` must be in ``(0, 1]`` ("the
+    oracle provides a token with a certain probability p_αi > 0"), so a
+    getToken loop terminates.  ``positions`` holds the head of every tape
+    that was popped and ``consumed`` every non-empty ``K[h]``, both as
+    key-sorted pairs, so equal states are equal values.
     """
 
-    def __init__(self, k: float, tapes: TapeSet) -> None:
-        if not (k == math.inf or (isinstance(k, int) and k >= 1)):
-            raise ValueError("k must be a positive integer or math.inf")
-        self.k = k
-        self.tapes = tapes
-        self.consumed: Dict[str, list] = {}
-        self.stats = OracleStats()
-        self._consumed_token_ids: set = set()
+    k: float
+    seed: int
+    default_probability: float = 0.5
+    probabilities: Tuple[Tuple[str, float], ...] = ()
+    positions: Tuple[Tuple[str, int], ...] = ()
+    consumed: Tuple[Tuple[str, Tuple[TokenizedBlock, ...]], ...] = ()
 
-    # -- the two oracle operations -------------------------------------------
+    def __post_init__(self) -> None:
+        require(
+            self.k == math.inf or (isinstance(self.k, int) and self.k >= 1),
+            "k must be a positive integer or math.inf",
+        )
+        for p in (self.default_probability, *(p for _, p in self.probabilities)):
+            require(0.0 < p <= 1.0, "merit probability must be in (0, 1]")
+
+    def probability_of(self, merit_id: str) -> float:
+        return dict(self.probabilities).get(merit_id, self.default_probability)
+
+    def position_of(self, merit_id: str) -> int:
+        return dict(self.positions).get(merit_id, 0)
+
+    def bucket(self, holder_id: str) -> Tuple[TokenizedBlock, ...]:
+        """``get(K, h)``."""
+        return dict(self.consumed).get(holder_id, ())
+
+    def get_token(
+        self, holder: Block | str, descriptor: Block, merit_id: str
+    ) -> Tuple["ThetaState", Optional[TokenizedBlock]]:
+        """``getToken(obj_h, obj_ℓ)`` for the process with merit ``merit_id``.
+
+        Pops the merit's tape; on ``tkn`` the output is the tokenized
+        block chained to the holder, else ``None`` (the paper's ``⊥``).
+        """
+        positions = dict(self.positions)
+        position = positions.get(merit_id, 0)
+        positions[merit_id] = position + 1
+        state = replace(self, positions=tuple(sorted(positions.items())))
+        if not tape_cell(self.seed, merit_id, position, self.probability_of(merit_id)):
+            return state, None
+        holder_id = holder.block_id if isinstance(holder, Block) else holder
+        token = mint_token(self.seed, merit_id, position, holder_id)
+        return state, TokenizedBlock(attach_descriptor(descriptor, holder_id), token)
+
+    def consume_token(
+        self, tokenized: TokenizedBlock
+    ) -> Tuple["ThetaState", Tuple[TokenizedBlock, ...]]:
+        """``consumeToken(obj_ℓ^{tkn_h})``: add into ``K[h]`` if below cap.
+
+        The output is ``K[h]`` after the operation.  A token already in
+        ``K[h]`` and a full ``K[h]`` leave the state unchanged.
+        """
+        holder_id = tokenized.holder_id
+        bucket = self.bucket(holder_id)
+        if len(bucket) >= self.k or any(t.token == tokenized.token for t in bucket):
+            return self, bucket
+        consumed = dict(self.consumed)
+        consumed[holder_id] = bucket = bucket + (tokenized,)
+        return replace(self, consumed=tuple(sorted(consumed.items()))), bucket
+
+
+class ThetaOracle(SharedObject):
+    """Θ with one current :class:`ThetaState`.
+
+    The refinement calls :meth:`get_token` / :meth:`consume_token`
+    directly; Protocol A invokes the same two operations by name through
+    :meth:`apply`, and the model checker snapshots the state itself.
+    """
+
+    def __init__(self, state: ThetaState) -> None:
+        self.state = state
 
     def get_token(
         self, holder: Block | str, descriptor: Block, merit_id: str
     ) -> Optional[TokenizedBlock]:
-        """``getToken(obj_h, obj_ℓ)`` for the process with merit ``merit_id``.
+        self.state, tokenized = self.state.get_token(holder, descriptor, merit_id)
+        return tokenized
 
-        Pops the merit's tape; on ``tkn`` returns the tokenized block
-        chained to the holder, else ``None`` (the paper's ``⊥``).
-        """
-        holder_id = holder.block_id if isinstance(holder, Block) else holder
-        tape = self.tapes.tape(merit_id)
-        position = tape.position
-        won = tape.pop()
-        self.stats.get_token_calls += 1
-        if not won:
-            return None
-        self.stats.tokens_generated += 1
-        token = mint_token(self.tapes.seed, merit_id, position, holder_id)
-        concrete = attach_descriptor(descriptor, holder)
-        return TokenizedBlock(block=concrete, token=token)
+    def consume_token(self, tokenized: TokenizedBlock) -> Tuple[TokenizedBlock, ...]:
+        self.state, bucket = self.state.consume_token(tokenized)
+        return bucket
 
-    def consume_token(self, tokenized: TokenizedBlock) -> Tuple[Block, ...]:
-        """``consumeToken(obj_ℓ^{tkn_h})``: add into ``K[h]`` if below cap.
-
-        Returns the content of ``K[h]`` after the operation (the paper's
-        ``get(K, h)``).  Replayed tokens and full sets leave ``K[h]``
-        unchanged.
-        """
-        holder_id = tokenized.holder_id
-        bucket = self.consumed.setdefault(holder_id, [])
-        if tokenized.token.token_id in self._consumed_token_ids:
-            self.stats.duplicate_consumes += 1
-            return tuple(bucket)
-        if len(bucket) < self.k:
-            bucket.append(tokenized.block)
-            self._consumed_token_ids.add(tokenized.token.token_id)
-            self.stats.tokens_consumed += 1
-        else:
-            self.stats.consume_rejections += 1
-        return tuple(bucket)
-
-    # -- inspection -----------------------------------------------------------
-
-    def consumed_for(self, holder_id: str) -> Tuple[Block, ...]:
+    def consumed_for(self, holder_id: str) -> Tuple[TokenizedBlock, ...]:
         """``get(K, h)`` without side effects."""
-        return tuple(self.consumed.get(holder_id, ()))
+        return self.state.bucket(holder_id)
 
     def check_fork_coherence(self) -> bool:
         """Theorem 3.2: no holder has more than ``k`` consumed tokens."""
-        return all(len(bucket) <= self.k for bucket in self.consumed.values())
+        return all(len(bucket) <= self.state.k for _, bucket in self.state.consumed)
 
+    # -- shared-object face (Protocol A) ----------------------------------------
 
-def FrugalOracle(k: int, tapes: TapeSet) -> ThetaOracle:
-    """Θ_F,k: the frugal oracle with finite consumption cap ``k`` (Def. 3.5)."""
-    if k == math.inf:
-        raise ValueError("use ProdigalOracle for k = ∞")
-    return ThetaOracle(k=k, tapes=tapes)
+    def apply(self, op: str, args: Tuple[Any, ...]) -> Any:
+        if op == "get_token":
+            return self.get_token(*args)
+        if op == "consume_token":
+            return self.consume_token(*args)
+        raise ValueError(f"ThetaOracle has no op {op!r}")
 
+    def snapshot(self) -> ThetaState:
+        return self.state
 
-def ProdigalOracle(tapes: TapeSet) -> ThetaOracle:
-    """Θ_P: the prodigal oracle — Θ_F with ``k = ∞`` (Definition 3.6)."""
-    return ThetaOracle(k=math.inf, tapes=tapes)
+    def restore(self, state: ThetaState) -> None:
+        self.state = state
 
 
 # ---------------------------------------------------------------------------
-# Value-semantics ADT view (Figure 6 transition walks, sequential spec).
+# Transducer face (Figure 6 transition walks, sequential spec).
 # ---------------------------------------------------------------------------
 
 
@@ -209,80 +232,32 @@ class ConsumeToken:
         return f"consumeToken({self.tokenized.block.short()}^{self.tokenized.token.token_id[:6]})"
 
 
-@dataclass(frozen=True)
-class ThetaState:
-    """Immutable oracle state ``({tape positions}, K, k)`` for the ADT view."""
-
-    seed: int
-    probabilities: Tuple[Tuple[str, float], ...]
-    positions: Tuple[Tuple[str, int], ...]
-    consumed: Tuple[Tuple[str, Tuple[str, ...]], ...]  # holder → token ids
-    k: float
-
-    def position_of(self, merit_id: str) -> int:
-        return dict(self.positions).get(merit_id, 0)
-
-    def probability_of(self, merit_id: str) -> float:
-        return dict(self.probabilities)[merit_id]
-
-    def bucket(self, holder_id: str) -> Tuple[str, ...]:
-        return dict(self.consumed).get(holder_id, ())
-
-
 class ThetaADT(ADT[ThetaState]):
     """Θ as a transducer — Definitions 3.5/3.6 verbatim, value semantics.
 
     Outputs: ``getToken`` yields a :class:`TokenizedBlock` or ``None``;
-    ``consumeToken`` yields the (token-id tuple of) ``K[h]`` after the op.
+    ``consumeToken`` yields ``K[h]`` after the op.
     """
 
-    def __init__(self, k: float, seed: int, merits: Dict[str, float]) -> None:
-        self.k = k
-        self.seed = seed
-        self.merits = dict(merits)
+    def __init__(self, initial: ThetaState) -> None:
+        self.initial = initial
 
     def initial_state(self) -> ThetaState:
-        return ThetaState(
-            seed=self.seed,
-            probabilities=tuple(sorted(self.merits.items())),
-            positions=tuple((m, 0) for m in sorted(self.merits)),
-            consumed=(),
-            k=self.k,
-        )
+        return self.initial
 
     def accepts_symbol(self, symbol: Any) -> bool:
         return isinstance(symbol, (GetToken, ConsumeToken))
 
     def transition(self, state: ThetaState, symbol: Any) -> ThetaState:
-        if isinstance(symbol, GetToken):
-            positions = tuple(
-                (m, p + 1 if m == symbol.merit_id else p) for m, p in state.positions
-            )
-            return replace(state, positions=positions)
-        if isinstance(symbol, ConsumeToken):
-            holder = symbol.tokenized.holder_id
-            token_id = symbol.tokenized.token.token_id
-            bucket = state.bucket(holder)
-            if token_id in bucket or len(bucket) >= state.k:
-                return state
-            consumed = dict(state.consumed)
-            consumed[holder] = bucket + (token_id,)
-            return replace(state, consumed=tuple(sorted(consumed.items())))
-        raise ValueError(f"unknown symbol {symbol!r}")
+        return self._step(state, symbol)[0]
 
     def output(self, state: ThetaState, symbol: Any) -> Any:
+        return self._step(state, symbol)[1]
+
+    @staticmethod
+    def _step(state: ThetaState, symbol: Any) -> Tuple[ThetaState, Any]:
         if isinstance(symbol, GetToken):
-            merit_id = symbol.merit_id
-            position = state.position_of(merit_id)
-            if not tape_cell(
-                state.seed, merit_id, position, state.probability_of(merit_id)
-            ):
-                return None
-            token = mint_token(state.seed, merit_id, position, symbol.holder_id)
-            concrete = attach_descriptor(symbol.descriptor, symbol.holder_id)
-            return TokenizedBlock(block=concrete, token=token)
+            return state.get_token(symbol.holder_id, symbol.descriptor, symbol.merit_id)
         if isinstance(symbol, ConsumeToken):
-            # δ returns get(K, h) *after* the add — mirror the transition.
-            next_state = self.transition(state, symbol)
-            return next_state.bucket(symbol.tokenized.holder_id)
+            return state.consume_token(symbol.tokenized)
         raise ValueError(f"unknown symbol {symbol!r}")

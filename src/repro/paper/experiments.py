@@ -38,8 +38,7 @@ from repro.histories.continuation import (
     GrowthMode,
 )
 from repro.histories.history import ConcurrentHistory
-from repro.oracle.tapes import TapeSet
-from repro.oracle.theta import ThetaOracle
+from repro.oracle.theta import ThetaOracle, ThetaState
 
 __all__ = [
     "ExperimentReport",
@@ -193,8 +192,7 @@ def theorem_4_8_execution(k: float = 2, seed: int = 3) -> ConcurrentHistory:
     ``b0⌢bi`` vs ``b0⌢bj`` — incomparable.  With ``k = 1`` the second
     consume is refused and no fork exists.
     """
-    tapes = TapeSet(seed=seed, default_probability=1.0)
-    oracle = ThetaOracle(k=k, tapes=tapes)
+    oracle = ThetaOracle(ThetaState(k=k, seed=seed, default_probability=1.0))
     rec = HistoryRecorder()
     selection = LongestChain()
     tree_i, tree_j = BlockTree(), BlockTree()
@@ -204,14 +202,12 @@ def theorem_4_8_execution(k: float = 2, seed: int = 3) -> ConcurrentHistory:
     # Simultaneous refined appends at t0 (both f(bt) = b0).
     ti = oracle.get_token(GENESIS, b_i, "i")
     tj = oracle.get_token(GENESIS, b_j, "j")
-    op_i = rec.begin("i", "append", (ti.block.block_id, GENESIS.block_id))
-    op_j = rec.begin("j", "append", (tj.block.block_id, GENESIS.block_id))
-    bucket_after_i = oracle.consume_token(ti)
-    ok_i = any(b.block_id == ti.block.block_id for b in bucket_after_i)
-    bucket_after_j = oracle.consume_token(tj)
-    ok_j = any(b.block_id == tj.block.block_id for b in bucket_after_j)
-    rec.end("i", op_i, "append", ok_i)
-    rec.end("j", op_j, "append", ok_j)
+    rec.ledger.invoke("i", ti.block, "t0")
+    rec.ledger.invoke("j", tj.block, "t0")
+    ok_i = ti in oracle.consume_token(ti)
+    ok_j = tj in oracle.consume_token(tj)
+    rec.ledger.decide("i", "t0", ti.block.block_id if ok_i else None)
+    rec.ledger.decide("j", "t0", tj.block.block_id if ok_j else None)
     # Local updates first, crossed remote updates delivered within δ.
     if ok_i:
         tree_i.add_block(ti.block)

@@ -11,8 +11,7 @@ from repro.consistency.criteria import BTStrongConsistency
 from repro.histories.builder import HistoryRecorder
 from repro.histories.continuation import ContinuationModel
 from repro.net.faults import MessageDropAdversary, PartitionAdversary
-from repro.oracle.tapes import TapeSet
-from repro.oracle.theta import ThetaOracle
+from repro.oracle.theta import ThetaOracle, ThetaState
 
 
 class TestDropBudget:
@@ -44,28 +43,25 @@ class TestDropBudget:
 
 
 class TestOracleStats:
+    """Θ's activity read off its state: tape heads count getToken calls
+    per merit, the sets ``K[h]`` the consumed tokens."""
+
     def test_stats_as_dict(self):
-        tapes = TapeSet(seed=1, default_probability=1.0)
-        oracle = ThetaOracle(k=1, tapes=tapes)
+        oracle = ThetaOracle(ThetaState(k=1, seed=1, default_probability=1.0))
         tb = oracle.get_token(GENESIS, make_block(GENESIS, label="1"), "m")
         oracle.consume_token(tb)
-        stats = vars(oracle.stats)
-        assert stats["get_token_calls"] == 1
-        assert stats["tokens_generated"] == 1
-        assert stats["tokens_consumed"] == 1
-        assert stats["consume_rejections"] == 0
+        assert dict(oracle.state.positions) == {"m": 1}
+        assert {h: len(b) for h, b in oracle.state.consumed} == {GENESIS.block_id: 1}
 
     def test_expected_attempts_tracks_probability(self):
-        tapes = TapeSet(seed=7)
-        tapes.register("weak", 0.2)
-        oracle = ThetaOracle(k=1, tapes=tapes)
+        oracle = ThetaOracle(ThetaState(k=1, seed=7, probabilities=(("weak", 0.2),)))
         granted, calls = 0, 0
         while granted < 20:
             tb = oracle.get_token(GENESIS, make_block(GENESIS, label=str(calls)), "weak")
             calls += 1
             if tb is not None:
                 granted += 1
-        assert calls == oracle.stats.get_token_calls
+        assert calls == oracle.state.position_of("weak")
         # Mean attempts per token ≈ 1/p = 5 (loose bound for 20 samples).
         assert 2.0 < calls / granted < 10.0
 

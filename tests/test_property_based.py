@@ -20,8 +20,8 @@ from repro.blocktree.tree import BlockTree
 from repro.consistency.criteria import BTEventualConsistency, BTStrongConsistency
 from repro.consistency.hierarchy import random_refinement_history
 from repro.crypto.merkle import merkle_root
-from repro.oracle.tapes import TapeSet
-from repro.oracle.theta import ThetaOracle
+from repro.oracle.tapes import tape_cell
+from repro.oracle.theta import ThetaOracle, ThetaState
 
 # -- strategies -------------------------------------------------------------
 
@@ -146,16 +146,18 @@ class TestTreeInvariants:
 class TestTapeAndOracle:
     @given(st.integers(min_value=0, max_value=2**32), st.floats(min_value=0.05, max_value=0.95))
     def test_tape_deterministic(self, seed, p):
-        from repro.oracle.tapes import MeritTape
-
-        t1 = MeritTape(seed=seed, merit_id="m", probability=p)
-        t2 = MeritTape(seed=seed, merit_id="m", probability=p)
-        assert [t1.pop() for _ in range(32)] == [t2.pop() for _ in range(32)]
+        cells = [tape_cell(seed, "m", i, p) for i in range(32)]
+        assert cells == [tape_cell(seed, "m", i, p) for i in range(32)]
+        oracle = ThetaOracle(ThetaState(k=1, seed=seed, default_probability=p))
+        granted = [
+            oracle.get_token(GENESIS, make_block(GENESIS, label=str(i)), "m") is not None
+            for i in range(32)
+        ]
+        assert granted == cells
 
     @given(st.integers(min_value=1, max_value=4), st.integers(min_value=0, max_value=10_000))
     def test_oracle_never_exceeds_cap(self, k, seed):
-        tapes = TapeSet(seed=seed, default_probability=1.0)
-        oracle = ThetaOracle(k=k, tapes=tapes)
+        oracle = ThetaOracle(ThetaState(k=k, seed=seed, default_probability=1.0))
         for i in range(k + 3):
             tb = oracle.get_token(GENESIS, make_block(GENESIS, label=str(i)), "m")
             oracle.consume_token(tb)
@@ -164,8 +166,7 @@ class TestTapeAndOracle:
 
     @given(st.integers(min_value=0, max_value=10_000))
     def test_prodigal_accepts_everything(self, seed):
-        tapes = TapeSet(seed=seed, default_probability=1.0)
-        oracle = ThetaOracle(k=math.inf, tapes=tapes)
+        oracle = ThetaOracle(ThetaState(k=math.inf, seed=seed, default_probability=1.0))
         for i in range(6):
             tb = oracle.get_token(GENESIS, make_block(GENESIS, label=str(i)), "m")
             oracle.consume_token(tb)

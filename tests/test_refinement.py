@@ -7,13 +7,12 @@ import pytest
 from repro.blocktree.block import GENESIS, make_block
 from repro.blocktree.selection import LongestChain
 from repro.oracle.refinement import RefinedBTADT
-from repro.oracle.tapes import TapeSet
-from repro.oracle.theta import ThetaOracle
+from repro.oracle.theta import ThetaOracle, ThetaState
 
 
 def refined(k=1, p=1.0, seed=1):
-    tapes = TapeSet(seed=seed, default_probability=p)
-    return RefinedBTADT(selection=LongestChain(), oracle=ThetaOracle(k=k, tapes=tapes))
+    oracle = ThetaOracle(ThetaState(k=k, seed=seed, default_probability=p))
+    return RefinedBTADT(selection=LongestChain(), oracle=oracle)
 
 
 class TestRefinedAppend:
@@ -78,11 +77,9 @@ class TestRefinedAppend:
             r.append_at(stranger, make_block(stranger, label="x"), "a")
 
     def test_starvation_guard(self):
-        tapes = TapeSet(seed=1)
-        tapes.register("nil", 1e-12)
         r = RefinedBTADT(
             selection=LongestChain(),
-            oracle=ThetaOracle(k=1, tapes=tapes),
+            oracle=ThetaOracle(ThetaState(k=1, seed=1, probabilities=(("nil", 1e-12),))),
             max_attempts=10,
         )
         with pytest.raises(RuntimeError):

@@ -4,13 +4,14 @@ import math
 
 import pytest
 
+from repro.blocktree.block import make_block
 from repro.concurrent.objects import (
     AtomicRegister,
     AtomicSnapshotObject,
     CASRegister,
     ConsumeTokenObject,
-    OracleObject,
 )
+from repro.oracle.theta import ThetaOracle, ThetaState
 
 
 class TestAtomicRegister:
@@ -119,29 +120,35 @@ class TestConsumeTokenObject:
 
 
 class TestOracleObject:
+    """The Θ oracle as the shared object of Protocol A."""
+
+    @staticmethod
+    def oracle(p):
+        return ThetaOracle(ThetaState(k=1, seed=5, probabilities=(("m", p),)))
+
     def test_get_token_deterministic(self):
-        o1 = OracleObject(k=1, seed=5, probabilities={"m": 1.0})
-        o2 = OracleObject(k=1, seed=5, probabilities={"m": 1.0})
-        t1 = o1.apply("get_token", ("b0", "blk", "m"))
-        t2 = o2.apply("get_token", ("b0", "blk", "m"))
+        blk = make_block("b0", label="blk")
+        t1 = self.oracle(1.0).apply("get_token", ("b0", blk, "m"))
+        t2 = self.oracle(1.0).apply("get_token", ("b0", blk, "m"))
         assert t1 == t2 and t1 is not None
 
     def test_get_token_can_fail(self):
-        o = OracleObject(k=1, seed=5, probabilities={"m": 1e-9})
-        assert o.apply("get_token", ("b0", "blk", "m")) is None
+        blk = make_block("b0", label="blk")
+        assert self.oracle(1e-9).apply("get_token", ("b0", blk, "m")) is None
 
     def test_consume_cap(self):
-        o = OracleObject(k=1, seed=5, probabilities={"m": 1.0})
-        t1 = o.apply("get_token", ("b0", "x", "m"))
-        t2 = o.apply("get_token", ("b0", "y", "m"))
-        assert o.apply("consume", ("b0", t1)) == (t1,)
-        assert o.apply("consume", ("b0", t2)) == (t1,)
+        o = self.oracle(1.0)
+        t1 = o.apply("get_token", ("b0", make_block("b0", label="x"), "m"))
+        t2 = o.apply("get_token", ("b0", make_block("b0", label="y"), "m"))
+        assert o.apply("consume_token", (t1,)) == (t1,)
+        assert o.apply("consume_token", (t2,)) == (t1,)
 
     def test_snapshot_restore_roundtrip(self):
-        o = OracleObject(k=1, seed=5, probabilities={"m": 1.0})
+        o = self.oracle(1.0)
         snap = o.snapshot()
-        o.apply("get_token", ("b0", "x", "m"))
-        o.apply("consume", ("b0", ("t", "x")))
+        tokenized = o.apply("get_token", ("b0", make_block("b0", label="x"), "m"))
+        o.apply("consume_token", (tokenized,))
+        assert o.snapshot() != snap
         o.restore(snap)
-        assert o.positions["m"] == 0
-        assert o.apply("get", ("b0",)) == ()
+        assert o.state.position_of("m") == 0
+        assert o.consumed_for("b0") == ()

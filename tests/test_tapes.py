@@ -1,81 +1,76 @@
-"""Tests for merit tapes (Definition 3.5's pseudorandom token source)."""
+"""Tests for merit tapes (Definition 3.5's pseudorandom token source).
+
+A tape's cells are :func:`tape_cell`; its head is the position that
+:class:`ThetaState` keeps for the merit.
+"""
 
 import pytest
 
-from repro.oracle.tapes import MeritTape, TapeSet
+from repro.blocktree.block import GENESIS, make_block
+from repro.oracle.tapes import tape_cell
+from repro.oracle.theta import ThetaState
+
+
+def pop(state, merit_id):
+    """One getToken for ``merit_id``: ``(next state, whether it won)``."""
+    state, tokenized = state.get_token(GENESIS, make_block(GENESIS, label="d"), merit_id)
+    return state, tokenized is not None
 
 
 class TestMeritTape:
     def test_deterministic_cells(self):
-        t1 = MeritTape(seed=1, merit_id="alice", probability=0.5)
-        t2 = MeritTape(seed=1, merit_id="alice", probability=0.5)
-        assert [t1.cell(i) for i in range(100)] == [t2.cell(i) for i in range(100)]
+        cells = [tape_cell(1, "alice", i, 0.5) for i in range(100)]
+        assert cells == [tape_cell(1, "alice", i, 0.5) for i in range(100)]
 
     def test_different_merits_different_tapes(self):
-        t1 = MeritTape(seed=1, merit_id="alice", probability=0.5)
-        t2 = MeritTape(seed=1, merit_id="bob", probability=0.5)
-        assert [t1.cell(i) for i in range(64)] != [t2.cell(i) for i in range(64)]
+        alice = [tape_cell(1, "alice", i, 0.5) for i in range(64)]
+        bob = [tape_cell(1, "bob", i, 0.5) for i in range(64)]
+        assert alice != bob
 
     def test_pop_advances_head_peeks(self):
-        t = MeritTape(seed=1, merit_id="a", probability=0.5)
-        head = t.head()
-        assert t.pop() == head
-        assert t.position == 1
+        state = ThetaState(k=1, seed=1, probabilities=(("a", 0.5),))
+        head = tape_cell(1, "a", state.position_of("a"), 0.5)
+        state, won = pop(state, "a")
+        assert won == head
+        assert state.position_of("a") == 1
 
     def test_probability_controls_rate(self):
-        low = MeritTape(seed=3, merit_id="m", probability=0.1)
-        high = MeritTape(seed=3, merit_id="m2", probability=0.9)
         n = 2000
-        low_rate = sum(low.cell(i) for i in range(n)) / n
-        high_rate = sum(high.cell(i) for i in range(n)) / n
+        low_rate = sum(tape_cell(3, "m", i, 0.1) for i in range(n)) / n
+        high_rate = sum(tape_cell(3, "m2", i, 0.9) for i in range(n)) / n
         assert low_rate == pytest.approx(0.1, abs=0.03)
         assert high_rate == pytest.approx(0.9, abs=0.03)
 
     def test_invalid_probability_rejected(self):
         with pytest.raises(ValueError):
-            MeritTape(seed=1, merit_id="x", probability=0.0)
+            ThetaState(k=1, seed=1, probabilities=(("x", 0.0),))
         with pytest.raises(ValueError):
-            MeritTape(seed=1, merit_id="x", probability=1.5)
+            ThetaState(k=1, seed=1, probabilities=(("x", 1.5),))
 
     def test_copy_is_independent_reader(self):
-        t = MeritTape(seed=1, merit_id="a", probability=0.5)
-        t.pop()
-        c = t.copy()
-        c.pop()
-        assert t.position == 1 and c.position == 2
+        once, _ = pop(ThetaState(k=1, seed=1), "a")
+        twice, _ = pop(once, "a")
+        assert once.position_of("a") == 1 and twice.position_of("a") == 2
 
 
 class TestTapeSet:
     def test_register_and_fetch(self):
-        ts = TapeSet(seed=9)
-        tape = ts.register("a", 0.25)
-        assert ts.tape("a") is tape
-
-    def test_reregister_same_probability_ok(self):
-        ts = TapeSet(seed=9)
-        ts.register("a", 0.25)
-        assert ts.register("a", 0.25).probability == 0.25
-
-    def test_reregister_conflicting_probability_rejected(self):
-        ts = TapeSet(seed=9)
-        ts.register("a", 0.25)
-        with pytest.raises(ValueError):
-            ts.register("a", 0.5)
+        state = ThetaState(k=1, seed=9, probabilities=(("a", 0.25),))
+        assert state.probability_of("a") == 0.25
 
     def test_lazy_default_tape(self):
-        ts = TapeSet(seed=9, default_probability=0.7)
-        assert ts.tape("implicit").probability == 0.7
+        state = ThetaState(k=1, seed=9, default_probability=0.7)
+        assert state.probability_of("implicit") == 0.7
+        assert state.position_of("implicit") == 0
 
     def test_copy_deep(self):
-        ts = TapeSet(seed=9)
-        ts.tape("a").pop()
-        clone = ts.copy()
-        clone.tape("a").pop()
-        assert ts.tape("a").position == 1
-        assert clone.tape("a").position == 2
+        state, _ = pop(ThetaState(k=1, seed=9), "a")
+        clone, _ = pop(state, "a")
+        assert state.position_of("a") == 1
+        assert clone.position_of("a") == 2
 
     def test_freeze_reflects_positions(self):
-        ts = TapeSet(seed=9)
-        before = ts.freeze()
-        ts.tape("a").pop()
-        assert ts.freeze() != before
+        before = ThetaState(k=1, seed=9)
+        after, _ = pop(before, "a")
+        assert after != before and hash(after) != hash(before)
+        assert after.positions == (("a", 1),)

@@ -24,7 +24,7 @@ from repro._util import (
 from repro.blocktree.block import GENESIS, make_block
 from repro.crypto.auth import EquivocationEvidence
 from repro.crypto.signatures import Signature
-from repro.oracle.tapes import MeritTape
+from repro.oracle.tapes import tape_cell
 from repro.paper.figures import paper_blocks
 from repro.storage.base import decode_block, encode_block
 from repro.workloads.transactions import Transaction
@@ -339,7 +339,7 @@ class TestPrf:
         u = prf_unit("top")
         assert u < 1.0 and u == math.nextafter(1.0, 0.0)
         # The tape rule ``prf_unit(...) < p`` must read a token at p = 1.
-        assert MeritTape(seed=0, merit_id="m", probability=1.0).cell(0)
+        assert tape_cell(0, "m", 0, 1.0)
 
     def test_unit_roughly_uniform(self):
         n = 2000
