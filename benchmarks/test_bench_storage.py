@@ -1,4 +1,4 @@
-"""Storage-subsystem gates: backends, prune lifecycle, bounded hot set.
+"""Storage-subsystem gates: append, cold-read and replay speed.
 
 Not a paper figure — these gate the block-store layer:
 
@@ -10,15 +10,9 @@ Not a paper figure — these gate the block-store layer:
   one seek + CRC-checked decode each.
 * **replay gate** — crash-recovery speed: reopen a 100k-block log
   (index rebuild) and ``BlockTree.replay`` it back into a full tree.
-* **bounded-hot-set gate** — a 200k-block ``TreeScenario`` on
-  ``AppendOnlyLogStore`` with a ``PrunePolicy`` completes with
-  ``peak_resident ≤ hot_cap`` while its fork-choice reads stay
-  **byte-identical** to the all-in-RAM ``InMemoryStore`` run, sampled
-  every ~1k blocks.
 """
 
 import json
-import os
 import random
 import time
 
@@ -26,13 +20,11 @@ import pytest
 
 from repro.blocktree.block import GENESIS, make_block
 from repro.blocktree.selection import LongestChain
-from repro.blocktree.tree import BlockTree, PrunePolicy
+from repro.blocktree.tree import BlockTree
 from repro.storage import open_store
 from repro.storage.logstore import AppendOnlyLogStore
 from repro.storage.memory import InMemoryStore
 from repro.workloads.scenarios import TreeScenario
-
-_SCALE = 200_000
 
 #: Raw-append floors (blocks/s), ~5-10× below measured dev-box numbers.
 _APPEND_GATES = {"memory": 200_000, "log": 50_000}
@@ -150,70 +142,3 @@ def test_bench_replay_recovery(report, tmp_path):
         json.dumps(row, indent=2),
     )
     assert rate >= _REPLAY_GATE, f"replay {rate:,.0f} blocks/s below the gate"
-
-
-def test_bench_bounded_hotset_gate(report, tmp_path):
-    """Gate: 200k blocks, bounded hot set, identical reads.
-
-    Runs the same forky ``TreeScenario`` twice — all-in-RAM
-    ``InMemoryStore`` vs ``AppendOnlyLogStore`` under a ``PrunePolicy``
-    — selecting the longest chain after every append and sampling the
-    verdict every 997 blocks.  Asserts the sampled (tip id, height)
-    sequences are identical, that the pruned run's peak resident Block
-    count never exceeded the configured cap, and that every block
-    reached the log.
-    """
-    n = _SCALE
-    cap = max(5_000, n // 20)
-    scenario = TreeScenario(name="bounded", n_blocks=n, fork_rate=0.02, fork_window=8)
-    select = LongestChain().select
-
-    def run(tree):
-        samples = []
-        start = time.perf_counter()
-        for i, block in enumerate(scenario.blocks()):
-            tree.add_block(block)
-            chain = select(tree)
-            if i % 997 == 0:
-                samples.append((chain.tip_id, chain.height))
-        samples.append((chain.tip_id, chain.height))
-        return samples, time.perf_counter() - start
-
-    ram_samples, ram_s = run(BlockTree(store=InMemoryStore()))
-
-    store = AppendOnlyLogStore(str(tmp_path / "bounded.btlog"))
-    policy = PrunePolicy(hot_cap=cap, recent_reads=8, finality_margin=32)
-    pruned_tree = BlockTree(store=store, prune=policy)
-    log_samples, log_s = run(pruned_tree)
-    stats = pruned_tree.stats()
-    stored = len(store)
-    log_bytes = os.path.getsize(store.path)
-    store.close()
-
-    row = {
-        "blocks": n,
-        "hot_cap": cap,
-        "peak_resident": stats["peak_resident"],
-        "resident_final": stats["resident"],
-        "prune_count": stats["prune_count"],
-        "evicted_total": stats["evicted_total"],
-        "fault_count": stats["fault_count"],
-        "checkpoint_height": stats["checkpoint_height"],
-        "reads_sampled": len(log_samples),
-        "reads_identical": log_samples == ram_samples,
-        "memory_s": round(ram_s, 2),
-        "log_s": round(log_s, 2),
-        "log_overhead": round(log_s / ram_s, 2),
-        "log_mb": round(log_bytes / 1e6, 1),
-    }
-    report(
-        f"Bounded hot set, {n:,}-block TreeScenario on the log store "
-        f"(gate: peak resident ≤ {cap:,}, byte-identical reads)",
-        json.dumps(row, indent=2),
-    )
-    assert log_samples == ram_samples, "fork-choice reads diverged across backends"
-    assert stats["peak_resident"] <= cap, (
-        f"peak resident {stats['peak_resident']:,} exceeded the {cap:,} cap"
-    )
-    assert stats["evicted_total"] > 0, "prune lifecycle never ran"
-    assert stored == n, f"log store holds {stored:,} of {n:,} blocks"

@@ -8,9 +8,9 @@ Walks the core public API end to end:
    watch the k-fork cap in action;
 3. record a concurrent history of two processes and judge it with the
    Strong/Eventual consistency checkers;
-4. grow a large tree through a durable block-store backend with a prune
-   threshold, and watch the bounded hot set answer reads byte-identically
-   to the all-in-RAM tree.
+4. grow a large tree through a durable block-store backend, replay the
+   log into a new tree as a restarted replica would, and watch it answer
+   reads byte-identically to the all-in-RAM tree.
 
 Run:  python examples/quickstart.py
 """
@@ -85,43 +85,35 @@ def demo_consistency_checking() -> None:
 
 
 def demo_store_backends() -> None:
-    print("\n== 4. Block stores + the checkpoint/prune lifecycle ==")
+    print("\n== 4. Block stores + crash recovery by replay ==")
     from repro.blocktree.selection import LongestChain
-    from repro.blocktree.tree import PrunePolicy
+    from repro.blocktree.tree import BlockTree
     from repro.storage import open_store
     from repro.workloads.scenarios import TreeScenario
 
     scenario = TreeScenario(name="quickstart", n_blocks=20_000, fork_rate=0.04)
     read = lambda tree, block: LongestChain().select(tree)  # noqa: E731
 
-    # Baseline: everything resident (the default "memory" store).
+    # Baseline: the default "memory" store.
     plain = scenario.build(store=open_store("memory"), on_block=read)
 
-    # Durable: an append-only log with a 1 500-block hot-set threshold.
-    # Every read notes its tip; when residency hits the cap the LCA of
-    # recent reads (held back 32 blocks for confirmation) is checkpointed
-    # to the log and everything below it is evicted from RAM.
+    # Durable: every block is also appended to a log.  The tree keeps
+    # every block either way; the log is what survives a crash.
     workdir = tempfile.TemporaryDirectory(prefix="repro-quickstart-")
     log_path = os.path.join(workdir.name, "blocks.btlog")
-    pruned = scenario.build(
-        store=open_store("log", path=log_path),
-        prune=PrunePolicy(hot_cap=1_500, recent_reads=8, finality_margin=32),
-        on_block=read,
-    )
-    stats = pruned.stats()
-    a, b = LongestChain().select(plain), LongestChain().select(pruned)
-    print(f"  blocks grown        : {stats['blocks'] - 1:,} (+ genesis)")
-    print(f"  resident / peak     : {stats['resident']:,} / {stats['peak_resident']:,}"
-          f"  (cap 1,500)")
-    print(f"  prunes / evicted    : {stats['prune_count']} / {stats['evicted_total']:,}")
-    print(f"  checkpoint height   : {stats['checkpoint_height']:,}")
+    logged = scenario.build(store=open_store("log", path=log_path), on_block=read)
+    logged._store.close()
+
+    # A restarted replica reopens its log and replays it into a new tree.
+    reopened = open_store("log", path=log_path)
+    recovered = BlockTree.replay(reopened)
+    a, b = LongestChain().select(plain), LongestChain().select(recovered)
+    print(f"  blocks grown        : {plain.stats()['blocks'] - 1:,} (+ genesis)")
     print(f"  log file            : {os.path.getsize(log_path) / 1e6:.1f} MB")
+    print(f"  replayed blocks     : {len(reopened):,}")
     print(f"  reads identical     : {(a.tip_id, a.height) == (b.tip_id, b.height)}")
-    # Deep ancestry still answers — evicted blocks fault back from the log.
-    deep = b[1]  # height-1 block, long since evicted
-    print(f"  deep fault works    : {pruned.get(deep.block_id) == plain.get(deep.block_id)}"
-          f"  (faults so far: {pruned.stats()['fault_count']})")
-    pruned._store.close()
+    print(f"  trees identical     : {recovered.freeze() == plain.freeze()}")
+    reopened.close()
     workdir.cleanup()
 
 

@@ -9,7 +9,7 @@ artifacts:
 * :mod:`repro.adt` — ADTs as transducers, sequential specifications.
 * :mod:`repro.blocktree` — the BlockTree and the BT-ADT (Definition 3.1).
 * :mod:`repro.storage` — block-store backends (memory, durable binary
-  log) behind the checkpoint/prune lifecycle.
+  log) a replica's tree writes through and recovers from.
 * :mod:`repro.oracle` — token oracles Θ_F/Θ_P and R(BT-ADT, Θ).
 * :mod:`repro.histories` — concurrent histories (Definition 2.4).
 * :mod:`repro.consistency` — SC/EC criteria checkers and the hierarchy.

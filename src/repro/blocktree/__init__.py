@@ -24,7 +24,7 @@ measured gates): ``add_block`` O(log n) including ancestry upkeep and
 write-through to the block store; ``read()``/``chain_to`` O(1) views;
 ``⊑``/``comparable``/``common_prefix`` O(log n) on the binary-lifting
 index; longest/heaviest selection O(1) amortized, GHOST O(Δ) amortized.
-With a :class:`~repro.blocktree.tree.PrunePolicy` the resident Block
-hot set is bounded by ``hot_cap`` while evicted blocks fault back from
-the configured :mod:`repro.storage` backend.
+A tree keeps every block it was given resident, as the BT-ADT replica
+keeps its whole ``bt``; a durable :mod:`repro.storage` backend only
+adds a log to rebuild it from after a crash.
 """

@@ -71,35 +71,17 @@ implementations *byte-for-byte* (see :mod:`repro.blocktree.reference`
 and the differential tests): ties break on the lexicographic tie-key and
 then on insertion order exactly as the original leaf scans did.
 
-Storage split and the checkpoint/prune lifecycle
-------------------------------------------------
+Storage split
+-------------
 
-Block *objects* are resolved through a pluggable
+Block *objects* are written through a pluggable
 :class:`~repro.storage.base.BlockStore` (:mod:`repro.storage`) while the
 fork-choice and ancestry **indices** above stay in RAM.  The tree keeps
-a resident hot-set dict of recently used blocks; with the default
-``InMemoryStore`` and no pruning it *is* the store's dict, so the
-classic all-in-RAM configuration costs nothing extra.
-
-With a durable backend and a :class:`PrunePolicy`, the tree bounds its
-resident Block objects:
-
-1. every ``chain_to`` (i.e. every fork-choice read) notes its tip;
-2. when the resident count reaches ``hot_cap``, the collective LCA of
-   the recent read tips — the prefix every recent read agrees on — is
-   taken as the *stable finalized prefix*, held back by
-   ``finality_margin`` blocks for confirmation depth;
-3. a :class:`~repro.storage.base.CheckpointRecord` is written to the
-   store and every resident block strictly below the checkpoint height
-   is evicted (the store keeps all of them — eviction is RAM-only);
-4. later deep reads (``path_blocks``, ``leaves``, iteration) *fault*
-   evicted blocks back from the store through a small LRU fault cache.
-
-Selection verdicts are byte-identical under pruning because selection
-never consults Block objects — only the index maps, which are never
-evicted.  ``tests/test_storage.py`` differential-tests this and
-``benchmarks/test_bench_storage.py`` gates the bounded hot set at the
-1M-block scale.  A crashed replica rebuilds via :meth:`BlockTree.replay`
+every block it was ever given resident, as the BT-ADT's replica keeps
+its whole ``bt_i``: with the default ``InMemoryStore`` the resident dict
+*is* the store's dict, so the all-in-RAM configuration costs nothing
+extra; with the durable log store every block is also appended to the
+log, and a crashed replica rebuilds its tree via :meth:`BlockTree.replay`
 from the store's append-ordered scan.
 
 A frozen snapshot (:meth:`BlockTree.freeze`) provides a hashable value
@@ -110,22 +92,16 @@ from __future__ import annotations
 
 import heapq
 import sys
-from collections import OrderedDict, deque
-from dataclasses import dataclass
-from typing import TYPE_CHECKING, Deque, Dict, Iterator, List, Optional, Set, Tuple
+from collections import OrderedDict
+from typing import TYPE_CHECKING, Dict, Iterator, List, Optional, Set, Tuple
 
-from repro._util import counter_row
 from repro.blocktree.block import GENESIS, Block
 from repro.blocktree.chain import Chain
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from repro.storage.base import BlockStore, CheckpointRecord
+    from repro.storage.base import BlockStore
 
-__all__ = ["BlockTree", "PrunePolicy"]
-
-#: The tree's row of a replica's counter table, at zero (genesis is
-#: always resident, so the peak starts at one).
-_ZERO = {"peak_resident": 1, "fault_count": 0, "prune_count": 0, "evicted_total": 0}
+__all__ = ["BlockTree"]
 
 
 class _RevKey:
@@ -148,41 +124,6 @@ def _tie_key(block: Block) -> str:
     return block.label or block.block_id
 
 
-@dataclass(frozen=True)
-class PrunePolicy:
-    """Configuration of the checkpoint/prune lifecycle (module docstring).
-
-    ``hot_cap`` is the resident-Block ceiling that triggers a prune
-    attempt — and, because eviction runs inside the same append, the
-    bound the bench gates ``BlockTree.stats()["peak_resident"]`` against.
-    ``recent_reads`` sizes the read-tip window whose collective LCA is
-    the stable finalized prefix; ``finality_margin`` holds the
-    checkpoint that many blocks further back (confirmation depth).
-    After an attempt that cannot advance the checkpoint the tree backs
-    off for ``retry_interval`` appends (0 picks ``max(64, hot_cap//8)``)
-    so degenerate workloads don't pay an LCA fold per append.
-    """
-
-    hot_cap: int
-    recent_reads: int = 8
-    finality_margin: int = 0
-    retry_interval: int = 0
-
-    def __post_init__(self) -> None:
-        if self.hot_cap < 2:
-            raise ValueError("hot_cap must be >= 2 (genesis stays resident)")
-        if self.recent_reads < 1:
-            raise ValueError("recent_reads must be >= 1")
-        if self.finality_margin < 0:
-            raise ValueError("finality_margin must be >= 0")
-        if self.retry_interval < 0:
-            raise ValueError("retry_interval must be >= 0")
-
-    def effective_retry(self) -> int:
-        """Appends to wait after a prune attempt that evicted nothing."""
-        return self.retry_interval or max(64, self.hot_cap // 8)
-
-
 class BlockTree:
     """A rooted tree of blocks with incremental fork-choice indices.
 
@@ -193,21 +134,14 @@ class BlockTree:
 
     ``store`` selects the persistence backend (default: a fresh
     :class:`~repro.storage.memory.InMemoryStore`, giving the classic
-    all-in-RAM behaviour); ``prune`` enables the bounded-hot-set
-    checkpoint/prune lifecycle described in the module docstring.  Pass
-    a *populated* store only through :meth:`replay`, which rebuilds the
-    indices from it.
+    all-in-RAM behaviour).  Pass a *populated* store only through
+    :meth:`replay`, which rebuilds the indices from it.
     """
 
     _CHAIN_CACHE_LIMIT = 16
-    _FAULT_CACHE_LIMIT = 256
 
     def __init__(
-        self,
-        genesis: Block = GENESIS,
-        store: Optional["BlockStore"] = None,
-        prune: Optional[PrunePolicy] = None,
-        counts: Optional[Dict[str, int]] = None,
+        self, genesis: Block = GENESIS, store: Optional["BlockStore"] = None
     ) -> None:
         if not genesis.is_genesis:
             raise ValueError("BlockTree root must be a genesis block")
@@ -216,26 +150,24 @@ class BlockTree:
         self.genesis = genesis
         gid = sys.intern(genesis.block_id)
         self._store: "BlockStore" = store if store is not None else InMemoryStore()
-        self._prune = prune
-        # With the default in-memory backend and no pruning, the resident
-        # dict *is* the store's dict — zero duplication, byte-identical
-        # memory profile to the pre-storage layout.
-        self._shared_nodes = prune is None and isinstance(self._store, InMemoryStore)
+        # With the in-memory backend the resident dict *is* the store's
+        # dict — zero duplication, byte-identical memory profile to the
+        # pre-storage layout.
+        self._shared_nodes = isinstance(self._store, InMemoryStore)
         if self._shared_nodes:
             self._nodes: Dict[str, Block] = self._store._blocks
         else:
             self._nodes = {}
         self._nodes[gid] = genesis
         #: Binary-lifting jump table: ``_anc[b][k]`` = 2^k-th ancestor of b.
-        #: Rows are immutable tuples, shared structurally by ``copy()``.
-        #: ``row[0]`` doubles as the parent pointer for evicted blocks.
+        #: Rows are immutable tuples, shared structurally by ``copy()``;
+        #: ``row[0]`` is the parent.
         self._anc: Dict[str, Tuple[str, ...]] = {gid: ()}
         self._children: Dict[str, List[str]] = {gid: []}
         self._height: Dict[str, int] = {gid: 0}
         self._chain_weight: Dict[str, float] = {gid: 0.0}
-        #: Exact per-block weight (kept so the GHOST sweep never needs the
-        #: Block objects of evicted nodes; chain-weight deltas would lose
-        #: float exactness against the rescan oracle).
+        #: Exact per-block weight (the GHOST sweep reads it; chain-weight
+        #: deltas would lose float exactness against the rescan oracle).
         self._weight: Dict[str, float] = {gid: 0.0}
         self._subtree_weight: Dict[str, float] = {gid: 0.0}
         self._leaves: Set[str] = {gid}
@@ -254,61 +186,23 @@ class BlockTree:
         self._ghost_dirty: bool = False
         #: LRU of *materialized* root paths (block tuples) by tip id.
         self._chain_cache: "OrderedDict[str, Tuple[Block, ...]]" = OrderedDict()
-        # -- checkpoint/prune lifecycle state -------------------------------
-        #: LRU of blocks faulted back from the store after eviction.
-        self._fault_cache: "OrderedDict[str, Block]" = OrderedDict()
-        self._recent_reads: Deque[str] = deque(
-            maxlen=prune.recent_reads if prune is not None else 8
-        )
-        self._checkpoint_id: str = gid
-        self._checkpoint_height: int = 0
-        self._prune_cooldown: int = 0
-        #: Lifecycle counters (see :meth:`stats`): the tree's row of the
-        #: replica's counter table, shared by every tree the replica boots.
-        self.counts = counter_row(counts, _ZERO)
 
     # -- queries ----------------------------------------------------------
 
     def __contains__(self, block_id: str) -> bool:
-        """Membership over *all* blocks ever added (evicted ones included)."""
+        """Membership over all blocks ever added."""
         return block_id in self._height
 
     def __len__(self) -> int:
-        """Number of blocks including genesis (eviction does not shrink it)."""
+        """Number of blocks including genesis."""
         return len(self._height)
 
     def get(self, block_id: str) -> Block:
-        """Return the block with ``block_id`` (KeyError if absent).
-
-        Resident blocks are a dict hit; evicted blocks fault back from
-        the store through the LRU fault cache (see the lifecycle note in
-        the module docstring).
-        """
-        block = self._nodes.get(block_id)
-        if block is not None:
-            return block
-        return self._fault(block_id)
-
-    def _fault(self, block_id: str) -> Block:
-        """Load an evicted block from the store (LRU-cached, interned)."""
-        cache = self._fault_cache
-        block = cache.get(block_id)
-        if block is not None:
-            cache.move_to_end(block_id)
-            return block
-        block = self._store.get(block_id)  # KeyError for unknown ids
-        bid = sys.intern(block.block_id)
-        object.__setattr__(block, "block_id", bid)
-        if block.parent_id is not None:
-            object.__setattr__(block, "parent_id", sys.intern(block.parent_id))
-        cache[bid] = block
-        if len(cache) > self._FAULT_CACHE_LIMIT:
-            cache.popitem(last=False)
-        self.counts["fault_count"] += 1
-        return block
+        """Return the block with ``block_id`` (KeyError if absent)."""
+        return self._nodes[block_id]
 
     def blocks(self) -> Iterator[Block]:
-        """Iterate over all blocks (insertion order; evicted ones fault)."""
+        """Iterate over all blocks in insertion order."""
         return (self.get(bid) for bid in self._height)
 
     def children(self, block_id: str) -> Tuple[Block, ...]:
@@ -322,19 +216,14 @@ class BlockTree:
     def parent_id(self, block_id: str) -> Optional[str]:
         """The parent id of ``block_id`` (None for genesis) — O(1).
 
-        Served from the jump table (``row[0]`` is the parent), so evicted
-        blocks never fault back for pure ancestry walks.  Raises
+        Served from the jump table (``row[0]`` is the parent).  Raises
         ``KeyError`` for unknown blocks.
         """
         row = self._anc[block_id]
         return row[0] if row else None
 
     def iter_ids(self) -> Iterator[str]:
-        """All block ids in insertion order (parent before child).
-
-        Unlike :meth:`blocks` this never touches Block objects, so it is
-        safe on pruned trees of any size.
-        """
+        """All block ids in insertion order (parent before child)."""
         return iter(self._height)
 
     def chain_weight(self, block_id: str) -> float:
@@ -351,7 +240,7 @@ class BlockTree:
         return tuple(self.get(b) for b in sorted(self._leaves))
 
     def leaf_ids(self) -> Tuple[str, ...]:
-        """Sorted ids of all current leaves (no block bodies faulted).
+        """Sorted ids of all current leaves.
 
         The reconciliation transport exchanges these as the replica's
         tip-set: every block ever updated lies on a root→leaf path, so
@@ -469,9 +358,8 @@ class BlockTree:
     def _flush_weights(self) -> None:
         """Apply the append backlog to subtree weights and GHOST indices.
 
-        The backlog holds block *ids*, not Block objects — pruning must
-        be able to free the objects while GHOST bookkeeping is pending;
-        weights come from ``_weight`` and parents from the jump table.
+        The backlog holds block ids; weights come from ``_weight`` and
+        parents from the jump table.
         """
         backlog = self._weight_backlog
         if not backlog:
@@ -561,9 +449,7 @@ class BlockTree:
         Appends are O(1) amortized: the expensive GHOST bookkeeping is
         deferred to the next subtree-weight observation (see the module
         docstring's design note).  The block is written through to the
-        store, and — when a :class:`PrunePolicy` is configured and the
-        resident hot set has reached its cap — a prune attempt runs
-        before returning.
+        store.
         """
         bid = block.block_id
         if bid in self._height:
@@ -612,167 +498,24 @@ class BlockTree:
         self._weight_backlog.append(bid)
         self._leaves.discard(parent_id)
         self._leaves.add(bid)
-        resident = len(self._nodes)
-        if resident > self.counts["peak_resident"]:
-            self.counts["peak_resident"] = resident
-        policy = self._prune
-        if policy is not None and resident >= policy.hot_cap:
-            if self._prune_cooldown > 0:
-                self._prune_cooldown -= 1
-            else:
-                self.maybe_prune()
         return True
 
-    # -- checkpoint/prune lifecycle ------------------------------------------
-
-    @property
-    def checkpoint_id(self) -> str:
-        """Tip of the last checkpointed finalized prefix (genesis initially)."""
-        return self._checkpoint_id
-
-    @property
-    def checkpoint_height(self) -> int:
-        """Height of the last checkpoint block."""
-        return self._checkpoint_height
-
-    def checkpoint(self, block_id: str, note: str = "") -> "CheckpointRecord":
-        """Declare ``block_id`` the tip of the stable finalized prefix.
-
-        Writes a :class:`~repro.storage.base.CheckpointRecord` to the
-        store and moves the tree's checkpoint marker; does **not** evict
-        anything by itself (:meth:`maybe_prune` combines both).  Raises
-        ``KeyError`` for unknown blocks and ``ValueError`` when the new
-        checkpoint does not extend the current one — the store's
-        checkpoint sequence is a chain of prefix extensions (finality is
-        monotone), never a jump to a conflicting branch.
-        """
-        from repro.storage.base import CheckpointRecord
-
-        bid = sys.intern(block_id)
-        height = self._height[bid]
-        if height < self._checkpoint_height or not self.is_ancestor(
-            self._checkpoint_id, bid
-        ):
-            raise ValueError(
-                f"checkpoint {bid[:12]} (height {height}) does not extend the "
-                f"current checkpoint at height {self._checkpoint_height}"
-            )
-        self._checkpoint_id = bid
-        self._checkpoint_height = height
-        record = CheckpointRecord(
-            block_id=bid,
-            height=height,
-            block_count=len(self._height) - 1,
-            note=note,
-        )
-        self._store.put_checkpoint(record)
-        return record
-
-    def maybe_prune(self) -> int:
-        """One checkpoint/prune step; returns how many nodes were evicted.
-
-        The stable finalized prefix is the collective LCA of the recent
-        read tips (every fork-choice read notes its tip), held back by
-        the policy's ``finality_margin``.  If that advances the
-        checkpoint, a record is written and every resident block below
-        the checkpoint height is evicted; otherwise the tree backs off
-        for ``retry_interval`` appends.  No-op without a policy.
-        """
-        policy = self._prune
-        if policy is None or not self._recent_reads:
-            return 0
-        tips = set(self._recent_reads)
-        it = iter(tips)
-        stable = next(it)
-        for tip in it:
-            stable = self.lca(stable, tip)
-        target = self._height[stable] - policy.finality_margin
-        if target <= self._checkpoint_height or not self.is_ancestor(
-            self._checkpoint_id, stable
-        ):
-            # Nothing finalized beyond the current checkpoint — or the
-            # recent reads reorged onto a branch conflicting with it, in
-            # which case pruning conservatively stalls rather than move
-            # finality across branches.  Back off either way.
-            self._prune_cooldown = policy.effective_retry()
-            return 0
-        if target < self._height[stable]:
-            stable = self.ancestor_at_depth(stable, target)
-        self.checkpoint(stable, note="auto-prune")
-        return self._evict_below(target)
-
-    def _evict_below(self, height: int) -> int:
-        """Drop resident Block objects strictly below ``height``.
-
-        The store keeps every block, all index maps stay intact, and the
-        materialization caches are cleared (they pin Block tuples).
-        """
-        if self._shared_nodes:
-            raise RuntimeError(
-                "cannot evict from a tree sharing its nodes with an "
-                "in-memory store (configure a PrunePolicy at construction)"
-            )
-        nodes = self._nodes
-        heights = self._height
-        gid = self.genesis.block_id
-        evict = [bid for bid in nodes if heights[bid] < height and bid != gid]
-        for bid in evict:
-            del nodes[bid]
-        if evict:
-            # The chain cache pins whole Block-tuple paths — clear it.
-            # The fault cache stays: blocks are immutable and the store
-            # is append-only, so its (bounded) entries never go stale.
-            self._chain_cache.clear()
-            self.counts["prune_count"] += 1
-            self.counts["evicted_total"] += len(evict)
-        return len(evict)
-
     def stats(self) -> Dict[str, int]:
-        """The lifecycle counters plus the tree's size, residency and
-        checkpoint height now."""
-        return {
-            "blocks": len(self._height),
-            "resident": len(self._nodes),
-            **self.counts,
-            "checkpoint_height": self._checkpoint_height,
-        }
+        """The tree's size now."""
+        return {"blocks": len(self._height)}
 
     @classmethod
-    def replay(
-        cls,
-        store: "BlockStore",
-        genesis: Block = GENESIS,
-        prune: Optional[PrunePolicy] = None,
-        counts: Optional[Dict[str, int]] = None,
-    ) -> "BlockTree":
+    def replay(cls, store: "BlockStore", genesis: Block = GENESIS) -> "BlockTree":
         """Rebuild a tree from a store's append-ordered scan.
 
         This is the crash-recovery path: stores are written
         parent-before-child (the tree's own insertion order), so one
-        pass over ``store.scan()`` reconstructs every index.  The last
-        surviving checkpoint record is restored as the checkpoint
-        marker when its block made it into the log.
-
-        With a ``prune`` policy, each appended block is noted as a
-        synthetic read so the lifecycle runs *during* the rebuild —
-        recovery of a 1M-block log stays under the same bounded hot set
-        the original run had, instead of faulting the whole tree
-        resident.
+        pass over ``store.scan()`` reconstructs every index.
         """
-        tree = cls(genesis, store=store, prune=prune, counts=counts)
-        reads = tree._recent_reads
+        tree = cls(genesis, store=store)
         for block in store.scan():
-            if block.is_genesis:
-                continue
-            if prune is not None:
-                # Note the tip *before* add_block so its prune attempt
-                # sees a current read window.
-                reads.append(block.block_id)
-            tree.add_block(block)
-        ckpt = store.last_checkpoint()
-        if ckpt is not None and ckpt.block_id in tree._height:
-            tree._checkpoint_id = sys.intern(ckpt.block_id)
-            tree._checkpoint_height = tree._height[tree._checkpoint_id]
+            if not block.is_genesis:
+                tree.add_block(block)
         return tree
 
     # -- chain extraction ---------------------------------------------------
@@ -783,21 +526,15 @@ class BlockTree:
         Returns a tree-backed :class:`Chain` view; the block tuple is
         materialized lazily through :meth:`path_blocks` only if a
         consumer iterates it.  Raises ``KeyError`` for unknown blocks.
-        On pruning trees the tip is noted as a recent read — the prune
-        lifecycle finalizes the prefix recent reads agree on.
         """
-        chain = Chain.view(self, block_id)  # KeyError for unknown tips
-        if self._prune is not None:
-            self._recent_reads.append(block_id)
-        return chain
+        return Chain.view(self, block_id)
 
     def path_blocks(self, block_id: str) -> Tuple[Block, ...]:
         """The materialized genesis→``block_id`` block tuple.
 
         Reuses cached path segments: only the suffix below the nearest
         previously materialized path is walked (paths to the root never
-        change, so cache entries stay valid forever).  Evicted blocks
-        fault back from the store on the way.
+        change, so cache entries stay valid forever).
         """
         cache = self._chain_cache
         hit = cache.get(block_id)
@@ -813,9 +550,7 @@ class BlockTree:
             if cached is not None:
                 base = cached
                 break
-            block = nodes.get(cursor)
-            if block is None:
-                block = self._fault(cursor)
+            block = nodes[cursor]
             suffix.append(block)
             cursor = block.parent_id
         suffix.reverse()
@@ -839,12 +574,8 @@ class BlockTree:
         instead).
         """
         self._flush_weights()
-        clone = BlockTree(self.genesis, store=self._store.copy(), prune=self._prune)
-        if clone._shared_nodes:
-            # The copied store's dict already holds every block.
-            pass
-        else:
-            clone._nodes = dict(self._nodes)
+        # The copied store's dict already holds every block.
+        clone = BlockTree(self.genesis, store=self._store.copy())
         clone._children = {k: list(v) for k, v in self._children.items()}
         clone._anc = dict(self._anc)  # rows are immutable tuples: shared
         clone._height = dict(self._height)
@@ -864,16 +595,12 @@ class BlockTree:
         # copying the LRU made clone cost scale with cached chain depth
         # (the entries are pure caches — the clone rebuilds them on use).
         clone._chain_cache = OrderedDict()
-        clone._recent_reads = deque(self._recent_reads, maxlen=self._recent_reads.maxlen)
-        clone._checkpoint_id = self._checkpoint_id
-        clone._checkpoint_height = self._checkpoint_height
         return clone
 
     def freeze(self) -> Tuple[Tuple[str, str], ...]:
         """A hashable snapshot: sorted ``(block_id, parent_id)`` edges.
 
-        Derived from the jump table (``row[0]`` is the parent), so it
-        never faults evicted blocks.
+        Derived from the jump table (``row[0]`` is the parent).
         """
         return tuple(sorted((bid, row[0]) for bid, row in self._anc.items() if row))
 

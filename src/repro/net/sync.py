@@ -149,8 +149,8 @@ def frontier_of(tree: Any, max_tips: int = MAX_FRONTIER_TIPS) -> Frontier:
         tallest = sorted(tips, key=lambda tip: (-tree.height(tip), tip))
         tips = tuple(sorted(tallest[:max_tips]))
     return Frontier(
-        checkpoint_id=tree.checkpoint_id,
-        checkpoint_height=tree.checkpoint_height,
+        checkpoint_id=tree.genesis.block_id,
+        checkpoint_height=0,
         tips=tips,
     )
 

@@ -82,18 +82,13 @@ class BlockchainNode(SimProcess):
         )
         self.auth = None  # _boot hands a predecessor's journal on
         # -- the replica: a tree persisting through the scenario's
-        # block-store backend (the --store knob; with `prune_hot_cap`
-        # set, finalized prefixes are checkpointed and evicted from the
-        # hot set), and the RAM state built around it --
+        # block-store backend (the --store knob), and the RAM state
+        # built around it --
         store = scenario.build_store(name)
         #: The store's ``(kind, path)`` (path None for memory) — crash
         #: recovery reopens the same file, like a restarted OS process.
         self._store_at = (store.kind, getattr(store, "path", None))
-        self._boot(
-            BlockTree(
-                store=store, prune=scenario.build_prune(), counts=self._row("tree")
-            )
-        )
+        self._boot(BlockTree(store=store))
 
     def _boot(self, tree: BlockTree) -> None:
         """Build every piece of RAM state a process start builds, around
@@ -106,16 +101,16 @@ class BlockchainNode(SimProcess):
         row = self._row
         self.tree = tree
         self.orphans: Dict[str, List[Block]] = {}
-        #: Ids currently parked in ``orphans`` — FIFO-bounded, so a peer
-        #: feeding bodies with never-arriving parents (e.g. below a
-        #: pruned checkpoint) cannot grow replica memory without limit;
-        #: bodies whose id fell out of the bound are discarded on the
-        #: next stale-orphan sweep instead of being retried forever.
+        #: Ids currently parked in ``orphans`` — FIFO-bounded: bodies
+        #: whose id fell out of the bound are discarded on the next
+        #: stale-orphan sweep instead of being retried forever.  Only an
+        #: equivocation ban runs that sweep, so without one the parked
+        #: ``orphans`` grow for the whole run, as the dedup sets do.
         self._parked_ids = BoundedSet(cap=2048)
+        #: Dedup sets (with ``tx_seen`` and ``received_marks``): they grow
+        #: for the whole run; bounding them by finality depth is an open
+        #: hostile-inputs item in ROADMAP.md.
         self.seen_blocks: set = set(tree.iter_ids())
-        #: Height of the checkpoint the seen-set was last pruned against
-        #: (see :meth:`_prune_seen_sets`).
-        self._seen_pruned_at = 0
         self.received_marks: set = set()  # blocks with a recorded receive
         #: Blocks refused by the validity predicate P.  Bounded FIFO: a
         #: spam adversary must not grow replica memory without limit, and
@@ -213,61 +208,15 @@ class BlockchainNode(SimProcess):
             # the pool syncs to the chain this read observed.
             self.pool.observe_chain(chain, self.now)
             self._relay_fresh_txs()
-        self._prune_seen_sets()
         return chain
-
-    def _prune_seen_sets(self) -> None:
-        """Bound the dedup sets when the committed checkpoint advances.
-
-        Both prunes are gated on checkpoint advancement — by then any
-        gossip copy of a forgotten id has long drained from the network.
-        (Pruning on *every* read is a relay-storm bug: an evicted spam
-        tx forgotten while copies are still in flight is re-accepted and
-        re-flooded on each arrival, a positive feedback loop under pool
-        churn.)  ``tx_seen`` shrinks to the ids the pool still holds —
-        committed re-gossips stay duplicates through
-        ``Mempool.is_known`` (the committed-set check), while evicted or
-        transiently rejected ids become re-judgeable instead of being
-        blacklisted forever.  ``seen_blocks`` keeps ids at or above the
-        checkpoint height and in-flight ids (seen bodies not yet in the
-        tree); everything below the committed checkpoint is finalized
-        history whose re-arrival the tree itself dedups.
-
-        Only a pruning tree (``prune_hot_cap > 0``) advances its
-        checkpoint, and no preset or bench workload prunes.  In those
-        runs this returns at once every time: ``seen_blocks``,
-        ``tx_seen`` and the parked ``orphans`` grow for the whole run,
-        and the ``_parked_ids`` bound takes effect only when an
-        equivocation ban sweeps the orphans.  ``received_marks`` is
-        never pruned.
-        """
-        checkpoint = self.tree.checkpoint_height
-        if checkpoint <= self._seen_pruned_at:
-            return
-        self._seen_pruned_at = checkpoint
-        if self.pool is not None and self.tx_seen:
-            self.tx_seen.intersection_update(self.pool.held_ids())
-        tree = self.tree
-        kept = set()
-        for block_id in self.seen_blocks:
-            if block_id in tree:
-                if tree.height(block_id) >= checkpoint:
-                    kept.add(block_id)
-            elif block_id not in self.rejected_blocks:
-                kept.add(block_id)
-        self.seen_blocks = kept
-        self._discard_stale_orphans()
 
     def _discard_stale_orphans(self) -> None:
         """Drop parked bodies that will never attach.
 
-        Runs when the committed checkpoint advances: a body is stale
-        when its id fell out of the FIFO ``_parked_ids`` bound, when it
-        entered the tree through another path, or when its parent was
-        judged invalid (descendants of a rejected block are dead).  A
-        parent below the pruned checkpoint can never arrive from honest
-        peers — such bodies age out of the bound instead of being
-        retried forever.
+        Runs when an equivocation ban lands: a body is stale when its
+        id fell out of the FIFO ``_parked_ids`` bound, when it entered
+        the tree through another path, or when its parent was judged
+        invalid (descendants of a rejected block are dead).
         """
         if not self.orphans:
             return
@@ -670,34 +619,27 @@ class BlockchainNode(SimProcess):
         """Suspend and lose all in-RAM state; only the block store survives.
 
         The store is flushed — everything the replica wrote is durable —
-        and recovery reopens it afresh.  The crashed tree keeps its own
-        handle: the reads recorded before the crash are views of that
-        tree, and judging them may fault evicted blocks back from it.  A
-        placeholder empty tree keeps end-of-run bookkeeping alive while
-        the node is down.
+        and recovery reopens it afresh.  The reads recorded before the
+        crash are views of the crashed tree, which keeps every block it
+        held, so they stay judgeable.  A placeholder empty tree keeps
+        end-of-run bookkeeping alive while the node is down.
         """
         self.lifecycle_suspend()
         self.tree._store.flush()
-        self._boot(BlockTree(counts=self._row("tree")))
+        self._boot(BlockTree())
 
     def lifecycle_recover(self) -> None:
         """Rebuild from the durable store, then resume and fast-sync.
 
         Durable backends reopen the same per-node file and
-        :meth:`BlockTree.replay` restores tree + checkpoint; the
+        :meth:`BlockTree.replay` restores the tree; the
         in-memory backend recovers nothing (full resync — the correct
         degenerate case).  Consensus components owned by subclasses
         (ordering service, committees) are modelled as durably persisted
         and survive; their timers re-arm through
         :meth:`on_lifecycle_resume`.
         """
-        self._boot(
-            BlockTree.replay(
-                open_store(*self._store_at),
-                prune=self.scenario.build_prune(),
-                counts=self._row("tree"),
-            )
-        )
+        self._boot(BlockTree.replay(open_store(*self._store_at)))
         self.lifecycle_resume()
 
     def lifecycle_join(self) -> None:
@@ -760,8 +702,8 @@ class PassiveNode(BlockchainNode):
 
 #: How every view folds rows of the counter table, declared once.  Over
 #: one replica's lives nothing folds: a component counts into the row
-#: its predecessor counted into and writes its peaks (``peak_occupancy``,
-#: ``peak_resident``) through as a maximum.  Over a replica's shard
+#: its predecessor counted into and writes its peaks (``peak_occupancy``)
+#: through as a maximum.  Over a replica's shard
 #: facets (``per_node``) and over replicas (``totals``), a string is a
 #: label — kept per node, left out of totals — a key in ``max`` takes
 #: the maximum, a key in ``omit`` is left out, and every other value is
@@ -769,7 +711,7 @@ class PassiveNode(BlockchainNode):
 MERGE: Dict[str, Dict[str, Any]] = {
     "per_node": {
         "labels": True,
-        "max": {"checkpoint_height", "last_catch_up_s"},
+        "max": {"last_catch_up_s"},
         "omit": set(),
     },
     "totals": {

@@ -1,14 +1,14 @@
-"""Pluggable block-store backends with a checkpoint/prune lifecycle.
+"""Pluggable block-store backends: where a replica's tree persists.
 
 The package splits block persistence out of
-:class:`~repro.blocktree.tree.BlockTree`: the tree keeps its fork-choice
-and ancestry *indices* in RAM but resolves the blocks themselves through
-a :class:`~repro.storage.base.BlockStore`, so million-block scenarios
-can run under a bounded hot set (see ``PrunePolicy`` in
-:mod:`repro.blocktree.tree` and ``docs/architecture.md`` for the
-lifecycle).  Fork-choice verdicts are byte-identical across the two
-backends — differential-tested in ``tests/test_storage.py`` and gated at
-the 1M-block scale by ``benchmarks/test_bench_storage.py``.
+:class:`~repro.blocktree.tree.BlockTree`: the tree keeps every block and
+its fork-choice and ancestry *indices* in RAM and writes each block
+through to a :class:`~repro.storage.base.BlockStore`.  The durable log
+backend survives a crash, and :meth:`BlockTree.replay` rebuilds the tree
+from it (see ``docs/architecture.md``).  Fork-choice verdicts are
+byte-identical across the two backends — differential-tested in
+``tests/test_storage.py``; ``benchmarks/test_bench_storage.py`` gates
+append, cold-read and replay speed.
 
 Backends are selected by keyword (the ``--store`` knob), the location
 by ``path``::

@@ -1,28 +1,23 @@
 """The :class:`BlockStore` protocol: durable block persistence.
 
-The BT-ADT is defined over an ever-growing block tree, but a production
-replica cannot keep every block resident in RAM forever.  The storage
-subsystem splits the tree into a *durable* layer (this protocol: every
-block ever appended, plus checkpoint records) and a *hot* layer (the
-resident node dict inside :class:`~repro.blocktree.tree.BlockTree`).
-``BlockTree`` writes each inserted block through to its store and, once
-a checkpoint marks a stable finalized prefix, evicts the pruned blocks'
-in-memory nodes — deep ancestry reads fault them back from here.
+The BT-ADT is defined over an ever-growing block tree that each replica
+holds whole.  The storage subsystem gives that tree a *durable* layer
+(this protocol: every block ever appended) beside the resident node
+dict inside :class:`~repro.blocktree.tree.BlockTree`.  ``BlockTree``
+writes each inserted block through to its store; after a crash,
+:meth:`~repro.blocktree.tree.BlockTree.replay` rebuilds the tree from it.
 
 Contract (shared by every backend, asserted by ``tests/test_storage.py``):
 
 * ``put`` is **append-only and idempotent**: a block id is never
   re-bound to different content, and re-putting an existing id is a
-  cheap no-op.  Stores never delete blocks — pruning is strictly an
-  in-memory affair.
+  cheap no-op.  Stores never delete blocks.
 * ``get`` round-trips **value-identical** blocks: dataclass equality of
-  the faulted block with the originally stored one, payload included.
+  the read block with the originally stored one, payload included.
   This is what keeps fork-choice reads byte-identical across backends.
 * ``scan`` yields blocks in **insertion order**, which for tree-fed
   stores is parent-before-child — so a crashed replica can rebuild its
   tree by replaying the scan (see ``BlockTree.replay``).
-* checkpoints are tiny metadata records (:class:`CheckpointRecord`);
-  only the most recent one matters for recovery.
 
 Backends:
 
@@ -37,40 +32,16 @@ from __future__ import annotations
 
 import pickle
 from abc import ABC, abstractmethod
-from dataclasses import astuple, dataclass, fields
-from typing import Iterator, Optional
+from dataclasses import fields
+from typing import Iterator
 
 from repro.blocktree.block import Block
 
-__all__ = [
-    "StoreError",
-    "CheckpointRecord",
-    "BlockStore",
-    "encode_block",
-    "decode_block",
-    "encode_checkpoint",
-    "decode_checkpoint",
-]
+__all__ = ["StoreError", "BlockStore", "encode_block", "decode_block"]
 
 
 class StoreError(RuntimeError):
     """A backend failed structurally (corrupt record, closed handle, …)."""
-
-
-@dataclass(frozen=True)
-class CheckpointRecord:
-    """Metadata snapshot of a stable finalized prefix.
-
-    ``block_id``/``height`` name the checkpoint block (the tip of the
-    finalized prefix — typically the LCA of recent reads); ``block_count``
-    is the total number of non-genesis blocks stored when the checkpoint
-    was taken, so recovery can sanity-check replay completeness.
-    """
-
-    block_id: str
-    height: int
-    block_count: int
-    note: str = ""
 
 
 #: The stored record: every field of :class:`Block`, in declaration
@@ -95,16 +66,6 @@ def encode_block(block: Block) -> bytes:
 def decode_block(data: bytes) -> Block:
     """Inverse of :func:`encode_block` (value-identical round-trip)."""
     return Block(*pickle.loads(data))
-
-
-def encode_checkpoint(record: CheckpointRecord) -> bytes:
-    """Serialize a checkpoint record (its field tuple, like a block's)."""
-    return pickle.dumps(astuple(record), protocol=pickle.HIGHEST_PROTOCOL)
-
-
-def decode_checkpoint(data: bytes) -> CheckpointRecord:
-    """Inverse of :func:`encode_checkpoint`."""
-    return CheckpointRecord(*pickle.loads(data))
 
 
 class BlockStore(ABC):
@@ -134,16 +95,6 @@ class BlockStore(ABC):
     @abstractmethod
     def scan(self) -> Iterator[Block]:
         """Yield every stored block in insertion (append) order."""
-
-    # -- checkpoints ------------------------------------------------------
-
-    @abstractmethod
-    def put_checkpoint(self, record: CheckpointRecord) -> None:
-        """Persist a checkpoint record (the latest one wins)."""
-
-    @abstractmethod
-    def last_checkpoint(self) -> Optional[CheckpointRecord]:
-        """The most recently stored checkpoint, or None."""
 
     # -- lifecycle --------------------------------------------------------
 

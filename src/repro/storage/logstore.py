@@ -5,7 +5,6 @@ On-disk format (all integers big-endian)::
     header   := b"BTLOG01\\n"                      (8 bytes)
     record   := type(1) length(4) crc32(4) body(length)
     type     := b"B" (block, body = encode_block)
-               | b"C" (checkpoint, body = encode_checkpoint)
 
 Appends write one record at the end of the file and register the body
 offset in an in-memory index — O(1) amortized, buffered by the OS file
@@ -26,18 +25,10 @@ from __future__ import annotations
 import os
 import struct
 import zlib
-from typing import Dict, Iterator, Optional, Tuple
+from typing import Dict, Iterator, Tuple
 
 from repro.blocktree.block import Block
-from repro.storage.base import (
-    BlockStore,
-    CheckpointRecord,
-    StoreError,
-    decode_block,
-    decode_checkpoint,
-    encode_block,
-    encode_checkpoint,
-)
+from repro.storage.base import BlockStore, StoreError, decode_block, encode_block
 
 __all__ = ["AppendOnlyLogStore"]
 
@@ -65,7 +56,6 @@ class AppendOnlyLogStore(BlockStore):
         self.sync = sync
         #: block id → (body offset, body length) in file order.
         self._index: Dict[str, Tuple[int, int]] = {}
-        self._checkpoint: Optional[CheckpointRecord] = None
         directory = os.path.dirname(self.path)
         if directory:
             os.makedirs(directory, exist_ok=True)
@@ -97,38 +87,30 @@ class AppendOnlyLogStore(BlockStore):
             body = fh.read(length)
             if len(body) < length or zlib.crc32(body) != crc:
                 break  # torn/corrupt body from a crash mid-write
-            if rtype == b"B":
-                block = decode_block(body)
-                self._index.setdefault(block.block_id, (offset + _HEAD.size, length))
-            elif rtype == b"C":
-                self._checkpoint = decode_checkpoint(body)
-            else:
+            if rtype != b"B":
                 break  # unknown record type: treat as corruption
+            block = decode_block(body)
+            self._index.setdefault(block.block_id, (offset + _HEAD.size, length))
             offset += _HEAD.size + length
         self._end = offset
         fh.truncate(offset)
 
     # -- blocks -----------------------------------------------------------
 
-    def _append(self, rtype: bytes, body: bytes) -> int:
-        """Write one record at the end; returns the body offset."""
+    def put(self, block: Block) -> None:
+        """Append one block record at the end (idempotent per block id)."""
+        if block.block_id in self._index:
+            return
+        body = encode_block(block)
         fh = self._fh
         if not self._at_end:
             fh.seek(self._end)
             self._at_end = True
-        fh.write(_HEAD.pack(rtype, len(body), zlib.crc32(body)))
+        fh.write(_HEAD.pack(b"B", len(body), zlib.crc32(body)))
         fh.write(body)
-        body_offset = self._end + _HEAD.size
+        self._index[block.block_id] = (self._end + _HEAD.size, len(body))
         self._end += _HEAD.size + len(body)
         self._dirty = True
-        return body_offset
-
-    def put(self, block: Block) -> None:
-        """Append one block record (idempotent per block id)."""
-        if block.block_id in self._index:
-            return
-        body = encode_block(block)
-        self._index[block.block_id] = (self._append(b"B", body), len(body))
 
     def get(self, block_id: str) -> Block:
         """Seek + CRC-checked decode of one stored block."""
@@ -153,17 +135,6 @@ class AppendOnlyLogStore(BlockStore):
         """Decode every block in append order (the replay order)."""
         for block_id in list(self._index):
             yield self.get(block_id)
-
-    # -- checkpoints ------------------------------------------------------
-
-    def put_checkpoint(self, record: CheckpointRecord) -> None:
-        """Append a checkpoint record; the last one in the log wins."""
-        self._append(b"C", encode_checkpoint(record))
-        self._checkpoint = record
-
-    def last_checkpoint(self) -> Optional[CheckpointRecord]:
-        """The newest checkpoint that survived in the log."""
-        return self._checkpoint
 
     # -- lifecycle --------------------------------------------------------
 

@@ -2,10 +2,10 @@
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, Optional
+from typing import Dict, Iterator
 
 from repro.blocktree.block import Block
-from repro.storage.base import BlockStore, CheckpointRecord
+from repro.storage.base import BlockStore
 
 __all__ = ["InMemoryStore"]
 
@@ -14,16 +14,14 @@ class InMemoryStore(BlockStore):
     """Dict-backed store: zero durability, zero per-operation overhead.
 
     This is exactly the block map ``BlockTree`` used to own directly;
-    the tree shares the dict with the store when no pruning is
-    configured, so the default configuration costs nothing over the
-    pre-storage layout.
+    the tree shares the dict with the store, so the default
+    configuration costs nothing over the pre-storage layout.
     """
 
     kind = "memory"
 
     def __init__(self) -> None:
         self._blocks: Dict[str, Block] = {}
-        self._checkpoint: Optional[CheckpointRecord] = None
 
     def put(self, block: Block) -> None:
         """Bind ``block`` under its id (idempotent)."""
@@ -43,17 +41,8 @@ class InMemoryStore(BlockStore):
         """Blocks in insertion order (dict order)."""
         return iter(self._blocks.values())
 
-    def put_checkpoint(self, record: CheckpointRecord) -> None:
-        """Remember the latest checkpoint record."""
-        self._checkpoint = record
-
-    def last_checkpoint(self) -> Optional[CheckpointRecord]:
-        """The latest checkpoint record, or None."""
-        return self._checkpoint
-
     def copy(self) -> "InMemoryStore":
         """Independent snapshot sharing the immutable Block objects."""
         clone = InMemoryStore()
         clone._blocks = dict(self._blocks)
-        clone._checkpoint = self._checkpoint
         return clone

@@ -35,7 +35,7 @@ from typing import Any, Callable, Dict, Iterator, List, Optional, Tuple, Union
 
 from repro._util import prf_uint64
 from repro.blocktree.block import GENESIS, Block, creator_name, make_block
-from repro.blocktree.tree import BlockTree, PrunePolicy
+from repro.blocktree.tree import BlockTree
 from repro.storage import STORE_KINDS, open_store
 from repro.storage.base import BlockStore
 from repro.workloads.traffic import (
@@ -111,9 +111,6 @@ class ProtocolScenario:
     #: Directory for the durable per-node store files; required when
     #: ``store`` is not ``"memory"``.  The caller owns (and removes) it.
     store_dir: Optional[str] = None
-    #: When > 0, each replica tree prunes its resident hot set to this
-    #: cap (requires a non-memory ``store``; see PrunePolicy.hot_cap).
-    prune_hot_cap: int = 0
     #: Open-loop client traffic driving the transaction pipeline.  When
     #: set, replicas run a mempool + block packer (payloads come from
     #: the pool instead of the per-replica synthetic generator) and the
@@ -215,10 +212,6 @@ class ProtocolScenario:
                 f"store {self.store!r} needs a directory: set store_dir "
                 "(--workdir for a campaign)"
             )
-        if self.prune_hot_cap < 0 or self.prune_hot_cap == 1:
-            raise ValueError("prune_hot_cap must be 0 (disabled) or >= 2")
-        if self.prune_hot_cap and self.store == "memory":
-            raise ValueError("pruning needs the durable log store")
         from repro.net.overlay import TOPOLOGY_KINDS
         from repro.net.reconcile import GOSSIP_KINDS
 
@@ -241,8 +234,6 @@ class ProtocolScenario:
         if self.shards > 1:
             if self.store != "memory":
                 raise ValueError("sharded runs support the memory store only")
-            if self.prune_hot_cap:
-                raise ValueError("sharded runs do not support pruning")
             if self.traffic is None:
                 raise ValueError("sharded runs need client traffic")
             if self.traffic.shards != self.shards:
@@ -522,18 +513,6 @@ class ProtocolScenario:
             return open_store("memory")
         return open_store(
             self.store, path=os.path.join(self.store_dir, f"{node_name}.btlog")
-        )
-
-    #: Confirmation depth replica trees hold back below the recent-read
-    #: LCA when the prune lifecycle checkpoints.
-    PRUNE_MARGIN = 16
-
-    def build_prune(self) -> Optional[PrunePolicy]:
-        """The replica-tree prune policy, or None when pruning is off."""
-        if not self.prune_hot_cap:
-            return None
-        return PrunePolicy(
-            hot_cap=self.prune_hot_cap, finality_margin=self.PRUNE_MARGIN
         )
 
 
@@ -856,19 +835,18 @@ class TreeScenario:
         tree: Optional[BlockTree] = None,
         on_block: Optional[Callable[[BlockTree, Block], None]] = None,
         store: Optional[BlockStore] = None,
-        prune: Optional[PrunePolicy] = None,
     ) -> BlockTree:
         """Grow ``tree`` (a fresh one by default) with the workload.
 
         ``on_block(tree, block)`` runs after every insertion — the perf
-        benches use it to interleave reads with growth.  ``store`` and
-        ``prune`` configure the fresh tree's backend and hot-set
-        lifecycle; they cannot be combined with an explicit ``tree``.
+        benches use it to interleave reads with growth.  ``store`` is the
+        fresh tree's backend; it cannot be combined with an explicit
+        ``tree``.
         """
-        if tree is not None and (store is not None or prune is not None):
-            raise ValueError("pass store/prune or an existing tree, not both")
+        if tree is not None and store is not None:
+            raise ValueError("pass a store or an existing tree, not both")
         if tree is None:
-            tree = BlockTree(store=store, prune=prune)
+            tree = BlockTree(store=store)
         for block in self.blocks():
             tree.add_block(block)
             if on_block is not None:

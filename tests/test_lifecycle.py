@@ -214,7 +214,7 @@ class TestCrashRejoin:
         }
         # Every rebuilt component counts into the row its predecessor
         # filled; the slashing journal came along, so the rival is refused.
-        for component in ("tree", "pool", "packer", "transport", "sync", "auth"):
+        for component in ("pool", "packer", "transport", "sync", "auth"):
             assert getattr(node, component).counts is node.metrics[component]
         rival = make_block(GENESIS, label="rival", creator=0)
         assert node.auth.sign_block(rival, node.name).signature is None
@@ -224,14 +224,13 @@ class TestCrashRejoin:
     @pytest.mark.parametrize("store", ["log"])
     def test_reads_before_a_crash_stay_judgeable(self, store, tmp_path):
         """Reads recorded before a crash are views of the crashed tree;
-        judging them faults blocks the bounded hot set evicted back from
-        that tree's store, which the crash must not have closed."""
+        judging them reads that tree's blocks, which the crash must not
+        have taken from it."""
         scenario = preset(
             "crash-rejoin",
             duration=900.0,
             store=store,
             store_dir=str(tmp_path),
-            prune_hot_cap=8,
             mean_block_interval=5.0,
             crashes=(CrashEvent("p3", at=700, recover_at=760),),
         )
@@ -266,14 +265,14 @@ class TestCrashRejoin:
         assert accepted >= before_crash["accepted"]
 
     def test_crash_keeps_the_trees_lifecycle_counters(self, monkeypatch, tmp_path):
-        """Recovery replays the store into a new tree; the prunes and
-        evictions of the tree the crash lost still count."""
+        """Recovery replays the store into a new tree: the run's tree
+        stats count every block the crashed tree held, and the recovered
+        tree holds each of them."""
         scenario = preset(
             "crash-rejoin",
             duration=900.0,
             store="log",
             store_dir=str(tmp_path),
-            prune_hot_cap=8,
             mean_block_interval=5.0,
             crashes=(CrashEvent(node="p3", at=700.0, recover_at=760.0),),
         )
@@ -281,14 +280,15 @@ class TestCrashRejoin:
         crash = BlockchainNode.lifecycle_crash
 
         def sampling_crash(node):
-            before_crash.update(node.tree.stats())
+            before_crash.update(node.tree.stats(), ids=set(node.tree.iter_ids()))
             crash(node)
 
         monkeypatch.setattr(BlockchainNode, "lifecycle_crash", sampling_crash)
-        final = run_bitcoin(scenario).storage_stats()["p3"]
-        assert before_crash["evicted_total"] > 0
-        for key in ("peak_resident", "prune_count", "evicted_total", "fault_count"):
-            assert final[key] >= before_crash[key], key
+        run = run_bitcoin(scenario)
+        (p3,) = (node for node in run.nodes if node.name == "p3")
+        assert before_crash["blocks"] > 1
+        assert run.storage_stats()["p3"]["blocks"] >= before_crash["blocks"]
+        assert before_crash["ids"] <= set(p3.tree.iter_ids())
 
     def test_crash_with_memory_store_recovers_empty(self):
         scenario = ProtocolScenario(name="crash-mem", n_nodes=2, duration=60.0)
@@ -323,7 +323,6 @@ def test_no_count_in_the_table_falls_across_a_crash(
         auth=auth,
         store="log",
         store_dir=str(tmp_path),
-        prune_hot_cap=8,
         mean_block_interval=5.0,
         traffic=traffic_presets()["steady"],
         crashes=(CrashEvent(node="p3", at=500.0, recover_at=560.0),),
@@ -341,12 +340,11 @@ def test_no_count_in_the_table_falls_across_a_crash(
     monkeypatch.setattr(BlockchainNode, "lifecycle_recover", lambda node: None)
     run_bitcoin(scenario)
     ((before, after),) = tables
-    components = {"tx_gossip", "tree", "pool", "packer", "transport", "sync"}
+    components = {"tx_gossip", "pool", "packer", "transport", "sync"}
     assert set(before) == components | ({"auth"} if auth else set())
     assert before["pool"]["accepted"] > 0 and before["packer"]["txs_packed"] > 0
     assert before["transport"]["messages_sent"] > 0
-    assert before["tree"]["evicted_total"] > 0
-    assert before["pool"]["peak_occupancy"] > 0 and before["tree"]["peak_resident"] > 1
+    assert before["pool"]["peak_occupancy"] > 0
     for component, row in before.items():
         for key, value in row.items():
             assert after[component][key] >= value, (component, key)

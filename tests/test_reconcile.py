@@ -389,35 +389,6 @@ class TestBlacklistFix:
 
 
 class TestBoundedSeenSets:
-    def test_long_run_prunes_dedup_sets(self, tmp_path, monkeypatch):
-        monkeypatch.setattr(ProtocolScenario, "PRUNE_MARGIN", 2)
-        duration = 360.0
-        scenario = ProtocolScenario(
-            name="bounded",
-            n_nodes=4,
-            duration=duration,
-            mean_block_interval=5.0,
-            tx_per_block=6,
-            traffic=traffic_presets()["steady"],
-            store="log",
-            store_dir=str(tmp_path),
-            prune_hot_cap=8,
-        )
-        run = run_bitcoin(scenario)
-        node = run.nodes[0]
-        assert node._seen_pruned_at > 0  # the checkpoint prune ran
-        updates = sum(
-            1
-            for op in run.history.operations()
-            if op.name == "update" and op.proc == node.name
-        )
-        assert len(node.seen_blocks) < updates
-        # tx_seen was intersected with the held set at the checkpoint:
-        # it holds fewer ids than the node ever marked.
-        marked_ever = node.pool.counts["reaped"] + len(node.pool.held_ids())
-        assert len(node.tx_seen) < marked_ever
-        assert node.rejected_blocks.cap == 4096
-
     def test_bounded_set_semantics(self):
         s = BoundedSet(cap=3)
         for item in ("a", "b", "c", "d"):

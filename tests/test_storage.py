@@ -1,28 +1,26 @@
-"""The block-store backends and the checkpoint/prune lifecycle.
+"""The block-store backends and the trees that write through them.
 
-Three layers of coverage:
+Two layers of coverage:
 
 * the :class:`~repro.storage.base.BlockStore` contract, parametrized
   over both backends (round-trip equality, idempotent puts, scan order,
-  checkpoints, the factory grammar);
+  the factory grammar);
 * differential tests: a tree grown through the log store produces
-  byte-identical fork-choice reads and frozen snapshots;
-* the prune lifecycle: bounded hot set, faulting, ancestry queries and
-  materialized deep reads on evicted prefixes, replica semantics.
+  byte-identical fork-choice reads and frozen snapshots, and a protocol
+  run on the log store ends on the chains of the in-memory run.
 """
 
 import dataclasses
-import math
 import pickle
 
 import pytest
 
 from repro.blocktree.block import GENESIS, Block, make_block
 from repro.blocktree.selection import GHOSTSelection, HeaviestChain, LongestChain
-from repro.blocktree.tree import BlockTree, PrunePolicy
+from repro.blocktree.tree import BlockTree
 from repro.crypto.signatures import Signature
 from repro.storage import STORE_KINDS, open_store
-from repro.storage.base import CheckpointRecord, StoreError, decode_block, encode_block
+from repro.storage.base import StoreError, decode_block, encode_block
 from repro.storage.logstore import AppendOnlyLogStore
 from repro.storage.memory import InMemoryStore
 from repro.workloads.scenarios import TreeScenario
@@ -79,15 +77,6 @@ def test_store_scan_preserves_append_order(store):
     for block in blocks:
         store.put(block)
     assert [b.block_id for b in store.scan()] == [b.block_id for b in blocks]
-
-
-def test_store_checkpoint_roundtrip(store):
-    assert store.last_checkpoint() is None
-    first = CheckpointRecord(block_id="a", height=3, block_count=5, note="one")
-    second = CheckpointRecord(block_id="b", height=9, block_count=12)
-    store.put_checkpoint(first)
-    store.put_checkpoint(second)
-    assert store.last_checkpoint() == second
 
 
 def test_open_store_factory_grammar(tmp_path):
@@ -179,116 +168,6 @@ def test_tree_scenario_build_accepts_store_specs(tmp_path):
         scenario.build(tree=BlockTree(), store=InMemoryStore())
 
 
-# -- the prune lifecycle -------------------------------------------------------
-
-
-def _pruned_pair(tmp_path, n=4000, cap=400, margin=16):
-    scenario = TreeScenario(name="prune", n_blocks=n, fork_rate=0.05, fork_window=6)
-    select = LongestChain().select
-    reference = scenario.build(on_block=lambda t, b: select(t))
-    pruned = scenario.build(
-        store=AppendOnlyLogStore(str(tmp_path / "prune.btlog")),
-        prune=PrunePolicy(hot_cap=cap, recent_reads=8, finality_margin=margin),
-        on_block=lambda t, b: select(t),
-    )
-    return reference, pruned
-
-
-def test_prune_bounds_hot_set_and_preserves_reads(tmp_path):
-    reference, pruned = _pruned_pair(tmp_path)
-    assert pruned.stats()["prune_count"] > 0 and pruned.stats()["evicted_total"] > 0
-    assert pruned.stats()["peak_resident"] <= 400
-    assert len(pruned._nodes) < len(pruned)
-    assert len(pruned) == len(reference)
-    ref_chain = LongestChain().select(reference)
-    got_chain = LongestChain().select(pruned)
-    assert (got_chain.tip_id, got_chain.height) == (ref_chain.tip_id, ref_chain.height)
-    # Materializing across the evicted prefix faults value-identical blocks.
-    assert got_chain.block_ids() == ref_chain.block_ids()
-    assert list(got_chain) == list(ref_chain)
-    assert pruned.stats()["fault_count"] > 0
-    pruned._store.close()
-
-
-def test_prune_keeps_membership_ancestry_and_freeze(tmp_path):
-    reference, pruned = _pruned_pair(tmp_path)
-    assert len(pruned) == len(reference)
-    assert pruned.freeze() == reference.freeze()
-    # Evicted blocks are still members with working index queries.
-    deep_ids = [b.block_id for b in reference.blocks()][1:50]
-    tip = LongestChain().select(pruned).tip_id
-    for bid in deep_ids:
-        assert bid in pruned
-        assert pruned.height(bid) == reference.height(bid)
-        assert pruned.is_ancestor(bid, tip) == reference.is_ancestor(bid, tip)
-        assert pruned.get(bid) == reference.get(bid)  # faults from the log
-    assert pruned.lca(deep_ids[5], tip) == reference.lca(deep_ids[5], tip)
-    pruned._store.close()
-
-
-def test_prune_writes_checkpoint_records(tmp_path):
-    _, pruned = _pruned_pair(tmp_path)
-    record = pruned._store.last_checkpoint()
-    assert record is not None
-    assert record.block_id == pruned.checkpoint_id
-    assert record.height == pruned.checkpoint_height > 0
-    assert pruned.is_ancestor(
-        pruned.checkpoint_id, LongestChain().select(pruned).tip_id
-    )
-    pruned._store.close()
-
-
-def test_failed_chain_to_does_not_poison_prune_lifecycle(tmp_path):
-    """A KeyError probe via chain_to must not enter the read window."""
-    tree = BlockTree(
-        store=AppendOnlyLogStore(str(tmp_path / "poison.btlog")),
-        prune=PrunePolicy(hot_cap=8, recent_reads=4, retry_interval=1),
-    )
-    parent = GENESIS
-    select = LongestChain().select
-    for i in range(4):
-        block = make_block(parent, label=f"p{i}")
-        tree.add_block(block)
-        select(tree)
-        parent = block
-    with pytest.raises(KeyError):
-        tree.chain_to("unknown-id")
-    # Enough appends to force prune attempts over the read window; the
-    # bogus id must not be in it, so these never raise.
-    for i in range(40):
-        block = make_block(parent, label=f"q{i}")
-        tree.add_block(block)
-        select(tree)
-        parent = block
-    assert tree.stats()["prune_count"] > 0
-    tree._store.close()
-
-
-def test_checkpoint_refuses_conflicting_branch(tmp_path):
-    """Finality is monotone: a checkpoint never jumps across branches."""
-    tree = BlockTree(
-        store=AppendOnlyLogStore(str(tmp_path / "fork.btlog")),
-        prune=PrunePolicy(hot_cap=10_000),
-    )
-    a = [make_block(GENESIS, label="a0")]
-    b = [make_block(GENESIS, label="b0")]
-    for i in range(1, 6):
-        a.append(make_block(a[-1], label=f"a{i}"))
-        b.append(make_block(b[-1], label=f"b{i}"))
-    for block in a + b:
-        tree.add_block(block)
-    tree.checkpoint(a[2].block_id)
-    # Same height on the other branch: not an extension -> refused.
-    with pytest.raises(ValueError):
-        tree.checkpoint(b[2].block_id)
-    # Higher block on the conflicting branch: still refused.
-    with pytest.raises(ValueError):
-        tree.checkpoint(b[5].block_id)
-    tree.checkpoint(a[4].block_id)  # extending the prefix is fine
-    assert tree.checkpoint_height == 5
-    tree._store.close()
-
-
 def test_build_store_honors_store_dir(tmp_path):
     from repro.workloads.scenarios import ProtocolScenario
 
@@ -317,82 +196,23 @@ def test_durable_store_needs_a_directory():
         ProtocolScenario(name="x", store="log")
 
 
-def test_manual_checkpoint_refuses_regression(tmp_path):
-    tree = BlockTree(
-        store=AppendOnlyLogStore(str(tmp_path / "m.btlog")),
-        prune=PrunePolicy(hot_cap=10_000),
-    )
-    blocks = _chain_blocks(10)
-    for block in blocks:
-        tree.add_block(block)
-    tree.checkpoint(blocks[5].block_id)
-    assert tree.checkpoint_height == 6
-    with pytest.raises(ValueError):
-        tree.checkpoint(blocks[2].block_id)
-    with pytest.raises(KeyError):
-        tree.checkpoint("missing")
-    tree._store.close()
-
-
-def test_prune_policy_validation():
-    with pytest.raises(ValueError):
-        PrunePolicy(hot_cap=1)
-    with pytest.raises(ValueError):
-        PrunePolicy(hot_cap=10, recent_reads=0)
-    with pytest.raises(ValueError):
-        PrunePolicy(hot_cap=10, finality_margin=-1)
-    assert PrunePolicy(hot_cap=800).effective_retry() == max(64, 100)
-
-
-def test_ghost_selection_survives_pruning(tmp_path):
-    """GHOST's lazy weight backlog must not depend on evicted Block objects."""
-    scenario = TreeScenario(
-        name="ghost-prune", n_blocks=3000, burst_every=32, burst_width=4
-    )
-    select = GHOSTSelection().select
-    long_select = LongestChain().select
-    reference = scenario.build(on_block=lambda t, b: long_select(t))
-    pruned = scenario.build(
-        store=AppendOnlyLogStore(str(tmp_path / "g.btlog")),
-        prune=PrunePolicy(hot_cap=300, finality_margin=8),
-        on_block=lambda t, b: long_select(t),
-    )
-    assert pruned.stats()["evicted_total"] > 0
-    # The first GHOST read flushes the whole backlog post-eviction.
-    ref_chain = select(reference)
-    got_chain = select(pruned)
-    assert (got_chain.tip_id, got_chain.height) == (ref_chain.tip_id, ref_chain.height)
-    assert pruned.subtree_weight(GENESIS.block_id) == reference.subtree_weight(
-        GENESIS.block_id
-    )
-    pruned._store.close()
-
-
 def test_scenario_store_knob_validation(tmp_path):
     from repro.workloads.scenarios import ProtocolScenario
 
     with pytest.raises(ValueError):
         ProtocolScenario(name="x", store="bogus")
-    with pytest.raises(ValueError):
-        ProtocolScenario(name="x", prune_hot_cap=1)
-    with pytest.raises(ValueError):
-        ProtocolScenario(name="x", store="memory", prune_hot_cap=64)
-    scenario = ProtocolScenario(
-        name="x", store="log", store_dir=str(tmp_path), prune_hot_cap=64
-    )
-    assert scenario.build_prune().hot_cap == 64
-    assert ProtocolScenario(name="x").build_prune() is None
+    scenario = ProtocolScenario(name="x", store="log", store_dir=str(tmp_path))
+    log = scenario.build_store("p0")
+    assert isinstance(log, AppendOnlyLogStore)
+    log.close()
     assert isinstance(ProtocolScenario(name="x").build_store("p0"), InMemoryStore)
 
 
-def test_protocol_run_on_durable_store(tmp_path, monkeypatch):
+def test_protocol_run_on_durable_store(tmp_path):
     """One short bitcoin run per durable backend, identical final chains."""
     from repro.protocols.base import ProtocolRun
     from repro.protocols.bitcoin import BitcoinNode
     from repro.workloads.scenarios import ProtocolScenario
-
-    # A shallow confirmation depth, so an 18-block run does checkpoint.
-    monkeypatch.setattr(ProtocolScenario, "PRUNE_MARGIN", 2)
 
     def final(scenario):
         run = ProtocolRun.execute(BitcoinNode, scenario)
@@ -403,17 +223,9 @@ def test_protocol_run_on_durable_store(tmp_path, monkeypatch):
 
     base = dict(name="bitcoin", n_nodes=3, duration=90.0, mean_block_interval=6.0)
     ref, _ = final(ProtocolScenario(**base))
-    got, stats = final(
-        ProtocolScenario(
-            **base,
-            store="log",
-            store_dir=str(tmp_path),
-            prune_hot_cap=8,
-        )
-    )
+    got, stats = final(ProtocolScenario(**base, store="log", store_dir=str(tmp_path)))
     assert got == ref
     assert all(s["blocks"] > 1 for s in stats.values())
-    assert all(s["prune_count"] for s in stats.values())
     assert (tmp_path / "p0.btlog").exists()
 
 
@@ -434,7 +246,4 @@ def test_stats_shape():
     tree = BlockTree()
     for block in _chain_blocks(5):
         tree.add_block(block)
-    stats = tree.stats()
-    assert stats["blocks"] == 6 and stats["resident"] == 6
-    assert stats["fault_count"] == 0 and stats["prune_count"] == 0
-    assert math.isfinite(stats["checkpoint_height"])
+    assert tree.stats() == {"blocks": 6}

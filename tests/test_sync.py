@@ -75,8 +75,8 @@ class TestFrontier:
         tree.add_block(b)
         frontier = frontier_of(tree)
         assert set(frontier.tips) == set(tree.leaf_ids())
-        assert frontier.checkpoint_id == tree.checkpoint_id
-        assert frontier.checkpoint_height == tree.checkpoint_height
+        assert frontier.checkpoint_id == tree.genesis.block_id
+        assert frontier.checkpoint_height == 0
 
     def test_tip_cap_keeps_the_tallest(self):
         tree = BlockTree()
