@@ -5,14 +5,13 @@ replica *eventually receives* the chain — but gossip only disseminates
 blocks produced while a replica is listening.  A replica that joins
 mid-run, recovers from a crash, or heals from an eclipse has a gap that
 flooding never replays.  This module gives it a network path to catch
-up, shipping checkpointed prefixes in bounded batches instead of
+up, shipping the blocks it lacks in bounded batches instead of
 replaying every historical gossip message:
 
-* :class:`Frontier` — a compact summary of a replica's tree: the
-  committed checkpoint (id + height) and the tree's leaf tips.  Two
-  frontiers determine the blocks one replica has that the other lacks
-  (every block lies on a root→leaf path, so tips cover whole trees —
-  abandoned forks included).
+* :class:`Frontier` — a compact summary of a replica's tree: its leaf
+  tips.  Two frontiers determine the blocks one replica has that the
+  other lacks (every block lies on a root→leaf path, so tips cover
+  whole trees — abandoned forks included).
 
 * The wire protocol — four message kinds, server-side stateless::
 
@@ -122,20 +121,13 @@ _ZERO: Dict[str, Any] = {
 
 @dataclass(frozen=True)
 class Frontier:
-    """Compact summary of a replica tree: committed checkpoint + tips."""
+    """Compact summary of a replica tree: its leaf tips."""
 
-    checkpoint_id: str
-    checkpoint_height: int
     tips: Tuple[str, ...]
 
     def wire_bytes(self) -> int:
-        """Modelled encoding: framing + checkpoint + length-prefixed tips."""
-        return (
-            12
-            + len(self.checkpoint_id)
-            + 1
-            + sum(len(tip) + 1 for tip in self.tips)
-        )
+        """Modelled encoding: framing + length-prefixed tips."""
+        return 12 + sum(len(tip) + 1 for tip in self.tips)
 
 
 def frontier_of(tree: Any, max_tips: int = MAX_FRONTIER_TIPS) -> Frontier:
@@ -148,28 +140,23 @@ def frontier_of(tree: Any, max_tips: int = MAX_FRONTIER_TIPS) -> Frontier:
     if len(tips) > max_tips:
         tallest = sorted(tips, key=lambda tip: (-tree.height(tip), tip))
         tips = tuple(sorted(tallest[:max_tips]))
-    return Frontier(
-        checkpoint_id=tree.genesis.block_id,
-        checkpoint_height=0,
-        tips=tips,
-    )
+    return Frontier(tips=tips)
 
 
 def known_ids(tree: Any, frontier: Frontier) -> Set[str]:
     """Ids of ``tree`` the frontier's owner provably has.
 
-    Walks the root path of every frontier anchor (checkpoint + tips)
-    that ``tree`` knows, with early termination on already-walked
-    blocks — O(tree) worst case, O(client depth) typical.  Anchors the
+    Walks the root path of every frontier tip that ``tree`` knows, with early termination on already-walked
+    blocks — O(tree) worst case, O(client depth) typical.  Tips the
     tree does *not* know contribute nothing: the server cannot tell
     what hangs below a foreign tip, so it conservatively re-sends
     (client-side dedup keeps the outcome exact).
     """
     known: Set[str] = set()
-    for anchor in (frontier.checkpoint_id, *frontier.tips):
-        if anchor not in tree:
+    for tip in frontier.tips:
+        if tip not in tree:
             continue
-        cursor: Optional[str] = anchor
+        cursor: Optional[str] = tip
         while cursor is not None and cursor not in known:
             known.add(cursor)
             cursor = tree.parent_id(cursor)

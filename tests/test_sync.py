@@ -68,15 +68,13 @@ def sync_network(n_nodes: int = 2, seed: int = 3, **overrides):
 
 
 class TestFrontier:
-    def test_frontier_summarizes_tips_and_checkpoint(self):
+    def test_frontier_summarizes_tips(self):
         tree = BlockTree()
         a = grow_chain(tree, 3, tag="a")
         b = make_block(a[0], label="fork")
         tree.add_block(b)
         frontier = frontier_of(tree)
-        assert set(frontier.tips) == set(tree.leaf_ids())
-        assert frontier.checkpoint_id == tree.genesis.block_id
-        assert frontier.checkpoint_height == 0
+        assert frontier == Frontier(tips=tree.leaf_ids())
 
     def test_tip_cap_keeps_the_tallest(self):
         tree = BlockTree()
