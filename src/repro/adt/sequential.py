@@ -52,7 +52,7 @@ def is_sequential_history(adt: ADT, word: Sequence[Operation]) -> SequentialChec
             return SequentialCheckResult(
                 ok=False, failure_index=index, reason=f"symbol {op.symbol!r} not in alphabet"
             )
-        expected = adt.output(state, op.symbol)
+        next_state, expected = adt.apply(state, op.symbol)
         if op.has_output and expected != op.output:
             return SequentialCheckResult(
                 ok=False,
@@ -63,7 +63,7 @@ def is_sequential_history(adt: ADT, word: Sequence[Operation]) -> SequentialChec
                 ),
                 expected_output=expected,
             )
-        state = adt.transition(state, op.symbol)
+        state = next_state
     return SequentialCheckResult(ok=True)
 
 
@@ -77,8 +77,7 @@ def generate_sequential_history(adt: ADT, symbols: Iterable[Any]) -> list[Operat
     state = adt.initial_state()
     word: list[Operation] = []
     for symbol in symbols:
-        out = adt.output(state, symbol)
-        state = adt.transition(state, symbol)
+        state, out = adt.apply(state, symbol)
         word.append(Operation(symbol=symbol, output=out))
     return word
 
@@ -101,8 +100,7 @@ class TransitionTrace:
         state = adt.initial_state()
         trace.states.append(state)
         for symbol in symbols:
-            out = adt.output(state, symbol)
-            state = adt.transition(state, symbol)
+            state, out = adt.apply(state, symbol)
             trace.operations.append(Operation(symbol=symbol, output=out))
             trace.states.append(state)
         return trace

@@ -97,9 +97,9 @@ def random_refinement_history(
             descriptor = make_block(parent=holder, label=label, creator=int(proc[1:]))
             recorder.ledger.invoke(proc, descriptor, step)
             result = refined.append_at(holder, descriptor, merit_id=proc)
-            realized = result.tokenized.block if result.tokenized else descriptor
+            realized_id = result.tokenized.block.block_id
             recorder.ledger.decide(proc, step, descriptor.block_id if result else None)
-            script.append(("append", proc, holder.block_id, label, realized.block_id))
+            script.append(("append", proc, holder.block_id, label, realized_id))
         else:
             chain = refined.read()
             recorder.record_read(proc, chain)
@@ -151,7 +151,7 @@ def replay_appends(
             holder = refined.tree.get(mapped_holder_id)
             descriptor = make_block(parent=holder, label=label)
             result = refined.append_at(holder, descriptor, merit_id=proc)
-            if not result.success or result.tokenized is None:
+            if not result.success:
                 return False
             id_map[realized_id] = result.tokenized.block.block_id
         else:

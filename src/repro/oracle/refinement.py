@@ -35,12 +35,12 @@ class RefinementResult:
 
     ``success`` is the refined δ (the ``evaluate`` of Definition 3.7);
     ``attempts`` counts ``getToken`` invocations (the ``τa*`` loop length);
-    ``tokenized`` is the block+token pair produced, if any.
+    ``tokenized`` is the block+token pair the granted getToken produced.
     """
 
     success: bool
     attempts: int
-    tokenized: Optional[TokenizedBlock] = None
+    tokenized: TokenizedBlock
 
     def __bool__(self) -> bool:
         return self.success

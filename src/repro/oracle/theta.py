@@ -254,6 +254,10 @@ class ThetaADT(ADT[ThetaState]):
     def output(self, state: ThetaState, symbol: Any) -> Any:
         return self._step(state, symbol)[1]
 
+    def apply(self, state: ThetaState, symbol: Any) -> Tuple[ThetaState, Any]:
+        """``(τ, δ)`` from one Θ step, so each granted token is minted once."""
+        return self._step(state, symbol)
+
     @staticmethod
     def _step(state: ThetaState, symbol: Any) -> Tuple[ThetaState, Any]:
         if isinstance(symbol, GetToken):

@@ -7,6 +7,7 @@ import pytest
 from repro.adt.sequential import TransitionTrace
 from repro.blocktree.block import GENESIS, make_block
 from repro.concurrent.protocol_a import build_protocol_a_system
+from repro.oracle import theta
 from repro.oracle.theta import (
     ConsumeToken,
     GetToken,
@@ -202,6 +203,22 @@ class TestThetaADTView:
         trace = TransitionTrace.record(adt, [get])
         assert trace.states[0].position_of("m") == 0
         assert trace.states[1].position_of("m") == 1
+
+    def test_transition_trace_steps_once_per_symbol(self, monkeypatch):
+        """Recording one getToken symbol is one Θ step: one token minted."""
+        minted = []
+        mint = theta.mint_token
+
+        def counting_mint(*args):
+            minted.append(args)
+            return mint(*args)
+
+        monkeypatch.setattr(theta, "mint_token", counting_mint)
+        adt = ThetaADT(ThetaState(k=2, seed=3, probabilities=(("m", 1.0),)))
+        get = GetToken(GENESIS.block_id, make_block(GENESIS, label="x"), "m")
+        trace = TransitionTrace.record(adt, [get])
+        assert len(minted) == 1
+        assert trace.operations[0].output.token == mint(*minted[0])
 
     def test_deterministic_replay(self):
         adt = ThetaADT(ThetaState(k=1, seed=11, probabilities=(("m", 0.5),)))
