@@ -62,6 +62,7 @@ bench-pairs:
 
 ## Every src/ function that the bench workloads, the identity dump, the
 ## baseline campaign and the paper experiments never enter, by module
-## with line counts (benchmarks/unreached.py, about a minute).
+## with line counts (benchmarks/unreached.py, about a minute); exits 1
+## when their total exceeds the script's BUDGET_LINES.
 unreached:
 	$(PYTHON) benchmarks/unreached.py

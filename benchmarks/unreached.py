@@ -17,6 +17,10 @@ in the outermost unreached function.  Usage::
 
 Takes about a minute on a 2-CPU host.  Tests are not a traffic source:
 what only a test reaches is what this script is for.
+
+The run exits 1 when the total exceeds :data:`BUDGET_LINES`, so code
+that nothing runs cannot grow back unnoticed.  A change that leaves
+fewer lines unreached lowers the budget to its new total.
 """
 
 from __future__ import annotations
@@ -34,6 +38,10 @@ sys.path += [str(ROOT / "bench"), str(ROOT / "benchmarks")]
 
 SEEDS = (2024, 7)
 
+#: The most unreached lines a run accepts: the total when it was last
+#: lowered, on the Python versions CI runs.
+BUDGET_LINES = 1962
+
 
 def _workloads() -> None:
     from workloads import SMOKE_DIVISOR, WORKLOADS
@@ -41,11 +49,13 @@ def _workloads() -> None:
     from repro.protocols.classify import classify_run
     from repro.workloads.scenarios import derive_seed
 
-    with tempfile.TemporaryDirectory(prefix="unreached-") as tmp:
-        for workload in WORKLOADS.values():
-            duration = workload.duration / SMOKE_DIVISOR
-            for index, seed in enumerate(SEEDS):
-                cell_seed = derive_seed(seed, workload.name, index)
+    for workload in WORKLOADS.values():
+        duration = workload.duration / SMOKE_DIVISOR
+        for index, seed in enumerate(SEEDS):
+            cell_seed = derive_seed(seed, workload.name, index)
+            # A fresh store directory per cell, as bench/run.py gives one:
+            # a replica's log left by an earlier cell would be replayed.
+            with tempfile.TemporaryDirectory(prefix="unreached-") as tmp:
                 for protocol, runner, scenario in workload.build(
                     workload.name, cell_seed, duration, tmp
                 ):
@@ -135,7 +145,17 @@ def main() -> int:
             print(f"  {last - first + 1:5d}  {name}  (line {first})")
         total_functions += len(unreached)
         total_lines += lines
-    print(f"total: {total_functions} unreached functions, {total_lines} lines")
+    print(
+        f"total: {total_functions} unreached functions, {total_lines} lines "
+        f"(budget {BUDGET_LINES})"
+    )
+    if total_lines > BUDGET_LINES:
+        print(
+            f"{total_lines - BUDGET_LINES} lines over BUDGET_LINES: reach or "
+            "delete the new unreached code",
+            file=sys.stderr,
+        )
+        return 1
     return 0
 
 
